@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-.PHONY: build test race vet lint bench bench-json bench-diff compare-smoke directed-smoke
+.PHONY: build test race vet lint bench bench-json bench-diff bench-check compare-smoke directed-smoke
 
 build:
 	$(GO) build ./...
@@ -68,6 +68,12 @@ BENCH_DIFF_NEW ?= $(BENCH_JSON)
 
 bench-diff:
 	python3 scripts/bench_diff.py $(BENCH_DIFF_OLD) $(BENCH_DIFF_NEW)
+
+# bench-check vets and tests the repository benchmark (bench/fragbench). It
+# is a module of its own (bench/go.mod), so the build, vet and test targets
+# above never reach it.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # compare-smoke runs the strategy bake-off — every registered strategy over
 # the 15-app corpus, COMPARE_SEEDS seeds, COMPARE_BUDGET test cases/events

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -46,11 +47,20 @@ type App struct {
 	// process-global map keyed by app pointer would pin every app ever
 	// loaded, a real leak for long-lived static-only consumers.
 	irState atomic.Value
+
+	// fingerprint caches internal/session's content fingerprint of the app
+	// (the hex sha256 of its EncodeApp bytes, as a string). Like irState it
+	// lives on the App so that it is collected with the app.
+	fingerprint atomic.Value
 }
 
 // IRState exposes the compiled-program slot to internal/ir. Other packages
 // must not touch it.
 func (a *App) IRState() *atomic.Value { return &a.irState }
+
+// FingerprintCell exposes the content-fingerprint slot to internal/session.
+// Other packages must not touch it.
+func (a *App) FingerprintCell() *atomic.Value { return &a.fingerprint }
 
 // Load decodes an archive into an App. Packed archives yield ErrPacked.
 func Load(a *Archive) (*App, error) {
@@ -119,7 +129,7 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	tbl := res.NewTable()
 	lmap := make(map[string]*layout.Layout, len(layouts))
 	ordered := append([]*layout.Layout(nil), layouts...)
-	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Name < ordered[j].Name })
+	slices.SortFunc(ordered, func(a, b *layout.Layout) int { return strings.Compare(a.Name, b.Name) })
 	for _, l := range ordered {
 		if lmap[l.Name] != nil {
 			return nil, fmt.Errorf("apk: duplicate layout %s", l.Name)
@@ -133,16 +143,23 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 		lmap[l.Name] = l
 	}
 	prog := smali.NewProgram()
-	orderedC := append([]*smali.Class(nil), classes...)
-	sort.Slice(orderedC, func(i, j int) bool {
-		return smaliPath(orderedC[i].Name) < smaliPath(orderedC[j].Name)
-	})
-	for _, c := range orderedC {
+	// The sort key, each class's archive path, is built once per class.
+	type pathClass struct {
+		path string
+		c    *smali.Class
+	}
+	orderedC := make([]pathClass, len(classes))
+	for i, c := range classes {
+		orderedC[i] = pathClass{smaliPath(c.Name), c}
+	}
+	slices.SortFunc(orderedC, func(a, b pathClass) int { return strings.Compare(a.path, b.path) })
+	for _, pc := range orderedC {
+		c := pc.c
 		if err := c.Check(); err != nil {
 			return nil, err
 		}
 		if c.SourceFile == "" {
-			c.SourceFile = smaliPath(c.Name)
+			c.SourceFile = pc.path
 		}
 		if err := prog.Add(c); err != nil {
 			return nil, err

@@ -36,12 +36,22 @@ import (
 // this encoding does not know about). A hand-rolled encoding instead of
 // encoding/json keeps the per-lookup cost off the warm path's profile.
 func Key(spec *corpus.AppSpec) string {
-	// Pre-sized well above the largest corpus spec encoding, so the append
-	// chain below runs without a single growslice in the common case.
-	b := make([]byte, 0, 8192)
-	sum := sha256.Sum256(appendKeySpec(b, spec))
+	bp := keyBufs.Get().(*[]byte)
+	b := appendKeySpec((*bp)[:0], spec)
+	sum := sha256.Sum256(b)
+	*bp = b
+	keyBufs.Put(bp)
 	return spec.Package + "#" + hex.EncodeToString(sum[:12])
 }
+
+// keyBufs recycles Key's encode buffers, each pre-sized well above the
+// largest corpus spec encoding so the append chain runs without a growslice.
+// Pooled rather than on the stack: an 8 KiB stack buffer makes every
+// pipeline goroutine that computes a key grow its stack to fit it.
+var keyBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 8192)
+	return &b
+}}
 
 func keyStr(b []byte, s string) []byte {
 	b = binary.AppendUvarint(b, uint64(len(s)))

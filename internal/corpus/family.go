@@ -111,7 +111,7 @@ func (f *Family) memberSeed(i int) int64 {
 func (f *Family) member(i int) (*AppSpec, []string) {
 	cat := studyCategories[i%len(studyCategories)]
 	pkg := fmt.Sprintf("com.%s.fam%06d", cat, i)
-	rng := rand.New(rand.NewSource(f.memberSeed(i)))
+	rng := newRand(f.memberSeed(i))
 	spec := RandomSpec(pkg, rng.Int63())
 	spec.Downloads = "1,000,000+"
 	ensureFragment(spec)

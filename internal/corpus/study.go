@@ -1,9 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // The 27 Google Play categories of the §VII-A dataset study.
 var studyCategories = []string{
@@ -35,7 +32,7 @@ const (
 // the category or fragment-usage assignment, so the study statistic is
 // stable.
 func StudySpecs(seed int64) []*AppSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	var specs []*AppSpec
 	packed := 0
 	noFrag := 0
@@ -86,7 +83,7 @@ func stripFragments(spec *AppSpec) {
 // activities, a sprinkle of fragments across all wire kinds, optional gates
 // and drawers. Property tests run the whole pipeline over these.
 func RandomSpec(pkg string, seed int64) *AppSpec {
-	rng := rand.New(rand.NewSource(seed))
+	rng := newRand(seed)
 	spec := &AppSpec{Package: pkg}
 
 	nActs := 2 + rng.Intn(6)

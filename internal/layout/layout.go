@@ -258,23 +258,6 @@ func (l *Layout) Register(tbl *res.Table) error {
 	return err
 }
 
-// Clone returns a deep copy of the layout tree.
-func (l *Layout) Clone() *Layout {
-	return &Layout{Name: l.Name, Root: cloneWidget(l.Root)}
-}
-
-func cloneWidget(w *Widget) *Widget {
-	if w == nil {
-		return nil
-	}
-	cp := *w
-	cp.Children = make([]*Widget, len(w.Children))
-	for i, c := range w.Children {
-		cp.Children[i] = cloneWidget(c)
-	}
-	return &cp
-}
-
 // Parse decodes a layout XML document. name is the layout resource name
 // (typically the file base name without extension).
 func Parse(name string, data []byte) (*Layout, error) {
@@ -399,8 +382,11 @@ type B struct {
 	w *Widget
 }
 
-// Root starts a builder with a root widget of the given type.
-func Root(typ string) *B { return &B{w: &Widget{Type: typ}} }
+// Root starts a builder with a root widget of the given type. A built
+// widget's Children is empty but not nil even on a leaf: the apk codec
+// records nil-ness, and built apps have always encoded their leaves (and so
+// derived their content fingerprints) that way.
+func Root(typ string) *B { return &B{w: &Widget{Type: typ, Children: []*Widget{}}} }
 
 // ID sets the widget ID reference.
 func (b *B) ID(ref string) *B { b.w.IDRef = ref; return b }
@@ -428,11 +414,13 @@ func (b *B) Child(children ...*B) *B {
 	return b
 }
 
-// BuildLayout finishes the tree into a named, validated layout.
+// BuildLayout finishes the tree into a named, validated layout. The layout
+// takes the builder's tree over without copying it, so neither the builder
+// nor its child builders may be changed afterwards.
 func (b *B) BuildLayout(name string) (*Layout, error) {
 	l := &Layout{Name: name, Root: b.w}
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
-	return l.Clone(), nil
+	return l, nil
 }

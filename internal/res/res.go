@@ -12,7 +12,6 @@ package res
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -33,7 +32,8 @@ const (
 	KindMenu
 )
 
-var kindNames = map[Kind]string{
+// kindNames is indexed by Kind; the known kinds are KindID..KindMenu.
+var kindNames = [...]string{
 	KindID:       "id",
 	KindLayout:   "layout",
 	KindString:   "string",
@@ -41,18 +41,13 @@ var kindNames = map[Kind]string{
 	KindMenu:     "menu",
 }
 
-var kindsByName = map[string]Kind{
-	"id":       KindID,
-	"layout":   KindLayout,
-	"string":   KindString,
-	"drawable": KindDrawable,
-	"menu":     KindMenu,
-}
+// known reports whether k is one of the kinds above.
+func (k Kind) known() bool { return k >= KindID && k <= KindMenu }
 
 // String returns the R-namespace name of the kind ("id", "layout", ...).
 func (k Kind) String() string {
-	if s, ok := kindNames[k]; ok {
-		return s
+	if k.known() {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
@@ -60,8 +55,12 @@ func (k Kind) String() string {
 // KindFromName maps an R-namespace name back to its Kind. The boolean result
 // reports whether the name is known.
 func KindFromName(name string) (Kind, bool) {
-	k, ok := kindsByName[name]
-	return k, ok
+	for k := KindID; k <= KindMenu; k++ {
+		if kindNames[k] == name {
+			return k, true
+		}
+	}
+	return 0, false
 }
 
 // ID is a resolved resource identifier. Like Android's aapt numbering, the
@@ -81,9 +80,7 @@ func (id ID) Kind() Kind {
 
 // Valid reports whether the ID carries a known kind encoding.
 func (id ID) Valid() bool {
-	k := id.Kind()
-	_, ok := kindNames[k]
-	return uint32(id) >= idBase && ok
+	return uint32(id) >= idBase && id.Kind().known()
 }
 
 // Entry is a single named resource in the table.
@@ -104,9 +101,10 @@ type refKey struct {
 // Table allocates and resolves resource IDs. The zero value is not ready for
 // use; call NewTable.
 type Table struct {
-	byRef  map[refKey]Entry
-	byID   map[ID]Entry
-	counts map[Kind]uint32
+	byRef map[refKey]ID
+	// byKind holds each kind's entries in ID order: the low bits of an ID
+	// index its kind's slice, whose length is the kind's next number.
+	byKind [KindMenu + 1][]Entry
 }
 
 // NewTable returns an empty resource table.
@@ -116,13 +114,9 @@ func NewTable() *Table {
 
 // NewTableSized returns an empty resource table pre-sized for about hint
 // entries, so bulk loaders (the artifact-store decoder knows the final entry
-// count up front) avoid growing the maps incrementally.
+// count up front) avoid growing the lookup map incrementally.
 func NewTableSized(hint int) *Table {
-	return &Table{
-		byRef:  make(map[refKey]Entry, hint),
-		byID:   make(map[ID]Entry, hint),
-		counts: make(map[Kind]uint32),
-	}
+	return &Table{byRef: make(map[refKey]ID, hint)}
 }
 
 // Define allocates an ID for (kind, name), or returns the existing one if the
@@ -131,19 +125,17 @@ func (t *Table) Define(kind Kind, name string) (ID, error) {
 	if name == "" {
 		return 0, fmt.Errorf("res: empty resource name for kind %s", kind)
 	}
-	if _, ok := kindNames[kind]; !ok {
+	if !kind.known() {
 		return 0, fmt.Errorf("res: unknown resource kind %d", int(kind))
 	}
 	key := refKey{kind, name}
-	if e, ok := t.byRef[key]; ok {
-		return e.ID, nil
+	if id, ok := t.byRef[key]; ok {
+		return id, nil
 	}
-	n := t.counts[kind]
-	t.counts[kind] = n + 1
-	id := ID(idBase + uint32(kind)<<kindShift + n)
-	e := Entry{Kind: kind, Name: name, ID: id}
-	t.byRef[key] = e
-	t.byID[id] = e
+	entries := t.byKind[kind]
+	id := ID(idBase + uint32(kind)<<kindShift + uint32(len(entries)))
+	t.byKind[kind] = append(entries, Entry{Kind: kind, Name: name, ID: id})
+	t.byRef[key] = id
 	return id, nil
 }
 
@@ -160,15 +152,22 @@ func (t *Table) MustDefine(kind Kind, name string) ID {
 // Lookup resolves (kind, name) to its ID. The boolean result reports whether
 // the resource is defined.
 func (t *Table) Lookup(kind Kind, name string) (ID, bool) {
-	e, ok := t.byRef[refKey{kind, name}]
-	return e.ID, ok
+	id, ok := t.byRef[refKey{kind, name}]
+	return id, ok
 }
 
 // NameOf returns the entry for id. The boolean result reports whether the ID
 // is defined in this table.
 func (t *Table) NameOf(id ID) (Entry, bool) {
-	e, ok := t.byID[id]
-	return e, ok
+	if !id.Valid() {
+		return Entry{}, false
+	}
+	k := id.Kind()
+	n := uint32(id) - idBase - uint32(k)<<kindShift
+	if es := t.byKind[k]; n < uint32(len(es)) {
+		return es[n], true
+	}
+	return Entry{}, false
 }
 
 // Resolve parses and resolves a textual reference of the form "@kind/name"
@@ -229,29 +228,25 @@ func (e Entry) Ref() string {
 
 // Entries returns all defined resources sorted by ID. The slice is a copy.
 func (t *Table) Entries() []Entry {
-	out := make([]Entry, 0, len(t.byID))
-	for _, e := range t.byID {
-		out = append(out, e)
+	out := make([]Entry, 0, t.Len())
+	for _, es := range t.byKind {
+		out = append(out, es...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // Len reports the number of defined resources.
-func (t *Table) Len() int { return len(t.byID) }
+func (t *Table) Len() int { return len(t.byRef) }
 
 // Clone returns a deep copy of the table. The explorer clones tables so that
 // per-run definitions (e.g. patched manifests) never leak between runs.
 func (t *Table) Clone() *Table {
-	nt := NewTable()
+	nt := NewTableSized(len(t.byRef))
 	for k, v := range t.byRef {
 		nt.byRef[k] = v
 	}
-	for k, v := range t.byID {
-		nt.byID[k] = v
-	}
-	for k, v := range t.counts {
-		nt.counts[k] = v
+	for k, es := range t.byKind {
+		nt.byKind[k] = append([]Entry(nil), es...)
 	}
 	return nt
 }

@@ -137,18 +137,17 @@ type memoEntry struct {
 	size int
 }
 
-// appFPs memoizes content fingerprints per installed-app pointer; computing
-// one means re-encoding the whole app spec, which must not happen on every
-// memo probe.
-var appFPs sync.Map // *apk.App -> string
-
 // appFingerprint returns the content fingerprint of an installed app: the
 // hex sha256 of its encoded spec. Two installations of byte-identical builds
 // share a fingerprint — and therefore share memo entries — while any content
-// difference separates them.
+// difference separates them. Computing one re-encodes the whole app, which
+// must not happen on every memo probe, so the result is cached in the app's
+// own fingerprint cell: a cache keyed by app pointer outside the app would
+// keep every app it had seen alive.
 func appFingerprint(app *apk.App) string {
-	if v, ok := appFPs.Load(app); ok {
-		return v.(string)
+	cell := app.FingerprintCell()
+	if fp, ok := cell.Load().(string); ok {
+		return fp
 	}
 	var fp string
 	if data, err := apk.EncodeApp(app); err == nil {
@@ -159,7 +158,7 @@ func appFingerprint(app *apk.App) string {
 		// just not shareable across installs or processes.
 		fp = fmt.Sprintf("unhashable:%p", app)
 	}
-	appFPs.Store(app, fp)
+	cell.Store(fp)
 	return fp
 }
 
@@ -570,12 +569,12 @@ func (m *SnapshotMemo) Flush() error {
 
 // ReleaseApp drops every memo resource tied to one installed app: its
 // memoized prefixes, its loaded snapshot packs (a dirty pack is flushed
-// through the attached store first, so nothing learned this run is lost),
-// its pack-cache bindings and its cached content fingerprint. The streaming
-// corpus pipeline calls it after folding an app's results — without the
-// release the memo pins every explored app's snapshots, and the fingerprint
-// cache pins the app itself, until process exit. Re-exploring a released app
-// later is correct, just cold in memory: the pack reloads from disk.
+// through the attached store first, so nothing learned this run is lost)
+// and its pack-cache bindings. The streaming corpus pipeline calls it after
+// folding an app's results — without the release the memo pins every
+// explored app's snapshots for as long as the memo lives. Re-exploring a
+// released app later is correct, just cold in memory: the pack reloads from
+// disk.
 func (m *SnapshotMemo) ReleaseApp(app *apk.App) error {
 	// Flush skips clean packs, so in a streaming run this writes exactly the
 	// released app's own pack (earlier apps were flushed at their release).
@@ -604,7 +603,6 @@ func (m *SnapshotMemo) ReleaseApp(app *apk.App) error {
 		m.packCache.Delete(packCacheKey{app: app, autoDismiss: ad})
 	}
 	m.mu.Unlock()
-	appFPs.Delete(app)
 	return err
 }
 

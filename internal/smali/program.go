@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Well-known framework classes. Classes in the android.* / java.* namespaces
@@ -154,6 +155,9 @@ func (c *Class) Outer() string {
 type Program struct {
 	classes map[string]*Class
 	order   []string
+	// sorted is every class name in sorted order, InnerClasses' index. It
+	// is built on first use and dropped by Add.
+	sorted atomic.Pointer[[]string]
 }
 
 // NewProgram returns an empty program.
@@ -179,6 +183,7 @@ func (p *Program) Add(c *Class) error {
 	}
 	p.classes[c.Name] = c
 	p.order = append(p.order, c.Name)
+	p.sorted.Store(nil)
 	return nil
 }
 
@@ -220,10 +225,28 @@ func (p *Program) SuperChain(name string) []string {
 // IsSubclassOf reports whether name transitively extends base (base itself is
 // not a subclass of base).
 func (p *Program) IsSubclassOf(name, base string) bool {
-	for _, s := range p.SuperChain(name) {
-		if s == base {
+	return p.extends(name, base, base)
+}
+
+// extends reports whether SuperChain(name) contains base1 or base2, walking
+// the chain without building it. The program classes on a chain are
+// distinct until it loops, so within len(classes)+1 steps the walk has
+// checked every name SuperChain would list; a chain that loops back to name
+// stops there, as SuperChain does.
+func (p *Program) extends(name, base1, base2 string) bool {
+	cur := p.classes[name]
+	for steps := 0; cur != nil && cur.Super != "" && steps <= len(p.classes); steps++ {
+		s := cur.Super
+		if s == name {
+			return false
+		}
+		if s == base1 || s == base2 {
 			return true
 		}
+		if FrameworkClass(s) {
+			return false
+		}
+		cur = p.classes[s]
 	}
 	return false
 }
@@ -231,13 +254,13 @@ func (p *Program) IsSubclassOf(name, base string) bool {
 // IsFragmentClass reports whether name extends android.app.Fragment or
 // android.support.v4.app.Fragment (paper §IV-B2 and Algorithm 2).
 func (p *Program) IsFragmentClass(name string) bool {
-	return p.IsSubclassOf(name, ClassFragment) || p.IsSubclassOf(name, ClassSupportFragment)
+	return p.extends(name, ClassFragment, ClassSupportFragment)
 }
 
 // IsActivityClass reports whether name extends android.app.Activity or
 // android.support.v4.app.FragmentActivity.
 func (p *Program) IsActivityClass(name string) bool {
-	return p.IsSubclassOf(name, ClassActivity) || p.IsSubclassOf(name, ClassFragmentActivity)
+	return p.extends(name, ClassActivity, ClassFragmentActivity)
 }
 
 // FragmentClasses returns all fragment subclasses, sorted. This implements
@@ -268,17 +291,33 @@ func (p *Program) ActivityClasses() []string {
 
 // InnerClasses returns the classes declared inside name (dollar-sign naming
 // convention), sorted. Algorithm 2's getInnerClass includes the class itself;
-// callers that need that behaviour use ClassAndInner.
+// callers that need that behaviour use ClassAndInner. The names starting
+// with name+"$" form one range of the sorted name index, found by binary
+// search.
 func (p *Program) InnerClasses(name string) []string {
+	names := p.sortedNames()
 	prefix := name + "$"
-	var out []string
-	for n := range p.classes {
-		if strings.HasPrefix(n, prefix) {
-			out = append(out, n)
-		}
+	lo := sort.SearchStrings(names, prefix)
+	hi := lo
+	for hi < len(names) && strings.HasPrefix(names[hi], prefix) {
+		hi++
 	}
-	sort.Strings(out)
-	return out
+	if lo == hi {
+		return nil
+	}
+	return append([]string(nil), names[lo:hi]...)
+}
+
+// sortedNames returns the sorted name index, building it on first use.
+// Concurrent first uses build identical copies, and either may be kept.
+func (p *Program) sortedNames() []string {
+	if s := p.sorted.Load(); s != nil {
+		return *s
+	}
+	s := append([]string(nil), p.order...)
+	sort.Strings(s)
+	p.sorted.Store(&s)
+	return s
 }
 
 // ClassAndInner returns name followed by its inner classes — the getInnerClass
