@@ -33,18 +33,14 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' . | tee BENCH_$(BENCH_STAMP).txt
 
 # bench-json runs the perf-record benchmarks (cold write-through study vs
-# warm disk-served study, the warm Table I evaluation with the snapshot memo
-# off, on, and persistent-warm, plus the fleet-speedup curve at 1/2/4
-# devices) and renders the result as JSON. Each benchmark line is parsed by
-# unit token rather than by column, so custom metrics such as the snapshot
-# hit_rate and step_reduction flow through as JSON fields next to
-# ns_per_op/bytes_per_op/allocs_per_op. The derived ratios: warm_speedup is
-# cold/warm on the study, snapshot_speedup is memo-off/memo-on on the
-# evaluation, persistent_speedup is memo-cold/persistent-warm on the
-# evaluation, and fleet_speedup_2/_4 are the one-device explorer over the
-# two- and four-device fleets (≈1.0 on a single-core host: the fleet trades
-# idle cores for warm snapshots; host_cpus records GOMAXPROCS for reading
-# the curve).
+# warm disk-served study, and the warm Table I evaluation with the snapshot
+# memo off, on, and persistent-warm) and renders the result as JSON. Each
+# benchmark line is parsed by unit token rather than by column, so custom
+# metrics such as the snapshot hit_rate and step_reduction flow through as
+# JSON fields next to ns_per_op/bytes_per_op/allocs_per_op. The derived
+# ratios: warm_speedup is cold/warm on the study, snapshot_speedup is
+# memo-off/memo-on on the evaluation, and persistent_speedup is
+# memo-cold/persistent-warm on the evaluation; host_cpus records GOMAXPROCS.
 #
 # On top of the microbenchmarks, the target streams a STUDY_N-app generated
 # family through `fragstudy -corpus family -stream` (cache off: pure
@@ -105,7 +101,7 @@ directed-smoke:
 	@cat $(DIRECTED_JSON)
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'StudyColdCache|StudyWarmCache|EvaluationWarmCache|EvaluationSnapshots|EvaluationPersistentWarm|FleetExplore1|FleetExplore2|FleetExplore4' \
+	$(GO) test -run '^$$' -bench 'StudyColdCache|StudyWarmCache|EvaluationWarmCache|EvaluationSnapshots|EvaluationPersistentWarm' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/report/ \
 	| awk 'BEGIN { print "{"; print "  \"benchmarks\": [" } \
 	/^Benchmark/ { \
@@ -133,10 +129,6 @@ bench-json:
 			printf ",\n  \"snapshot_speedup\": %.2f", ns["EvaluationWarmCache"] / ns["EvaluationSnapshots"]; \
 		if (ns["EvaluationSnapshots"] > 0 && ns["EvaluationPersistentWarm"] > 0) \
 			printf ",\n  \"persistent_speedup\": %.2f", ns["EvaluationSnapshots"] / ns["EvaluationPersistentWarm"]; \
-		if (ns["FleetExplore1"] > 0 && ns["FleetExplore2"] > 0) \
-			printf ",\n  \"fleet_speedup_2\": %.2f", ns["FleetExplore1"] / ns["FleetExplore2"]; \
-		if (ns["FleetExplore1"] > 0 && ns["FleetExplore4"] > 0) \
-			printf ",\n  \"fleet_speedup_4\": %.2f", ns["FleetExplore1"] / ns["FleetExplore4"]; \
 		print "\n}" }' > $(BENCH_JSON).micro
 	$(GO) run ./cmd/fragstudy -corpus family -n $(STUDY_N) -stream -cache off \
 		-streamjson $(BENCH_JSON).stream

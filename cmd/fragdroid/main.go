@@ -69,7 +69,6 @@ func run(args []string) error {
 		target       = fs.String("target", "", "targeted mode: drive the app until this sensitive API fires (e.g. location/getProviders)")
 		directed     = fs.Bool("directed", false, "with -target: seed the search with lifted launcher-to-site routes (skips unreachable targets)")
 		snapshots    = fs.String("snapshots", "on", "device snapshot memoization: on, off, or a memo capacity")
-		devices      = fs.String("devices", "auto", "in-process device fleet size: auto (GOMAXPROCS, capped at 8) or a count")
 		tracePath    = fs.String("trace", "", "write the structured trace events as JSON to this file (\"-\" for stdout)")
 		cacheDir     = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -152,10 +151,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fleet, err := parseDevices(*devices)
-	if err != nil {
-		return err
-	}
 	// With both a memo and a persistent store in play, full-route snapshots
 	// survive the process: the next run on the same app resumes warm. The
 	// deferred flush writes the app's snapshot packs on every exit path.
@@ -171,7 +166,6 @@ func run(args []string) error {
 	cfg.UseForcedStart = !*noForced
 	cfg.MaxTestCases = *maxCases
 	cfg.Snapshots = memo
-	cfg.Devices = fleet
 	if trace != nil {
 		cfg.Observer = trace
 	}
@@ -214,7 +208,6 @@ func run(args []string) error {
 			Seed:      *seed,
 			Inputs:    cfg.Inputs,
 			Snapshots: memo,
-			Devices:   fleet,
 			Curve:     true,
 		}
 		if trace != nil {
@@ -272,30 +265,6 @@ func parseSnapshots(v string) (*session.SnapshotMemo, error) {
 		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
 	}
 	return session.NewSnapshotMemo(n), nil
-}
-
-// parseDevices maps the -devices flag to a fleet size: "auto" picks
-// GOMAXPROCS capped at 8 (the FRAGDROID_DEVICES environment variable, when
-// set, overrides "auto"), and a positive integer is used verbatim. One device
-// means no fleet — the exploration runs fully sequentially.
-func parseDevices(v string) (int, error) {
-	if v == "auto" {
-		if env := os.Getenv("FRAGDROID_DEVICES"); env != "" {
-			v = env
-		}
-	}
-	if v == "auto" {
-		n := runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-		return n, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-devices takes auto or a positive device count, got %q", v)
-	}
-	return n, nil
 }
 
 // writeTrace dumps the collected structured events as a JSON array; "-"

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"fragdroid/internal/corpus"
@@ -81,6 +83,60 @@ func TestRunFromArchiveAndInputs(t *testing.T) {
 	}
 }
 
+// TestSnapshotPacksDependOnlyOnApp pins what a run persists to the app
+// alone: two runs on the same family-member archive, each into a fresh
+// -cache directory, must leave byte-identical snapshot/ trees.
+func TestSnapshotPacksDependOnlyOnApp(t *testing.T) {
+	fam := corpus.NewFamily(20, 1)
+	for _, i := range []int{2, 6, 12, 15} {
+		arch, err := corpus.BuildArchive(fam.At(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		apkPath := filepath.Join(t.TempDir(), "member.sapk")
+		if err := os.WriteFile(apkPath, arch.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var trees [2]map[string][]byte
+		for r := range trees {
+			dir := t.TempDir()
+			if err := run([]string{"-app", apkPath, "-cache", dir}); err != nil {
+				t.Fatalf("member %d run %d: %v", i, r, err)
+			}
+			trees[r] = readTree(t, filepath.Join(dir, "snapshot"))
+		}
+		if len(trees[0]) == 0 {
+			t.Fatalf("member %d: the run persisted no snapshot pack", i)
+		}
+		if !reflect.DeepEqual(trees[0], trees[1]) {
+			t.Errorf("member %d: snapshot/ trees differ between two runs", i)
+		}
+	}
+}
+
+// readTree maps every regular file under root to its contents, keyed by
+// the path relative to root.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
 func TestRunEmitJavaAndTests(t *testing.T) {
 	if err := run([]string{"-app", "demo", "-java"}); err != nil {
 		t.Fatalf("run -java: %v", err)
@@ -141,50 +197,5 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-app", "demo", "-inputs", "/missing.json"}); err == nil {
 		t.Error("missing inputs: want error")
-	}
-}
-
-// TestParseDevices pins the -devices contract: auto resolves to a sane
-// GOMAXPROCS-derived fleet, FRAGDROID_DEVICES overrides auto (but never an
-// explicit count), and garbage or non-positive counts fail loudly.
-func TestParseDevices(t *testing.T) {
-	t.Setenv("FRAGDROID_DEVICES", "")
-	n, err := parseDevices("auto")
-	if err != nil || n < 1 || n > 8 {
-		t.Fatalf("parseDevices(auto) = %d, %v; want 1..8", n, err)
-	}
-	if n, err := parseDevices("4"); err != nil || n != 4 {
-		t.Fatalf("parseDevices(4) = %d, %v", n, err)
-	}
-	t.Setenv("FRAGDROID_DEVICES", "6")
-	if n, err := parseDevices("auto"); err != nil || n != 6 {
-		t.Fatalf("env override: parseDevices(auto) = %d, %v; want 6", n, err)
-	}
-	if n, err := parseDevices("2"); err != nil || n != 2 {
-		t.Fatalf("explicit flag beats env: parseDevices(2) = %d, %v", n, err)
-	}
-	t.Setenv("FRAGDROID_DEVICES", "auto")
-	if n, err := parseDevices("auto"); err != nil || n < 1 || n > 8 {
-		t.Fatalf("env auto: parseDevices(auto) = %d, %v; want 1..8", n, err)
-	}
-	for _, bad := range []string{"0", "-2", "many", ""} {
-		t.Setenv("FRAGDROID_DEVICES", "")
-		if _, err := parseDevices(bad); err == nil {
-			t.Errorf("parseDevices(%q): want error", bad)
-		}
-	}
-}
-
-// TestRunDevicesFlag runs the pipeline end to end under an explicit fleet
-// size and rejects invalid values at the flag boundary.
-func TestRunDevicesFlag(t *testing.T) {
-	if err := run([]string{"-app", "demo", "-devices", "2"}); err != nil {
-		t.Fatalf("run -devices 2: %v", err)
-	}
-	if err := run([]string{"-app", "demo", "-devices", "0"}); err == nil {
-		t.Error("-devices 0: want error")
-	}
-	if err := run([]string{"-app", "demo", "-devices", "junk"}); err == nil {
-		t.Error("-devices junk: want error")
 	}
 }

@@ -96,7 +96,6 @@ func run(args []string) error {
 		lintRun    = fs.Bool("lint", false, "run fraglint across the dataset and print the summary")
 		metrics    = fs.Bool("metrics", false, "with -table1/-table2: also print the per-app run-metrics table")
 		snaps      = fs.String("snapshots", "on", "device snapshot memoization for evaluation runs: on, off, or a memo capacity")
-		devices    = fs.String("devices", "auto", "in-process device fleet size per app: auto (GOMAXPROCS, capped at 8) or a count")
 		trace      = fs.String("trace", "", "write the structured trace events of evaluation runs as JSON to this file (\"-\" for stdout)")
 		cacheDir   = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -145,10 +144,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	fleet, err := parseDevices(*devices)
-	if err != nil {
-		return err
-	}
 
 	cfg := report.DefaultEvalConfig()
 	cfg.Strategy = *stratSel
@@ -156,7 +151,6 @@ func run(args []string) error {
 	cfg.Parallel = *parallel
 	cfg.Cache = cache
 	cfg.Snapshots = memo
-	cfg.Devices = fleet
 	// Evaluation runs persist full-route snapshots whenever the cache is
 	// backed by a store, so a repeated table run starts warm across processes.
 	cfg.PersistSnapshots = true
@@ -338,30 +332,6 @@ func parseSnapshots(v string) (*session.SnapshotMemo, error) {
 		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
 	}
 	return session.NewSnapshotMemo(n), nil
-}
-
-// parseDevices maps the -devices flag to a fleet size: "auto" picks
-// GOMAXPROCS capped at 8 (the FRAGDROID_DEVICES environment variable, when
-// set, overrides "auto"), and a positive integer is used verbatim. One device
-// means no fleet — each app's engines run fully sequentially.
-func parseDevices(v string) (int, error) {
-	if v == "auto" {
-		if env := os.Getenv("FRAGDROID_DEVICES"); env != "" {
-			v = env
-		}
-	}
-	if v == "auto" {
-		n := runtime.GOMAXPROCS(0)
-		if n > 8 {
-			n = 8
-		}
-		return n, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("-devices takes auto or a positive device count, got %q", v)
-	}
-	return n, nil
 }
 
 // openCache maps the -cache flag to an artifact cache: "off" yields a plain

@@ -173,40 +173,6 @@ func TestRunTableWithMetricsAndTrace(t *testing.T) {
 	}
 }
 
-// TestParseDevices pins the -devices contract shared with fragdroid: auto is
-// GOMAXPROCS capped at 8, FRAGDROID_DEVICES overrides only auto, and bad
-// values error.
-func TestParseDevices(t *testing.T) {
-	t.Setenv("FRAGDROID_DEVICES", "")
-	n, err := parseDevices("auto")
-	if err != nil || n < 1 || n > 8 {
-		t.Fatalf("parseDevices(auto) = %d, %v; want 1..8", n, err)
-	}
-	t.Setenv("FRAGDROID_DEVICES", "3")
-	if n, err := parseDevices("auto"); err != nil || n != 3 {
-		t.Fatalf("env override: parseDevices(auto) = %d, %v; want 3", n, err)
-	}
-	if n, err := parseDevices("5"); err != nil || n != 5 {
-		t.Fatalf("explicit flag beats env: parseDevices(5) = %d, %v", n, err)
-	}
-	for _, bad := range []string{"0", "-1", "lots"} {
-		if _, err := parseDevices(bad); err == nil {
-			t.Errorf("parseDevices(%q): want error", bad)
-		}
-	}
-}
-
-// TestRunDevicesFlag drives a table run under an explicit fleet size and
-// rejects invalid values at the flag boundary.
-func TestRunDevicesFlag(t *testing.T) {
-	if err := run([]string{"-table1", "-devices", "2"}); err != nil {
-		t.Fatalf("run -table1 -devices 2: %v", err)
-	}
-	if err := run([]string{"-devices", "0"}); err == nil {
-		t.Error("-devices 0: want error")
-	}
-}
-
 // TestRunProfileFlags drives a study run with -cpuprofile and -memprofile and
 // checks that both profiles land on disk as non-empty files — the recipe
 // DESIGN.md documents for finding warm-path regressions.

@@ -1,10 +1,7 @@
 package artifact
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -34,64 +31,6 @@ func TestStoreShardedLayout(t *testing.T) {
 		if len(shard) != 2 || name[:2] != shard {
 			t.Fatalf("entry %s not in its hash-prefix shard", p)
 		}
-	}
-}
-
-// flatPathFor computes the pre-sharding location of an entry, mirroring what
-// older builds wrote.
-func flatPathFor(s *Store, kind, key string) string {
-	sum := sha256.Sum256([]byte(kind + "\x00" + key))
-	return filepath.Join(s.Dir(), kind, hex.EncodeToString(sum[:])+".art")
-}
-
-// TestStoreFlatEntryMigratesOnLoad simulates a store written by a
-// pre-sharding build: the entry sits directly under <kind>/. Load must serve
-// it and move it into the sharded layout, after which the flat file is gone
-// and a second Load hits the sharded path directly.
-func TestStoreFlatEntryMigratesOnLoad(t *testing.T) {
-	s := openTestStore(t)
-	payload := []byte("legacy payload")
-	if err := s.Save(kindApp, "old-key", payload); err != nil {
-		t.Fatal(err)
-	}
-	sharded := entryFile(t, s, kindApp, "old-key")
-	flat := flatPathFor(s, kindApp, "old-key")
-	if err := os.Rename(sharded, flat); err != nil {
-		t.Fatal(err)
-	}
-
-	got, ok := s.Load(kindApp, "old-key")
-	if !ok || string(got) != string(payload) {
-		t.Fatalf("flat entry not served: ok=%v payload=%q", ok, got)
-	}
-	if _, err := os.Stat(flat); !os.IsNotExist(err) {
-		t.Errorf("flat entry not migrated away (stat err %v)", err)
-	}
-	if _, err := os.Stat(sharded); err != nil {
-		t.Errorf("migrated entry missing at sharded path: %v", err)
-	}
-	if got, ok := s.Load(kindApp, "old-key"); !ok || string(got) != string(payload) {
-		t.Fatalf("post-migration load failed: ok=%v payload=%q", ok, got)
-	}
-}
-
-// TestStoreCorruptFlatEntryIsMiss keeps the silent-miss contract across the
-// fallback path: a damaged flat entry reads as a miss, is not migrated, and
-// the subsequent Save repairs into the sharded layout without error.
-func TestStoreCorruptFlatEntryIsMiss(t *testing.T) {
-	s := openTestStore(t)
-	flat := flatPathFor(s, kindApp, "bad-key")
-	if err := os.WriteFile(flat, []byte("not an artifact"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Load(kindApp, "bad-key"); ok {
-		t.Fatalf("corrupt flat entry loaded: %q", got)
-	}
-	if err := s.Save(kindApp, "bad-key", []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := s.Load(kindApp, "bad-key"); !ok || string(got) != "fresh" {
-		t.Fatalf("repaired entry not served: ok=%v payload=%q", ok, got)
 	}
 }
 

@@ -115,14 +115,6 @@ func (s *Store) entryPath(kind, key string) string {
 	return filepath.Join(s.dir, kind, name[:2], name+".art")
 }
 
-// flatEntryPath is the pre-sharding location of an entry — everything
-// directly under <kind>/. Load falls back to it and migrates hits into the
-// sharded layout, so stores written by older builds stay warm.
-func (s *Store) flatEntryPath(kind, key string) string {
-	sum := sha256.Sum256([]byte(kind + "\x00" + key))
-	return filepath.Join(s.dir, kind, hex.EncodeToString(sum[:])+".art")
-}
-
 // ensureShardDir creates an entry's shard directory once per Store lifetime.
 func (s *Store) ensureShardDir(dir string) error {
 	if _, ok := s.shardDirs.Load(dir); ok {
@@ -178,29 +170,11 @@ func (s *Store) Save(kind, key string, payload []byte) error {
 // Load reads an entry's payload. The boolean result reports a usable hit;
 // any integrity problem — missing file, foreign magic, stale fingerprint,
 // kind/key mismatch, truncation, checksum failure — reads as a miss so the
-// caller rebuilds (and, on the next Save, repairs) the entry. A miss at the
-// sharded path falls back to the pre-sharding flat location; a verified flat
-// hit is served and migrated (renamed) into the sharded layout, so old
-// stores warm up the new layout one entry at a time. A corrupt flat entry is
-// a plain miss, exactly as it was under the flat layout — the rebuild's Save
-// writes to the sharded path and the stale flat file is simply never read as
-// valid again.
+// caller rebuilds (and, on the next Save, repairs) the entry. Only the
+// sharded path is read: entries that older builds wrote directly under
+// <kind>/ carry a stale fingerprint, so they could never verify anyway.
 func (s *Store) Load(kind, key string) ([]byte, bool) {
-	if payload, ok := s.loadFile(s.entryPath(kind, key), kind, key); ok {
-		return payload, true
-	}
-	flat := s.flatEntryPath(kind, key)
-	payload, ok := s.loadFile(flat, kind, key)
-	if !ok {
-		return nil, false
-	}
-	// Migrate the verified entry into the sharded layout; best-effort — a
-	// failed rename just means the next Load pays the fallback again.
-	sharded := s.entryPath(kind, key)
-	if err := s.ensureShardDir(filepath.Dir(sharded)); err == nil {
-		os.Rename(flat, sharded)
-	}
-	return payload, true
+	return s.loadFile(s.entryPath(kind, key), kind, key)
 }
 
 // loadFile reads and verifies one entry file; any problem is a miss.

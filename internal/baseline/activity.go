@@ -57,11 +57,6 @@ type ActivityConfig struct {
 	// Snapshots lets replays resume from memoized route-prefix snapshots;
 	// nil disables.
 	Snapshots *session.SnapshotMemo
-	// Devices sets the in-process device fleet size: values above 1 run
-	// Devices-1 warming devices that pre-execute newly discovered activity
-	// routes into the shared memo. Results are identical for any fleet
-	// size; warming requires Snapshots.
-	Devices int
 	// SampleCurve enables coverage-curve sampling after every test case.
 	// Off by default: curve samples add trace events, and legacy runs'
 	// event streams must stay byte-identical.
@@ -82,7 +77,6 @@ type actEngine struct {
 	app     *apk.App
 	cfg     ActivityConfig
 	s       *session.Session
-	fleet   *session.Fleet
 	visited map[string]robotium.Script
 	queue   []string
 	launch  robotium.Script
@@ -113,7 +107,6 @@ func ExploreActivities(app *apk.App, cfg ActivityConfig) (*Result, error) {
 		Budget:    cfg.MaxTestCases,
 		Observer:  cfg.Observer,
 		Snapshots: cfg.Snapshots,
-		Devices:   cfg.Devices,
 	})
 	if err != nil {
 		return nil, err
@@ -171,7 +164,6 @@ func (e *actEngine) coverage() (int, int) {
 // Init binds the run context.
 func (e *actEngine) Init(ctx *session.DriveContext) error {
 	e.s = ctx.Session
-	e.fleet = ctx.Fleet
 	return nil
 }
 
@@ -247,7 +239,6 @@ func (e *actEngine) visit(activity string, route robotium.Script) {
 	}
 	e.visited[activity] = route
 	e.queue = append(e.queue, activity)
-	e.warmRoute(route)
 	e.s.Trace(session.Event{Kind: session.KindVisit, Activity: activity,
 		Script: route.Name, Ops: len(route.Ops),
 		Msg: fmt.Sprintf("visited activity %s (%d ops)", activity, len(route.Ops))})
@@ -310,33 +301,6 @@ func (e *actEngine) exploreActivity(activity string) {
 			needReplay = true
 		}
 	}
-}
-
-// warmRoute hands a newly discovered activity route to the warming fleet: a
-// private, monitor-less device executes it through the real script runner
-// and publishes the resulting snapshot through the shared memo, so the main
-// loop's later replay of the same route restores instead of re-executing.
-// The snapshot's journal re-emits through the main session's device on
-// restore, so observations happen exactly once, in the right place.
-func (e *actEngine) warmRoute(route robotium.Script) {
-	if e.fleet == nil || len(route.Ops) == 0 {
-		return
-	}
-	memo := e.cfg.Snapshots
-	e.fleet.Submit(func() {
-		d := device.New(e.app, device.Options{})
-		resume := 0
-		if snap, n, _ := memo.LongestPrefix(e.app, true, route.Ops); snap != nil && d.Restore(snap) == nil {
-			resume = n
-		}
-		if resume == len(route.Ops) {
-			return
-		}
-		res := robotium.Run(d, route, robotium.Options{AutoDismiss: true, Resume: resume})
-		if res.Err == nil && !res.Crashed {
-			memo.Store(e.app, true, route.Ops, d)
-		}
-	})
 }
 
 // fillInputs completes visible fields with provided or default values and

@@ -25,11 +25,6 @@ type MonkeyConfig struct {
 	// Snapshots lets crash/exit restarts restore a memoized launch snapshot
 	// instead of re-interpreting the launch; nil disables.
 	Snapshots *session.SnapshotMemo
-	// Devices sets the in-process device fleet size: values above 1 warm the
-	// launch snapshot on a second device so the first crash restart already
-	// restores. Results are identical for any fleet size; warming requires
-	// Snapshots.
-	Devices int
 	// SampleCurve enables coverage-curve sampling after every injected
 	// event. Off by default: curve samples add trace events, and legacy
 	// runs' event streams must stay byte-identical.
@@ -54,7 +49,6 @@ func Monkey(app *apk.App, cfg MonkeyConfig) (*Result, error) {
 	out, err := session.Drive(app, e, session.Harness{
 		Observer:  cfg.Observer,
 		Snapshots: cfg.Snapshots,
-		Devices:   cfg.Devices,
 	})
 	if err != nil {
 		return nil, err
@@ -76,7 +70,6 @@ type monkeyEngine struct {
 	app       *apk.App
 	cfg       MonkeyConfig
 	s         *session.Session
-	fleet     *session.Fleet
 	visited   map[string]bool
 	launchOps []robotium.Op
 	done      bool
@@ -120,22 +113,9 @@ func (e *monkeyEngine) coverage() (int, int) {
 	return n, 0
 }
 
-// Init binds the run context and hands the launch warm-up to the fleet.
-// The monkey's only replayed route is the launch itself, so the fleet
-// reduces to a single warming task: interpret the launch on a private device
-// and publish its snapshot before the first restart needs it.
+// Init binds the run context.
 func (e *monkeyEngine) Init(ctx *session.DriveContext) error {
 	e.s = ctx.Session
-	e.fleet = ctx.Fleet
-	if e.fleet != nil && e.cfg.Snapshots != nil {
-		memo := e.cfg.Snapshots
-		e.fleet.Submit(func() {
-			w := device.New(e.app, device.Options{})
-			if w.LaunchMain() == nil && !w.Crashed() {
-				memo.Store(e.app, false, e.launchOps, w)
-			}
-		})
-	}
 	return nil
 }
 

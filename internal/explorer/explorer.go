@@ -63,14 +63,8 @@ type Config struct {
 	// still prime the queue (and their prefixes the snapshot memo). Empty
 	// leaves the run byte-identical to an unseeded one.
 	Seeds []robotium.Script
-	// Devices sets the in-process device fleet size. Values above 1 run
-	// Devices-1 warming devices alongside the main exploration loop: each
-	// newly enqueued interface is replayed and probe-expanded on a private
-	// device and the resulting snapshots published through the shared memo,
-	// so the sequential main loop — still the single source of truth for
-	// every decision, counter, and transcript line — finds its work
-	// pre-executed. Results are bit-identical for any fleet size. Zero or
-	// one disables the fleet; warming requires Snapshots.
+	// Deprecated: ignored; one app is always explored on one device. Kept
+	// only until the benchmark driver stops setting it.
 	Devices int
 
 	// haltOnAPI stops the run as soon as the named sensitive API is observed
@@ -198,8 +192,6 @@ type engine struct {
 	ex  *statics.Extraction
 	cfg Config
 	s   *session.Session
-	// fleet runs the warming devices; nil when disabled (Devices <= 1).
-	fleet *session.Fleet
 
 	model  *aftm.Model
 	visits map[aftm.Node]Visit
@@ -299,7 +291,6 @@ func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 		HaltOnAPI: cfg.haltOnAPI,
 		Observer:  cfg.Observer,
 		Snapshots: cfg.Snapshots,
-		Devices:   cfg.Devices,
 	})
 	if err != nil {
 		return nil, err
@@ -355,7 +346,6 @@ func (e *engine) SessionOptions(h session.Harness) session.Options {
 // §VI-B initial queue from the static AFTM.
 func (e *engine) Init(ctx *session.DriveContext) error {
 	e.s = ctx.Session
-	e.fleet = ctx.Fleet
 	for _, w := range e.ex.InputWidgets {
 		e.hints[w.Ref] = w.Hint
 	}
@@ -450,9 +440,7 @@ func (e *engine) arrive(st iface, method ReachMethod, route robotium.Script) {
 		}
 	}
 	if !e.explored[st] {
-		item := workItem{method: method, target: st, route: route}
-		e.worklist = append(e.worklist, item)
-		e.submitWarm(item)
+		e.worklist = append(e.worklist, workItem{method: method, target: st, route: route})
 	}
 }
 
@@ -668,8 +656,9 @@ func (e *engine) exploreInterface(item workItem) {
 		storable := memo != nil && pristine && !preDump.HasDialog
 
 		if storable {
-			// Fast path: the probe's outcome is already memoized (a warming
-			// device or a previous process executed it). Fast-forward the
+			// Fast path: the probe's outcome is already memoized (an earlier
+			// script run executed the same op list, or a snapshot pack that a
+			// previous process persisted holds it). Fast-forward the
 			// device — a memoized entry implies the fills and the click all
 			// succeeded without crashing, so only the success events are due.
 			if snap, n, _ := memo.LongestPrefix(e.app, true, probeOps); snap != nil && n == len(probeOps) && d.Advance(snap) == nil {
@@ -752,89 +741,6 @@ func (e *engine) afterClick(item workItem, ref, ownerFrag string, fillOps []robo
 				*fresh = false
 			}
 		}
-	}
-}
-
-// submitWarm hands a freshly enqueued interface to the warming fleet. A nil
-// fleet drops the task, so the call is free with the fleet disabled.
-func (e *engine) submitWarm(item workItem) {
-	if e.fleet == nil {
-		return
-	}
-	e.fleet.Submit(func() { e.warmItem(item) })
-}
-
-// warmItem pre-executes a queued interface on a private, monitor-less device
-// and publishes the results through the shared snapshot memo: the full route
-// snapshot (consumed by the main loop's replay), and — when the input
-// configuration is stateless — one probe snapshot per clickable widget
-// (consumed by the main loop's Case 3 pass via its Advance fast path). The
-// warming device has no monitor and no log hook, so nothing is observed
-// here; the journal captured inside each snapshot re-emits through the main
-// session's device when the snapshot is restored, which is the only place an
-// observation is due. Every stored state is exactly what auto-dismissed
-// script execution of its op list produces, so first-capture-wins in the
-// memo keeps results identical no matter who wins the race.
-func (e *engine) warmItem(item workItem) {
-	memo := e.cfg.Snapshots
-	if memo == nil {
-		return
-	}
-	d := device.New(e.app, device.Options{})
-	resume := 0
-	if snap, n, _ := memo.LongestPrefix(e.app, true, item.route.Ops); snap != nil && d.Restore(snap) == nil {
-		resume = n
-	}
-	if resume < len(item.route.Ops) {
-		res := robotium.Run(d, item.route, robotium.Options{AutoDismiss: true, Resume: resume})
-		if res.Err != nil || res.Crashed {
-			return
-		}
-		memo.Store(e.app, true, item.route.Ops, d)
-	}
-	// Probe expansion requires replaying the exact fills the main loop will
-	// apply; a stateful input generator rotates values per call and must
-	// only ever be driven by the main loop, so warming stops at the route.
-	if e.cfg.InputGen != nil {
-		return
-	}
-	if d.HasDialog() {
-		if d.DismissDialog() != nil {
-			return
-		}
-	}
-	dump, err := d.Dump()
-	if err != nil || dump.HasDialog {
-		return
-	}
-	fillOps := e.fillOps(dump)
-	base := d.Snapshot()
-	for _, ref := range dump.ClickableRefs() {
-		p := device.New(e.app, device.Options{})
-		if p.Restore(base) != nil {
-			return
-		}
-		filled := true
-		for _, op := range fillOps {
-			if p.EnterText(op.Ref, op.Value) != nil {
-				filled = false
-				break
-			}
-		}
-		// The same divergence guards as the main loop's probe pass: a failed
-		// fill, a dialog raised before the click, a failed click, or a crash
-		// all disqualify the state from being memoized under the op list.
-		if !filled || p.HasDialog() {
-			continue
-		}
-		if p.Click(ref) != nil || p.Crashed() {
-			continue
-		}
-		probeOps := make([]robotium.Op, 0, len(item.route.Ops)+len(fillOps)+1)
-		probeOps = append(probeOps, item.route.Ops...)
-		probeOps = append(probeOps, fillOps...)
-		probeOps = append(probeOps, robotium.Click(ref))
-		memo.Store(e.app, true, probeOps, p)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"fragdroid/internal/aftm"
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/session"
 )
 
 // Pipeline-wide properties over seeded random apps: every app the generator
@@ -85,26 +86,54 @@ func TestPropertyRandomApps(t *testing.T) {
 	}
 }
 
+// recordingStore is a SnapshotStore that misses every load and keeps every
+// saved pack, so a test can compare what two explorations would persist.
+type recordingStore struct{ packs map[string][]byte }
+
+func (s *recordingStore) LoadSnapshot(string) ([]byte, bool) { return nil, false }
+
+func (s *recordingStore) SaveSnapshot(key string, payload []byte) error {
+	s.packs[key] = append([]byte(nil), payload...)
+	return nil
+}
+
 // TestPropertyDeterminism: the same app explored twice yields identical
-// results — the whole pipeline is free of hidden nondeterminism.
+// results — the whole pipeline is free of hidden nondeterminism. Each run
+// explores over its own snapshot memo with a recording store attached, so
+// the snapshot packs a run persists and every session counter, cache-side
+// ones included, must be identical too.
 func TestPropertyDeterminism(t *testing.T) {
+	explore := func(spec *corpus.AppSpec) (*Result, map[string][]byte) {
+		app, err := corpus.BuildApp(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := &recordingStore{packs: make(map[string][]byte)}
+		memo := session.NewSnapshotMemo(0)
+		memo.AttachStore(st)
+		cfg := DefaultConfig()
+		cfg.Snapshots = memo
+		res, err := Explore(app, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := memo.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		return res, st.packs
+	}
 	for seed := int64(100); seed < 110; seed++ {
 		spec := corpus.RandomSpec(fmt.Sprintf("com.det.s%d", seed), seed)
-		app1, err := corpus.BuildApp(spec)
-		if err != nil {
-			t.Fatal(err)
+		r1, packs1 := explore(spec)
+		r2, packs2 := explore(spec)
+		if len(packs1) == 0 {
+			t.Fatalf("seed %d: the exploration persisted no snapshot pack", seed)
 		}
-		app2, err := corpus.BuildApp(spec)
-		if err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(packs1, packs2) {
+			t.Fatalf("seed %d: flushed snapshot packs diverge", seed)
 		}
-		r1, err := Explore(app1, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := Explore(app2, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
+		if r1.Stats != r2.Stats {
+			t.Fatalf("seed %d: session stats diverge:\n%+v\n%+v", seed, r1.Stats, r2.Stats)
 		}
 		if !reflect.DeepEqual(r1.VisitedActivities(), r2.VisitedActivities()) {
 			t.Fatalf("seed %d: activities diverge: %v vs %v",

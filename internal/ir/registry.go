@@ -9,7 +9,7 @@ import (
 // The compiled-program registry lives on the apps themselves: each App
 // carries one atomically-published cell (apk.App.IRState) holding either a
 // parked payload source or the resolved program. Apps are immutable once
-// loaded and shared by pointer across devices, sessions and fleets, so the
+// loaded and shared by pointer across devices and sessions, so the
 // cell is shared exactly as widely as the app — and garbage-collected with
 // it. (An earlier design used a process-global sync.Map keyed by *apk.App;
 // that pinned every app ever loaded for the life of the process, a real leak

@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"fragdroid/internal/artifact"
-	"fragdroid/internal/corpus"
-	"fragdroid/internal/explorer"
 	"fragdroid/internal/session"
 )
 
@@ -196,35 +194,6 @@ func BenchmarkEvaluationPersistentWarm(b *testing.B) {
 	b.ReportMetric(float64(st.DistinctAPIs), "apis")
 	b.ReportMetric(float64(st.TotalInvocations), "invocations")
 }
-
-// benchFleetExplore runs the explorer over one input-gated corpus app with
-// the given fleet size; the 1/2/4 variants below give the fleet-speedup curve
-// recorded in BENCH_PR6.json. On a single-core host the curve is flat — the
-// fleet trades idle cores for warm snapshots, and there are no idle cores —
-// so the acceptance ratio is only meaningful on multi-core hardware.
-func benchFleetExplore(b *testing.B, devices int) {
-	b.Helper()
-	app, err := corpus.BuildApp(corpus.PaperSpec(corpus.PaperRows()[0]))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := explorer.DefaultConfig()
-		cfg.Snapshots = session.NewSnapshotMemo(0)
-		cfg.Devices = devices
-		b.StartTimer()
-		if _, err := explorer.Explore(app, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFleetExplore1(b *testing.B) { benchFleetExplore(b, 1) }
-func BenchmarkFleetExplore2(b *testing.B) { benchFleetExplore(b, 2) }
-func BenchmarkFleetExplore4(b *testing.B) { benchFleetExplore(b, 4) }
 
 // BenchmarkEvaluationWarmCache tracks the exploration-dominated Table I run
 // against a warm store: the interesting number here is how little of the

@@ -56,9 +56,8 @@ type EvalConfig struct {
 	// Requires Snapshots; off by default so in-memory benchmarks keep their
 	// memo-cold meaning.
 	PersistSnapshots bool
-	// Devices is the per-app in-process device fleet size handed to every
-	// engine: values above 1 run warming devices alongside each engine's
-	// main loop. Results are identical for any value; requires Snapshots.
+	// Deprecated: ignored; one app is always explored on one device. Kept
+	// only until the benchmark driver stops setting it.
 	Devices int
 	// Stream schedules the corpus through the streaming pipeline: a bounded
 	// window of in-flight apps, each folded into the result in corpus order
@@ -201,9 +200,6 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 				if ecfg.Snapshots == nil {
 					ecfg.Snapshots = cfg.Snapshots
 				}
-				if ecfg.Devices == 0 {
-					ecfg.Devices = cfg.Devices
-				}
 				res, err := explorer.ExploreExtracted(exs[i], ecfg)
 				if err != nil {
 					errs[i] = fmt.Errorf("report: explore %s: %w", rows[i].Package, err)
@@ -218,7 +214,6 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 				Inputs:    cfg.Explorer.Inputs,
 				Observer:  cfg.Explorer.Observer,
 				Snapshots: cfg.Snapshots,
-				Devices:   cfg.Devices,
 				Curve:     true,
 			})
 			if err != nil {
@@ -649,7 +644,6 @@ func runBaselineSystem(strat, sys string, ev *Evaluation, cfg EvalConfig, seed i
 			Inputs:    cfg.Explorer.Inputs,
 			Observer:  cfg.Explorer.Observer,
 			Snapshots: cfg.Snapshots,
-			Devices:   cfg.Devices,
 		}
 		if strat == "monkey" {
 			opts.Budget = events

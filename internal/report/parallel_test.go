@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"fragdroid/internal/artifact"
+	"fragdroid/internal/session"
 )
 
 // TestParallelEvaluationMatchesSequential checks that running the corpus on
@@ -39,6 +40,34 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	}
 	if m1.ComputeStats() != m2.ComputeStats() {
 		t.Fatal("parallel stats differ")
+	}
+}
+
+// TestRunMetricsParallelInvariant pins every -metrics column, bytes pinned
+// included, to the app alone: a 15-app evaluation over one shared snapshot
+// memo renders byte-identical run metrics at Parallel 1 and at Parallel 4,
+// twice. Each app's pinned bytes count only that app's memo entries, so
+// apps explored concurrently cannot move each other's figure.
+func TestRunMetricsParallelInvariant(t *testing.T) {
+	run := func(parallel int) *Evaluation {
+		cfg := DefaultEvalConfig()
+		cfg.Parallel = parallel
+		cfg.Snapshots = session.NewSnapshotMemo(0)
+		ev, err := RunEvaluation(cfg)
+		if err != nil {
+			t.Fatalf("RunEvaluation parallel=%d: %v", parallel, err)
+		}
+		return ev
+	}
+	seq := run(1)
+	if seq.TotalStats().BytesPinned == 0 {
+		t.Fatal("no bytes pinned over a shared memo; the test is vacuous")
+	}
+	want := RenderRunMetrics(seq)
+	for i := 1; i <= 2; i++ {
+		if got := RenderRunMetrics(run(4)); got != want {
+			t.Errorf("parallel run %d: run metrics differ from the sequential run\ngot:\n%s\nwant:\n%s", i, got, want)
+		}
 	}
 }
 

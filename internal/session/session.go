@@ -59,9 +59,10 @@ type Stats struct {
 	// run's stores — the observable signal that the snapshot memo is
 	// undersized for the workload.
 	Evictions int `json:"evictions,omitempty"`
-	// BytesPinned is the peak estimated bytes of snapshot state the shared
-	// memo held while this run sampled it (a gauge, not a sum: Add takes the
-	// max, since concurrent runs share one memo).
+	// BytesPinned is the peak estimated bytes of snapshot state the memo held
+	// for this run's app, sampled after each script run. It counts that app's
+	// entries only, so concurrent runs over one shared memo cannot move it;
+	// Add sums the per-app peaks.
 	BytesPinned int `json:"bytes_pinned,omitempty"`
 }
 
@@ -79,9 +80,7 @@ func (s Stats) Add(o Stats) Stats {
 	s.SnapshotRestores += o.SnapshotRestores
 	s.StepsSaved += o.StepsSaved
 	s.Evictions += o.Evictions
-	if o.BytesPinned > s.BytesPinned {
-		s.BytesPinned = o.BytesPinned // gauge: engines sample one shared memo
-	}
+	s.BytesPinned += o.BytesPinned
 	return s
 }
 
@@ -316,7 +315,7 @@ func (s *Session) RunOn(d *device.Device, sc robotium.Script, p Purpose) (roboti
 			// failing op rather than re-executing the route from launch.
 			memo.Promote(s.app, s.opts.AutoDismiss, hash, sc.Ops[:hashed])
 		}
-		if bp := memo.BytesPinned(); bp > s.stats.BytesPinned {
+		if bp := memo.BytesPinned(s.app); bp > s.stats.BytesPinned {
 			s.stats.BytesPinned = bp
 		}
 	}

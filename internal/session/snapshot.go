@@ -93,10 +93,13 @@ type SnapshotMemo struct {
 	lru *list.List // front = most recently used
 	idx map[memoKey]*list.Element
 
-	disk        SnapshotStore
-	packs       map[string]*packState
-	evictions   int
-	bytesPinned int
+	disk      SnapshotStore
+	packs     map[string]*packState
+	evictions int
+	// pinned is the estimated snapshot bytes held per app fingerprint, over
+	// the LRU and the packs alike, so one app's figure never depends on what
+	// apps explored concurrently over the same memo have stored.
+	pinned      map[string]int
 	diskHits    int
 	diskMisses  int
 	diskWrites  int
@@ -169,10 +172,11 @@ func NewSnapshotMemo(capacity int) *SnapshotMemo {
 		capacity = DefaultSnapshotCapacity
 	}
 	return &SnapshotMemo{
-		cap:   capacity,
-		lru:   list.New(),
-		idx:   make(map[memoKey]*list.Element),
-		packs: make(map[string]*packState),
+		cap:    capacity,
+		lru:    list.New(),
+		idx:    make(map[memoKey]*list.Element),
+		packs:  make(map[string]*packState),
+		pinned: make(map[string]int),
 	}
 }
 
@@ -203,12 +207,24 @@ func (m *SnapshotMemo) Evictions() int {
 	return m.evictions
 }
 
-// BytesPinned reports the estimated bytes of snapshot state currently held
-// by the memo.
-func (m *SnapshotMemo) BytesPinned() int {
+// BytesPinned reports the estimated bytes of snapshot state the memo
+// currently holds for one app: its memoized prefixes plus its loaded and
+// stored pack entries, encoded or decoded.
+func (m *SnapshotMemo) BytesPinned(app *apk.App) int {
+	fp := appFingerprint(app)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.bytesPinned
+	return m.pinned[fp]
+}
+
+// pinLocked adjusts the bytes held for one app fingerprint, dropping the
+// entry once it reaches zero. Caller holds m.mu.
+func (m *SnapshotMemo) pinLocked(fp string, delta int) {
+	if n := m.pinned[fp] + delta; n != 0 {
+		m.pinned[fp] = n
+	} else {
+		delete(m.pinned, fp)
+	}
 }
 
 // DiskStats reports the persistence-layer traffic: lookups served from a
@@ -289,7 +305,7 @@ func (m *SnapshotMemo) ensurePack(app *apk.App, fp string, autoDismiss bool) *pa
 		m.packIndexed += len(pending)
 		// The lazy tier pins only the encoded bytes; decoded snapshot sizes
 		// are added entry by entry as routing hits materialize them.
-		m.bytesPinned += len(payload)
+		m.pinLocked(fp, len(payload))
 		m.mu.Unlock()
 	})
 	return p
@@ -322,18 +338,18 @@ func (m *SnapshotMemo) decodePendingLocked(p *packState, key memoKey) *packEntry
 	}
 	snap, err := device.DecodeSnapshotFrom(r, p.app)
 	if err != nil || r.Err() != nil {
-		m.bytesPinned -= len(p.payload)
+		m.pinLocked(key.fp, -len(p.payload))
 		p.pending, p.payload, p.rd = nil, nil, nil
 		return nil
 	}
 	e := &packEntry{ops: ops, snap: snap, size: snap.SizeEstimate()}
 	p.entries[key] = e
 	delete(p.pending, key)
-	m.bytesPinned += e.size
+	m.pinLocked(key.fp, e.size)
 	m.packDecoded++
 	if len(p.pending) == 0 {
 		// Fully materialized: release the encoded payload and its reader.
-		m.bytesPinned -= len(p.payload)
+		m.pinLocked(key.fp, -len(p.payload))
 		p.pending, p.payload, p.rd = nil, nil, nil
 	}
 	return e
@@ -459,7 +475,7 @@ func (m *SnapshotMemo) store(app *apk.App, autoDismiss bool, hash uint64, ops []
 				e := &packEntry{ops: opsCopy, snap: snap, size: snap.SizeEstimate()}
 				p.entries[key] = e
 				p.dirty = true
-				m.bytesPinned += e.size
+				m.pinLocked(fp, e.size)
 			}
 			m.mu.Unlock()
 		}
@@ -497,7 +513,7 @@ func (m *SnapshotMemo) Promote(app *apk.App, autoDismiss bool, hash uint64, ops 
 	if !p.has(key) {
 		p.entries[key] = &packEntry{ops: e.ops, snap: e.snap, size: e.size}
 		p.dirty = true
-		m.bytesPinned += e.size
+		m.pinLocked(fp, e.size)
 	}
 	m.mu.Unlock()
 }
@@ -582,26 +598,17 @@ func (m *SnapshotMemo) ReleaseApp(app *apk.App) error {
 	fp := appFingerprint(app)
 	m.mu.Lock()
 	for key, el := range m.idx {
-		if key.fp != fp {
-			continue
+		if key.fp == fp {
+			m.lru.Remove(el)
+			delete(m.idx, key)
 		}
-		m.bytesPinned -= el.Value.(*memoEntry).size
-		m.lru.Remove(el)
-		delete(m.idx, key)
 	}
 	for _, ad := range []bool{false, true} {
-		pk := packKey(fp, ad)
-		if p, ok := m.packs[pk]; ok {
-			for _, e := range p.entries {
-				m.bytesPinned -= e.size
-			}
-			if p.payload != nil {
-				m.bytesPinned -= len(p.payload)
-			}
-			delete(m.packs, pk)
-		}
+		delete(m.packs, packKey(fp, ad))
 		m.packCache.Delete(packCacheKey{app: app, autoDismiss: ad})
 	}
+	// Every byte pinned for fp sat in the entries and packs just dropped.
+	delete(m.pinned, fp)
 	m.mu.Unlock()
 	return err
 }
@@ -617,14 +624,14 @@ func (m *SnapshotMemo) insert(key memoKey, ops []robotium.Op, snap *device.Snaps
 	}
 	e := &memoEntry{key: key, ops: ops, snap: snap, size: snap.SizeEstimate()}
 	m.idx[key] = m.lru.PushFront(e)
-	m.bytesPinned += e.size
+	m.pinLocked(key.fp, e.size)
 	evicted := 0
 	for m.lru.Len() > m.cap {
 		back := m.lru.Back()
 		m.lru.Remove(back)
 		be := back.Value.(*memoEntry)
 		delete(m.idx, be.key)
-		m.bytesPinned -= be.size
+		m.pinLocked(be.key.fp, -be.size)
 		m.evictions++
 		evicted++
 	}

@@ -4,12 +4,11 @@
 // trace-reuse generators — is one implementation of the same
 // propose-next-test-case / observe-result / done automaton, driven by the
 // generic Drive loop below. Drive owns everything the engines used to
-// duplicate: session construction, the in-process warming fleet, the
-// propose/run/observe cycle with budget and halt enforcement, the final
-// coverage-curve sample, and the assembly of the engine-independent Outcome.
-// Because every strategy runs through one loop on one session runtime,
-// snapshots, persistent packs, and the device fleet serve all of them by
-// construction, and comparative evaluations (the bake-off harness in
+// duplicate: session construction, the propose/run/observe cycle with budget
+// and halt enforcement, the final coverage-curve sample, and the assembly of
+// the engine-independent Outcome. Because every strategy runs through one
+// loop on one session runtime, snapshots and persistent packs serve all of
+// them by construction, and comparative evaluations (the bake-off harness in
 // internal/report) compare strategies rather than bespoke code paths — the
 // fairness requirement of Choudhary et al.'s generator comparison.
 package session
@@ -24,9 +23,9 @@ import (
 )
 
 // Harness bundles the engine-independent run plumbing every strategy shares:
-// the test-case budget, trace sink, snapshot memo, and device-fleet size.
-// Engine-specific knobs (reflection, input files, event mixes) stay in each
-// strategy's own config; SessionOptions merges the two.
+// the test-case budget, trace sink, and snapshot memo. Engine-specific knobs
+// (reflection, input files, event mixes) stay in each strategy's own config;
+// SessionOptions merges the two.
 type Harness struct {
 	// Budget bounds the number of budgeted test cases; zero lets the
 	// strategy's own default apply.
@@ -39,10 +38,6 @@ type Harness struct {
 	// Snapshots is the device-snapshot memo route replays resume from; nil
 	// disables memoization.
 	Snapshots *SnapshotMemo
-	// Devices is the in-process device fleet size: values above 1 run
-	// Devices-1 warming devices alongside the strategy's main loop. Results
-	// are identical for any value; warming requires Snapshots.
-	Devices int
 }
 
 // TestCase is one proposal of a strategy: either a declarative script the
@@ -60,13 +55,11 @@ type TestCase struct {
 	Run func() error
 }
 
-// DriveContext binds a strategy to one run: the app under test, the session
-// carrying budgets/tracing/snapshots, and the shared warming fleet (nil when
-// disabled — Fleet methods are nil-safe).
+// DriveContext binds a strategy to one run: the app under test and the
+// session carrying budgets/tracing/snapshots.
 type DriveContext struct {
 	App     *apk.App
 	Session *Session
-	Fleet   *Fleet
 }
 
 // Outcome is the engine-independent result shape every strategy yields: the
@@ -124,19 +117,14 @@ type Strategy interface {
 }
 
 // Drive runs one strategy to completion on one app: it constructs the
-// session from the strategy's options, stands up the warming fleet when the
-// harness asks for one, loops propose → execute → observe under the
-// session's budget, and assembles the generic Outcome. Script proposals that
-// cannot run (budget exhausted, target API halted) are skipped without
-// Observe; the strategy's Propose decides when that means done.
+// session from the strategy's options, loops propose → execute → observe
+// under the session's budget, and assembles the generic Outcome. Script
+// proposals that cannot run (budget exhausted, target API halted) are
+// skipped without Observe; the strategy's Propose decides when that means
+// done.
 func Drive(app *apk.App, strat Strategy, h Harness) (*Outcome, error) {
 	s := New(app, strat.SessionOptions(h))
-	var fleet *Fleet
-	if h.Devices > 1 && h.Snapshots != nil {
-		fleet = NewFleet(h.Devices - 1)
-	}
-	defer fleet.Close()
-	if err := strat.Init(&DriveContext{App: app, Session: s, Fleet: fleet}); err != nil {
+	if err := strat.Init(&DriveContext{App: app, Session: s}); err != nil {
 		return nil, err
 	}
 	for {

@@ -27,7 +27,6 @@ func NewDirected(ex *statics.Extraction, opts Options) *Directed {
 	cfg.MaxTestCases = opts.Budget
 	cfg.Observer = opts.Observer
 	cfg.Snapshots = opts.Snapshots
-	cfg.Devices = opts.Devices
 	p := paths.New(ex, paths.Config{
 		Inputs:       opts.Inputs,
 		DefaultInput: cfg.DefaultInput,

@@ -52,8 +52,6 @@ type Options struct {
 	Observer session.Observer
 	// Snapshots enables route-prefix snapshot memoization; nil disables.
 	Snapshots *session.SnapshotMemo
-	// Devices is the in-process device fleet size (above 1 adds warmers).
-	Devices int
 	// Curve enables coverage-curve sampling on strategies where it is
 	// opt-in (the legacy baselines keep their trace streams byte-identical
 	// unless asked). The new strategies always sample.
@@ -85,7 +83,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		Budget:    opts.Budget,
 		Observer:  opts.Observer,
 		Snapshots: opts.Snapshots,
-		Devices:   opts.Devices,
 	}
 	switch name {
 	case "explorer":
@@ -94,7 +91,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.MaxTestCases = opts.Budget
 		cfg.Observer = opts.Observer
 		cfg.Snapshots = opts.Snapshots
-		cfg.Devices = opts.Devices
 		r, err := explorer.ExploreExtracted(ex, cfg)
 		if err != nil {
 			return nil, err
@@ -106,7 +102,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.MaxTestCases = opts.Budget
 		cfg.Observer = opts.Observer
 		cfg.Snapshots = opts.Snapshots
-		cfg.Devices = opts.Devices
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
 		r, err := baseline.ExploreActivities(ex.App, cfg)
@@ -127,7 +122,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 			Events:    opts.Budget,
 			Observer:  opts.Observer,
 			Snapshots: opts.Snapshots,
-			Devices:   opts.Devices,
 		}
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
