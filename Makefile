@@ -15,11 +15,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint chains the static gates: go vet, staticcheck when installed (CI always
-# runs it; local runs without the binary degrade to a notice), and fraglint —
-# the repo's own diagnostics engine — over the built-in corpus apps the
+# lint chains the static gates: go vet, gofmt (any tracked .go file it would
+# reformat fails the target), staticcheck when installed (CI always runs it;
+# local runs without the binary degrade to a notice), and fraglint — the
+# repo's own diagnostics engine — over the built-in corpus apps the
 # examples/ programs drive, failing on error-severity findings.
 lint: vet
+	@unformatted=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \
@@ -33,14 +38,11 @@ bench:
 	$(GO) test -bench . -benchmem -run '^$$' . | tee BENCH_$(BENCH_STAMP).txt
 
 # bench-json runs the perf-record benchmarks (cold write-through study vs
-# warm disk-served study, and the warm Table I evaluation with the snapshot
-# memo off, on, and persistent-warm) and renders the result as JSON. Each
-# benchmark line is parsed by unit token rather than by column, so custom
-# metrics such as the snapshot hit_rate and step_reduction flow through as
-# JSON fields next to ns_per_op/bytes_per_op/allocs_per_op. The derived
-# ratios: warm_speedup is cold/warm on the study, snapshot_speedup is
-# memo-off/memo-on on the evaluation, and persistent_speedup is
-# memo-cold/persistent-warm on the evaluation; host_cpus records GOMAXPROCS.
+# warm disk-served study, and the Table I evaluation against a warm store)
+# and renders the result as JSON. Each benchmark line is parsed by unit token
+# rather than by column, so custom metrics flow through as JSON fields next
+# to ns_per_op/bytes_per_op/allocs_per_op. The derived ratio warm_speedup is
+# cold/warm on the study; host_cpus records GOMAXPROCS.
 #
 # On top of the microbenchmarks, the target streams a STUDY_N-app generated
 # family through `fragstudy -corpus family -stream` (cache off: pure
@@ -101,7 +103,7 @@ directed-smoke:
 	@cat $(DIRECTED_JSON)
 
 bench-json:
-	$(GO) test -run '^$$' -bench 'StudyColdCache|StudyWarmCache|EvaluationWarmCache|EvaluationSnapshots|EvaluationPersistentWarm' \
+	$(GO) test -run '^$$' -bench 'StudyColdCache|StudyWarmCache|EvaluationWarmCache' \
 		-benchtime $(BENCHTIME) -benchmem ./internal/report/ \
 	| awk 'BEGIN { print "{"; print "  \"benchmarks\": [" } \
 	/^Benchmark/ { \
@@ -125,10 +127,6 @@ bench-json:
 		printf ",\n  \"host_cpus\": %s", cpus; \
 		if (ns["StudyColdCache"] > 0 && ns["StudyWarmCache"] > 0) \
 			printf ",\n  \"warm_speedup\": %.2f", ns["StudyColdCache"] / ns["StudyWarmCache"]; \
-		if (ns["EvaluationWarmCache"] > 0 && ns["EvaluationSnapshots"] > 0) \
-			printf ",\n  \"snapshot_speedup\": %.2f", ns["EvaluationWarmCache"] / ns["EvaluationSnapshots"]; \
-		if (ns["EvaluationSnapshots"] > 0 && ns["EvaluationPersistentWarm"] > 0) \
-			printf ",\n  \"persistent_speedup\": %.2f", ns["EvaluationSnapshots"] / ns["EvaluationPersistentWarm"]; \
 		print "\n}" }' > $(BENCH_JSON).micro
 	$(GO) run ./cmd/fragstudy -corpus family -n $(STUDY_N) -stream -cache off \
 		-streamjson $(BENCH_JSON).stream

@@ -24,7 +24,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"fragdroid/internal/apk"
@@ -68,7 +67,6 @@ func run(args []string) error {
 		runTest      = fs.String("run-test", "", "execute a stored test-case JSON file on the app and exit")
 		target       = fs.String("target", "", "targeted mode: drive the app until this sensitive API fires (e.g. location/getProviders)")
 		directed     = fs.Bool("directed", false, "with -target: seed the search with lifted launcher-to-site routes (skips unreachable targets)")
-		snapshots    = fs.String("snapshots", "on", "device snapshot memoization: on, off, or a memo capacity")
 		tracePath    = fs.String("trace", "", "write the structured trace events as JSON to this file (\"-\" for stdout)")
 		cacheDir     = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf      = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -147,25 +145,10 @@ func run(args []string) error {
 		return writeTrace(*tracePath, trace)
 	}
 
-	memo, err := parseSnapshots(*snapshots)
-	if err != nil {
-		return err
-	}
-	// With both a memo and a persistent store in play, full-route snapshots
-	// survive the process: the next run on the same app resumes warm. The
-	// deferred flush writes the app's snapshot packs on every exit path.
-	if memo != nil {
-		if st := cache.Store(); st != nil {
-			memo.AttachStore(st)
-			defer memo.Flush()
-		}
-	}
-
 	cfg := explorer.DefaultConfig()
 	cfg.UseReflection = !*noReflection
 	cfg.UseForcedStart = !*noForced
 	cfg.MaxTestCases = *maxCases
-	cfg.Snapshots = memo
 	if trace != nil {
 		cfg.Observer = trace
 	}
@@ -204,11 +187,10 @@ func run(args []string) error {
 	}
 	if *stratSel != "explorer" {
 		opts := strategy.Options{
-			Budget:    *maxCases,
-			Seed:      *seed,
-			Inputs:    cfg.Inputs,
-			Snapshots: memo,
-			Curve:     true,
+			Budget: *maxCases,
+			Seed:   *seed,
+			Inputs: cfg.Inputs,
+			Curve:  true,
 		}
 		if trace != nil {
 			opts.Observer = trace
@@ -247,24 +229,6 @@ func run(args []string) error {
 		}
 	}
 	return writeTrace(*tracePath, trace)
-}
-
-// parseSnapshots maps the -snapshots flag to a memo: "on" uses the default
-// capacity, "off" disables memoization (every test case re-executes its route
-// from scratch, the paper's literal discipline), and a positive integer
-// bounds the memo at that many snapshots.
-func parseSnapshots(v string) (*session.SnapshotMemo, error) {
-	switch v {
-	case "on":
-		return session.NewSnapshotMemo(0), nil
-	case "off":
-		return nil, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
-	}
-	return session.NewSnapshotMemo(n), nil
 }
 
 // writeTrace dumps the collected structured events as a JSON array; "-"

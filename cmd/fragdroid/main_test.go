@@ -1,13 +1,14 @@
 package main
 
 import (
-	"io/fs"
+	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"testing"
 
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/session"
 )
 
 // TestMain points the default "auto" store at a throwaway directory so tests
@@ -83,58 +84,56 @@ func TestRunFromArchiveAndInputs(t *testing.T) {
 	}
 }
 
-// TestSnapshotPacksDependOnlyOnApp pins what a run persists to the app
-// alone: two runs on the same family-member archive, each into a fresh
-// -cache directory, must leave byte-identical snapshot/ trees.
-func TestSnapshotPacksDependOnlyOnApp(t *testing.T) {
-	fam := corpus.NewFamily(20, 1)
-	for _, i := range []int{2, 6, 12, 15} {
-		arch, err := corpus.BuildArchive(fam.At(i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		apkPath := filepath.Join(t.TempDir(), "member.sapk")
-		if err := os.WriteFile(apkPath, arch.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		var trees [2]map[string][]byte
-		for r := range trees {
-			dir := t.TempDir()
-			if err := run([]string{"-app", apkPath, "-cache", dir}); err != nil {
-				t.Fatalf("member %d run %d: %v", i, r, err)
-			}
-			trees[r] = readTree(t, filepath.Join(dir, "snapshot"))
-		}
-		if len(trees[0]) == 0 {
-			t.Fatalf("member %d: the run persisted no snapshot pack", i)
-		}
-		if !reflect.DeepEqual(trees[0], trees[1]) {
-			t.Errorf("member %d: snapshot/ trees differ between two runs", i)
-		}
+// TestTraceFollowsExecutionOrder pins the -trace event stream to the order
+// things happened on the device: every successful click op of a script run
+// must come after the device line that click logged, and that line must
+// come after the run's previous op.
+func TestTraceFollowsExecutionOrder(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := run([]string{"-app", "demo", "-cache", "off", "-trace", path}); err != nil {
+		t.Fatalf("run -trace: %v", err)
 	}
-}
-
-// readTree maps every regular file under root to its contents, keyed by
-// the path relative to root.
-func readTree(t *testing.T, root string) map[string][]byte {
-	t.Helper()
-	files := make(map[string][]byte)
-	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() {
-			return err
-		}
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return err
-		}
-		rel, err := filepath.Rel(root, path)
-		files[rel] = data
-		return err
-	})
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return files
+	var events []session.Event
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatalf("trace is not a JSON event array: %v", err)
+	}
+	clicks := 0
+	last := -1 // index of the current run's previous op, or of the last script_run
+	for i, ev := range events {
+		switch ev.Kind {
+		case session.KindScriptRun:
+			last = i
+		case session.KindOp:
+			ref, ok := strings.CutPrefix(ev.Op, "click ")
+			if ok && ev.Err == "" {
+				clicks++
+				if !loggedBetween(events[last+1:i], ref) {
+					t.Errorf("op seq %d (%s in %s): no device line for the click between seq %d and it",
+						ev.Seq, ev.Op, ev.Script, events[max(last, 0)].Seq)
+				}
+			}
+			last = i
+		}
+	}
+	if clicks == 0 {
+		t.Fatal("the trace holds no successful click op; the test is vacuous")
+	}
+}
+
+// loggedBetween reports whether events holds the device line a click on ref
+// logs: "click <ref> ..." for a button, "checkbox <ref> ..." for a checkbox.
+func loggedBetween(events []session.Event, ref string) bool {
+	for _, ev := range events {
+		if ev.Kind == session.KindDevice &&
+			(strings.HasPrefix(ev.Detail, "click "+ref+" ") || strings.HasPrefix(ev.Detail, "checkbox "+ref+" ")) {
+			return true
+		}
+	}
+	return false
 }
 
 func TestRunEmitJavaAndTests(t *testing.T) {

@@ -53,7 +53,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"fragdroid/internal/artifact"
@@ -95,7 +94,6 @@ func run(args []string) error {
 		dirJSON    = fs.String("directedjson", "", "with -directed: also write the bench summary as JSON to this file")
 		lintRun    = fs.Bool("lint", false, "run fraglint across the dataset and print the summary")
 		metrics    = fs.Bool("metrics", false, "with -table1/-table2: also print the per-app run-metrics table")
-		snaps      = fs.String("snapshots", "on", "device snapshot memoization for evaluation runs: on, off, or a memo capacity")
 		trace      = fs.String("trace", "", "write the structured trace events of evaluation runs as JSON to this file (\"-\" for stdout)")
 		cacheDir   = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
@@ -140,20 +138,11 @@ func run(args []string) error {
 	}
 	defer stopProf()
 
-	memo, err := parseSnapshots(*snaps)
-	if err != nil {
-		return err
-	}
-
 	cfg := report.DefaultEvalConfig()
 	cfg.Strategy = *stratSel
 	cfg.Seed = *seed
 	cfg.Parallel = *parallel
 	cfg.Cache = cache
-	cfg.Snapshots = memo
-	// Evaluation runs persist full-route snapshots whenever the cache is
-	// backed by a store, so a repeated table run starts warm across processes.
-	cfg.PersistSnapshots = true
 	var buf *session.TraceBuffer
 	if *trace != "" {
 		// One thread-safe buffer sinks the whole (possibly parallel) corpus
@@ -314,24 +303,6 @@ func writeStreamBench(path string, st *report.StreamStats) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// parseSnapshots maps the -snapshots flag to a memo: "on" uses the default
-// capacity, "off" disables memoization (every test case re-executes its route
-// from scratch, the paper's literal discipline), and a positive integer
-// bounds the memo at that many snapshots.
-func parseSnapshots(v string) (*session.SnapshotMemo, error) {
-	switch v {
-	case "on":
-		return session.NewSnapshotMemo(0), nil
-	case "off":
-		return nil, nil
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return nil, fmt.Errorf("-snapshots takes on, off, or a positive capacity, got %q", v)
-	}
-	return session.NewSnapshotMemo(n), nil
 }
 
 // openCache maps the -cache flag to an artifact cache: "off" yields a plain

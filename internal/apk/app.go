@@ -47,20 +47,11 @@ type App struct {
 	// process-global map keyed by app pointer would pin every app ever
 	// loaded, a real leak for long-lived static-only consumers.
 	irState atomic.Value
-
-	// fingerprint caches internal/session's content fingerprint of the app
-	// (the hex sha256 of its EncodeApp bytes, as a string). Like irState it
-	// lives on the App so that it is collected with the app.
-	fingerprint atomic.Value
 }
 
 // IRState exposes the compiled-program slot to internal/ir. Other packages
 // must not touch it.
 func (a *App) IRState() *atomic.Value { return &a.irState }
-
-// FingerprintCell exposes the content-fingerprint slot to internal/session.
-// Other packages must not touch it.
-func (a *App) FingerprintCell() *atomic.Value { return &a.fingerprint }
 
 // Load decodes an archive into an App. Packed archives yield ErrPacked.
 func Load(a *Archive) (*App, error) {

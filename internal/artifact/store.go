@@ -46,12 +46,6 @@ const (
 	appCodecVersion        = 2 // v2: intent filters carry deep-link data elements
 	extractionCodecVersion = 3 // v3: the embedded AFTM model blob is binc, not JSON
 
-	// snapshotCodecVersion versions the persistent device-snapshot payloads
-	// (device/codec.go plus the op-list framing in session/snapshot.go).
-	// v2: listener registrations carry the inline-cache call-site id, and
-	// snapshot packs frame each entry with a body length for lazy decode.
-	snapshotCodecVersion = 2
-
 	// irCodecVersion versions the compiled instruction-program payloads
 	// (ir/codec.go). The program is a pure function of the built app, so the
 	// version only needs bumping when the IR encoding itself changes — app
@@ -63,7 +57,6 @@ const (
 const (
 	kindApp        = "app"
 	kindExtraction = "extraction"
-	kindSnapshot   = "snapshot"
 	kindIR         = "ir"
 )
 
@@ -71,8 +64,8 @@ const (
 // header: container format plus every payload codec version. Entries written
 // under a different fingerprint are stale and read as misses.
 func Fingerprint() string {
-	return fmt.Sprintf("fdart%d/app%d/ext%d/snap%d/ir%d",
-		FormatVersion, appCodecVersion, extractionCodecVersion, snapshotCodecVersion, irCodecVersion)
+	return fmt.Sprintf("fdart%d/app%d/ext%d/ir%d",
+		FormatVersion, appCodecVersion, extractionCodecVersion, irCodecVersion)
 }
 
 // Store is a persistent, content-addressed artifact store rooted at one
@@ -93,7 +86,7 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: empty store directory")
 	}
-	for _, k := range []string{kindApp, kindExtraction, kindSnapshot, kindIR} {
+	for _, k := range []string{kindApp, kindExtraction, kindIR} {
 		if err := os.MkdirAll(filepath.Join(dir, k), 0o755); err != nil {
 			return nil, fmt.Errorf("artifact: open store: %w", err)
 		}
@@ -231,17 +224,6 @@ func (s *Store) loadFile(path, kind, key string) ([]byte, bool) {
 		return nil, false
 	}
 	return payload, true
-}
-
-// LoadSnapshot reads a persisted device-snapshot payload; any integrity
-// problem is a plain miss (the memo re-executes and re-persists).
-func (s *Store) LoadSnapshot(key string) ([]byte, bool) {
-	return s.Load(kindSnapshot, key)
-}
-
-// SaveSnapshot persists a device-snapshot payload under the given key.
-func (s *Store) SaveSnapshot(key string, payload []byte) error {
-	return s.Save(kindSnapshot, key, payload)
 }
 
 // DefaultDir resolves the conventional store location: the FRAGDROID_CACHE

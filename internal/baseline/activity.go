@@ -54,9 +54,6 @@ type ActivityConfig struct {
 	// Observer receives the run's structured trace events (nil disables
 	// tracing).
 	Observer session.Observer
-	// Snapshots lets replays resume from memoized route-prefix snapshots;
-	// nil disables.
-	Snapshots *session.SnapshotMemo
 	// SampleCurve enables coverage-curve sampling after every test case.
 	// Off by default: curve samples add trace events, and legacy runs'
 	// event streams must stay byte-identical.
@@ -104,9 +101,8 @@ func ExploreActivities(app *apk.App, cfg ActivityConfig) (*Result, error) {
 	}
 	e := NewActivityStrategy(app, cfg)
 	out, err := session.Drive(app, e, session.Harness{
-		Budget:    cfg.MaxTestCases,
-		Observer:  cfg.Observer,
-		Snapshots: cfg.Snapshots,
+		Budget:   cfg.MaxTestCases,
+		Observer: cfg.Observer,
 	})
 	if err != nil {
 		return nil, err
@@ -141,7 +137,6 @@ func (e *actEngine) SessionOptions(h session.Harness) session.Options {
 		Budget:      h.Budget,
 		AutoDismiss: true,
 		Observer:    h.Observer,
-		Snapshots:   h.Snapshots,
 	}
 	if e.cfg.SampleCurve {
 		opts.Coverage = e.coverage

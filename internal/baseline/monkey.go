@@ -22,9 +22,6 @@ type MonkeyConfig struct {
 	// Observer receives the run's structured trace events (nil disables
 	// tracing).
 	Observer session.Observer
-	// Snapshots lets crash/exit restarts restore a memoized launch snapshot
-	// instead of re-interpreting the launch; nil disables.
-	Snapshots *session.SnapshotMemo
 	// SampleCurve enables coverage-curve sampling after every injected
 	// event. Off by default: curve samples add trace events, and legacy
 	// runs' event streams must stay byte-identical.
@@ -46,10 +43,7 @@ func Monkey(app *apk.App, cfg MonkeyConfig) (*Result, error) {
 		cfg.Events = 2000
 	}
 	e := NewMonkeyStrategy(app, cfg)
-	out, err := session.Drive(app, e, session.Harness{
-		Observer:  cfg.Observer,
-		Snapshots: cfg.Snapshots,
-	})
+	out, err := session.Drive(app, e, session.Harness{Observer: cfg.Observer})
 	if err != nil {
 		return nil, err
 	}
@@ -67,12 +61,11 @@ func Monkey(app *apk.App, cfg MonkeyConfig) (*Result, error) {
 // testing has no test-case decomposition to expose — the event batch is the
 // test case).
 type monkeyEngine struct {
-	app       *apk.App
-	cfg       MonkeyConfig
-	s         *session.Session
-	visited   map[string]bool
-	launchOps []robotium.Op
-	done      bool
+	app     *apk.App
+	cfg     MonkeyConfig
+	s       *session.Session
+	visited map[string]bool
+	done    bool
 }
 
 // NewMonkeyStrategy returns the Monkey exerciser as a session.Strategy,
@@ -80,10 +73,9 @@ type monkeyEngine struct {
 // constructing it (Monkey does).
 func NewMonkeyStrategy(app *apk.App, cfg MonkeyConfig) *monkeyEngine {
 	return &monkeyEngine{
-		app:       app,
-		cfg:       cfg,
-		visited:   make(map[string]bool),
-		launchOps: []robotium.Op{robotium.LaunchMain()},
+		app:     app,
+		cfg:     cfg,
+		visited: make(map[string]bool),
 	}
 }
 
@@ -140,16 +132,12 @@ func (e *monkeyEngine) Finish(out *session.Outcome) error {
 }
 
 // loop is the event-injection loop: every crash or exit restarts the app at
-// MAIN/LAUNCHER, and with a memo attached the restart restores the memoized
-// launch snapshot instead of re-interpreting the launch. Restore credits the
-// same logical steps and re-emits the launch's side effects, so counters and
-// observations are identical to a real relaunch.
+// MAIN/LAUNCHER.
 func (e *monkeyEngine) loop() error {
 	app, cfg, s := e.app, e.cfg, e.s
 	d := s.NewDevice()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	restarts := 0
-	restores := 0
 
 	observe := func() {
 		if cur, err := d.CurrentActivity(); err == nil && !e.visited[cur] {
@@ -159,25 +147,7 @@ func (e *monkeyEngine) loop() error {
 		}
 	}
 
-	launch := func() error {
-		if cfg.Snapshots != nil {
-			if snap, n, _ := cfg.Snapshots.LongestPrefix(app, false, e.launchOps); n == len(e.launchOps) {
-				if err := d.Restore(snap); err == nil {
-					restores++
-					return nil
-				}
-			}
-		}
-		if err := d.LaunchMain(); err != nil {
-			return err
-		}
-		if cfg.Snapshots != nil && !d.Crashed() {
-			cfg.Snapshots.Store(app, false, e.launchOps, d)
-		}
-		return nil
-	}
-
-	if err := launch(); err != nil {
+	if err := d.LaunchMain(); err != nil {
 		return fmt.Errorf("baseline: monkey launch: %w", err)
 	}
 	observe()
@@ -194,7 +164,7 @@ func (e *monkeyEngine) loop() error {
 				s.MarkCrash(d.CrashReason(), robotium.Script{})
 			}
 			restarts++
-			if err := launch(); err != nil {
+			if err := d.LaunchMain(); err != nil {
 				return err
 			}
 			observe()
@@ -241,9 +211,6 @@ func (e *monkeyEngine) loop() error {
 	}
 
 	s.AddSteps(d.Steps())
-	if restores > 0 {
-		s.AddSnapshot(1, restores, d.RestoredSteps())
-	}
 	s.Notef("monkey done: %d events, %d crashes, %d restarts", cfg.Events, s.Stats().Crashes, restarts)
 	return nil
 }

@@ -81,23 +81,6 @@ func (w *Writer) Blob(b []byte) {
 	w.body = append(w.body, b...)
 }
 
-// Mark returns the current body offset, to be passed to InsertUvarint.
-func (w *Writer) Mark() int { return len(w.body) }
-
-// InsertUvarint inserts x into the body at a previously taken Mark, shifting
-// everything written since. Frame headers — a body length ahead of content
-// whose size is unknown until written — use this: write the content, then
-// insert its length (the distance from the mark to the current Mark) back at
-// the mark. The shift costs one copy of the framed region, so total encode
-// cost stays linear when frames are inserted in write order.
-func (w *Writer) InsertUvarint(mark int, x uint64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], x)
-	w.body = append(w.body, buf[:n]...)
-	copy(w.body[mark+n:], w.body[mark:len(w.body)-n])
-	copy(w.body[mark:], buf[:n])
-}
-
 // Bytes assembles the final payload: string table, then body.
 func (w *Writer) Bytes() []byte {
 	out := binary.AppendUvarint(nil, uint64(len(w.strs)))
@@ -254,36 +237,6 @@ func (r *Reader) Blob() []byte {
 	b := r.data[r.pos : r.pos+n : r.pos+n]
 	r.pos += n
 	return b
-}
-
-// Pos reports the current offset into the payload. Together with Seek and
-// Skip it lets a codec index length-framed regions on one pass and come back
-// to decode them on demand; the string table is parsed up front and strings
-// are referenced by index, so skipping a region never skips table state.
-func (r *Reader) Pos() int { return r.pos }
-
-// Seek repositions the reader at an offset previously observed via Pos.
-func (r *Reader) Seek(pos int) {
-	if r.err != nil {
-		return
-	}
-	if pos < 0 || pos > len(r.data) {
-		r.fail("seek out of range")
-		return
-	}
-	r.pos = pos
-}
-
-// Skip advances past n bytes without decoding them.
-func (r *Reader) Skip(n int) {
-	if r.err != nil {
-		return
-	}
-	if n < 0 || n > len(r.data)-r.pos {
-		r.fail("skip overruns payload")
-		return
-	}
-	r.pos += n
 }
 
 // Done reports whether the whole payload was consumed without error; codecs

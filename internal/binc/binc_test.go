@@ -154,77 +154,3 @@ func TestReaderErrSticky(t *testing.T) {
 		t.Error("Str after error: want empty")
 	}
 }
-
-// TestInsertUvarint frames regions of unknown length: write content, insert
-// its length at a mark, and require the reader to skip framed regions and
-// seek back to decode them, for one- and multi-byte varint lengths.
-func TestInsertUvarint(t *testing.T) {
-	w := NewWriter()
-	w.Int(2) // frame count
-	var wants []string
-	for i, body := range []int{3, 60} {
-		mark := w.Mark()
-		s := ""
-		for j := 0; j < body; j++ {
-			s += "x"
-			w.Str(s + "-" + string(rune('a'+i)))
-			w.Uvarint(uint64(j))
-		}
-		wants = append(wants, s)
-		w.InsertUvarint(mark, uint64(w.Mark()-mark))
-	}
-	r, err := NewReader(w.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pass 1: index the frames without decoding.
-	count := r.Int()
-	type frame struct{ off, n int }
-	var frames []frame
-	for i := 0; i < count; i++ {
-		n := int(r.Uvarint())
-		frames = append(frames, frame{r.Pos(), n})
-		r.Skip(n)
-	}
-	if err := r.Done(); err != nil {
-		t.Fatalf("index pass: %v", err)
-	}
-	// Pass 2: decode frames in reverse order via Seek.
-	for i := count - 1; i >= 0; i-- {
-		r.Seek(frames[i].off)
-		last := ""
-		for r.Pos() < frames[i].off+frames[i].n {
-			last = r.Str()
-			r.Uvarint()
-		}
-		want := wants[i] + "-" + string(rune('a'+i))
-		if last != want {
-			t.Errorf("frame %d: last string = %q, want %q", i, last, want)
-		}
-	}
-	if r.Err() != nil {
-		t.Fatal(r.Err())
-	}
-}
-
-// TestSeekSkipBounds: out-of-range repositioning must fail, not read garbage.
-func TestSeekSkipBounds(t *testing.T) {
-	w := NewWriter()
-	w.Int(1)
-	data := w.Bytes()
-	r, _ := NewReader(data)
-	r.Skip(len(data) + 1)
-	if r.Err() == nil {
-		t.Error("Skip past end: want error")
-	}
-	r, _ = NewReader(data)
-	r.Seek(-1)
-	if r.Err() == nil {
-		t.Error("negative Seek: want error")
-	}
-	r, _ = NewReader(data)
-	r.Seek(len(data) + 1)
-	if r.Err() == nil {
-		t.Error("Seek past end: want error")
-	}
-}

@@ -28,11 +28,10 @@ func TestLaunchReplayAllocBudget(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAllocBudget gates the path that replaces the relaunch:
-// restoring a captured snapshot onto a fresh device. Measured at 9 allocs/op
+// TestSnapshotRestoreAllocBudget gates restoring a captured snapshot onto a
+// fresh device, the benchmark's per-restore probe. Measured at 9 allocs/op
 // (the deep copy of one activity frame plus the device shell); the budget
-// allows modest growth. Restore must stay well under the launch cost or the
-// snapshot memo stops paying for itself.
+// allows modest growth.
 func TestSnapshotRestoreAllocBudget(t *testing.T) {
 	const budget = 12
 	app := benchApp(t, "com.adobe.reader")

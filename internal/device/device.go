@@ -210,7 +210,7 @@ type handlerRef struct {
 	class  string
 	method string
 	// site is the inline-cache slot for this handler's dispatch; 0 means
-	// "no cache" (classic-mode registrations, snapshot-decoded handlers).
+	// "no cache" (classic-mode registrations).
 	// Sites are allocated from 1 so the zero value is always safe.
 	site int32
 }

@@ -287,7 +287,7 @@ func (d *Device) startActivityIR(it intent, depth int) error {
 
 // invokeIR runs a handler through the call site's inline cache, falling back
 // to the full superclass walk on miss and caching the result. A site of 0
-// (classic-registered handlers, snapshot-decoded handlers) means "no cache".
+// (classic-registered handlers) means "no cache".
 func (d *Device) invokeIR(t *activityInstance, h handlerRef) error {
 	p := d.ir
 	mi := int32(-1)

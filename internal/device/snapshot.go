@@ -11,11 +11,6 @@ import (
 // resume into state that never existed on this installation.
 var ErrStaleSnapshot = errors.New("device: snapshot belongs to a different app installation")
 
-// ErrSnapshotBehind is returned by Advance when the snapshot does not extend
-// the device's current history — it stands for less work, or a shorter
-// journal, than the device has already performed.
-var ErrSnapshotBehind = errors.New("device: snapshot is behind the device's current state")
-
 // journalEntry is one replayable side effect of interpretation: either a
 // device-log line or a sensitive-API emission. The journal is what makes
 // snapshots observationally exact: restoring a snapshot re-applies the
@@ -68,7 +63,7 @@ func (d *Device) Snapshot() *Snapshot {
 		// A capped view, not a copy: the journal is append-only and its
 		// entries are immutable values, so the prefix can be shared. The cap
 		// keeps any append on the view from ever touching the device's tail,
-		// and per-op checkpointing stays O(state) instead of O(journal).
+		// and a capture costs O(state) instead of O(journal).
 		journal: d.journal[:len(d.journal):len(d.journal)],
 	}
 }
@@ -93,59 +88,6 @@ func (d *Device) Restore(s *Snapshot) error {
 	d.restored += s.steps
 	d.journal = append(d.journal, s.journal...)
 	for _, e := range s.journal {
-		if e.sens != nil {
-			if d.opts.Monitor != nil {
-				d.opts.Monitor(*e.sens)
-			}
-		} else if d.opts.Hook != nil {
-			d.opts.Hook(e.line)
-		}
-	}
-	return nil
-}
-
-// Crashed reports whether the snapshot captured a crashed device.
-func (s *Snapshot) Crashed() bool { return s.crashed }
-
-// Rebind returns a snapshot identical to s but bound to the given app
-// installation. It is how the persistent memo serves a snapshot captured in a
-// previous process — or on a content-identical re-install — to the current
-// one: same encoded app spec ⇒ same immutable layout trees ⇒ the captured
-// state is valid verbatim. Only the binding swaps; the stack is shared (both
-// Restore and Advance deep-copy on reinstatement, so sharing is safe).
-func (s *Snapshot) Rebind(app *apk.App) *Snapshot {
-	if s == nil || s.app == app {
-		return s
-	}
-	cp := *s
-	cp.app = app
-	return &cp
-}
-
-// Advance fast-forwards a device along its own history: the snapshot must
-// extend what the device has already done (same installation, at least as many
-// steps, a journal the device's own is a prefix of). Unlike Restore — which
-// charges the snapshot's full step count on top of the device's counters, as
-// befits a kill-and-restart — Advance charges only the delta, so a device
-// mid-route can skip ahead to a memoized continuation without double-counting
-// the work it has already been billed for. Only the journal suffix is
-// re-emitted through the monitor and log hook.
-func (d *Device) Advance(s *Snapshot) error {
-	if s == nil || s.app != d.app {
-		return ErrStaleSnapshot
-	}
-	if s.steps < d.steps || len(s.journal) < len(d.journal) {
-		return ErrSnapshotBehind
-	}
-	d.stack = copyStack(s.stack)
-	d.crashed = s.crashed
-	d.crashMsg = s.crashMsg
-	delta := s.steps - d.steps
-	d.steps = s.steps
-	d.restored += delta
-	suffix := s.journal[len(d.journal):]
-	d.journal = append(d.journal, suffix...)
-	for _, e := range suffix {
 		if e.sens != nil {
 			if d.opts.Monitor != nil {
 				d.opts.Monitor(*e.sens)

@@ -52,20 +52,18 @@ type Config struct {
 	// Observer receives the run's structured trace events (nil disables
 	// tracing; the transcript and counters are produced regardless).
 	Observer session.Observer
-	// Snapshots, when set, lets the session resume route replays from
-	// memoized device snapshots of executed prefixes instead of re-executing
-	// them from launch. Behavior is identical either way; nil disables.
-	Snapshots *session.SnapshotMemo
 	// Seeds are compiled route scripts (statically lifted UI paths from
 	// internal/paths) executed right after the launch test case and before
 	// frontier exploration. Each seed runs as one budgeted test case; its
 	// arrival feeds the normal evolutionary bookkeeping, so near-miss seeds
-	// still prime the queue (and their prefixes the snapshot memo). Empty
-	// leaves the run byte-identical to an unseeded one.
+	// still prime the queue. Empty leaves the run byte-identical to an
+	// unseeded one.
 	Seeds []robotium.Script
 	// Deprecated: ignored; one app is always explored on one device. Kept
 	// only until the benchmark driver stops setting it.
 	Devices int
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
+	Snapshots *session.SnapshotMemo
 
 	// haltOnAPI stops the run as soon as the named sensitive API is observed
 	// (set by ExploreTarget).
@@ -290,7 +288,6 @@ func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 		Budget:    cfg.MaxTestCases,
 		HaltOnAPI: cfg.haltOnAPI,
 		Observer:  cfg.Observer,
-		Snapshots: cfg.Snapshots,
 	})
 	if err != nil {
 		return nil, err
@@ -338,7 +335,6 @@ func (e *engine) SessionOptions(h session.Harness) session.Options {
 		TriageCrashes: true,
 		Observer:      h.Observer,
 		Coverage:      e.coverage,
-		Snapshots:     h.Snapshots,
 	}
 }
 
@@ -602,7 +598,6 @@ func (e *engine) inputValue(ref string) string {
 // the way trigger Cases 1 and 2. Afterwards, reflection items are generated
 // for the activity's unvisited dependent fragments.
 func (e *engine) exploreInterface(item workItem) {
-	memo := e.cfg.Snapshots
 	d, ok := e.replayTo(item)
 	if !ok {
 		return
@@ -620,13 +615,6 @@ func (e *engine) exploreInterface(item workItem) {
 	e.s.Notef("interface %s: %d clickable widgets", item.target, len(clickables))
 
 	fresh := false // d currently sits at the target interface
-	// pristine tracks whether d's state is exactly what auto-dismissed
-	// execution of item.route produces (the explicit dismiss above matches
-	// robotium's pre-op auto-dismiss, so a dismissed arrival still counts).
-	// Only then is the state after fills+click the state executing
-	// route++fills++click would produce, so only then may a probe result be
-	// memoized under that op list — or fast-forwarded from a memo entry.
-	pristine := true
 	for _, ref := range clickables {
 		if fresh {
 			var ok bool
@@ -635,7 +623,6 @@ func (e *engine) exploreInterface(item workItem) {
 				return
 			}
 			fresh = false
-			pristine = true
 		}
 		cur, preDump, err := e.observe(d)
 		if err != nil || cur != item.target {
@@ -646,53 +633,16 @@ func (e *engine) exploreInterface(item workItem) {
 		// generator (inputgen.Dictionary rotates candidates per call).
 		fillOps := e.fillOps(preDump)
 		ownerFrag := widgetFragment(preDump, ref)
-		// probeOps is the op list the probe below stands for; its snapshot
-		// is keyed here and consumed when the enqueued child interface is
-		// later replayed (or, on a warm memo, consumed right now).
-		probeOps := make([]robotium.Op, 0, len(item.route.Ops)+len(fillOps)+1)
-		probeOps = append(probeOps, item.route.Ops...)
-		probeOps = append(probeOps, fillOps...)
-		probeOps = append(probeOps, robotium.Click(ref))
-		storable := memo != nil && pristine && !preDump.HasDialog
-
-		if storable {
-			// Fast path: the probe's outcome is already memoized (an earlier
-			// script run executed the same op list, or a snapshot pack that a
-			// previous process persisted holds it). Fast-forward the
-			// device — a memoized entry implies the fills and the click all
-			// succeeded without crashing, so only the success events are due.
-			if snap, n, _ := memo.LongestPrefix(e.app, true, probeOps); snap != nil && n == len(probeOps) && d.Advance(snap) == nil {
-				for _, op := range fillOps {
-					e.s.Trace(session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value})
-				}
-				e.s.AddSnapshot(1, 1, 0)
-				pristine = false
-				after, _, err := e.observe(d)
-				if err != nil {
-					fresh = true
-					continue
-				}
-				e.afterClick(item, ref, ownerFrag, fillOps, d, after, &fresh)
-				continue
-			}
-		}
-		filled := true
 		for _, op := range fillOps {
 			ev := session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value}
 			if err := d.EnterText(op.Ref, op.Value); err != nil {
-				filled = false
 				ev.Err = err.Error()
 				ev.Msg = fmt.Sprintf("fill %s: %v", op.Ref, err)
 			}
 			e.s.Trace(ev)
 		}
-		// A dialog raised between the fills and the click would be
-		// auto-dismissed by script execution but intercepts a direct click —
-		// the states diverge, so such a probe must not be memoized.
-		storable = storable && filled && !d.HasDialog()
 		if err := d.Click(ref); err != nil {
 			e.s.Notef("click %s: %v", ref, err)
-			pristine = false
 			continue
 		}
 		if d.Crashed() {
@@ -701,47 +651,35 @@ func (e *engine) exploreInterface(item workItem) {
 			e.s.MarkCrash(d.CrashReason(),
 				item.route.Append("crash_"+ref, append(fillOps, robotium.Click(ref))...))
 			fresh = true
-			pristine = false
 			continue
 		}
-		if storable {
-			e.s.AddEvictions(memo.Store(e.app, true, probeOps, d))
-		}
-		pristine = false
 		after, _, err := e.observe(d)
 		if err != nil {
 			fresh = true
 			continue
 		}
-		e.afterClick(item, ref, ownerFrag, fillOps, d, after, &fresh)
-	}
-
-	e.reflectionItems(item)
-}
-
-// afterClick handles a successful, non-crashing click's outcome: unchanged
-// interfaces are skipped, changed ones update the model and enqueue the new
-// state, and BACK navigation optionally keeps the session alive.
-func (e *engine) afterClick(item workItem, ref, ownerFrag string, fillOps []robotium.Op, d *device.Device, after iface, fresh *bool) {
-	if after == item.target {
-		// Interface unchanged (or a popup was handled): move on.
-		return
-	}
-	// The interface changed: record transitions and the new state, then
-	// kill and restart for the remaining widgets.
-	route := item.route.Append("reach_"+ref, append(fillOps, robotium.Click(ref))...)
-	e.recordTransition(item.target, ownerFrag, after, ref)
-	e.arrive(after, ReachClick, route)
-	*fresh = true
-	// Optional optimization: if BACK restores the interface, keep the
-	// session instead of replaying from scratch.
-	if e.cfg.UseBackNavigation && after.activity != item.target.activity {
-		if err := d.Back(); err == nil {
-			if back, _, err := e.observe(d); err == nil && back == item.target {
-				*fresh = false
+		if after == item.target {
+			// Interface unchanged (or a popup was handled): move on.
+			continue
+		}
+		// The interface changed: record transitions and the new state, then
+		// kill and restart for the remaining widgets.
+		route := item.route.Append("reach_"+ref, append(fillOps, robotium.Click(ref))...)
+		e.recordTransition(item.target, ownerFrag, after, ref)
+		e.arrive(after, ReachClick, route)
+		fresh = true
+		// Optional optimization: if BACK restores the interface, keep the
+		// session instead of replaying from scratch.
+		if e.cfg.UseBackNavigation && after.activity != item.target.activity {
+			if err := d.Back(); err == nil {
+				if back, _, err := e.observe(d); err == nil && back == item.target {
+					fresh = false
+				}
 			}
 		}
 	}
+
+	e.reflectionItems(item)
 }
 
 // widgetFragment finds which fragment (if any) owned the clicked widget.

@@ -7,7 +7,6 @@ import (
 
 	"fragdroid/internal/aftm"
 	"fragdroid/internal/corpus"
-	"fragdroid/internal/session"
 )
 
 // Pipeline-wide properties over seeded random apps: every app the generator
@@ -86,52 +85,25 @@ func TestPropertyRandomApps(t *testing.T) {
 	}
 }
 
-// recordingStore is a SnapshotStore that misses every load and keeps every
-// saved pack, so a test can compare what two explorations would persist.
-type recordingStore struct{ packs map[string][]byte }
-
-func (s *recordingStore) LoadSnapshot(string) ([]byte, bool) { return nil, false }
-
-func (s *recordingStore) SaveSnapshot(key string, payload []byte) error {
-	s.packs[key] = append([]byte(nil), payload...)
-	return nil
-}
-
 // TestPropertyDeterminism: the same app explored twice yields identical
-// results — the whole pipeline is free of hidden nondeterminism. Each run
-// explores over its own snapshot memo with a recording store attached, so
-// the snapshot packs a run persists and every session counter, cache-side
-// ones included, must be identical too.
+// results — the whole pipeline is free of hidden nondeterminism. Every
+// session counter, visit route and transcript line must match.
 func TestPropertyDeterminism(t *testing.T) {
-	explore := func(spec *corpus.AppSpec) (*Result, map[string][]byte) {
+	explore := func(spec *corpus.AppSpec) *Result {
 		app, err := corpus.BuildApp(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := &recordingStore{packs: make(map[string][]byte)}
-		memo := session.NewSnapshotMemo(0)
-		memo.AttachStore(st)
-		cfg := DefaultConfig()
-		cfg.Snapshots = memo
-		res, err := Explore(app, cfg)
+		res, err := Explore(app, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := memo.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		return res, st.packs
+		return res
 	}
 	for seed := int64(100); seed < 110; seed++ {
 		spec := corpus.RandomSpec(fmt.Sprintf("com.det.s%d", seed), seed)
-		r1, packs1 := explore(spec)
-		r2, packs2 := explore(spec)
-		if len(packs1) == 0 {
-			t.Fatalf("seed %d: the exploration persisted no snapshot pack", seed)
-		}
-		if !reflect.DeepEqual(packs1, packs2) {
-			t.Fatalf("seed %d: flushed snapshot packs diverge", seed)
-		}
+		r1 := explore(spec)
+		r2 := explore(spec)
 		if r1.Stats != r2.Stats {
 			t.Fatalf("seed %d: session stats diverge:\n%+v\n%+v", seed, r1.Stats, r2.Stats)
 		}
@@ -142,9 +114,11 @@ func TestPropertyDeterminism(t *testing.T) {
 		if !reflect.DeepEqual(r1.VisitedFragments(), r2.VisitedFragments()) {
 			t.Fatalf("seed %d: fragments diverge", seed)
 		}
-		if r1.TestCases != r2.TestCases || r1.Steps != r2.Steps {
-			t.Fatalf("seed %d: work diverges: %d/%d vs %d/%d",
-				seed, r1.TestCases, r1.Steps, r2.TestCases, r2.Steps)
+		if !reflect.DeepEqual(r1.Visits, r2.Visits) {
+			t.Fatalf("seed %d: visit routes diverge", seed)
+		}
+		if !reflect.DeepEqual(r1.Transcript, r2.Transcript) {
+			t.Fatalf("seed %d: transcripts diverge", seed)
 		}
 		if !reflect.DeepEqual(r1.Model.Edges(), r2.Model.Edges()) {
 			t.Fatalf("seed %d: final models diverge", seed)

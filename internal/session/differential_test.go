@@ -28,11 +28,11 @@ func TestInterpreterDifferentialCorpus(t *testing.T) {
 			if err := device.SetDefaultInterp("classic"); err != nil {
 				t.Fatal(err)
 			}
-			classic, _ := runParity(t, row.Package, nil)
+			classic := runParity(t, row.Package)
 			if err := device.SetDefaultInterp("ir"); err != nil {
 				t.Fatal(err)
 			}
-			compiled, _ := runParity(t, row.Package, nil)
+			compiled := runParity(t, row.Package)
 			if classic != compiled {
 				t.Errorf("interpreters diverged for %s (classic len=%d, ir len=%d)\n%s",
 					row.Package, len(classic), len(compiled), firstDiff(compiled, classic))

@@ -14,7 +14,6 @@ import (
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/sensitive"
-	"fragdroid/internal/session"
 )
 
 // update regenerates the golden fixtures. The fixtures were produced by the
@@ -111,10 +110,8 @@ func renderTranscript(b *strings.Builder, lines []string) {
 
 // runParity produces the full canonical rendering for one corpus app: the
 // FragDroid explorer, the Activity-level baseline, and Monkey, run with the
-// evaluation configurations. A non-nil memo is shared by all three engines
-// (the snapshot deployment shape); the combined session stats are returned
-// alongside so snapshot tests can assert the memo was actually exercised.
-func runParity(t *testing.T, pkg string, memo *session.SnapshotMemo) (string, session.Stats) {
+// evaluation configurations.
+func runParity(t *testing.T, pkg string) string {
 	t.Helper()
 	spec := parityApp(t, pkg)
 	app, err := corpus.BuildApp(spec)
@@ -124,7 +121,6 @@ func runParity(t *testing.T, pkg string, memo *session.SnapshotMemo) (string, se
 
 	ecfg := explorer.DefaultConfig()
 	ecfg.MaxTestCases = 4000
-	ecfg.Snapshots = memo
 	eres, err := explorer.Explore(app, ecfg)
 	if err != nil {
 		t.Fatalf("explore %s: %v", pkg, err)
@@ -132,22 +128,20 @@ func runParity(t *testing.T, pkg string, memo *session.SnapshotMemo) (string, se
 
 	acfg := baseline.DefaultActivityConfig()
 	acfg.MaxTestCases = 4000
-	acfg.Snapshots = memo
 	ares, err := baseline.ExploreActivities(app, acfg)
 	if err != nil {
 		t.Fatalf("activity baseline %s: %v", pkg, err)
 	}
 
-	mres, err := baseline.Monkey(app, baseline.MonkeyConfig{Seed: 7, Events: 1500, Snapshots: memo})
+	mres, err := baseline.Monkey(app, baseline.MonkeyConfig{Seed: 7, Events: 1500})
 	if err != nil {
 		t.Fatalf("monkey %s: %v", pkg, err)
 	}
 
-	out := "app " + pkg + "\n" +
+	return "app " + pkg + "\n" +
 		renderExplorer(eres) +
 		renderBaseline("activity-baseline", ares) +
 		renderBaseline("monkey", mres)
-	return out, eres.Stats.Add(ares.Stats).Add(mres.Stats)
 }
 
 // TestEngineParityGolden pins that the session-layer port left every engine's
@@ -157,7 +151,7 @@ func TestEngineParityGolden(t *testing.T) {
 	for _, pkg := range parityApps {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
-			got, _ := runParity(t, pkg, nil)
+			got := runParity(t, pkg)
 			path := filepath.Join("testdata", "parity_"+pkg+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {

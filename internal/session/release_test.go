@@ -8,13 +8,13 @@ import (
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
-	"fragdroid/internal/session"
+	"fragdroid/internal/explorer"
+	"fragdroid/internal/statics"
 )
 
-// TestExploredAppsAreCollected is the regression test for the
-// process-global fingerprint cache that kept every app the snapshot memo
-// had seen alive until ReleaseApp: apps explored through a memo and then
-// dropped, without ReleaseApp, must be garbage collected.
+// TestExploredAppsAreCollected pins that nothing in the session runtime or
+// the explorer keeps an app alive after its run: apps explored in full and
+// then dropped must be garbage collected.
 func TestExploredAppsAreCollected(t *testing.T) {
 	const n = 50
 	var collected atomic.Int32
@@ -24,9 +24,16 @@ func TestExploredAppsAreCollected(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.SetFinalizer(app, func(*apk.App) { collected.Add(1) })
-		s := session.New(app, session.Options{AutoDismiss: true, Snapshots: session.NewSnapshotMemo(0)})
-		if _, res, ok := s.RunScript(launchScript(), session.PurposeLaunch); !ok || res.Err != nil {
-			t.Fatalf("launch: ok=%v err=%v", ok, res.Err)
+		ex, err := statics.Extract(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := explorer.ExploreExtracted(ex, explorer.DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Visits) == 0 {
+			t.Fatal("the exploration visited nothing")
 		}
 	}
 	for i := 0; i < n; i++ {

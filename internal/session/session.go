@@ -45,25 +45,12 @@ type Stats struct {
 	ForcedStarts int `json:"forced_starts"`
 	// InputFills counts input widgets successfully filled.
 	InputFills int `json:"input_fills"`
-	// SnapshotHits counts script executions that resumed from a memoized
-	// route-prefix snapshot instead of re-executing it from launch.
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
 	SnapshotHits int `json:"snapshot_hits"`
-	// SnapshotRestores counts device restore operations performed (engines
-	// driving a long-lived device may restore several times per billed hit).
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
 	SnapshotRestores int `json:"snapshot_restores"`
-	// StepsSaved is the interpreter work credited by snapshot restores
-	// instead of executed — Steps counts it either way, so budgets and
-	// reported work are identical with snapshots on or off.
+	// Deprecated: ignored; the snapshot memo was deleted. Kept only until the benchmark driver stops calling it.
 	StepsSaved int `json:"steps_saved"`
-	// Evictions counts memo entries evicted by capacity pressure during this
-	// run's stores — the observable signal that the snapshot memo is
-	// undersized for the workload.
-	Evictions int `json:"evictions,omitempty"`
-	// BytesPinned is the peak estimated bytes of snapshot state the memo held
-	// for this run's app, sampled after each script run. It counts that app's
-	// entries only, so concurrent runs over one shared memo cannot move it;
-	// Add sums the per-app peaks.
-	BytesPinned int `json:"bytes_pinned,omitempty"`
 }
 
 // Add returns the element-wise sum of two stats.
@@ -76,11 +63,6 @@ func (s Stats) Add(o Stats) Stats {
 	s.ReflectionFailures += o.ReflectionFailures
 	s.ForcedStarts += o.ForcedStarts
 	s.InputFills += o.InputFills
-	s.SnapshotHits += o.SnapshotHits
-	s.SnapshotRestores += o.SnapshotRestores
-	s.StepsSaved += o.StepsSaved
-	s.Evictions += o.Evictions
-	s.BytesPinned += o.BytesPinned
 	return s
 }
 
@@ -125,12 +107,6 @@ type Options struct {
 	// Coverage supplies the cumulative visited counts behind the coverage
 	// curve; nil disables curve sampling.
 	Coverage func() (activities, fragments int)
-	// Snapshots, when set, memoizes device snapshots of executed route
-	// prefixes so later script runs resume from the longest memoized prefix
-	// instead of re-executing it from launch. Sharing one memo across the
-	// sessions of an app's run is the point; nil disables memoization (every
-	// run re-executes from scratch, the paper's literal discipline).
-	Snapshots *SnapshotMemo
 }
 
 // Session is one exploration run's shared runtime state.
@@ -271,57 +247,10 @@ func (s *Session) RunOn(d *device.Device, sc robotium.Script, p Purpose) (roboti
 			s.Trace(Event{Kind: KindOp, Script: sc.Name, Op: op.String(), Err: errString(err)})
 		}
 	}
-	// Steps and restored-steps baselines are read before any restore so the
-	// deltas below include the credited prefix — the run is billed the same
-	// logical work whether the prefix was executed or restored.
 	before := d.Steps()
-	beforeRestored := d.RestoredSteps()
-	hashed, hash := 0, fnvOffset
-	if memo := s.opts.Snapshots; memo != nil {
-		snap, n, h := memo.LongestPrefix(s.app, s.opts.AutoDismiss, sc.Ops)
-		if snap != nil && d.Restore(snap) == nil {
-			opts.Resume = n
-			hashed, hash = n, h
-			s.stats.SnapshotHits++
-			s.stats.SnapshotRestores++
-			if s.opts.Observer != nil {
-				// Re-emit the per-op events the skipped execution would
-				// have produced; only successful prefixes are memoized.
-				for _, op := range sc.Ops[:n] {
-					s.Trace(Event{Kind: KindOp, Script: sc.Name, Op: op.String()})
-				}
-			}
-		}
-		opts.Checkpoint = func(executed int) {
-			if d.Crashed() {
-				return // crashed states must never be resumed into
-			}
-			for hashed < executed {
-				hash = hashOp(hash, sc.Ops[hashed])
-				hashed++
-			}
-			// Only the full route writes through to the persistent store;
-			// partial prefixes stay in memory (the full entry subsumes them).
-			persist := executed == len(sc.Ops)
-			s.stats.Evictions += memo.store(s.app, s.opts.AutoDismiss, hash, sc.Ops[:executed], d, persist)
-		}
-	}
 	res := robotium.Run(d, sc, opts)
-	if memo := s.opts.Snapshots; memo != nil {
-		if hashed > 0 && hashed < len(sc.Ops) {
-			// The route stopped short — a crash or an op error — so the
-			// full-route persistence gate never fired. Promote the longest
-			// clean checkpoint instead: a warm run then resumes at the
-			// failing op rather than re-executing the route from launch.
-			memo.Promote(s.app, s.opts.AutoDismiss, hash, sc.Ops[:hashed])
-		}
-		if bp := memo.BytesPinned(s.app); bp > s.stats.BytesPinned {
-			s.stats.BytesPinned = bp
-		}
-	}
 	delta := d.Steps() - before
 	s.stats.Steps += delta
-	s.stats.StepsSaved += d.RestoredSteps() - beforeRestored
 	if res.Crashed {
 		s.MarkCrash(res.CrashReason, sc)
 	}
@@ -380,19 +309,6 @@ func (s *Session) AddTestCases(n int) { s.stats.TestCases += n }
 
 // AddSteps charges device work performed outside RunOn.
 func (s *Session) AddSteps(n int) { s.stats.Steps += n }
-
-// AddSnapshot charges snapshot accounting performed outside RunOn — engines
-// driving a long-lived device restore restart prefixes themselves and bill
-// the session here.
-func (s *Session) AddSnapshot(hits, restores, stepsSaved int) {
-	s.stats.SnapshotHits += hits
-	s.stats.SnapshotRestores += restores
-	s.stats.StepsSaved += stepsSaved
-}
-
-// AddEvictions charges memo evictions caused by stores performed outside
-// RunOn (the explorer's probe memoization bills itself here).
-func (s *Session) AddEvictions(n int) { s.stats.Evictions += n }
 
 func errString(err error) string {
 	if err == nil {

@@ -7,10 +7,11 @@
 // duplicate: session construction, the propose/run/observe cycle with budget
 // and halt enforcement, the final coverage-curve sample, and the assembly of
 // the engine-independent Outcome. Because every strategy runs through one
-// loop on one session runtime, snapshots and persistent packs serve all of
-// them by construction, and comparative evaluations (the bake-off harness in
-// internal/report) compare strategies rather than bespoke code paths — the
-// fairness requirement of Choudhary et al.'s generator comparison.
+// loop on one session runtime, budgets, restarts and accounting are the same
+// for all of them by construction, and comparative evaluations (the bake-off
+// harness in internal/report) compare strategies rather than bespoke code
+// paths — the fairness requirement of Choudhary et al.'s generator
+// comparison.
 package session
 
 import (
@@ -23,7 +24,7 @@ import (
 )
 
 // Harness bundles the engine-independent run plumbing every strategy shares:
-// the test-case budget, trace sink, and snapshot memo. Engine-specific knobs
+// the test-case budget, halt condition, and trace sink. Engine-specific knobs
 // (reflection, input files, event mixes) stay in each strategy's own config;
 // SessionOptions merges the two.
 type Harness struct {
@@ -35,9 +36,6 @@ type Harness struct {
 	HaltOnAPI string
 	// Observer receives the run's structured trace events (nil disables).
 	Observer Observer
-	// Snapshots is the device-snapshot memo route replays resume from; nil
-	// disables memoization.
-	Snapshots *SnapshotMemo
 }
 
 // TestCase is one proposal of a strategy: either a declarative script the
@@ -56,7 +54,7 @@ type TestCase struct {
 }
 
 // DriveContext binds a strategy to one run: the app under test and the
-// session carrying budgets/tracing/snapshots.
+// session carrying budgets and tracing.
 type DriveContext struct {
 	App     *apk.App
 	Session *Session

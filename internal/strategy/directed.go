@@ -10,9 +10,7 @@ import (
 // Directed is the statically guided strategy: the paths pass enumerates a
 // launcher-to-site UI path for every static sensitive-API relation, lowers
 // each into a robotium route, and the explorer engine replays those routes
-// as seeds before falling back to its normal frontier exploration. With a
-// snapshot memo attached, near-miss seeds cost almost nothing extra — their
-// prefixes are retried from memoized device states.
+// as seeds before falling back to its normal frontier exploration.
 type Directed struct {
 	session.Strategy
 	// Seeded counts the compiled route seeds the engine starts from.
@@ -26,7 +24,6 @@ func NewDirected(ex *statics.Extraction, opts Options) *Directed {
 	cfg.Inputs = opts.Inputs
 	cfg.MaxTestCases = opts.Budget
 	cfg.Observer = opts.Observer
-	cfg.Snapshots = opts.Snapshots
 	p := paths.New(ex, paths.Config{
 		Inputs:       opts.Inputs,
 		DefaultInput: cfg.DefaultInput,

@@ -62,7 +62,6 @@ func (m *ModelGuided) SessionOptions(h session.Harness) session.Options {
 		AutoDismiss: true,
 		Observer:    h.Observer,
 		Coverage:    m.coverage,
-		Snapshots:   h.Snapshots,
 	}
 }
 

@@ -50,8 +50,6 @@ type Options struct {
 	Inputs map[string]string
 	// Observer receives structured trace events (nil disables).
 	Observer session.Observer
-	// Snapshots enables route-prefix snapshot memoization; nil disables.
-	Snapshots *session.SnapshotMemo
 	// Curve enables coverage-curve sampling on strategies where it is
 	// opt-in (the legacy baselines keep their trace streams byte-identical
 	// unless asked). The new strategies always sample.
@@ -80,9 +78,8 @@ func Known(name string) bool {
 // the engine-independent outcome.
 func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, error) {
 	h := session.Harness{
-		Budget:    opts.Budget,
-		Observer:  opts.Observer,
-		Snapshots: opts.Snapshots,
+		Budget:   opts.Budget,
+		Observer: opts.Observer,
 	}
 	switch name {
 	case "explorer":
@@ -90,7 +87,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.Inputs = opts.Inputs
 		cfg.MaxTestCases = opts.Budget
 		cfg.Observer = opts.Observer
-		cfg.Snapshots = opts.Snapshots
 		r, err := explorer.ExploreExtracted(ex, cfg)
 		if err != nil {
 			return nil, err
@@ -101,7 +97,6 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.Inputs = opts.Inputs
 		cfg.MaxTestCases = opts.Budget
 		cfg.Observer = opts.Observer
-		cfg.Snapshots = opts.Snapshots
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
 		r, err := baseline.ExploreActivities(ex.App, cfg)
@@ -118,10 +113,9 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		}, nil
 	case "monkey":
 		cfg := baseline.MonkeyConfig{
-			Seed:      opts.Seed,
-			Events:    opts.Budget,
-			Observer:  opts.Observer,
-			Snapshots: opts.Snapshots,
+			Seed:     opts.Seed,
+			Events:   opts.Budget,
+			Observer: opts.Observer,
 		}
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)

@@ -128,7 +128,6 @@ func (t *TraceReuse) SessionOptions(h session.Harness) session.Options {
 		HaltOnAPI: h.HaltOnAPI,
 		Observer:  h.Observer,
 		Coverage:  t.coverage,
-		Snapshots: h.Snapshots,
 	}
 }
 

@@ -7,7 +7,7 @@ Usage:
 
 Both inputs are the JSON `make bench-json` emits: a "benchmarks" array of
 objects keyed by benchmark name, plus top-level derived ratios
-(warm_speedup, snapshot_speedup, persistent_speedup, ...). For every
+(warm_speedup, ...). For every
 benchmark present in both records the script prints ns/op, B/op and
 allocs/op side by side with the relative change (negative = NEW is better)
 and the old/new speedup; benchmarks present in only one record are listed
@@ -15,10 +15,10 @@ so a renamed benchmark cannot silently vanish from the comparison. The
 derived ratios of both records are printed last.
 
 Each --min-ratio KEY:FLOOR asserts that NEW's top-level ratio KEY is at
-least FLOOR and fails the run otherwise. CI uses this as a parity floor on
-short smoke runs, where absolute ns/op is too noisy to gate on but a
-derived ratio collapsing (e.g. persistent_speedup dropping well below 1.0
-because warm pack decoding regressed) is still a reliable signal.
+least FLOOR and fails the run otherwise: a parity floor for short smoke
+runs, where absolute ns/op is too noisy to gate on but a
+derived ratio collapsing (e.g. warm_speedup dropping well below 1.0
+because warm store decoding regressed) is still a reliable signal.
 
 Each --min-rel KEY:FRAC asserts that NEW's top-level number KEY is at least
 FRAC times OLD's — a relative floor for host-dependent throughput numbers
