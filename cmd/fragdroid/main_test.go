@@ -2,8 +2,11 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -82,6 +85,71 @@ func TestRunFromArchiveAndInputs(t *testing.T) {
 	if err := run([]string{"-app", apkPath, "-inputs", inPath}); err != nil {
 		t.Fatalf("run from archive: %v", err)
 	}
+}
+
+// TestSnapshotPacksDependOnlyOnApp pins what a run persists to the app
+// alone: two runs on the same app, each into a fresh -cache directory, must
+// leave byte-identical store trees — and no snapshot/ tree, since every
+// test case replays from launch and nothing writes snapshot packs. A
+// family-member archive is parsed directly and persists nothing; a corpus
+// app persists its build and static artifacts.
+func TestSnapshotPacksDependOnlyOnApp(t *testing.T) {
+	fam := corpus.NewFamily(20, 1)
+	var apps []string
+	for _, i := range []int{2, 6, 12, 15} {
+		arch, err := corpus.BuildArchive(fam.At(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		apkPath := filepath.Join(t.TempDir(), fmt.Sprintf("member%d.sapk", i))
+		if err := os.WriteFile(apkPath, arch.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		apps = append(apps, apkPath)
+	}
+	apps = append(apps, "demo", "com.adobe.reader")
+	for _, app := range apps {
+		var trees [2]map[string][]byte
+		for r := range trees {
+			dir := t.TempDir()
+			if err := run([]string{"-app", app, "-cache", dir}); err != nil {
+				t.Fatalf("%s run %d: %v", filepath.Base(app), r, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, "snapshot")); !os.IsNotExist(err) {
+				t.Fatalf("%s run %d: the store holds a snapshot/ tree (stat err %v)", filepath.Base(app), r, err)
+			}
+			trees[r] = readTree(t, dir)
+		}
+		if archive := strings.HasSuffix(app, ".sapk"); archive != (len(trees[0]) == 0) {
+			t.Fatalf("%s: the run persisted %d files", filepath.Base(app), len(trees[0]))
+		}
+		if !reflect.DeepEqual(trees[0], trees[1]) {
+			t.Errorf("%s: store trees differ between two runs", filepath.Base(app))
+		}
+	}
+}
+
+// readTree maps every regular file under root to its contents, keyed by
+// the path relative to root.
+func readTree(t *testing.T, root string) map[string][]byte {
+	t.Helper()
+	files := make(map[string][]byte)
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		files[rel] = data
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // TestTraceFollowsExecutionOrder pins the -trace event stream to the order

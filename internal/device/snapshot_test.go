@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -242,5 +243,136 @@ func TestRestoreCrashState(t *testing.T) {
 	}
 	if !d.Crashed() || d.CrashReason() != src.CrashReason() {
 		t.Fatalf("restored crash state = %v %q, want %q", d.Crashed(), d.CrashReason(), src.CrashReason())
+	}
+}
+
+// driveRich pushes a device through a mixed interaction burst — launches,
+// fills, clicks, backs, crash restarts — so its snapshot holds a deep stack,
+// live fragments, listener tables, widget overrides and a long journal.
+func driveRich(t *testing.T, d *Device) {
+	t.Helper()
+	if err := d.LaunchMain(); err != nil {
+		t.Fatalf("LaunchMain: %v", err)
+	}
+	burst(d, 0, 15)
+}
+
+// burst performs interactions from through from+n-1 of the driveRich
+// sequence. Each choice depends only on the index and the device's screen,
+// so two devices in equal states that burst alike stay equal.
+func burst(d *Device, from, n int) {
+	for i := from; i < from+n; i++ {
+		if d.Crashed() || !d.Running() {
+			if err := d.LaunchMain(); err != nil {
+				return
+			}
+		}
+		dump, err := d.Dump()
+		if err != nil {
+			return
+		}
+		if eds := dump.EditableRefs(); len(eds) > 0 {
+			_ = d.EnterText(eds[i%len(eds)], fmt.Sprintf("snapshot-roundtrip-%d", i))
+		}
+		refs := dump.ClickableRefs()
+		if len(refs) == 0 {
+			_ = d.Back()
+			continue
+		}
+		_ = d.Click(refs[i%len(refs)])
+	}
+}
+
+// requireUnaliased fails if any mutable part of stack b — an activity
+// instance, its listener table, override maps, intent extras, fragment
+// table, fragment order or dialog, or a fragment instance and its listener
+// table — is shared with stack a.
+func requireUnaliased(t *testing.T, a, b []*activityInstance) {
+	t.Helper()
+	parts := func(stack []*activityInstance) []uintptr {
+		var out []uintptr
+		add := func(v any) {
+			if rv := reflect.ValueOf(v); !rv.IsNil() {
+				out = append(out, rv.Pointer())
+			}
+		}
+		for _, in := range stack {
+			add(in)
+			add(in.listeners)
+			add(in.texts)
+			add(in.visible)
+			add(in.intent.extras)
+			add(in.fragments)
+			add(in.dialog)
+			if cap(in.fragOrder) > 0 {
+				add(in.fragOrder)
+			}
+			for _, f := range in.fragments {
+				add(f)
+				add(f.listeners)
+			}
+		}
+		return out
+	}
+	shared := make(map[uintptr]bool)
+	for _, p := range parts(a) {
+		shared[p] = true
+	}
+	for _, p := range parts(b) {
+		if shared[p] {
+			t.Fatalf("the stacks share mutable state at %#x", p)
+		}
+	}
+}
+
+// TestSnapshotCodecRoundTrip drives every corpus app (the 15 Table I apps
+// plus the demo app) to a rich state and round-trips its snapshot through
+// the device: Snapshot encodes the state, Restore decodes it onto a fresh
+// device, and a second Snapshot of that device must reproduce the first
+// exactly, unexported nil-ness and all. Neither step may alias mutable
+// state across the copy. The restored device must then drive like the
+// original, and the snapshot must still restore to the capture-time state
+// after both devices moved on.
+func TestSnapshotCodecRoundTrip(t *testing.T) {
+	specs := []*corpus.AppSpec{corpus.DemoSpec()}
+	for _, row := range corpus.PaperRows() {
+		specs = append(specs, corpus.PaperSpec(row))
+	}
+	if len(specs) != 16 {
+		t.Fatalf("corpus has %d apps, want 16", len(specs))
+	}
+	for _, spec := range specs {
+		spec := spec
+		t.Run(spec.Package, func(t *testing.T) {
+			app, err := corpus.BuildApp(spec)
+			if err != nil {
+				t.Fatalf("BuildApp: %v", err)
+			}
+			d := New(app, Options{})
+			driveRich(t, d)
+			snap := d.Snapshot()
+			requireUnaliased(t, d.stack, snap.stack)
+			want := observeState(t, d)
+
+			d2 := New(app, Options{})
+			if err := d2.Restore(snap); err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			requireUnaliased(t, snap.stack, d2.stack)
+			if got := d2.Snapshot(); !reflect.DeepEqual(got, snap) {
+				t.Fatalf("round trip diverged:\n got: %#v\nwant: %#v", got, snap)
+			}
+			requireEqualState(t, observeState(t, d2), want)
+
+			burst(d, 15, 10)
+			burst(d2, 15, 10)
+			requireEqualState(t, observeState(t, d2), observeState(t, d))
+
+			d3 := New(app, Options{})
+			if err := d3.Restore(snap); err != nil {
+				t.Fatalf("Restore after both devices moved on: %v", err)
+			}
+			requireEqualState(t, observeState(t, d3), want)
+		})
 	}
 }

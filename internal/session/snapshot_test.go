@@ -1,54 +1,128 @@
 package session_test
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sync"
+	"sort"
+	"strings"
 	"testing"
 
+	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/device"
+	"fragdroid/internal/explorer"
 	"fragdroid/internal/robotium"
-	"fragdroid/internal/sensitive"
 	"fragdroid/internal/session"
 )
 
-// observations sums a collector's per-API counts.
-func observations(c *sensitive.Collector) int {
-	total := 0
-	for _, u := range c.Usages() {
-		total += u.Count
-	}
-	return total
+// recordedDevice is a fresh device whose log lines and sensitive events are
+// recorded as they are emitted.
+type recordedDevice struct {
+	*device.Device
+	lines  []string
+	events []device.SensitiveEvent
 }
 
-// TestSnapshotParityGolden is the tentpole's behavioral gate: the same three
-// engines that generated the golden fixtures, now sharing one snapshot memo,
-// must produce byte-identical output — visits, routes, counters, curves,
-// crash reports, collector usages, transcripts — while actually resuming from
-// memoized prefixes (the run fails if no snapshot was ever hit, so the test
-// cannot pass vacuously).
+func newRecordedDevice(app *apk.App) *recordedDevice {
+	r := &recordedDevice{}
+	r.Device = device.New(app, device.Options{
+		Hook:    func(l string) { r.lines = append(r.lines, l) },
+		Monitor: func(e device.SensitiveEvent) { r.events = append(r.events, e) },
+	})
+	return r
+}
+
+// screen is the externally observable state of a device: where it is, what
+// it shows, what it logged, and whether it crashed.
+type screen struct {
+	Activity string
+	Dump     device.UIDump
+	Steps    int
+	Log      []string
+	Crashed  bool
+	Reason   string
+}
+
+func observe(t *testing.T, d *device.Device) screen {
+	t.Helper()
+	sc := screen{Steps: d.Steps(), Log: d.Events(), Crashed: d.Crashed(), Reason: d.CrashReason()}
+	if d.Running() {
+		var err error
+		if sc.Activity, err = d.CurrentActivity(); err != nil {
+			t.Fatalf("CurrentActivity: %v", err)
+		}
+		if sc.Dump, err = d.Dump(); err != nil {
+			t.Fatalf("Dump: %v", err)
+		}
+	}
+	return sc
+}
+
+// TestSnapshotParityGolden checks device snapshots against the golden
+// fixtures' routes: every visit route the explorer finds on a fixture app
+// (each must appear in the fixture) is replayed from launch on a fresh
+// device, and a snapshot of its end state restored onto another fresh
+// device must show the same screen, bill the same steps — as restored, not
+// executed — and re-emit the same device log and sensitive events in the
+// same order. Both devices must then take the same next step alike.
 func TestSnapshotParityGolden(t *testing.T) {
 	for _, pkg := range parityApps {
 		pkg := pkg
 		t.Run(pkg, func(t *testing.T) {
-			memo := session.NewSnapshotMemo(0)
-			got, stats := runParity(t, pkg, memo)
-			if stats.SnapshotHits == 0 || stats.StepsSaved == 0 {
-				t.Fatalf("memo never exercised: hits=%d restores=%d saved=%d",
-					stats.SnapshotHits, stats.SnapshotRestores, stats.StepsSaved)
-			}
-			if memo.Len() == 0 {
-				t.Fatal("memo holds no snapshots after a full run")
-			}
-			path := filepath.Join("testdata", "parity_"+pkg+".golden")
-			want, err := os.ReadFile(path)
+			golden, err := os.ReadFile(filepath.Join("testdata", "parity_"+pkg+".golden"))
 			if err != nil {
 				t.Fatalf("missing golden fixture: %v", err)
 			}
-			if got != string(want) {
-				t.Errorf("snapshots-on run diverged from golden fixture (len got=%d want=%d)\n%s",
-					len(got), len(want), firstDiff(got, string(want)))
+			app, err := corpus.BuildApp(parityApp(t, pkg))
+			if err != nil {
+				t.Fatalf("build %s: %v", pkg, err)
+			}
+			cfg := explorer.DefaultConfig()
+			cfg.MaxTestCases = 4000
+			res, err := explorer.Explore(app, cfg)
+			if err != nil {
+				t.Fatalf("explore %s: %v", pkg, err)
+			}
+			visits := make([]explorer.Visit, 0, len(res.Visits))
+			for _, v := range res.Visits {
+				visits = append(visits, v)
+			}
+			sort.Slice(visits, func(i, j int) bool { return visits[i].Node.String() < visits[j].Node.String() })
+			if len(visits) == 0 {
+				t.Fatal("the exploration visited nothing; the test is vacuous")
+			}
+			for _, v := range visits {
+				line := fmt.Sprintf("visit %s via %s route=%s\n", v.Node, v.Method, renderScript(v.Route))
+				if !strings.Contains(string(golden), line) {
+					t.Fatalf("%q is not in the golden fixture", strings.TrimSpace(line))
+				}
+
+				replayed := newRecordedDevice(app)
+				robotium.Run(replayed.Device, v.Route, robotium.Options{AutoDismiss: true})
+				restored := newRecordedDevice(app)
+				if err := restored.Restore(replayed.Snapshot()); err != nil {
+					t.Fatalf("%s: Restore: %v", v.Route.Name, err)
+				}
+				want := observe(t, replayed.Device)
+				if got := observe(t, restored.Device); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: restored device diverged from the replay:\n got: %+v\nwant: %+v", v.Route.Name, got, want)
+				}
+				if restored.RestoredSteps() != replayed.Steps() || restored.ExecutedSteps() != 0 {
+					t.Fatalf("%s: restored/executed steps = %d/%d, want %d/0",
+						v.Route.Name, restored.RestoredSteps(), restored.ExecutedSteps(), replayed.Steps())
+				}
+				if !reflect.DeepEqual(restored.lines, replayed.lines) || !reflect.DeepEqual(restored.events, replayed.events) {
+					t.Fatalf("%s: restore re-emitted %d lines and %d sensitive events, the replay %d and %d",
+						v.Route.Name, len(restored.lines), len(restored.events), len(replayed.lines), len(replayed.events))
+				}
+
+				_ = replayed.Back()
+				_ = restored.Back()
+				if got, want := observe(t, restored.Device), observe(t, replayed.Device); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: devices diverged after Back:\n got: %+v\nwant: %+v", v.Route.Name, got, want)
+				}
 			}
 		})
 	}
@@ -58,72 +132,74 @@ func launchScript() robotium.Script {
 	return robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
 }
 
-func demoApp(t *testing.T) *corpus.AppSpec {
-	t.Helper()
-	return corpus.DemoSpec()
-}
-
-// TestSnapshotStepAccounting is the step-budget regression test: a restored
-// prefix must consume exactly the logical step count a real re-execution
-// would, so per-run step deltas — and thus every budget decision — are
-// identical with the memo on and off, while StepsSaved records the executed
-// work avoided.
+// TestSnapshotStepAccounting pins the step billing that snapshots stand
+// for: a session runs every test case from launch and bills each run the
+// steps its device executed, none restored; a snapshot of the route's end
+// state stands for exactly that per-run charge; and restoring it bills the
+// charge as restored steps, with nothing executed.
 func TestSnapshotStepAccounting(t *testing.T) {
-	app, err := corpus.BuildApp(demoApp(t))
+	app, err := corpus.BuildApp(corpus.DemoSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
 	route := launchScript().Append("tab", robotium.Click(corpus.TabButtonRef("Main", "Recent")))
 
-	run := func(memo *session.SnapshotMemo, runs int) (session.Stats, []robotium.Result) {
-		s := session.New(app, session.Options{AutoDismiss: true, Snapshots: memo})
-		var results []robotium.Result
-		for i := 0; i < runs; i++ {
-			_, res, ok := s.RunScript(route, session.PurposeReplay)
-			if !ok || res.Err != nil {
-				t.Fatalf("run %d: ok=%v err=%v", i, ok, res.Err)
-			}
-			results = append(results, res)
+	s := session.New(app, session.Options{AutoDismiss: true})
+	var (
+		last    *device.Device
+		results []robotium.Result
+	)
+	for i := 0; i < 3; i++ {
+		d, res, ok := s.RunScript(route, session.PurposeReplay)
+		if !ok || res.Err != nil {
+			t.Fatalf("run %d: ok=%v err=%v", i, ok, res.Err)
 		}
-		return s.Stats(), results
+		if d.RestoredSteps() != 0 || d.ExecutedSteps() != d.Steps() {
+			t.Errorf("run %d: restored/executed = %d/%d, want 0/%d", i, d.RestoredSteps(), d.ExecutedSteps(), d.Steps())
+		}
+		if last != nil && d.Steps() != last.Steps() {
+			t.Errorf("run %d billed %d steps, run %d billed %d", i, d.Steps(), i-1, last.Steps())
+		}
+		last, results = d, append(results, res)
+	}
+	perRun := last.Steps()
+	if perRun == 0 {
+		t.Fatal("the route executed no steps; the test is vacuous")
+	}
+	for i := 1; i < len(results); i++ {
+		if !reflect.DeepEqual(results[i], results[0]) {
+			t.Errorf("run %d result %+v, run 0 %+v", i, results[i], results[0])
+		}
+	}
+	if st := s.Stats(); st.Steps != 3*perRun || st.TestCases != 3 || st.Replays != 3 {
+		t.Errorf("stats = %+v, want 3 test cases and replays billed %d steps", st, 3*perRun)
 	}
 
-	plainStats, plainRes := run(nil, 3)
-	memoStats, memoRes := run(session.NewSnapshotMemo(0), 3)
-
-	if plainStats.Steps != memoStats.Steps {
-		t.Errorf("steps diverged: plain %d, memo %d", plainStats.Steps, memoStats.Steps)
+	snap := last.Snapshot()
+	if snap.Steps() != perRun {
+		t.Errorf("snapshot stands for %d steps, a run bills %d", snap.Steps(), perRun)
 	}
-	if plainStats.TestCases != memoStats.TestCases || plainStats.Crashes != memoStats.Crashes {
-		t.Errorf("counters diverged: plain %+v, memo %+v", plainStats, memoStats)
+	fresh := device.New(app, device.Options{})
+	if err := fresh.Restore(snap); err != nil {
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(plainRes, memoRes) {
-		t.Errorf("script results diverged:\nplain %+v\nmemo  %+v", plainRes, memoRes)
-	}
-	// Runs 2 and 3 are full-script hits: the whole route restores, nothing
-	// executes, and each still bills the full per-run step delta.
-	perRun := plainStats.Steps / 3
-	if memoStats.SnapshotHits != 2 || memoStats.SnapshotRestores != 2 {
-		t.Errorf("hits/restores = %d/%d, want 2/2", memoStats.SnapshotHits, memoStats.SnapshotRestores)
-	}
-	if want := 2 * perRun; memoStats.StepsSaved != want {
-		t.Errorf("steps saved = %d, want %d (two fully restored runs)", memoStats.StepsSaved, want)
-	}
-	if plainStats.StepsSaved != 0 || plainStats.SnapshotHits != 0 {
-		t.Errorf("plain run charged snapshot stats: %+v", plainStats)
+	if fresh.Steps() != perRun || fresh.RestoredSteps() != perRun || fresh.ExecutedSteps() != 0 {
+		t.Errorf("restore billed steps/restored/executed = %d/%d/%d, want %d/%d/0",
+			fresh.Steps(), fresh.RestoredSteps(), fresh.ExecutedSteps(), perRun, perRun)
 	}
 }
 
-// TestSnapshotPrefixResume pins the evolutionary-loop pattern: a child route
-// extending a memoized parent resumes from the parent's full snapshot and
-// executes only the appended suffix.
+// TestSnapshotPrefixResume pins the evolutionary-loop pattern against the
+// session's own runs: a child route extending a parent, run from launch by
+// the session, ends where a device resumed from the parent's snapshot ends
+// after executing only the appended suffix — same screen, log and step
+// count, with the parent's steps restored and only the suffix's executed.
 func TestSnapshotPrefixResume(t *testing.T) {
-	app, err := corpus.BuildApp(demoApp(t))
+	app, err := corpus.BuildApp(corpus.DemoSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	memo := session.NewSnapshotMemo(0)
-	s := session.New(app, session.Options{AutoDismiss: true, Snapshots: memo})
+	s := session.New(app, session.Options{AutoDismiss: true})
 
 	parent := launchScript()
 	d1, res, ok := s.RunScript(parent, session.PurposeLaunch)
@@ -132,7 +208,8 @@ func TestSnapshotPrefixResume(t *testing.T) {
 	}
 	parentSteps := d1.Steps()
 
-	child := parent.Append("child", robotium.Click(corpus.NavButtonRef("Main", "Detail")))
+	suffix := robotium.Click(corpus.NavButtonRef("Main", "Detail"))
+	child := parent.Append("child", suffix)
 	d2, res, ok := s.RunScript(child, session.PurposeReplay)
 	if !ok || res.Err != nil {
 		t.Fatalf("child run: ok=%v err=%v", ok, res.Err)
@@ -140,137 +217,26 @@ func TestSnapshotPrefixResume(t *testing.T) {
 	if res.Executed != len(child.Ops) {
 		t.Errorf("child executed = %d, want %d", res.Executed, len(child.Ops))
 	}
-	if d2.RestoredSteps() != parentSteps {
-		t.Errorf("restored steps = %d, want the parent's %d", d2.RestoredSteps(), parentSteps)
+
+	resumed := device.New(app, device.Options{})
+	if err := resumed.Restore(d1.Snapshot()); err != nil {
+		t.Fatalf("Restore: %v", err)
 	}
-	if d2.ExecutedSteps() >= parentSteps {
-		t.Errorf("suffix executed %d steps, not less than the %d-step parent", d2.ExecutedSteps(), parentSteps)
+	rr := robotium.Run(resumed, robotium.Script{Name: "suffix", Ops: []robotium.Op{suffix}}, robotium.Options{AutoDismiss: true})
+	if rr.Err != nil || rr.Executed != 1 {
+		t.Fatalf("suffix run: executed=%d err=%v", rr.Executed, rr.Err)
 	}
-	if cur, err := d2.CurrentActivity(); err != nil || cur != "com.demo.app.Detail" {
+	if got, want := observe(t, resumed), observe(t, d2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("resumed device diverged from the session's child run:\n got: %+v\nwant: %+v", got, want)
+	}
+	if cur, err := resumed.CurrentActivity(); err != nil || cur != "com.demo.app.Detail" {
 		t.Errorf("child landed on %q, %v", cur, err)
 	}
-	if st := s.Stats(); st.SnapshotHits != 1 || st.StepsSaved != parentSteps {
-		t.Errorf("stats = %+v, want 1 hit and %d steps saved", st, parentSteps)
+	if resumed.RestoredSteps() != parentSteps {
+		t.Errorf("restored steps = %d, want the parent's %d", resumed.RestoredSteps(), parentSteps)
 	}
-}
-
-// TestSnapshotMemoContentKey pins the content-based identity: snapshots are
-// keyed by the app's encoded content, so a re-install of the same build (a
-// fresh build of the same spec) serves the memoized prefixes — while an app
-// with different content shares nothing, which is the stale-snapshot
-// invalidation that used to ride on pointer identity.
-func TestSnapshotMemoContentKey(t *testing.T) {
-	first, err := corpus.BuildApp(demoApp(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := session.NewSnapshotMemo(0)
-	s1 := session.New(first, session.Options{AutoDismiss: true, Snapshots: memo})
-	if _, res, ok := s1.RunScript(launchScript(), session.PurposeLaunch); !ok || res.Err != nil {
-		t.Fatalf("seed run: ok=%v err=%v", ok, res.Err)
-	}
-	if memo.Len() == 0 {
-		t.Fatal("seed run memoized nothing")
-	}
-
-	reinstalled, err := corpus.BuildApp(demoApp(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, n, _ := memo.LongestPrefix(reinstalled, true, launchScript().Ops); snap == nil || n != len(launchScript().Ops) {
-		t.Fatalf("content-identical re-install missed the memo: n=%d", n)
-	}
-	s2 := session.New(reinstalled, session.Options{AutoDismiss: true, Snapshots: memo})
-	if _, res, ok := s2.RunScript(launchScript(), session.PurposeLaunch); !ok || res.Err != nil {
-		t.Fatalf("re-install run: ok=%v err=%v", ok, res.Err)
-	}
-	if st := s2.Stats(); st.SnapshotHits != 1 || st.StepsSaved == 0 {
-		t.Errorf("re-install run did not resume from the shared snapshot: %+v", st)
-	}
-
-	other, err := corpus.BuildApp(corpus.PaperSpec(corpus.PaperRows()[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap, n, _ := memo.LongestPrefix(other, true, launchScript().Ops); snap != nil || n != 0 {
-		t.Fatalf("snapshot leaked across different app content: n=%d", n)
-	}
-}
-
-// TestSnapshotMemoConcurrent is the -race stress test: many sessions on
-// independent goroutines share one memo while replaying overlapping routes.
-// Every session must end with identical counters and collector observations.
-func TestSnapshotMemoConcurrent(t *testing.T) {
-	app, err := corpus.BuildApp(demoApp(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Capacity 3 is below the run's 4 distinct prefixes, so workers race
-	// through eviction churn as well as hits and stores.
-	memo := session.NewSnapshotMemo(3)
-	routes := []robotium.Script{
-		launchScript(),
-		launchScript().Append("tab", robotium.Click(corpus.TabButtonRef("Main", "Recent"))),
-		launchScript().Append("nav", robotium.Click(corpus.NavButtonRef("Main", "Detail"))),
-		launchScript().Append("drawer",
-			robotium.Click(corpus.NavButtonRef("Main", "Detail")),
-			robotium.Click(corpus.DrawerToggleRef("Detail"))),
-	}
-
-	const workers = 8
-	stats := make([]session.Stats, workers)
-	counts := make([]int, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := session.New(app, session.Options{AutoDismiss: true, Snapshots: memo})
-			for i := 0; i < 6; i++ {
-				for _, route := range routes {
-					if _, res, ok := s.RunScript(route, session.PurposeReplay); !ok || res.Err != nil {
-						t.Errorf("worker %d: ok=%v err=%v", w, ok, res.Err)
-						return
-					}
-				}
-			}
-			stats[w] = s.Stats()
-			counts[w] = observations(s.Collector())
-		}()
-	}
-	wg.Wait()
-
-	for w := 1; w < workers; w++ {
-		if stats[w].Steps != stats[0].Steps || stats[w].TestCases != stats[0].TestCases {
-			t.Errorf("worker %d stats diverged: %+v vs %+v", w, stats[w], stats[0])
-		}
-		if counts[w] != counts[0] {
-			t.Errorf("worker %d collector count %d, worker 0 %d", w, counts[w], counts[0])
-		}
-	}
-	if counts[0] == 0 {
-		t.Error("collector observed nothing; test is vacuous")
-	}
-}
-
-// TestSnapshotMemoEviction pins the LRU bound: the memo never exceeds its
-// capacity.
-func TestSnapshotMemoEviction(t *testing.T) {
-	app, err := corpus.BuildApp(demoApp(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := session.NewSnapshotMemo(2)
-	s := session.New(app, session.Options{AutoDismiss: true, Snapshots: memo})
-	route := launchScript().Append("long",
-		robotium.Click(corpus.NavButtonRef("Main", "Detail")),
-		robotium.Click(corpus.DrawerToggleRef("Detail")),
-		robotium.Click(corpus.MenuButtonRef("Detail", "Settings")))
-	if _, res, ok := s.RunScript(route, session.PurposeReplay); !ok || res.Err != nil {
-		t.Fatalf("run: ok=%v err=%v", ok, res.Err)
-	}
-	if got := memo.Len(); got != 2 {
-		t.Errorf("memo length = %d, want capacity bound 2", got)
+	if resumed.ExecutedSteps() != d2.Steps()-parentSteps {
+		t.Errorf("suffix executed %d steps, want the child's %d less the parent's %d",
+			resumed.ExecutedSteps(), d2.Steps(), parentSteps)
 	}
 }
