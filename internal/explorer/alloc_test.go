@@ -1,0 +1,51 @@
+package explorer
+
+import (
+	"testing"
+
+	"fragdroid/internal/corpus"
+	"fragdroid/internal/statics"
+)
+
+// TestExploreAllocBudget is the allocation regression gate for the explorer's
+// per-test-case overhead: one full ExploreExtracted of com.adobe.reader under
+// the Table I evaluation budget (43 test cases, every one replayed from
+// launch), statics excluded. Measured at 1,670 allocs/op with go1.24 on
+// linux/amd64: the explorer observes each UI state once, its interface key
+// allocates nothing, and its hot transcript lines are built without fmt.
+// Before that the count was 2,193, which this budget rejects. The budget is
+// the measured count plus about 5% for corpus and device growth; a
+// regression here multiplies across every explored app, so it fails loudly
+// instead of surfacing as a slow bench. It is skipped under the race
+// detector, where the device's pooled interpreter frames are dropped at
+// random and the count moves by about 5%.
+func TestExploreAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const budget = 1750
+	var spec *corpus.AppSpec
+	for _, row := range corpus.PaperRows() {
+		if row.Package == "com.adobe.reader" {
+			spec = corpus.PaperSpec(row)
+		}
+	}
+	app, err := corpus.BuildApp(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := statics.Extract(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	cfg.MaxTestCases = 4000
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := ExploreExtracted(ex, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > budget {
+		t.Fatalf("one exploration of com.adobe.reader allocates %.0f objects/op, budget %d", got, budget)
+	}
+}

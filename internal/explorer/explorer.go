@@ -9,8 +9,8 @@ package explorer
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
+	"strconv"
 	"strings"
 
 	"fragdroid/internal/aftm"
@@ -193,6 +193,9 @@ type engine struct {
 
 	model  *aftm.Model
 	visits map[aftm.Node]Visit
+	// visitedActs and visitedFrags count the visits by kind, for the
+	// coverage curve sampled after every test case.
+	visitedActs, visitedFrags int
 
 	// hints maps input-widget refs to their hint text (for InputGen).
 	hints map[string]string
@@ -256,7 +259,7 @@ type workItem struct {
 type iface struct {
 	activity  string
 	fragments string // sorted, comma-joined
-	widgets   string // digest of visible clickable refs
+	widgets   uint64 // FNV-1a over each visible clickable ref and a 0 byte
 }
 
 func (i iface) String() string {
@@ -347,7 +350,7 @@ func (e *engine) Init(ctx *session.DriveContext) error {
 	}
 	e.plan = PlanQueue(e.ex.Model)
 	for _, item := range e.plan {
-		e.s.Notef("queue item %s", item)
+		e.s.Note("queue item " + item.String())
 	}
 	entry, err := e.app.Manifest.EntryActivity()
 	if err != nil {
@@ -360,52 +363,76 @@ func (e *engine) Init(ctx *session.DriveContext) error {
 // coverage feeds the session's curve sampler with the cumulative visited
 // counts.
 func (e *engine) coverage() (acts, frags int) {
-	for n := range e.visits {
-		if n.Kind == aftm.KindActivity {
-			acts++
-		} else {
-			frags++
-		}
-	}
-	return acts, frags
+	return e.visitedActs, e.visitedFrags
 }
 
-// identifyFragments maps a dump to the credited fragment classes: fragments
-// the FragmentManager confirms AND the resource dependency can identify from
-// visible widgets (fragments with no identifiable widgets are trusted from
-// the FragmentManager alone). Fragments loaded without a FragmentManager are
-// never credited — FragDroid "cannot determine whether the Fragment is a
-// real loading" (§VII-B2).
-func (e *engine) identifyFragments(dump device.UIDump) []string {
-	byRes := make(map[string]bool)
-	for _, f := range e.ex.ResDeps.IdentifyFragments(dump.VisibleRefs()) {
-		byRes[f] = true
-	}
-	var out []string
-	for _, f := range dump.FMFragments {
-		if byRes[f] || len(e.ex.ResDeps.ByOwner[f]) == 0 {
-			out = append(out, f)
+// identifyFragments maps a dump to the credited fragment classes, sorted and
+// comma-joined: fragments the FragmentManager confirms AND the resource
+// dependency can identify from visible widgets (fragments with no
+// identifiable widgets are trusted from the FragmentManager alone).
+// Fragments loaded without a FragmentManager are never credited — FragDroid
+// "cannot determine whether the Fragment is a real loading" (§VII-B2).
+func (e *engine) identifyFragments(dump device.UIDump) string {
+	var out string
+	for _, f := range dump.FMFragments { // sorted by the device
+		if len(e.ex.ResDeps.ByOwner[f]) != 0 && !e.identifiedByResource(f, dump) {
+			continue
+		}
+		if out == "" {
+			out = f
+		} else {
+			out += "," + f
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
+// identifiedByResource reports whether a visible widget of the dump belongs
+// to fragment f's layouts (Algorithm 3's resource dependency).
+func (e *engine) identifiedByResource(f string, dump device.UIDump) bool {
+	for _, w := range dump.Widgets {
+		if !w.Visible {
+			continue
+		}
+		for _, loc := range e.ex.ResDeps.ByWidget[w.Ref] { // both keyed by normalized ref
+			if loc.OwnerKind == statics.OwnerFragment && loc.Owner == f {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// FNV-1a parameters of the interface widget digest (those of hash/fnv's
+// New64a, inlined so that the digest allocates nothing).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// observe dumps the device's UI and identifies the interface it shows. The
+// explorer observes each device state once: callers carry the result
+// forward until the next device call.
 func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
 	dump, err := d.Dump()
 	if err != nil {
 		return iface{}, dump, err
 	}
-	frags := e.identifyFragments(dump)
-	h := fnv.New64a()
-	for _, ref := range dump.ClickableRefs() {
-		_, _ = h.Write([]byte(ref))
-		_, _ = h.Write([]byte{0})
+	h := uint64(fnvOffset64)
+	for _, w := range dump.Widgets {
+		if !w.Visible || !w.Clickable {
+			continue
+		}
+		for i := 0; i < len(w.Ref); i++ {
+			h ^= uint64(w.Ref[i])
+			h *= fnvPrime64
+		}
+		h *= fnvPrime64 // the 0 separator byte
 	}
 	return iface{
 		activity:  dump.Activity,
-		fragments: strings.Join(frags, ","),
-		widgets:   fmt.Sprintf("%x", h.Sum64()),
+		fragments: e.identifyFragments(dump),
+		widgets:   h,
 	}, dump, nil
 }
 
@@ -417,9 +444,15 @@ func (e *engine) visit(n aftm.Node, method ReachMethod, route robotium.Script) b
 		return false
 	}
 	e.visits[n] = Visit{Node: n, Method: method, Route: route}
-	e.s.Trace(session.Event{Kind: session.KindVisit, Node: n.String(),
+	if n.Kind == aftm.KindActivity {
+		e.visitedActs++
+	} else {
+		e.visitedFrags++
+	}
+	node, ops := n.String(), strconv.Itoa(len(route.Ops))
+	e.s.Trace(session.Event{Kind: session.KindVisit, Node: node,
 		Method: string(method), Script: route.Name, Ops: len(route.Ops),
-		Msg: fmt.Sprintf("visited %s via %s (%d ops)", n, method, len(route.Ops))})
+		Msg: "visited " + node + " via " + string(method) + " (" + ops + " ops)"})
 	return true
 }
 
@@ -476,7 +509,7 @@ func (e *engine) Propose() (session.TestCase, bool) {
 				e.explored[item.target] = true
 				e.progressed = true
 				return session.TestCase{Run: func() error {
-					e.s.Notef("explore interface %s (reached via %s)", item.target, item.method)
+					e.s.Note("explore interface " + item.target.String() + " (reached via " + string(item.method) + ")")
 					e.exploreInterface(item)
 					return nil
 				}}, true
@@ -555,25 +588,26 @@ func (e *engine) Finish(out *session.Outcome) error {
 }
 
 // replayTo re-provisions a device and replays a route, verifying arrival.
-func (e *engine) replayTo(item workItem) (*device.Device, bool) {
+// It returns the device with the dump it observed at item.target.
+func (e *engine) replayTo(item workItem) (*device.Device, device.UIDump, bool) {
 	d, res, ok := e.s.RunScript(item.route, session.PurposeReplay)
 	if !ok {
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
 	if res.Err != nil {
 		e.s.Notef("replay to %s failed at %q: %v", item.target, res.FailedOp, res.Err)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
-	st, _, err := e.observe(d)
+	st, dump, err := e.observe(d)
 	if err != nil {
 		e.s.Notef("replay to %s: observe failed: %v", item.target, err)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
 	if st != item.target {
 		e.s.Notef("replay diverged: wanted %s, got %s", item.target, st)
-		return nil, false
+		return nil, device.UIDump{}, false
 	}
-	return d, true
+	return d, dump, true
 }
 
 // inputValue resolves the value for an input widget: the analyst input file
@@ -597,42 +631,46 @@ func (e *engine) inputValue(ref string) string {
 // remaining widgets still get clicked. New activities and fragments found on
 // the way trigger Cases 1 and 2. Afterwards, reflection items are generated
 // for the activity's unvisited dependent fragments.
+//
+// Each device state is observed once. cur and dump describe d's current
+// state whenever observed is set: after a replay, after a click that leaves
+// the interface unchanged, and after a BACK that restores it.
 func (e *engine) exploreInterface(item workItem) {
-	d, ok := e.replayTo(item)
+	d, dump, ok := e.replayTo(item)
 	if !ok {
 		return
 	}
-	dump, err := d.Dump()
-	if err != nil {
-		return
-	}
-	if dump.HasDialog {
-		if err := d.DismissDialog(); err == nil {
-			dump, _ = d.Dump()
-		}
+	cur := item.target
+	if dump.HasDialog && d.DismissDialog() == nil {
+		// A failed observation leaves an empty dump: nothing to click.
+		cur, dump, _ = e.observe(d)
 	}
 	clickables := dump.ClickableRefs()
-	e.s.Notef("interface %s: %d clickable widgets", item.target, len(clickables))
+	e.s.Note("interface " + item.target.String() + ": " + strconv.Itoa(len(clickables)) + " clickable widgets")
 
-	fresh := false // d currently sits at the target interface
+	observed := true // cur and dump describe d's current state
+	fresh := false   // d left the target interface: replay before the next click
 	for _, ref := range clickables {
 		if fresh {
-			var ok bool
-			d, ok = e.replayTo(item)
-			if !ok {
+			if d, dump, ok = e.replayTo(item); !ok {
 				return
 			}
-			fresh = false
+			cur, fresh = item.target, false
+		} else if !observed {
+			var err error
+			if cur, dump, err = e.observe(d); err != nil {
+				return
+			}
 		}
-		cur, preDump, err := e.observe(d)
-		if err != nil || cur != item.target {
+		if cur != item.target {
 			return
 		}
+		observed = false
 		// Compute the fill operations once and apply exactly those, so the
 		// recorded route replays the same values even with a stateful
 		// generator (inputgen.Dictionary rotates candidates per call).
-		fillOps := e.fillOps(preDump)
-		ownerFrag := widgetFragment(preDump, ref)
+		fillOps := e.fillOps(dump)
+		ownerFrag := widgetFragment(dump, ref)
 		for _, op := range fillOps {
 			ev := session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value}
 			if err := d.EnterText(op.Ref, op.Value); err != nil {
@@ -653,13 +691,14 @@ func (e *engine) exploreInterface(item workItem) {
 			fresh = true
 			continue
 		}
-		after, _, err := e.observe(d)
+		after, afterDump, err := e.observe(d)
 		if err != nil {
 			fresh = true
 			continue
 		}
 		if after == item.target {
 			// Interface unchanged (or a popup was handled): move on.
+			cur, dump, observed = after, afterDump, true
 			continue
 		}
 		// The interface changed: record transitions and the new state, then
@@ -672,8 +711,8 @@ func (e *engine) exploreInterface(item workItem) {
 		// session instead of replaying from scratch.
 		if e.cfg.UseBackNavigation && after.activity != item.target.activity {
 			if err := d.Back(); err == nil {
-				if back, _, err := e.observe(d); err == nil && back == item.target {
-					fresh = false
+				if back, backDump, err := e.observe(d); err == nil && back == item.target {
+					cur, dump, observed, fresh = back, backDump, true, false
 				}
 			}
 		}

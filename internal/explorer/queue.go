@@ -1,7 +1,7 @@
 package explorer
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 
 	"fragdroid/internal/aftm"
@@ -28,18 +28,41 @@ type PlannedItem struct {
 	Path []aftm.Edge
 }
 
-// String renders the item like a queue log line.
+// String renders the item like a queue log line, in one allocation.
 func (p PlannedItem) String() string {
-	ops := make([]string, 0, len(p.Path))
+	n := 32 + len(p.Start.Name) + len(p.Target.Name) + len(p.Method)
 	for _, e := range p.Path {
-		via := e.Via
-		if via == "" {
-			via = "?"
-		}
-		ops = append(ops, via)
+		n += len(e.Via) + 2
 	}
-	return fmt.Sprintf("#%d %s --[%s]--> %s via %s",
-		p.Index, p.Start, strings.Join(ops, ", "), p.Target, p.Method)
+	var b strings.Builder
+	b.Grow(n)
+	b.WriteByte('#')
+	b.WriteString(strconv.Itoa(p.Index))
+	b.WriteByte(' ')
+	writeNode(&b, p.Start)
+	b.WriteString(" --[")
+	for i, e := range p.Path {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		if e.Via == "" {
+			b.WriteByte('?')
+		} else {
+			b.WriteString(e.Via)
+		}
+	}
+	b.WriteString("]--> ")
+	writeNode(&b, p.Target)
+	b.WriteString(" via ")
+	b.WriteString(string(p.Method))
+	return b.String()
+}
+
+// writeNode writes n as n.String() renders it.
+func writeNode(b *strings.Builder, n aftm.Node) {
+	b.WriteString(n.Kind.String())
+	b.WriteByte(':')
+	b.WriteString(n.Name)
 }
 
 // PlanQueue is the queue-generation module: it traverses the AFTM breadth-

@@ -187,9 +187,14 @@ func (s *Session) Trace(ev Event) {
 	}
 }
 
+// Note emits a note event for an already-built transcript line.
+func (s *Session) Note(msg string) {
+	s.Trace(Event{Kind: KindNote, Msg: msg})
+}
+
 // Notef emits a free-form note event whose Msg becomes a transcript line.
 func (s *Session) Notef(format string, args ...any) {
-	s.Trace(Event{Kind: KindNote, Msg: fmt.Sprintf(format, args...)})
+	s.Note(fmt.Sprintf(format, args...))
 }
 
 // NewDevice provisions a fresh instrumented device: the app installed, the
