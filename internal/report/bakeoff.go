@@ -144,18 +144,13 @@ func RunBakeoff(cfg BakeoffConfig) (*Bakeoff, error) {
 	rows := corpus.PaperRows()
 	exs := make([]*statics.Extraction, len(rows))
 	errs := make([]error, len(rows))
-	limits := StageLimits{}.withDefault(cfg.Parallel)
-	runStaged(len(rows), []stage{
-		{limit: limits.Extract, fn: func(i int) bool {
-			ex, err := cfg.Cache.Extraction(corpus.PaperSpec(rows[i]))
-			if err != nil {
-				errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, err)
-				return false
-			}
-			exs[i] = ex
-			return true
-		}},
-	})
+	forEach(len(rows), cfg.Parallel, defaultWindow(cfg.Parallel), func(i int) {
+		ex, err := cfg.Cache.Extraction(corpus.PaperSpec(rows[i]))
+		if err != nil {
+			errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, err)
+		}
+		exs[i] = ex
+	}, func(int) {})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
@@ -195,28 +190,23 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 	seedMeans := make([][]float64, cfg.Seeds)
 	var fragPctSum float64
 	var baseAPIs, baseCases int
-	limits := StageLimits{}.withDefault(cfg.Parallel)
 	for k := 0; k < cfg.Seeds; k++ {
 		outs := make([]*session.Outcome, len(rows))
 		errs := make([]error, len(rows))
-		runStaged(len(rows), []stage{
-			{limit: limits.Run, fn: func(i int) bool {
-				out, err := strategy.Run(name, exs[i], strategy.Options{
-					Budget:  cfg.Budget,
-					Seed:    cfg.BaseSeed + int64(k),
-					Inputs:  cfg.Inputs,
-					Curve:   true,
-					Library: lib,
-				})
-				if err != nil {
-					errs[i] = fmt.Errorf("report: %s on %s (seed %d): %w",
-						name, rows[i].Package, cfg.BaseSeed+int64(k), err)
-					return false
-				}
-				outs[i] = out
-				return true
-			}},
-		})
+		forEach(len(rows), cfg.Parallel, defaultWindow(cfg.Parallel), func(i int) {
+			out, err := strategy.Run(name, exs[i], strategy.Options{
+				Budget:  cfg.Budget,
+				Seed:    cfg.BaseSeed + int64(k),
+				Inputs:  cfg.Inputs,
+				Curve:   true,
+				Library: lib,
+			})
+			if err != nil {
+				errs[i] = fmt.Errorf("report: %s on %s (seed %d): %w",
+					name, rows[i].Package, cfg.BaseSeed+int64(k), err)
+			}
+			outs[i] = out
+		}, func(int) {})
 		if err := errors.Join(errs...); err != nil {
 			return BakeoffRow{}, err
 		}

@@ -39,9 +39,6 @@ type EvalConfig struct {
 	// simulated device). Zero or one means sequential. Results are
 	// positionally ordered either way, so all derived tables are identical.
 	Parallel int
-	// Stages optionally bounds each pipeline stage separately; zero fields
-	// fall back to Parallel. See StageLimits.
-	Stages StageLimits
 	// Cache memoizes app builds and static extractions across runs. Nil
 	// means the process-wide artifact.Default cache.
 	Cache *artifact.Cache
@@ -52,14 +49,6 @@ type EvalConfig struct {
 	// Deprecated: ignored; one app is always explored on one device. Kept
 	// only until the benchmark driver stops setting it.
 	Devices int
-	// Stream schedules the corpus through the streaming pipeline: a bounded
-	// window of in-flight apps, each folded into the result in corpus order
-	// as it completes. Every result and derived table is bit-identical to
-	// the staged run; only scheduling changes.
-	Stream bool
-	// Window bounds in-flight apps in streaming mode; zero derives a default
-	// from the stage limits. Ignored without Stream.
-	Window int
 }
 
 func (cfg EvalConfig) cache() *artifact.Cache {
@@ -119,16 +108,15 @@ func (ev *Evaluation) TotalStats() session.Stats {
 	return total
 }
 
-// RunEvaluation builds the 15 Table I apps and explores each with FragDroid,
-// as a staged pipeline: build, extract and explore have independent
-// concurrency limits (cfg.Stages, defaulting to cfg.Parallel), so one app
-// can be exploring while the next is still building. Builds and static
+// RunEvaluation builds the 15 Table I apps and explores each with the
+// configured strategy, cfg.Parallel apps at a time: each worker builds,
+// extracts and explores one app straight through. Builds and static
 // extractions are memoized through cfg's artifact cache, so repeated runs
 // (ablations, benchmarks) only pay for exploration. The result order (and
 // hence every derived table) is identical to a sequential run because each
-// app's exploration is self-contained and deterministic and the fold is
-// positional. Per-app failures are aggregated with errors.Join rather than
-// reported first-only.
+// app's exploration is self-contained and deterministic and each result
+// lands in its own slot. Per-app failures are aggregated with errors.Join
+// rather than reported first-only.
 func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 	strat := cfg.Strategy
 	if strat == "" {
@@ -140,78 +128,46 @@ func RunEvaluation(cfg EvalConfig) (*Evaluation, error) {
 	}
 	rows := corpus.PaperRows()
 	cache := cfg.cache()
-	limits := cfg.Stages.withDefault(cfg.Parallel)
 	results := make([]AppResult, len(rows))
-	apps := make([]*apk.App, len(rows))
-	exs := make([]*statics.Extraction, len(rows))
 	errs := make([]error, len(rows))
-
-	// One spec per row, shared by the build and extract stages: the cache only
-	// reads specs (key derivation, and BuildApp on a cold miss), so there is no
-	// reason to generate each app's spec twice per run.
-	specs := make([]*corpus.AppSpec, len(rows))
-	for i := range rows {
-		specs[i] = corpus.PaperSpec(rows[i])
-	}
-
-	stages := []stage{
-		{limit: limits.Build, fn: func(i int) bool {
-			app, err := cache.App(specs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("report: build %s: %w", rows[i].Package, err)
-				return false
-			}
-			apps[i] = app
-			return true
-		}},
-		{limit: limits.Extract, fn: func(i int) bool {
-			ex, err := cache.Extraction(specs[i])
-			if err != nil {
-				errs[i] = fmt.Errorf("report: extract %s: %w", rows[i].Package, err)
-				return false
-			}
-			exs[i] = ex
-			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
-			if strat == "explorer" {
-				res, err := explorer.ExploreExtracted(exs[i], cfg.Explorer)
-				if err != nil {
-					errs[i] = fmt.Errorf("report: explore %s: %w", rows[i].Package, err)
-					return false
-				}
-				results[i] = AppResult{Row: rows[i], App: apps[i], Result: res, Outcome: strategy.FromExplorer(res)}
-				return true
-			}
-			out, err := strategy.Run(strat, exs[i], strategy.Options{
-				Budget:   cfg.Explorer.MaxTestCases,
-				Seed:     cfg.Seed,
-				Inputs:   cfg.Explorer.Inputs,
-				Observer: cfg.Explorer.Observer,
-				Curve:    true,
-			})
-			if err != nil {
-				errs[i] = fmt.Errorf("report: %s on %s: %w", strat, rows[i].Package, err)
-				return false
-			}
-			results[i] = AppResult{Row: rows[i], App: apps[i], Outcome: out}
-			return true
-		}},
-	}
-	if cfg.Stream {
-		window := cfg.Window
-		if window <= 0 {
-			window = streamWindow(limits)
-		}
-		runStreamed(len(rows), window, stages, func(int) {})
-	} else {
-		runStaged(len(rows), stages)
-	}
-
+	forEach(len(rows), cfg.Parallel, defaultWindow(cfg.Parallel), func(i int) {
+		results[i], errs[i] = evaluateApp(strat, rows[i], cache, cfg)
+	}, func(int) {})
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
 	return &Evaluation{Strategy: strat, Apps: results}, nil
+}
+
+// evaluateApp builds, extracts and explores one corpus app.
+func evaluateApp(strat string, row corpus.PaperRow, cache *artifact.Cache, cfg EvalConfig) (AppResult, error) {
+	spec := corpus.PaperSpec(row)
+	app, err := cache.App(spec)
+	if err != nil {
+		return AppResult{}, fmt.Errorf("report: build %s: %w", row.Package, err)
+	}
+	ex, err := cache.Extraction(spec)
+	if err != nil {
+		return AppResult{}, fmt.Errorf("report: extract %s: %w", row.Package, err)
+	}
+	if strat == "explorer" {
+		res, err := explorer.ExploreExtracted(ex, cfg.Explorer)
+		if err != nil {
+			return AppResult{}, fmt.Errorf("report: explore %s: %w", row.Package, err)
+		}
+		return AppResult{Row: row, App: app, Result: res, Outcome: strategy.FromExplorer(res)}, nil
+	}
+	out, err := strategy.Run(strat, ex, strategy.Options{
+		Budget:   cfg.Explorer.MaxTestCases,
+		Seed:     cfg.Seed,
+		Inputs:   cfg.Explorer.Inputs,
+		Observer: cfg.Explorer.Observer,
+		Curve:    true,
+	})
+	if err != nil {
+		return AppResult{}, fmt.Errorf("report: %s on %s: %w", strat, row.Package, err)
+	}
+	return AppResult{Row: row, App: app, Outcome: out}, nil
 }
 
 // Table1Row is one measured row of Table I.
@@ -316,28 +272,24 @@ type StudyConfig struct {
 	// Seed selects the deterministic 217-app dataset variant.
 	Seed int64
 	// Parallel analyzes up to that many apps concurrently. Zero or one means
-	// sequential; results are identical either way (per-app outcomes are
-	// collected positionally and folded in dataset order).
+	// sequential; results are identical either way (outcomes are folded in
+	// dataset order).
 	Parallel int
-	// Stages optionally bounds each pipeline stage separately; zero fields
-	// fall back to Parallel. See StageLimits.
-	Stages StageLimits
 	// Cache memoizes app builds across runs. Nil means artifact.Default.
 	Cache *artifact.Cache
 	// Source optionally overrides the corpus: any random-access spec source —
 	// typically corpus.NewFamily for corpus-scale runs — instead of the fixed
-	// 217-app corpus.StudySpecs(Seed). With a lazy source and Stream set, the
-	// run never materializes a spec slice.
+	// 217-app corpus.StudySpecs(Seed). A lazy source never materializes a
+	// spec slice.
 	Source corpus.SpecSource
-	// Stream switches the run from the positional fold (one result slot per
-	// app, peak heap O(corpus)) to the streaming fold: a bounded window of
-	// in-flight apps, each folded into the aggregate in dataset order and
-	// then released — evicted from the artifact cache, its spec, app and IR
-	// program dropped. Peak heap is O(Window), and every derived number is
-	// bit-identical to the positional fold (the two paths share one fold).
+	// Stream releases each app once it has folded: its artifact-cache
+	// entries are evicted, so its spec, app and IR program become garbage.
+	// Peak heap is then O(Window) however large the corpus. Without it the
+	// cache keeps every app the run built, for later runs to reuse. Every
+	// derived number is the same either way.
 	Stream bool
-	// Window bounds in-flight apps in streaming mode; zero derives a default
-	// from the stage limits. Ignored without Stream.
+	// Window bounds the apps in flight (admitted, not yet folded); zero
+	// derives max(2·Parallel, 4).
 	Window int
 }
 
@@ -347,11 +299,7 @@ func RunStudy(seed int64) (*StudyResult, error) {
 }
 
 // studyFold accumulates the study aggregate one app at a time, in dataset
-// order. Both the positional fold (RunStudyWith) and the streaming fold
-// (RunStudyStreamed) run every app through this exact code, which is what
-// makes their results bit-identical by construction rather than by test
-// luck: the only thing streaming changes is when an app's outcome reaches
-// add, never what add does with it.
+// order.
 type studyFold struct {
 	res  *StudyResult
 	cats map[string]*CategoryStat
@@ -405,61 +353,31 @@ func (f *studyFold) finish() *StudyResult {
 
 // RunStudyWith performs the §VII-A study: build each app (packed apps fail
 // decompilation, as in the paper) and statically scan the class hierarchy for
-// Fragment subclass usage. The build and scan stages pipeline independently
-// (cfg.Stages, defaulting to cfg.Parallel); the fold over outcomes is always
-// sequential in dataset order, so counts and the ByCategory breakdown match
-// a serial run exactly. With cfg.Stream the run delegates to the streaming
-// fold (bounded live set, same numbers); without it, outcomes are collected
-// positionally — peak heap O(corpus), fine for the 217-app dataset.
+// Fragment subclass usage. Apps are scanned cfg.Parallel at a time and folded
+// in dataset order, so counts and the ByCategory breakdown match a serial
+// run exactly.
 func RunStudyWith(cfg StudyConfig) (*StudyResult, error) {
-	if cfg.Stream {
-		res, _, err := RunStudyStreamed(cfg)
-		return res, err
-	}
+	res, _, err := runStudy(cfg)
+	return res, err
+}
+
+// runStudy is the one body behind RunStudyWith and RunStudyStreamed. It
+// also returns the in-flight high-water mark.
+func runStudy(cfg StudyConfig) (*StudyResult, int, error) {
 	src := cfg.source()
-	n := src.Len()
-	specs := make([]*corpus.AppSpec, n)
-	for i := range specs {
-		specs[i] = src.At(i)
-	}
 	cache := cfg.cacheOrDefault()
-	limits := cfg.Stages.withDefault(cfg.Parallel)
-
-	type outcome struct {
-		packed    bool
-		fragments bool
+	fold := newStudyFold(src.Len())
+	maxLive, err := foldCorpus(cfg, src, "study build", func(spec *corpus.AppSpec) (bool, error) {
+		app, err := cache.App(spec)
+		if err != nil {
+			return false, err
+		}
+		return usesFragments(app), nil
+	}, fold.add)
+	if err != nil {
+		return nil, 0, err
 	}
-	apps := make([]*apk.App, n)
-	outs := make([]outcome, n)
-	errs := make([]error, n)
-	runStaged(n, []stage{
-		{limit: limits.Build, fn: func(i int) bool {
-			app, err := cache.App(specs[i])
-			if errors.Is(err, apk.ErrPacked) {
-				outs[i].packed = true
-				return false
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("report: study build %s: %w", specs[i].Package, err)
-				return false
-			}
-			apps[i] = app
-			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
-			outs[i].fragments = usesFragments(apps[i])
-			return true
-		}},
-	})
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-
-	fold := newStudyFold(n)
-	for i := range specs {
-		fold.add(specs[i].Package, outs[i].packed, outs[i].fragments)
-	}
-	return fold.finish(), nil
+	return fold.finish(), maxLive, nil
 }
 
 func (cfg StudyConfig) cacheOrDefault() *artifact.Cache {
@@ -467,6 +385,15 @@ func (cfg StudyConfig) cacheOrDefault() *artifact.Cache {
 		return cfg.Cache
 	}
 	return artifact.Default
+}
+
+// window resolves the in-flight bound: an explicit Window wins, else the
+// default for Parallel.
+func (cfg StudyConfig) window() int {
+	if cfg.Window > 0 {
+		return cfg.Window
+	}
+	return defaultWindow(cfg.Parallel)
 }
 
 // source resolves the corpus: an explicit Source wins, else the fixed

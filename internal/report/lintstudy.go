@@ -1,15 +1,12 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
 
-	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/lint"
-	"fragdroid/internal/statics"
 )
 
 // CeilingRow compares, for one corpus app, the static reachability ceiling
@@ -143,9 +140,7 @@ func newLintStudy(total int) *LintStudy {
 	}
 }
 
-// add folds one app's lint outcome into the aggregate. Both the positional
-// and the streaming paths fold through here, so their summaries are
-// identical by construction.
+// add folds one app's lint outcome into the aggregate.
 func (s *LintStudy) add(packed bool, diags []lint.Diagnostic) {
 	if packed {
 		s.Packed++
@@ -166,110 +161,22 @@ func (s *LintStudy) add(packed bool, diags []lint.Diagnostic) {
 }
 
 // RunLintStudy lints every analyzable app of the dataset study, through the
-// same artifact cache (and with the same staged pipeline and sequential
-// in-order fold) as the other corpus runs. cfg.Source overrides the corpus
-// and cfg.Stream selects the bounded-memory streaming fold, exactly as in
-// RunStudyWith: extractions are linted as they complete and released right
-// after folding, so a corpus-scale lint sweep holds O(Window) extractions.
+// same artifact cache and the same in-order fold as the fragment study.
+// cfg.Source overrides the corpus, and cfg.Stream releases each app once it
+// has folded, so a corpus-scale lint sweep holds O(Window) extractions.
 func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 	src := cfg.source()
-	n := src.Len()
 	cache := cfg.cacheOrDefault()
-	parallel := cfg.Parallel
-	if parallel < 1 {
-		parallel = 1
-	}
-	limits := cfg.Stages.withDefault(parallel)
-
-	if cfg.Stream {
-		window := cfg.Window
-		if window <= 0 {
-			window = streamWindow(limits)
-		}
-		type slot struct {
-			spec   *corpus.AppSpec
-			ex     *statics.Extraction
-			packed bool
-			diags  []lint.Diagnostic
-			err    error
-		}
-		slots := make([]slot, window)
-		s := newLintStudy(n)
-		var errs []error
-		runStreamed(n, window, []stage{
-			{limit: limits.Extract, fn: func(i int) bool {
-				sl := &slots[i%window]
-				*sl = slot{spec: src.At(i)}
-				ex, err := cache.Extraction(sl.spec)
-				if errors.Is(err, apk.ErrPacked) {
-					sl.packed = true
-					return false
-				}
-				if err != nil {
-					sl.err = fmt.Errorf("report: lint study %s: %w", sl.spec.Package, err)
-					return false
-				}
-				sl.ex = ex
-				return true
-			}},
-			{limit: limits.Run, fn: func(i int) bool {
-				sl := &slots[i%window]
-				sl.diags = lint.Run(sl.ex)
-				return true
-			}},
-		}, func(i int) {
-			sl := &slots[i%window]
-			if sl.err != nil {
-				errs = append(errs, sl.err)
-			} else {
-				s.add(sl.packed, sl.diags)
-			}
-			cache.Evict(sl.spec)
-			*sl = slot{}
-		})
-		if err := errors.Join(errs...); err != nil {
+	s := newLintStudy(src.Len())
+	_, err := foldCorpus(cfg, src, "lint study", func(spec *corpus.AppSpec) ([]lint.Diagnostic, error) {
+		ex, err := cache.Extraction(spec)
+		if err != nil {
 			return nil, err
 		}
-		return s, nil
-	}
-
-	specs := make([]*corpus.AppSpec, n)
-	for i := range specs {
-		specs[i] = src.At(i)
-	}
-	type outcome struct {
-		packed bool
-		diags  []lint.Diagnostic
-	}
-	exs := make([]*statics.Extraction, n)
-	outs := make([]outcome, n)
-	errs := make([]error, n)
-	runStaged(n, []stage{
-		{limit: limits.Extract, fn: func(i int) bool {
-			ex, err := cache.Extraction(specs[i])
-			if errors.Is(err, apk.ErrPacked) {
-				outs[i].packed = true
-				return false
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("report: lint study %s: %w", specs[i].Package, err)
-				return false
-			}
-			exs[i] = ex
-			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
-			outs[i].diags = lint.Run(exs[i])
-			return true
-		}},
-	})
-	if err := errors.Join(errs...); err != nil {
+		return lint.Run(ex), nil
+	}, func(_ string, packed bool, diags []lint.Diagnostic) { s.add(packed, diags) })
+	if err != nil {
 		return nil, err
-	}
-
-	s := newLintStudy(n)
-	for _, o := range outs {
-		s.add(o.packed, o.diags)
 	}
 	return s, nil
 }

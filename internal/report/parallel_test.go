@@ -81,49 +81,6 @@ func TestParallelStudyMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStagedLimitsMatchSequential checks that uneven per-stage concurrency
-// limits — the pipelined scheduler's reason to exist — still produce the
-// exact sequential tables and study result. Limits are chosen so every
-// combination of "stage saturated / stage serial" occurs at least once.
-func TestStagedLimitsMatchSequential(t *testing.T) {
-	seq := evaluation(t)
-
-	for _, limits := range []StageLimits{
-		{Build: 4, Extract: 1, Run: 2},
-		{Build: 1, Extract: 3, Run: 1},
-		{Build: 2, Extract: 2, Run: 4},
-	} {
-		cfg := DefaultEvalConfig()
-		cfg.Stages = limits
-		par, err := RunEvaluation(cfg)
-		if err != nil {
-			t.Fatalf("staged %+v RunEvaluation: %v", limits, err)
-		}
-		if !reflect.DeepEqual(seq.BuildTable1(), par.BuildTable1()) {
-			t.Fatalf("staged %+v Table I differs from sequential", limits)
-		}
-		if seq.BuildTable2().ComputeStats() != par.BuildTable2().ComputeStats() {
-			t.Fatalf("staged %+v Table II stats differ from sequential", limits)
-		}
-	}
-
-	want, err := RunStudyWith(StudyConfig{Seed: 1, Cache: artifact.NewCache()})
-	if err != nil {
-		t.Fatalf("sequential RunStudyWith: %v", err)
-	}
-	got, err := RunStudyWith(StudyConfig{
-		Seed:   1,
-		Stages: StageLimits{Build: 6, Run: 2},
-		Cache:  artifact.NewCache(),
-	})
-	if err != nil {
-		t.Fatalf("staged RunStudyWith: %v", err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("staged study differs from sequential:\nseq: %+v\nstg: %+v", want, got)
-	}
-}
-
 // TestEvaluationCacheZeroRebuilds checks that a second evaluation against a
 // warmed cache performs no app builds and no static extractions, and that
 // its headline numbers are bit-identical to the first (cold) run.

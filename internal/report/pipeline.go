@@ -1,212 +1,131 @@
 package report
 
 import (
+	"errors"
+	"fmt"
 	"sync"
-	"sync/atomic"
+
+	"fragdroid/internal/apk"
+	"fragdroid/internal/corpus"
 )
 
-// The corpus runs are staged pipelines: every app flows through up to three
-// stages — build (corpus generation or store load), extract (static
-// analysis), run (dynamic exploration or scan) — followed by a sequential
-// fold over positional result slots. Stages have independent concurrency
-// limits, so an app can be exploring while the next one is still building:
-// unlike a flat per-app worker pool, a slow stage only throttles itself, and
-// with a persistent artifact store the disk reads of later apps overlap the
-// compute of earlier ones.
+// Every corpus run is a loop over independent apps whose outcomes are folded
+// in corpus order. forEach is the one scheduler behind all of them: a pool
+// of workers runs each app's whole work (build, extract, then run or scan)
+// and the caller folds the apps in index order.
 //
-// Determinism is unaffected by any of this. Stage functions write only to
-// their own index's slots, the fold always walks the slots in dataset order,
-// and per-app errors are aggregated with errors.Join over the positional
-// error slice, so every derived table is identical to a sequential run.
+// Determinism is unaffected by the schedule. A work call writes only its own
+// item's state, fold walks the items in dataset order, and per-app errors
+// are joined in that order, so every derived table is identical to a
+// sequential run.
 
-// StageLimits bounds the per-stage concurrency of a pipeline run. Zero
-// fields fall back to the coarse Parallel knob of the owning config, so
-// existing callers that only set Parallel keep their exact behaviour.
-type StageLimits struct {
-	// Build bounds concurrent app builds (or artifact-store loads).
-	Build int
-	// Extract bounds concurrent static extractions.
-	Extract int
-	// Run bounds concurrent dynamic runs (explorations, scans, lints). Each
-	// run owns a simulated device, so this is the stage that controls peak
-	// memory.
-	Run int
+// defaultWindow is the in-flight bound every corpus run uses unless a study
+// sets its own: twice the workers, so the in-order fold catching up never
+// idles a worker, with a floor of 4 for near-serial runs.
+func defaultWindow(parallel int) int {
+	return max(2*parallel, 4)
 }
 
-// withDefault fills zero fields with the coarse parallelism knob.
-func (l StageLimits) withDefault(parallel int) StageLimits {
-	if l.Build == 0 {
-		l.Build = parallel
-	}
-	if l.Extract == 0 {
-		l.Extract = parallel
-	}
-	if l.Run == 0 {
-		l.Run = parallel
-	}
-	return l
-}
-
-// serial reports whether every stage is capped at one worker; such runs skip
-// goroutines entirely and drive each item through all stages in order.
-func (l StageLimits) serial() bool {
-	return l.Build <= 1 && l.Extract <= 1 && l.Run <= 1
-}
-
-// stage couples one pipeline stage's concurrency limit with its work
-// function. The function receives the item index and reports whether the
-// item continues to the next stage; a false return (error or early outcome,
-// recorded by the closure in its positional slot) drops the item.
-type stage struct {
-	limit int
-	fn    func(i int) bool
-}
-
-// runStaged drives items 0..n-1 through the stages. Each item advances
-// through the stages in order without barriers between items; per-stage
-// semaphores bound how many items occupy a stage at once. With every limit
-// at most one the items run strictly sequentially on the calling goroutine.
-// runStreamed drives items 0..n-1 through the stages like runStaged, but
-// with two differences that turn the positional fold into a streaming one:
+// forEach runs work(i) for items 0..n-1 on min(parallel, window) worker
+// goroutines and calls fold(i) on the calling goroutine, exactly once per
+// item and strictly in index order.
 //
-//   - Admission control. At most window items are in flight (admitted, not
-//     yet folded) at any moment, enforced by a counting semaphore whose token
-//     is released only AFTER the item's fold completes. A worker goroutine
-//     exists only per in-flight item, so a 10k-app corpus runs on window
-//     goroutines, not 10k.
+// At most window items are in flight (admitted, not yet folded): item
+// i+window is admitted only after fold(i) has returned. Callers may
+// therefore keep item i's state in a ring slot indexed i%window; no two live
+// items ever share a slot. A 10k-app corpus thus holds O(window) apps, not
+// O(corpus).
 //
-//   - Incremental fold. Each completed item is handed to fold exactly once,
-//     in index order, on the calling goroutine — the same sequential,
-//     deterministic fold discipline as the positional slices, minus the
-//     slices. Out-of-order completions park in a pending set bounded by
-//     window.
-//
-// Together these give callers a ring-buffer contract: state for item i may
-// live in a slot indexed i%window, because item i+window is admitted only
-// after fold(i) has returned and released its token — a slot is never
-// touched by two live items at once.
-//
-// The return value is the high-water mark of in-flight items (≤ window by
-// construction); bounded-memory tests assert on it. With window <= 1 or
-// every stage limit at 1, items run strictly sequentially on the calling
-// goroutine.
-func runStreamed(n, window int, stages []stage, fold func(i int)) int {
+// The return value is the high-water mark of in-flight items, which is at
+// most window. With parallel <= 1 or window <= 1 the items run strictly
+// sequentially on the calling goroutine.
+func forEach(n, parallel, window int, work, fold func(i int)) (maxLive int) {
 	if n <= 0 {
 		return 0
 	}
-	if window < 1 {
-		window = 1
-	}
-	serial := window == 1
-	if !serial {
-		serial = true
-		for _, s := range stages {
-			if s.limit > 1 {
-				serial = false
-			}
-		}
-	}
-	if serial {
+	if parallel <= 1 || window <= 1 {
 		for i := 0; i < n; i++ {
-			for _, s := range stages {
-				if !s.fn(i) {
-					break
-				}
-			}
+			work(i)
 			fold(i)
 		}
 		return 1
 	}
-	sems := make([]chan struct{}, len(stages))
-	for j, s := range stages {
-		if s.limit > 0 {
-			sems[j] = make(chan struct{}, s.limit)
-		}
-	}
-	admit := make(chan struct{}, window)
-	done := make(chan int)
-	var admitted atomic.Int64
-	go func() {
-		for i := 0; i < n; i++ {
-			admit <- struct{}{}
-			admitted.Add(1)
-			go func(i int) {
-				for j, s := range stages {
-					if sems[j] != nil {
-						sems[j] <- struct{}{}
-					}
-					ok := s.fn(i)
-					if sems[j] != nil {
-						<-sems[j]
-					}
-					if !ok {
-						break
-					}
-				}
+	// Both channels hold at most the window's items, so neither send below
+	// ever blocks: the caller admits only after a fold, and a worker reports
+	// only an admitted item.
+	jobs := make(chan int, window)
+	done := make(chan int, window)
+	var wg sync.WaitGroup
+	for w := 0; w < min(parallel, window); w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				work(i)
 				done <- i
-			}(i)
-		}
-	}()
-	next := 0
-	maxLive := 0
-	pending := make(map[int]bool, window)
-	for next < n {
+			}
+		}()
+	}
+	admitted := min(window, n)
+	for i := 0; i < admitted; i++ {
+		jobs <- i
+	}
+	finished := make([]bool, window)
+	for next := 0; next < n; {
 		i := <-done
-		pending[i] = true
-		if live := int(admitted.Load()) - next; live > maxLive {
-			maxLive = live
-		}
-		for pending[next] {
-			delete(pending, next)
+		finished[i%window] = true
+		maxLive = max(maxLive, admitted-next)
+		for next < n && finished[next%window] {
+			finished[next%window] = false
 			fold(next)
 			next++
-			<-admit
+			if admitted < n {
+				jobs <- admitted
+				admitted++
+			}
 		}
 	}
+	close(jobs)
+	wg.Wait()
 	return maxLive
 }
 
-func runStaged(n int, stages []stage) {
-	serial := true
-	for _, s := range stages {
-		if s.limit > 1 {
-			serial = false
+// foldCorpus is the study-shaped corpus run behind the fragment study and
+// the lint study. It scans every app of cfg's corpus, cfg.Parallel apps at a
+// time, and hands each outcome to add in dataset order. A packed app (its
+// decompilation fails, as in the paper) reaches add with packed set and a
+// zero outcome. With cfg.Stream each app is evicted from the cache once it
+// has folded. It returns the in-flight high-water mark and every other
+// per-app error, joined in dataset order.
+func foldCorpus[T any](cfg StudyConfig, src corpus.SpecSource, what string,
+	scan func(*corpus.AppSpec) (T, error), add func(pkg string, packed bool, out T)) (int, error) {
+	cache := cfg.cacheOrDefault()
+	window := cfg.window()
+	slots := make([]corpusSlot[T], window)
+	var errs []error
+	maxLive := forEach(src.Len(), cfg.Parallel, window, func(i int) {
+		s := &slots[i%window]
+		s.spec = src.At(i)
+		s.out, s.err = scan(s.spec)
+	}, func(i int) {
+		s := &slots[i%window]
+		packed := errors.Is(s.err, apk.ErrPacked)
+		if s.err != nil && !packed {
+			errs = append(errs, fmt.Errorf("report: %s %s: %w", what, s.spec.Package, s.err))
+		} else {
+			add(s.spec.Package, packed, s.out)
 		}
-	}
-	if serial {
-		for i := 0; i < n; i++ {
-			for _, s := range stages {
-				if !s.fn(i) {
-					break
-				}
-			}
+		if cfg.Stream {
+			cache.Evict(s.spec)
 		}
-		return
-	}
-	sems := make([]chan struct{}, len(stages))
-	for j, s := range stages {
-		if s.limit > 0 {
-			sems[j] = make(chan struct{}, s.limit)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for j, s := range stages {
-				if sems[j] != nil {
-					sems[j] <- struct{}{}
-				}
-				ok := s.fn(i)
-				if sems[j] != nil {
-					<-sems[j]
-				}
-				if !ok {
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
+		*s = corpusSlot[T]{}
+	})
+	return maxLive, errors.Join(errs...)
+}
+
+// corpusSlot holds one in-flight app of a foldCorpus run.
+type corpusSlot[T any] struct {
+	spec *corpus.AppSpec
+	out  T
+	err  error
 }

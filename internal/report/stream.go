@@ -1,32 +1,10 @@
 package report
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
-
-	"fragdroid/internal/apk"
-	"fragdroid/internal/corpus"
 )
-
-// streamWindow derives the default in-flight window from the stage limits:
-// twice the widest stage, so the fold catching up never starves a stage,
-// with a small floor for near-serial configurations.
-func streamWindow(l StageLimits) int {
-	w := l.Build
-	if l.Extract > w {
-		w = l.Extract
-	}
-	if l.Run > w {
-		w = l.Run
-	}
-	w *= 2
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
 
 // StreamStats reports how a streamed corpus run behaved: throughput, the
 // admission window, the observed in-flight high-water mark (≤ Window by
@@ -89,99 +67,32 @@ func (h *heapSampler) stop() uint64 {
 	return h.peak
 }
 
-// RunStudyStreamed performs the fragment-usage study as a streaming,
-// bounded-memory pipeline — the corpus-scale path behind `fragstudy -corpus
-// family -stream`. The scheduler admits at most Window apps at a time; each
-// admitted app materializes its spec from the lazy source, builds (or
-// store-loads), is scanned, folds into the aggregate in dataset order, and
-// is then released: its artifact-cache entries evicted, its ring slot
-// cleared, so the spec, the built app, its compiled IR program and its
-// extraction all become garbage the moment the fold has consumed them. Peak
-// heap is O(Window · app size) however large the corpus — the property the
-// bounded-heap regression test pins — and the resulting StudyResult is
-// bit-identical to RunStudyWith on the same corpus because both paths run
-// the same studyFold in the same order.
+// RunStudyStreamed is RunStudyWith plus a measurement of the run: elapsed
+// time, throughput, the in-flight high-water mark and the sampled peak heap.
+// It is the corpus-scale path behind `fragstudy -corpus family -stream`,
+// which also sets cfg.Stream, so each app is released once it has folded and
+// peak heap stays O(Window · app size) however large the corpus. The
+// StudyResult is the one RunStudyWith returns for the same config.
 func RunStudyStreamed(cfg StudyConfig) (*StudyResult, *StreamStats, error) {
-	src := cfg.source()
-	n := src.Len()
-	cache := cfg.cacheOrDefault()
-	parallel := cfg.Parallel
-	if parallel < 1 {
-		parallel = 1
-	}
-	limits := cfg.Stages.withDefault(parallel)
-	window := cfg.Window
-	if window <= 0 {
-		window = streamWindow(limits)
-	}
-
-	// Ring slots: item i lives in slot i%window. runStreamed guarantees item
-	// i+window is admitted only after fold(i) returned, so a slot is never
-	// shared by two live items.
-	type slot struct {
-		spec      *corpus.AppSpec
-		app       *apk.App
-		packed    bool
-		fragments bool
-		err       error
-	}
-	slots := make([]slot, window)
-	fold := newStudyFold(n)
-	var errs []error
-
 	sampler := startHeapSampler(0)
 	start := time.Now()
-	maxLive := runStreamed(n, window, []stage{
-		{limit: limits.Build, fn: func(i int) bool {
-			s := &slots[i%window]
-			*s = slot{spec: src.At(i)}
-			app, err := cache.App(s.spec)
-			if errors.Is(err, apk.ErrPacked) {
-				s.packed = true
-				return false
-			}
-			if err != nil {
-				s.err = fmt.Errorf("report: study build %s: %w", s.spec.Package, err)
-				return false
-			}
-			s.app = app
-			return true
-		}},
-		{limit: limits.Run, fn: func(i int) bool {
-			s := &slots[i%window]
-			s.fragments = usesFragments(s.app)
-			return true
-		}},
-	}, func(i int) {
-		s := &slots[i%window]
-		if s.err != nil {
-			errs = append(errs, s.err)
-		} else {
-			fold.add(s.spec.Package, s.packed, s.fragments)
-		}
-		// Release: drop the cache's entries and the slot's references. The
-		// app, its program and everything hanging off them are now
-		// unreachable; the persistent store (if any) keeps its copy.
-		cache.Evict(s.spec)
-		*s = slot{}
-	})
+	res, maxLive, err := runStudy(cfg)
 	elapsed := time.Since(start)
 	peak := sampler.stop()
-
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		return nil, nil, err
 	}
 	st := &StreamStats{
-		Apps:          n,
-		Window:        window,
+		Apps:          res.Total,
+		Window:        cfg.window(),
 		MaxLive:       maxLive,
 		Elapsed:       elapsed,
 		PeakHeapBytes: peak,
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		st.AppsPerSec = float64(n) / secs
+		st.AppsPerSec = float64(st.Apps) / secs
 	}
-	return fold.finish(), st, nil
+	return res, st, nil
 }
 
 // RenderStreamStats renders the streamed-run summary line block.

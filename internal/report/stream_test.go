@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync/atomic"
@@ -11,13 +12,14 @@ import (
 	"fragdroid/internal/corpus"
 )
 
-// TestRunStreamedFoldsInOrderWithinWindow drives the streaming scheduler
-// with jittered stage timing and checks its whole contract at once: every
-// item is folded exactly once, strictly in index order, the in-flight
-// high-water mark never exceeds the window, and a ring slot indexed i%window
-// is never written by a new item before the previous occupant was folded.
+// TestRunStreamedFoldsInOrderWithinWindow drives the scheduler with
+// jittered work and checks its whole contract at once: every item is folded
+// exactly once, strictly in index order; at most parallel work calls run at
+// once, and at least two do; the in-flight high-water mark never exceeds the
+// window; and a ring slot indexed i%window is never written by a new item
+// before the previous occupant was folded.
 func TestRunStreamedFoldsInOrderWithinWindow(t *testing.T) {
-	const n, window = 100, 7
+	const n, parallel, window = 100, 3, 7
 	rng := rand.New(rand.NewSource(42))
 	delays := make([]time.Duration, n)
 	for i := range delays {
@@ -27,19 +29,17 @@ func TestRunStreamedFoldsInOrderWithinWindow(t *testing.T) {
 	for i := range slots {
 		slots[i] = -1
 	}
+	var running, maxRunning atomic.Int64
 	var folded []int
-	maxLive := runStreamed(n, window, []stage{
-		{limit: 4, fn: func(i int) bool {
-			if !atomic.CompareAndSwapInt64(&slots[i%window], -1, int64(i)) {
-				t.Errorf("slot %d still occupied by %d when item %d arrived", i%window, slots[i%window], i)
-			}
-			time.Sleep(delays[i])
-			return true
-		}},
-		{limit: 3, fn: func(i int) bool {
-			time.Sleep(delays[(i*13)%n])
-			return i%10 != 3 // some items drop mid-pipeline; they still fold
-		}},
+	maxLive := forEach(n, parallel, window, func(i int) {
+		if !atomic.CompareAndSwapInt64(&slots[i%window], -1, int64(i)) {
+			t.Errorf("slot %d still occupied by %d when item %d arrived", i%window, atomic.LoadInt64(&slots[i%window]), i)
+		}
+		r := running.Add(1)
+		for m := maxRunning.Load(); r > m && !maxRunning.CompareAndSwap(m, r); m = maxRunning.Load() {
+		}
+		time.Sleep(delays[i])
+		running.Add(-1)
 	}, func(i int) {
 		folded = append(folded, i)
 		atomic.StoreInt64(&slots[i%window], -1)
@@ -52,23 +52,29 @@ func TestRunStreamedFoldsInOrderWithinWindow(t *testing.T) {
 			t.Fatalf("fold out of order at %d: got item %d", i, v)
 		}
 	}
+	if m := maxRunning.Load(); m < 2 || m > parallel {
+		t.Errorf("%d work calls ran at once, want in [2, %d]", m, parallel)
+	}
 	if maxLive < 2 || maxLive > window {
 		t.Errorf("maxLive=%d, want in [2, %d]", maxLive, window)
 	}
 }
 
-// TestRunStreamedSerial pins the sequential fallback: window 1 folds items
-// on the calling goroutine with at most one in flight.
+// TestRunStreamedSerial pins the sequential fallback: with window 1 or one
+// worker, each item is worked and then folded on the calling goroutine
+// before the next starts, with at most one in flight.
 func TestRunStreamedSerial(t *testing.T) {
-	var order []int
-	live := runStreamed(5, 1, []stage{
-		{limit: 8, fn: func(i int) bool { return true }},
-	}, func(i int) { order = append(order, i) })
-	if live != 1 {
-		t.Errorf("serial maxLive=%d, want 1", live)
-	}
-	if !reflect.DeepEqual(order, []int{0, 1, 2, 3, 4}) {
-		t.Errorf("serial fold order %v", order)
+	for _, c := range []struct{ parallel, window int }{{8, 1}, {1, 8}} {
+		var order []string
+		live := forEach(3, c.parallel, c.window,
+			func(i int) { order = append(order, fmt.Sprint("w", i)) },
+			func(i int) { order = append(order, fmt.Sprint("f", i)) })
+		if live != 1 {
+			t.Errorf("%+v: serial maxLive=%d, want 1", c, live)
+		}
+		if want := []string{"w0", "f0", "w1", "f1", "w2", "f2"}; !reflect.DeepEqual(order, want) {
+			t.Errorf("%+v: serial order %v, want %v", c, order, want)
+		}
 	}
 }
 
@@ -83,7 +89,7 @@ func TestStreamedStudyParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamed, st, err := RunStudyStreamed(StudyConfig{
-		Seed: 1, Parallel: 8, Window: 5, Cache: artifact.NewCache(),
+		Seed: 1, Parallel: 8, Window: 5, Stream: true, Cache: artifact.NewCache(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,68 +142,44 @@ func TestStreamedLintParity(t *testing.T) {
 	}
 }
 
-// TestStreamedEvalParity runs the 15-app Table I evaluation both ways and
-// requires bit-identical rendered tables — coverage averages, the sensitive
-// matrix, run metrics. Streaming must be a pure scheduling change.
-func TestStreamedEvalParity(t *testing.T) {
-	run := func(stream bool) *Evaluation {
-		t.Helper()
-		cfg := DefaultEvalConfig()
-		cfg.Parallel = 6
-		cfg.Stream = stream
-		cfg.Window = 4
-		cfg.Cache = artifact.NewCache()
-		ev, err := RunEvaluation(cfg)
+// TestStreamedFamilyBoundedLiveSet pins the release discipline on a family
+// corpus, for the study and for the lint sweep. With Stream the artifact
+// cache holds zero live entries after the run: every app was evicted once it
+// folded. Without it the cache keeps every entry the run created. The
+// results agree either way.
+func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
+	fam := corpus.NewFamily(300, 2)
+	for _, c := range []struct {
+		name string
+		run  func(StudyConfig) (any, error)
+	}{
+		{"study", func(cfg StudyConfig) (any, error) {
+			res, st, err := RunStudyStreamed(cfg)
+			if err == nil && (res.Total != 300 || res.Analyzable == 0 || st.MaxLive > st.Window) {
+				t.Errorf("streamed family study off: %+v, %+v", res, st)
+			}
+			return res, err
+		}},
+		{"lint", func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
+	} {
+		released, kept := artifact.NewCache(), artifact.NewCache()
+		streamed, err := c.run(StudyConfig{Source: fam, Parallel: 8, Window: 6, Stream: true, Cache: released})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return ev
-	}
-	staged := run(false)
-	streamed := run(true)
-	if got, want := RenderTable1(streamed.BuildTable1()), RenderTable1(staged.BuildTable1()); got != want {
-		t.Errorf("Table I differs under streaming:\n--- staged ---\n%s\n--- streamed ---\n%s", want, got)
-	}
-	if got, want := RenderTable2(streamed.BuildTable2()), RenderTable2(staged.BuildTable2()); got != want {
-		t.Error("Table II differs under streaming")
-	}
-	a1, f1, fiva1 := staged.BuildTable1().Averages()
-	a2, f2, fiva2 := streamed.BuildTable1().Averages()
-	if a1 != a2 || f1 != f2 || fiva1 != fiva2 {
-		t.Errorf("averages differ: staged (%.2f %.2f %.2f) streamed (%.2f %.2f %.2f)",
-			a1, f1, fiva1, a2, f2, fiva2)
-	}
-}
-
-// TestStreamedFamilyBoundedLiveSet pins the release discipline on a family
-// corpus: after a streamed run the artifact cache holds zero live entries
-// (every app was evicted at fold time), and the in-flight high-water mark
-// respected the window.
-func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
-	cache := artifact.NewCache()
-	fam := corpus.NewFamily(300, 2)
-	res, st, err := RunStudyStreamed(StudyConfig{
-		Source: fam, Parallel: 8, Window: 6, Cache: cache,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Total != 300 || res.Analyzable == 0 {
-		t.Fatalf("family study shape off: %+v", res)
-	}
-	if st.MaxLive > st.Window {
-		t.Errorf("max in-flight %d exceeded window %d", st.MaxLive, st.Window)
-	}
-	if live := cache.Live(); live != 0 {
-		t.Errorf("cache holds %d live entries after streamed run, want 0 (release leak)", live)
-	}
-	// The positional fold over the same lazy source agrees exactly.
-	positional, err := RunStudyWith(StudyConfig{Source: fam, Parallel: 8, Cache: artifact.NewCache()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(positional, res) {
-		t.Error("streamed family study diverged from positional fold")
+		positional, err := c.run(StudyConfig{Source: fam, Parallel: 8, Cache: kept})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if live := released.Live(); live != 0 {
+			t.Errorf("%s: cache holds %d live entries after a streamed run, want 0 (release leak)", c.name, live)
+		}
+		if live, created := kept.Live(), kept.Stats().Misses; created == 0 || uint64(live) != created {
+			t.Errorf("%s: cache holds %d live entries without Stream, want all %d the run created", c.name, live, created)
+		}
+		if !reflect.DeepEqual(positional, streamed) {
+			t.Errorf("%s: streamed family run diverged from the run without Stream", c.name)
+		}
 	}
 }
 
@@ -214,7 +196,7 @@ func TestStreamedFamilyBoundedHeap(t *testing.T) {
 	peakAt := func(n int) uint64 {
 		t.Helper()
 		_, st, err := RunStudyStreamed(StudyConfig{
-			Source: corpus.NewFamily(n, 2), Parallel: 8, Window: 8, Cache: artifact.NewCache(),
+			Source: corpus.NewFamily(n, 2), Parallel: 8, Window: 8, Stream: true, Cache: artifact.NewCache(),
 		})
 		if err != nil {
 			t.Fatal(err)
