@@ -1,9 +1,14 @@
 package smali
 
-import "testing"
+import (
+	"fmt"
+	"slices"
+	"testing"
+)
 
 // FuzzParseClass: the parser must never panic and, whenever it accepts an
-// input, the writer must produce source the parser accepts again.
+// input, the writer must produce source the parser reads back as the same
+// class, every operand included.
 func FuzzParseClass(f *testing.F) {
 	f.Add(".class Lp/A;\n.super Landroid/app/Activity;\n")
 	f.Add(".class public Lcom/x/Main;\n.super Landroid/app/Activity;\n.method onCreate()V\n    set-content-view @layout/main\n.end method\n")
@@ -21,8 +26,8 @@ func FuzzParseClass(f *testing.F) {
 		if err != nil {
 			t.Fatalf("writer output rejected: %v\ninput: %q\noutput:\n%s", err, src, out)
 		}
-		if c2.Name != c.Name || c2.Super != c.Super || len(c2.Methods) != len(c.Methods) {
-			t.Fatalf("round trip changed structure: %+v vs %+v", c2, c)
+		if err := roundTripDiff(c, c2); err != nil {
+			t.Fatalf("round trip changed the class: %v\ninput: %q\noutput:\n%s", err, src, out)
 		}
 	})
 }
@@ -67,9 +72,30 @@ func FuzzParseProgram(f *testing.F) {
 			if err != nil {
 				t.Fatalf("writer output rejected for %s: %v\noutput:\n%s", name, err, out)
 			}
-			if c2.Name != c.Name || c2.Super != c.Super || len(c2.Methods) != len(c.Methods) {
-				t.Fatalf("round trip changed %s: %+v vs %+v", name, c2, c)
+			if err := roundTripDiff(c, c2); err != nil {
+				t.Fatalf("round trip changed %s: %v\noutput:\n%s", name, err, out)
 			}
 		}
 	})
+}
+
+// roundTripDiff names the first difference between a parsed class and the
+// class parsed back from its written form: name, superclass, method names,
+// and every instruction's opcode and operands, string operands included.
+func roundTripDiff(c, back *Class) error {
+	if back.Name != c.Name || back.Super != c.Super || len(back.Methods) != len(c.Methods) {
+		return fmt.Errorf("structure: %+v vs %+v", back, c)
+	}
+	for i, m := range c.Methods {
+		bm := back.Methods[i]
+		if bm.Name != m.Name || len(bm.Body) != len(m.Body) {
+			return fmt.Errorf("method %s: %d instructions, read back as %s with %d", m.Name, len(m.Body), bm.Name, len(bm.Body))
+		}
+		for j, ins := range m.Body {
+			if b := bm.Body[j]; b.Op != ins.Op || !slices.Equal(b.Args, ins.Args) {
+				return fmt.Errorf("method %s instruction %d: %s %q read back as %s %q", m.Name, j, ins.Op, ins.Args, b.Op, b.Args)
+			}
+		}
+	}
+	return nil
 }

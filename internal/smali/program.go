@@ -50,12 +50,36 @@ func (i Instr) String() string {
 		case argType:
 			parts = append(parts, ToDescriptor(a))
 		case argStr:
-			parts = append(parts, fmt.Sprintf("%q", a))
+			parts = append(parts, quote(a))
 		default:
 			parts = append(parts, a)
 		}
 	}
 	return strings.Join(parts, " ")
+}
+
+// quote renders a string operand the way tokenize reads it back: newline,
+// tab, double quote and backslash are escaped, and every other byte is
+// written as it is.
+func quote(s string) string {
+	var b strings.Builder
+	b.Grow(len(s) + 2)
+	b.WriteByte('"')
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; c {
+		case '\n':
+			b.WriteString(`\n`)
+		case '\t':
+			b.WriteString(`\t`)
+		case '"', '\\':
+			b.WriteByte('\\')
+			b.WriteByte(c)
+		default:
+			b.WriteByte(c)
+		}
+	}
+	b.WriteByte('"')
+	return b.String()
 }
 
 // Method is a named method with an ordered instruction body.
