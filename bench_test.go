@@ -29,7 +29,9 @@ import (
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/inputgen"
+	"fragdroid/internal/layout"
 	"fragdroid/internal/lint"
+	"fragdroid/internal/manifest"
 	"fragdroid/internal/report"
 	"fragdroid/internal/session"
 	"fragdroid/internal/smali"
@@ -455,6 +457,43 @@ func BenchmarkSmaliParse(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := smali.ParseProgram(files); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkXMLParse parses the manifest and layouts of the first 50
+// members of the seed-1 family, the XML a triage run decodes for 50 apps.
+func BenchmarkXMLParse(b *testing.B) {
+	type doc struct {
+		name string
+		data []byte
+	}
+	var manifests, layouts []doc
+	fam := corpus.NewFamily(50, 1)
+	for i := 0; i < fam.Len(); i++ {
+		arch, err := corpus.BuildArchive(fam.At(i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, _ := arch.Get(apk.ManifestPath)
+		manifests = append(manifests, doc{data: data})
+		for _, p := range arch.WithPrefix(apk.LayoutDir) {
+			data, _ := arch.Get(p)
+			layouts = append(layouts, doc{p, data})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, d := range manifests {
+			if _, err := manifest.Parse(d.data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for _, d := range layouts {
+			if _, err := layout.Parse(d.name, d.data); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }
