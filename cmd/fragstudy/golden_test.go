@@ -1,15 +1,21 @@
 package main
 
 import (
+	"cmp"
+	"crypto/sha256"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"fragdroid/internal/session"
 )
 
-var update = flag.Bool("update", false, "rewrite the report goldens in testdata from this build")
+var update = flag.Bool("update", false, "rewrite the report goldens and trace digests in testdata from this build")
 
 // reportGoldens are the fragstudy reports checked in under testdata, one
 // golden per mode. Every mode runs with -cache off, so no store state leaks
@@ -57,6 +63,55 @@ func TestReportGoldens(t *testing.T) {
 					strings.Join(g.args, " "), path, firstDiff(got, string(want)))
 			}
 		})
+	}
+}
+
+// TestTraceDigests runs fragstudy -table1 -trace at -parallel 2 and compares
+// the SHA-256 of each app's events, sorted by seq, with that app's line of
+// testdata/trace.sha256. Parallel apps interleave in the file, so its raw
+// bytes depend on -parallel; each app's events do not. Regenerate the file
+// only with `go test ./cmd/fragstudy -run TestTraceDigests -update`, and say
+// in the change why each digest moved.
+func TestTraceDigests(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	runStdout(t, []string{"-table1", "-trace", path, "-parallel", "2", "-cache", "off"})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []session.Event
+	if err := json.Unmarshal(data, &events); err != nil {
+		t.Fatal(err)
+	}
+	slices.SortFunc(events, func(a, b session.Event) int {
+		return cmp.Or(strings.Compare(a.App, b.App), cmp.Compare(a.Seq, b.Seq))
+	})
+	var got strings.Builder
+	for len(events) > 0 {
+		n := 1
+		for n < len(events) && events[n].App == events[0].App {
+			n++
+		}
+		data, err := json.Marshal(events[:n])
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&got, "%x  %s\n", sha256.Sum256(data), events[0].App)
+		events = events[n:]
+	}
+	const golden = "testdata/trace.sha256"
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got.String() != string(want) {
+		t.Errorf("fragstudy -table1 -trace digests differ from %s:\n%s", golden, firstDiff(got.String(), string(want)))
 	}
 }
 
