@@ -1,7 +1,6 @@
 GO ?= go
-BENCH_STAMP := $(shell date -u +%Y%m%dT%H%M%SZ)
 
-.PHONY: build test race vet lint bench bench-json bench-diff bench-check compare-smoke directed-smoke fuzz-smoke
+.PHONY: build test race vet lint bench-smoke bench-check compare-smoke directed-smoke fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -47,40 +46,12 @@ fuzz-smoke:
 		done; \
 	done; [ $$n -gt 0 ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; }
 
-# bench writes the full benchmark log (the reproduction record) to a
-# timestamped file so runs can be compared over time.
-bench:
-	$(GO) test -bench . -benchmem -run '^$$' . | tee BENCH_$(BENCH_STAMP).txt
-
-# bench-json runs the perf-record benchmarks (cold write-through study vs
-# warm disk-served study, and the Table I evaluation against a warm store)
-# and renders the result as JSON. Each benchmark line is parsed by unit token
-# rather than by column, so custom metrics flow through as JSON fields next
-# to ns_per_op/bytes_per_op/allocs_per_op. The derived ratio warm_speedup is
-# cold/warm on the study; host_cpus records GOMAXPROCS.
-#
-# On top of the microbenchmarks, the target streams a STUDY_N-app generated
-# family through `fragstudy -corpus family -stream` (cache off: pure
-# generate-build-scan-release throughput, no disk tier) and merges the
-# resulting record in, adding the FamilyStudyStream row (ns_per_op is
-# per-app wall time) and the top-level apps_per_sec / peak_heap_bytes
-# numbers. BENCHTIME trades accuracy for time (CI uses a short count and a
-# small STUDY_N as a smoke signal; the checked-in BENCH_PR10.json comes from
-# BENCHTIME=10x, STUDY_N=10000).
-BENCHTIME ?= 10x
-BENCH_JSON ?= BENCH_PR10.json
-STUDY_N ?= 10000
-
-# bench-diff compares two bench-json records benchmark by benchmark:
-# per-benchmark ns/op, B/op and allocs/op deltas plus both records' derived
-# ratios. Defaults compare the current perf record against the previous one;
-# CI reuses the script with --min-ratio and --min-rel floors as parity gates
-# on smoke runs.
-BENCH_DIFF_OLD ?= BENCH_PR9.json
-BENCH_DIFF_NEW ?= $(BENCH_JSON)
-
-bench-diff:
-	python3 scripts/bench_diff.py $(BENCH_DIFF_OLD) $(BENCH_DIFF_NEW)
+# bench-smoke runs every Go benchmark in the module once, so a benchmark that
+# no longer runs fails the target; `go test -bench .` finds them, so a new
+# benchmark joins without an edit here. One iteration measures nothing: the
+# repository benchmark is bench/fragbench (see bench-check and bench/run.sh).
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # bench-check vets and tests the repository benchmark (bench/fragbench). It
 # is a module of its own (bench/go.mod), so the build, vet and test targets
@@ -116,35 +87,3 @@ directed-smoke:
 	$(GO) run ./cmd/fragstudy -directed -seed $(DIRECTED_SEED) -cache off \
 		-directedjson $(DIRECTED_JSON)
 	@cat $(DIRECTED_JSON)
-
-bench-json:
-	$(GO) test -run '^$$' -bench 'StudyColdCache|StudyWarmCache|EvaluationWarmCache' \
-		-benchtime $(BENCHTIME) -benchmem ./internal/report/ \
-	| awk 'BEGIN { print "{"; print "  \"benchmarks\": [" } \
-	/^Benchmark/ { \
-		name = $$1; \
-		if (match(name, /-[0-9]+$$/)) cpus = substr(name, RSTART + 1, RLENGTH - 1); \
-		sub(/^Benchmark/, "", name); sub(/-[0-9]+$$/, "", name); \
-		line = sprintf("    {\"name\": \"%s\", \"iterations\": %s", name, $$2); \
-		for (i = 3; i < NF; i += 2) { \
-			v = $$i; u = $$(i+1); \
-			if (u == "ns/op") { key = "ns_per_op"; ns[name] = v } \
-			else if (u == "B/op") key = "bytes_per_op"; \
-			else if (u == "allocs/op") key = "allocs_per_op"; \
-			else { key = u; gsub(/[^A-Za-z0-9_]/, "_", key) } \
-			line = line sprintf(", \"%s\": %s", key, v); \
-		} \
-		if (n++) printf ",\n"; \
-		printf "%s}", line } \
-	END { \
-		printf "\n  ]"; \
-		if (cpus == "") cpus = 1; \
-		printf ",\n  \"host_cpus\": %s", cpus; \
-		if (ns["StudyColdCache"] > 0 && ns["StudyWarmCache"] > 0) \
-			printf ",\n  \"warm_speedup\": %.2f", ns["StudyColdCache"] / ns["StudyWarmCache"]; \
-		print "\n}" }' > $(BENCH_JSON).micro
-	$(GO) run ./cmd/fragstudy -corpus family -n $(STUDY_N) -stream -cache off \
-		-streamjson $(BENCH_JSON).stream
-	python3 scripts/bench_merge.py $(BENCH_JSON).micro $(BENCH_JSON).stream > $(BENCH_JSON)
-	rm -f $(BENCH_JSON).micro $(BENCH_JSON).stream
-	@cat $(BENCH_JSON)

@@ -119,6 +119,19 @@ func TestTraceDigests(t *testing.T) {
 // "streamed:" line, which carries wall time and sampled heap.
 func runStdout(t *testing.T, args []string) string {
 	t.Helper()
+	lines := strings.SplitAfter(captureStdout(t, args), "\n")
+	kept := lines[:0]
+	for _, l := range lines {
+		if !strings.HasPrefix(l, "streamed: ") {
+			kept = append(kept, l)
+		}
+	}
+	return strings.Join(kept, "")
+}
+
+// captureStdout runs fragstudy in-process and returns what it printed.
+func captureStdout(t *testing.T, args []string) string {
+	t.Helper()
 	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
@@ -135,14 +148,7 @@ func runStdout(t *testing.T, args []string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.SplitAfter(string(data), "\n")
-	kept := lines[:0]
-	for _, l := range lines {
-		if !strings.HasPrefix(l, "streamed: ") {
-			kept = append(kept, l)
-		}
-	}
-	return strings.Join(kept, "")
+	return string(data)
 }
 
 // firstDiff names the first line where got and want part.

@@ -7,7 +7,6 @@
 //	fragstudy                   # the 217-app fragment-usage study
 //	fragstudy -parallel 8       # same study, 8 apps analyzed concurrently
 //	fragstudy -corpus family -n 10000 -stream  # corpus-scale streamed study
-//	fragstudy -stream -streamjson s.json       # + throughput/peak-heap record
 //	fragstudy -table1           # the Table I coverage run (15 apps)
 //	fragstudy -table2           # the Table II sensitive-operations matrix
 //	fragstudy -baselines        # FragDroid vs Activity-level MBT vs Monkey
@@ -33,10 +32,8 @@
 // max(2·parallel, 4) apps in flight and folds them in dataset order. -stream
 // releases each app from memory once it has folded, so peak heap is
 // O(window), not O(corpus), with the same report; the study then also prints
-// its throughput line. -streamjson writes that throughput record (apps/sec,
-// peak heap, host CPUs) in the bench-json schema scripts/bench_diff.py
-// understands. -trace is written only by the evaluation tables, -directed
-// and -baselines.
+// its throughput line. -trace is written only by the evaluation tables,
+// -directed and -baselines.
 //
 // -parallel must be at least 1 and defaults to the machine's CPU count. It
 // bounds the apps analyzed at once in the study, -lint, the evaluation
@@ -76,31 +73,30 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("fragstudy", flag.ContinueOnError)
 	var (
-		seed       = fs.Int64("seed", 1, "study corpus seed")
-		parallel   = fs.Int("parallel", runtime.NumCPU(), "number of apps analyzed concurrently")
-		corpusSel  = fs.String("corpus", "study", "dataset corpus for the default study and -lint: study (217 apps) or family (generated, -n apps)")
-		famN       = fs.Int("n", 10000, "family corpus size (with -corpus family)")
-		stream     = fs.Bool("stream", false, "release each app from memory once it has folded; the study also prints its throughput line")
-		streamJSON = fs.String("streamjson", "", "with -stream: write the throughput/peak-heap record as bench-json to this file")
-		table1     = fs.Bool("table1", false, "run the Table I coverage evaluation")
-		table2     = fs.Bool("table2", false, "run the Table II sensitive-operations evaluation")
-		baselns    = fs.Bool("baselines", false, "run the FragDroid vs Activity-level MBT vs Monkey comparison")
-		compare    = fs.String("compare", "", "run the strategy bake-off over this comma-separated strategy list (\"all\" for every registered strategy)")
-		cmpJSON    = fs.String("comparejson", "", "with -compare: also write the bake-off result as JSON to this file")
-		budget     = fs.Int("budget", 400, "with -compare: full per-run budget (test cases / events)")
-		seeds      = fs.Int("seeds", 3, "with -compare: number of seeds per strategy (base seed is -seed)")
-		stratSel   = fs.String("strategy", "explorer", "exploration strategy driving the table evaluations (see internal/strategy)")
-		gap        = fs.Bool("gap", false, "run the static-vs-dynamic sensitive-site comparison")
-		ceiling    = fs.Bool("ceiling", false, "run the static reachability ceiling vs dynamic confirmation table")
-		directed   = fs.Bool("directed", false, "run the directed-vs-undirected targeted study and the gap classification")
-		dirJSON    = fs.String("directedjson", "", "with -directed: also write the bench summary as JSON to this file")
-		lintRun    = fs.Bool("lint", false, "run fraglint across the dataset and print the summary")
-		metrics    = fs.Bool("metrics", false, "with -table1/-table2: also print the per-app run-metrics table")
-		trace      = fs.String("trace", "", "write the structured trace events of evaluation runs as JSON to this file (\"-\" for stdout)")
-		cacheDir   = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
-		cpuProf    = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf    = fs.String("memprofile", "", "write a heap profile to this file after the run")
-		interp     = fs.String("interp", device.DefaultInterp(), "interpreter backend for app code: ir (precompiled instruction programs) or classic (tree-walking smali)")
+		seed      = fs.Int64("seed", 1, "study corpus seed")
+		parallel  = fs.Int("parallel", runtime.NumCPU(), "number of apps analyzed concurrently")
+		corpusSel = fs.String("corpus", "study", "dataset corpus for the default study and -lint: study (217 apps) or family (generated, -n apps)")
+		famN      = fs.Int("n", 10000, "family corpus size (with -corpus family)")
+		stream    = fs.Bool("stream", false, "release each app from memory once it has folded; the study also prints its throughput line")
+		table1    = fs.Bool("table1", false, "run the Table I coverage evaluation")
+		table2    = fs.Bool("table2", false, "run the Table II sensitive-operations evaluation")
+		baselns   = fs.Bool("baselines", false, "run the FragDroid vs Activity-level MBT vs Monkey comparison")
+		compare   = fs.String("compare", "", "run the strategy bake-off over this comma-separated strategy list (\"all\" for every registered strategy)")
+		cmpJSON   = fs.String("comparejson", "", "with -compare: also write the bake-off result as JSON to this file")
+		budget    = fs.Int("budget", 400, "with -compare: full per-run budget (test cases / events)")
+		seeds     = fs.Int("seeds", 3, "with -compare: number of seeds per strategy (base seed is -seed)")
+		stratSel  = fs.String("strategy", "explorer", "exploration strategy driving the table evaluations (see internal/strategy)")
+		gap       = fs.Bool("gap", false, "run the static-vs-dynamic sensitive-site comparison")
+		ceiling   = fs.Bool("ceiling", false, "run the static reachability ceiling vs dynamic confirmation table")
+		directed  = fs.Bool("directed", false, "run the directed-vs-undirected targeted study and the gap classification")
+		dirJSON   = fs.String("directedjson", "", "with -directed: also write the bench summary as JSON to this file")
+		lintRun   = fs.Bool("lint", false, "run fraglint across the dataset and print the summary")
+		metrics   = fs.Bool("metrics", false, "with -table1/-table2: also print the per-app run-metrics table")
+		trace     = fs.String("trace", "", "write the structured trace events of evaluation runs as JSON to this file (\"-\" for stdout)")
+		cacheDir  = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile to this file after the run")
+		interp    = fs.String("interp", device.DefaultInterp(), "interpreter backend for app code: ir (precompiled instruction programs) or classic (tree-walking smali)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -129,7 +125,6 @@ func run(args []string) error {
 		ok        bool
 		needs     string
 	}{
-		{"-streamjson", *streamJSON, mode == "study" && *stream, "-stream on the study (not -lint or an evaluation mode)"},
 		{"-trace", *trace, mode == "tables" || mode == "directed" || mode == "baselines", "-table1, -table2, -gap, -ceiling, -directed or -baselines"},
 		{"-comparejson", *cmpJSON, mode == "compare", "-compare"},
 		{"-directedjson", *dirJSON, mode == "directed", "-directed"},
@@ -281,7 +276,7 @@ func run(args []string) error {
 		}
 		fmt.Println(report.RenderStudy(res))
 		fmt.Println(report.RenderStreamStats(st))
-		return writeStreamBench(*streamJSON, st)
+		return nil
 	}
 	res, err := report.RunStudyWith(scfg)
 	if err != nil {
@@ -289,43 +284,6 @@ func run(args []string) error {
 	}
 	fmt.Println(report.RenderStudy(res))
 	return nil
-}
-
-// writeStreamBench writes a streamed run's throughput record in the
-// bench-json schema (a "benchmarks" array plus top-level derived numbers) so
-// scripts/bench_diff.py can diff and gate it like any other perf record. One
-// "op" is one app: ns_per_op is per-app wall time, which stays comparable
-// between the checked-in 10k record and a small CI smoke run.
-func writeStreamBench(path string, st *report.StreamStats) error {
-	if path == "" {
-		return nil
-	}
-	perApp := int64(0)
-	if st.Apps > 0 {
-		perApp = st.Elapsed.Nanoseconds() / int64(st.Apps)
-	}
-	record := struct {
-		Benchmarks []map[string]any `json:"benchmarks"`
-		HostCPUs   int              `json:"host_cpus"`
-		AppsPerSec float64          `json:"apps_per_sec"`
-		PeakHeap   uint64           `json:"peak_heap_bytes"`
-	}{
-		Benchmarks: []map[string]any{{
-			"name":       "FamilyStudyStream",
-			"iterations": st.Apps,
-			"ns_per_op":  perApp,
-			"window":     st.Window,
-			"max_live":   st.MaxLive,
-		}},
-		HostCPUs:   runtime.GOMAXPROCS(0),
-		AppsPerSec: st.AppsPerSec,
-		PeakHeap:   st.PeakHeapBytes,
-	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // openCache maps the -cache flag to an artifact cache: "off" yields a plain

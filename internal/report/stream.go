@@ -10,16 +10,15 @@ import (
 // admission window, the observed in-flight high-water mark (≤ Window by
 // construction — the bound the bounded-memory tests assert), and the peak
 // sampled heap. PeakHeapBytes is a sampled maximum of runtime.MemStats
-// HeapAlloc over the run, not a guaranteed supremum; it is the number
-// BENCH_PR10.json records and the regression test compares across corpus
-// scales.
+// HeapAlloc over the run, not a guaranteed supremum; it is the number the
+// regression test compares across corpus scales.
 type StreamStats struct {
-	Apps          int           `json:"apps"`
-	Window        int           `json:"window"`
-	MaxLive       int           `json:"max_live"`
-	Elapsed       time.Duration `json:"elapsed_ns"`
-	AppsPerSec    float64       `json:"apps_per_sec"`
-	PeakHeapBytes uint64        `json:"peak_heap_bytes"`
+	Apps          int
+	Window        int
+	MaxLive       int
+	Elapsed       time.Duration
+	AppsPerSec    float64
+	PeakHeapBytes uint64
 }
 
 // heapSampler polls runtime.ReadMemStats on a fixed cadence and tracks the
