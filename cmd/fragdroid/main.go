@@ -78,6 +78,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxCases < 1 {
+		return fmt.Errorf("-max-cases must be at least 1, got %d", *maxCases)
+	}
 	// The first of these that is set picks the run.
 	mode := "explore"
 	switch {

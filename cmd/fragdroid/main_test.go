@@ -270,9 +270,9 @@ func TestRunTargetMode(t *testing.T) {
 	}
 }
 
-// TestRunErrors pins the flag boundary: unknown apps and missing files are
-// errors, and so is every flag the selected kind of run never reads. No
-// rejected run may leave a file behind.
+// TestRunErrors pins the flag boundary: unknown apps, missing files and a
+// test case budget below 1 are errors, and so is every flag the selected
+// kind of run never reads. No rejected run may leave a file behind.
 func TestRunErrors(t *testing.T) {
 	const target = "media/Camera.startPreview"
 	out := filepath.Join(t.TempDir(), "out")
@@ -294,6 +294,8 @@ func TestRunErrors(t *testing.T) {
 		{"-strategy", "monkey", "-no-forced-start"},
 		{"-md", "-v"},
 		{"-strategy", "monkey", "-target", target},
+		{"-app", "demo", "-max-cases", "-1"},
+		{"-max-cases", "0"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want error", args)

@@ -35,7 +35,11 @@
 // its throughput line. -trace is written only by the evaluation tables,
 // -directed and -baselines.
 //
-// -parallel must be at least 1 and defaults to the machine's CPU count. It
+// A flag the selected run never reads is an error, and so are two flags that
+// pick different runs (-table1, -table2, -gap and -ceiling pick one run
+// together). -parallel, -seeds, -budget and -n must be at least 1.
+//
+// -parallel defaults to the machine's CPU count. It
 // bounds the apps analyzed at once in the study, -lint, the evaluation
 // tables and -compare; -baselines' two baseline systems and -directed's
 // target study run one app at a time. Results are deterministic and
@@ -48,11 +52,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"fragdroid/internal/artifact"
@@ -101,10 +107,15 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *parallel < 1 {
-		return fmt.Errorf("-parallel must be at least 1, got %d", *parallel)
+	for _, f := range []struct {
+		name string
+		val  int
+	}{{"parallel", *parallel}, {"seeds", *seeds}, {"budget", *budget}, {"n", *famN}} {
+		if f.val < 1 {
+			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.val)
+		}
 	}
-	// The first of these that is set picks the run.
+	// The run-picking flags; two that pick different runs are rejected below.
 	mode := "study"
 	switch {
 	case *lintRun:
@@ -118,20 +129,56 @@ func run(args []string) error {
 	case *compare != "":
 		mode = "compare"
 	}
-	// Each output-file flag is written by one kind of run only; with any other
-	// run it would exit 0 without writing its file.
-	for _, f := range []struct {
-		name, val string
-		ok        bool
-		needs     string
-	}{
-		{"-trace", *trace, mode == "tables" || mode == "directed" || mode == "baselines", "-table1, -table2, -gap, -ceiling, -directed or -baselines"},
-		{"-comparejson", *cmpJSON, mode == "compare", "-compare"},
-		{"-directedjson", *dirJSON, mode == "directed", "-directed"},
-	} {
-		if f.val != "" && !f.ok {
-			return fmt.Errorf("%s needs %s", f.name, f.needs)
+	// Each of these flags is read by the listed runs only; with any other run
+	// it would exit 0 having done nothing with it. A run-picking flag (picks)
+	// reads only the run it picks, so two that pick different runs are an
+	// error. Every other flag (-seed, -parallel, -cache, -interp and the
+	// profile flags) goes with every run, and so does -strategy explorer, the
+	// default spelled out.
+	readers := map[string][]string{
+		"lint":         {"lint"},
+		"table1":       {"tables"},
+		"table2":       {"tables"},
+		"gap":          {"tables"},
+		"ceiling":      {"tables"},
+		"directed":     {"directed"},
+		"baselines":    {"baselines"},
+		"compare":      {"compare"},
+		"strategy":     {"tables"},
+		"metrics":      {"tables"},
+		"trace":        {"tables", "directed", "baselines"},
+		"directedjson": {"directed"},
+		"comparejson":  {"compare"},
+		"budget":       {"compare"},
+		"seeds":        {"compare"},
+		"corpus":       {"study", "lint"},
+		"n":            {"study", "lint"},
+		"stream":       {"study", "lint"},
+	}
+	picks := []string{"lint", "table1", "table2", "gap", "ceiling", "directed", "baselines", "compare"}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		runs, ok := readers[f.Name]
+		if unread != nil || !ok || (f.Name == "strategy" && *stratSel == "explorer") {
+			return
 		}
+		switch {
+		case slices.Contains(runs, mode):
+			if f.Name == "n" && *corpusSel != "family" {
+				unread = errors.New("-n needs -corpus family")
+			}
+		case slices.Contains(picks, f.Name):
+			unread = fmt.Errorf("-%s and %s pick different runs", f.Name, runName(mode))
+		default:
+			needs := make([]string, len(runs))
+			for i, m := range runs {
+				needs[i] = runName(m)
+			}
+			unread = fmt.Errorf("-%s needs %s, not %s", f.Name, strings.Join(needs, " or "), runName(mode))
+		}
+	})
+	if unread != nil {
+		return unread
 	}
 	if err := device.SetDefaultInterp(*interp); err != nil {
 		return err
@@ -146,9 +193,6 @@ func run(args []string) error {
 	switch *corpusSel {
 	case "study":
 	case "family":
-		if *famN < 1 {
-			return fmt.Errorf("-corpus family needs -n >= 1, got %d", *famN)
-		}
 		scfg.Source = corpus.NewFamily(*famN, *seed)
 	default:
 		return fmt.Errorf("unknown corpus %q (want study or family)", *corpusSel)
@@ -205,9 +249,6 @@ func run(args []string) error {
 		}
 		return writeTrace(*trace, buf)
 	case "directed":
-		if cfg.Strategy != "explorer" {
-			return fmt.Errorf("-directed is explorer-only (got -strategy %s)", cfg.Strategy)
-		}
 		ev, err := report.RunEvaluation(cfg)
 		if err != nil {
 			return err
@@ -284,6 +325,18 @@ func run(args []string) error {
 	}
 	fmt.Println(report.RenderStudy(res))
 	return nil
+}
+
+// runName names a kind of run in a flag error: the flag that selects it, or
+// the default study.
+func runName(mode string) string {
+	switch mode {
+	case "study":
+		return "the default study"
+	case "tables":
+		return "a table run (-table1, -table2, -gap, -ceiling)"
+	}
+	return "-" + mode
 }
 
 // openCache maps the -cache flag to an artifact cache: "off" yields a plain

@@ -106,10 +106,10 @@ func TestRunStreamedLint(t *testing.T) {
 	}
 }
 
-// TestRunCorpusFlagValidation pins the flag boundary of the corpus-scale
-// surface: unknown corpora, non-positive family sizes, and every output-file
-// flag given to a run that would not write it are all rejected, and no file
-// appears.
+// TestRunCorpusFlagValidation pins the flag boundary: unknown corpora,
+// family sizes, budgets and seed counts below 1, every flag given to a run
+// that never reads it, and two flags that pick different runs are all
+// rejected, and no file appears.
 func TestRunCorpusFlagValidation(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "out.json")
 	for _, args := range [][]string{
@@ -120,12 +120,44 @@ func TestRunCorpusFlagValidation(t *testing.T) {
 		{"-trace", out},
 		{"-comparejson", out},
 		{"-table1", "-directedjson", out},
+		{"-compare", "monkey", "-seeds", "-1"},
+		{"-compare", "monkey", "-seeds", "0"},
+		{"-compare", "monkey", "-budget", "-5"},
+		{"-compare", "monkey", "-budget", "0"},
+		{"-table1", "-budget", "50"},
+		{"-baselines", "-seeds", "5"},
+		{"-metrics"},
+		{"-directed", "-metrics"},
+		{"-n", "50"},
+		{"-lint", "-strategy", "monkey"},
+		{"-compare", "explorer", "-stream"},
+		{"-table1", "-directed"},
+		{"-lint", "-table1"},
 	} {
 		if err := run(args); err == nil {
 			t.Errorf("run(%v): want error", args)
 		}
 		if _, err := os.Stat(out); err == nil {
 			t.Fatalf("run(%v) wrote %s", args, out)
+		}
+	}
+}
+
+// TestRunSharedFlags pins the flags that go with every run: -seed,
+// -parallel, -cache, -interp, and -strategy explorer, the default spelled
+// out.
+func TestRunSharedFlags(t *testing.T) {
+	shared := []string{"-seed", "3", "-parallel", "2", "-cache", "off", "-interp", "ir", "-strategy", "explorer"}
+	for _, args := range [][]string{
+		{"-corpus", "family", "-n", "5"},
+		{"-lint", "-corpus", "family", "-n", "5"},
+		{"-table2"},
+		{"-directed"},
+		{"-baselines"},
+		{"-compare", "monkey", "-budget", "20", "-seeds", "1"},
+	} {
+		if err := run(append(args, shared...)); err != nil {
+			t.Errorf("run(%v): %v", args, err)
 		}
 	}
 }
