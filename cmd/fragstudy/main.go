@@ -115,7 +115,8 @@ func run(args []string) error {
 			return fmt.Errorf("-%s must be at least 1, got %d", f.name, f.val)
 		}
 	}
-	// The run-picking flags; two that pick different runs are rejected below.
+	// These flags pick the run; the reader check below rejects two that pick
+	// different runs.
 	mode := "study"
 	switch {
 	case *lintRun:
