@@ -13,14 +13,21 @@
 // archives it writes family_manifest.json recording every member's package,
 // archive file and scenario axes (packed, no-fragments, deeplink,
 // receiver-entry, popup).
+//
+// A flag the selected corpus never reads is an error: -seed goes only with
+// the study and family corpora, -n only with the family, and -cache only
+// with -trace, whose smoke boots read the store. -n must be at least 1.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/artifact"
@@ -50,18 +57,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	dir, err := artifact.ResolveDir(*cacheFlag)
-	if err != nil {
-		return err
+	if *famN < 1 {
+		return fmt.Errorf("-n must be at least 1, got %d", *famN)
 	}
-	cache, err := artifact.NewPersistentCache(dir)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		return err
-	}
-
 	// The corpus is a lazy source, so the family case generates each spec as
 	// it is written instead of materializing -n specs up front.
 	var src corpus.SpecSource
@@ -78,18 +76,45 @@ func run(args []string) error {
 	case "study":
 		src = corpus.SliceSource(corpus.StudySpecs(*seed))
 	case "family":
-		if *famN < 1 {
-			return fmt.Errorf("-corpus family needs -n >= 1, got %d", *famN)
-		}
 		fam = corpus.NewFamily(*famN, *seed)
 		src = fam
 	default:
 		return fmt.Errorf("unknown corpus %q", *which)
 	}
-
+	// Each of these flags is read with the listed corpora only; with any
+	// other it would be dropped silently.
+	readers := map[string][]string{
+		"seed": {"study", "family"},
+		"n":    {"family"},
+	}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		corpora, ok := readers[f.Name]
+		switch {
+		case unread != nil:
+		case f.Name == "cache" && *trace == "":
+			unread = errors.New("-cache needs -trace")
+		case ok && !slices.Contains(corpora, *which):
+			unread = fmt.Errorf("-%s needs -corpus %s, not -corpus %s", f.Name, strings.Join(corpora, " or "), *which)
+		}
+	})
+	if unread != nil {
+		return unread
+	}
+	var cache *artifact.Cache
 	var buf *session.TraceBuffer
 	if *trace != "" {
+		dir, err := artifact.ResolveDir(*cacheFlag)
+		if err != nil {
+			return err
+		}
+		if cache, err = artifact.NewPersistentCache(dir); err != nil {
+			return err
+		}
 		buf = &session.TraceBuffer{}
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		return err
 	}
 	var manifest *familyManifest
 	if fam != nil {

@@ -142,3 +142,27 @@ func TestRunUnknownCorpus(t *testing.T) {
 		t.Fatal("unknown corpus: want error")
 	}
 }
+
+// TestRunRejectsUnreadFlags pins the flag boundary: -n or -seed with a
+// corpus that never reads it, -cache without -trace and -n below 1 are
+// errors, and neither the output directory nor the store appears.
+func TestRunRejectsUnreadFlags(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "store")
+	for _, args := range [][]string{
+		{"-corpus", "study", "-n", "5"},
+		{"-corpus", "paper", "-n", "50", "-seed", "9"},
+		{"-corpus", "paper", "-seed", "9"},
+		{"-corpus", "demo", "-cache", store},
+		{"-corpus", "family", "-n", "0"},
+	} {
+		out := filepath.Join(t.TempDir(), "apps")
+		if err := run(append(args, "-out", out, "-q")); err == nil {
+			t.Errorf("run(%v): want error", args)
+		}
+		for _, dir := range []string{out, store} {
+			if _, err := os.Stat(dir); err == nil {
+				t.Fatalf("run(%v) created %s", args, dir)
+			}
+		}
+	}
+}

@@ -10,6 +10,13 @@
 //	fraglint -study -parallel 8         # lint the 217-app dataset study
 //	fraglint -severity error -json demo
 //
+// -list, -study and -builtin each pick a run; without one, fraglint lints the
+// apps named as arguments (demo if none). A flag the selected run never
+// reads is an error, and so are two flags that pick different runs and app
+// arguments given to a run that picks its own apps: -json goes only with
+// app linting, -seed and -parallel only with -study, and -severity and
+// -cache with every run but -list. -parallel must be at least 1.
+//
 // Exit codes: 0 clean at the chosen severity, 1 worst finding is a warning,
 // 2 worst finding is an error, 3 operational failure (bad flag, unreadable
 // app).
@@ -21,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"fragdroid/internal/apk"
@@ -51,6 +59,29 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 3
 	}
+	// The first of these that is set picks the run; without one, fraglint
+	// lints the named apps.
+	mode := "apps"
+	switch {
+	case *list:
+		mode = "list"
+	case *study:
+		mode = "study"
+	case *builtin:
+		mode = "builtin"
+	}
+	if err := checkFlags(fs, mode, *parallel); err != nil {
+		fmt.Fprintln(stderr, "fraglint:", err)
+		return 3
+	}
+	if *list {
+		fmt.Fprintln(stdout, "built-in corpus apps:")
+		fmt.Fprintln(stdout, "  demo")
+		for _, row := range corpus.PaperRows() {
+			fmt.Fprintf(stdout, "  %s\n", row.Package)
+		}
+		return 0
+	}
 	dir, err := artifact.ResolveDir(*cacheDir)
 	if err != nil {
 		fmt.Fprintln(stderr, "fraglint:", err)
@@ -65,14 +96,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintln(stderr, "fraglint:", err)
 		return 3
-	}
-	if *list {
-		fmt.Fprintln(stdout, "built-in corpus apps:")
-		fmt.Fprintln(stdout, "  demo")
-		for _, row := range corpus.PaperRows() {
-			fmt.Fprintf(stdout, "  %s\n", row.Package)
-		}
-		return 0
 	}
 	if *study {
 		s, err := report.RunLintStudy(report.StudyConfig{Seed: *seed, Parallel: *parallel, Cache: cache})
@@ -134,6 +157,54 @@ func run(args []string, stdout, stderr io.Writer) int {
 			len(all), errors, warnings, len(targets))
 	}
 	return exitCode(lint.MaxSeverity(all), min)
+}
+
+// checkFlags rejects a -parallel below 1, any set flag that mode's run never
+// reads, two flags that pick different runs, and app arguments to a run
+// that picks its own apps. -severity and -cache go with every run but -list.
+func checkFlags(fs *flag.FlagSet, mode string, parallel int) error {
+	if parallel < 1 {
+		return fmt.Errorf("-parallel must be at least 1, got %d", parallel)
+	}
+	readers := map[string][]string{
+		"list":     {"list"},
+		"study":    {"study"},
+		"builtin":  {"builtin"},
+		"json":     {"apps", "builtin"},
+		"severity": {"apps", "builtin", "study"},
+		"cache":    {"apps", "builtin", "study"},
+		"seed":     {"study"},
+		"parallel": {"study"},
+	}
+	var unread error
+	fs.Visit(func(f *flag.Flag) {
+		modes, ok := readers[f.Name]
+		if unread != nil || !ok || slices.Contains(modes, mode) {
+			return
+		}
+		if slices.Contains(modes, f.Name) { // the flag picks a run of its own
+			unread = fmt.Errorf("-%s and %s pick different runs", f.Name, runName(mode))
+			return
+		}
+		needs := make([]string, len(modes))
+		for i, m := range modes {
+			needs[i] = runName(m)
+		}
+		unread = fmt.Errorf("-%s needs %s, not %s", f.Name, strings.Join(needs, " or "), runName(mode))
+	})
+	if unread == nil && mode != "apps" && fs.NArg() > 0 {
+		unread = fmt.Errorf("-%s takes no app arguments, got %s", mode, strings.Join(fs.Args(), " "))
+	}
+	return unread
+}
+
+// runName names a kind of run in a flag error: the flag that picks it, or
+// linting the apps named as arguments.
+func runName(mode string) string {
+	if mode == "apps" {
+		return "named apps"
+	}
+	return "-" + mode
 }
 
 // exitCode grades the run: the worst reported severity picks the code, and

@@ -202,3 +202,24 @@ func TestStudyMode(t *testing.T) {
 		t.Errorf("study summary malformed:\n%s", stdout)
 	}
 }
+
+// TestRejectsUnreadFlags pins the flag boundary: a flag the selected run
+// never reads, two flags that pick different runs, app arguments to a run
+// that picks its own apps and -parallel below 1 all exit 3 with only an
+// error message.
+func TestRejectsUnreadFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-study", "-json"},
+		{"-study", "demo"},
+		{"-builtin", "com.nonexistent"},
+		{"-seed", "9", "-parallel", "4", "demo"},
+		{"-list", "-study"},
+		{"-study", "-parallel", "-3"},
+		{"-study", "-parallel", "0"},
+	} {
+		stdout, stderr, code := runCLI(t, args...)
+		if code != 3 || stdout != "" || stderr == "" {
+			t.Errorf("fraglint %v: exit %d, stdout %q, stderr %q; want exit 3 and an error", args, code, stdout, stderr)
+		}
+	}
+}

@@ -36,7 +36,7 @@ var reportGoldens = []struct {
 	{"study_seed7", []string{"-seed", "7"}},
 	{"monkey_table2_metrics", []string{"-strategy", "monkey", "-table2", "-metrics"}},
 	{"family_stream", []string{"-corpus", "family", "-n", "300", "-stream"}},
-	{"lint_family_stream", []string{"-lint", "-corpus", "family", "-n", "300", "-stream"}},
+	{"lint_family_stream", []string{"-lint", "-corpus", "family", "-n", "300"}},
 }
 
 // TestReportGoldens runs each report in-process and compares its stdout with

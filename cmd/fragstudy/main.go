@@ -6,7 +6,7 @@
 //
 //	fragstudy                   # the 217-app fragment-usage study
 //	fragstudy -parallel 8       # same study, 8 apps analyzed concurrently
-//	fragstudy -corpus family -n 10000 -stream  # corpus-scale streamed study
+//	fragstudy -corpus family -n 10000 -stream  # corpus-scale study + throughput line
 //	fragstudy -table1           # the Table I coverage run (15 apps)
 //	fragstudy -table2           # the Table II sensitive-operations matrix
 //	fragstudy -baselines        # FragDroid vs Activity-level MBT vs Monkey
@@ -29,11 +29,11 @@
 // -corpus selects the dataset corpus behind the default study and -lint:
 // "study" is the paper's 217-app dataset, "family" a generated app family of
 // -n members (deterministic in -seed). Every corpus run keeps at most
-// max(2·parallel, 4) apps in flight and folds them in dataset order. -stream
+// max(2·parallel, 4) apps in flight, folds them in dataset order and
 // releases each app from memory once it has folded, so peak heap is
-// O(window), not O(corpus), with the same report; the study then also prints
-// its throughput line. -trace is written only by the evaluation tables,
-// -directed and -baselines.
+// O(window), not O(corpus). -stream makes the default study also print its
+// streamed: throughput line. -trace is written only by the evaluation
+// tables, -directed and -baselines.
 //
 // A flag the selected run never reads is an error, and so are two flags that
 // pick different runs (-table1, -table2, -gap and -ceiling pick one run
@@ -83,7 +83,7 @@ func run(args []string) error {
 		parallel  = fs.Int("parallel", runtime.NumCPU(), "number of apps analyzed concurrently")
 		corpusSel = fs.String("corpus", "study", "dataset corpus for the default study and -lint: study (217 apps) or family (generated, -n apps)")
 		famN      = fs.Int("n", 10000, "family corpus size (with -corpus family)")
-		stream    = fs.Bool("stream", false, "release each app from memory once it has folded; the study also prints its throughput line")
+		stream    = fs.Bool("stream", false, "with the default study: also print the streamed: throughput line")
 		table1    = fs.Bool("table1", false, "run the Table I coverage evaluation")
 		table2    = fs.Bool("table2", false, "run the Table II sensitive-operations evaluation")
 		baselns   = fs.Bool("baselines", false, "run the FragDroid vs Activity-level MBT vs Monkey comparison")
@@ -154,7 +154,7 @@ func run(args []string) error {
 		"seeds":        {"compare"},
 		"corpus":       {"study", "lint"},
 		"n":            {"study", "lint"},
-		"stream":       {"study", "lint"},
+		"stream":       {"study"},
 	}
 	picks := []string{"lint", "table1", "table2", "gap", "ceiling", "directed", "baselines", "compare"}
 	var unread error
@@ -190,7 +190,7 @@ func run(args []string) error {
 	}
 	// The study configuration shared by the default study and -lint; -corpus
 	// family swaps the 217-app dataset for a lazy generated source.
-	scfg := report.StudyConfig{Seed: *seed, Parallel: *parallel, Cache: cache, Stream: *stream}
+	scfg := report.StudyConfig{Seed: *seed, Parallel: *parallel, Cache: cache}
 	switch *corpusSel {
 	case "study":
 	case "family":

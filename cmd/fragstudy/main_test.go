@@ -97,10 +97,10 @@ func TestRunStreamedStudy(t *testing.T) {
 	}
 }
 
-// TestRunStreamedLint runs fraglint over a family corpus through the
-// streaming fold.
+// TestRunStreamedLint runs fraglint over a family corpus; like every corpus
+// run it releases each app once it has folded.
 func TestRunStreamedLint(t *testing.T) {
-	err := run([]string{"-lint", "-corpus", "family", "-n", "25", "-stream", "-cache", "off"})
+	err := run([]string{"-lint", "-corpus", "family", "-n", "25", "-cache", "off"})
 	if err != nil {
 		t.Fatalf("run streamed family lint: %v", err)
 	}
@@ -131,6 +131,7 @@ func TestRunCorpusFlagValidation(t *testing.T) {
 		{"-n", "50"},
 		{"-lint", "-strategy", "monkey"},
 		{"-compare", "explorer", "-stream"},
+		{"-lint", "-stream"},
 		{"-table1", "-directed"},
 		{"-lint", "-table1"},
 	} {

@@ -215,9 +215,10 @@ func (c *Cache) Store() *Store {
 }
 
 // Default is the process-wide cache the evaluation entry points fall back
-// to, so repeated benchmark and CLI runs in one process share artifacts. It
-// has no persistent layer; attach one with SetStore if a CLI wants the
-// default cache disk-backed.
+// to, so repeated benchmark and CLI runs in one process share artifacts;
+// the corpus folds behind the study and lint sweeps evict each app they
+// fold, so they share nothing through it. It has no persistent layer;
+// attach one with SetStore if a CLI wants the default cache disk-backed.
 var Default = NewCache()
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -258,16 +259,15 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Evict drops the in-memory entries (app and extraction) of one spec. The
-// streaming study pipeline calls it after folding an app's results so the
-// cache's live set tracks the pipeline window instead of the whole corpus —
-// without eviction the entry maps pin every built app and extraction until
-// process exit, which is exactly the O(corpus) heap the streamed fold
-// exists to avoid. Persistent-store entries are untouched: a re-lookup
-// misses in memory and reads back from disk. Evicting a spec that is still
-// being computed is safe — the in-flight caller holds its own entry pointer
-// and completes normally; the entry just becomes unreachable for new
-// lookups.
+// Evict drops the in-memory entries (app and extraction) of one spec. Every
+// corpus fold calls it after folding an app's results so the cache's live
+// set tracks the pipeline window instead of the whole corpus — without
+// eviction the entry maps pin every built app and extraction until process
+// exit, and every GC cycle re-marks them. Persistent-store entries are
+// untouched: a re-lookup misses in memory and reads back from disk.
+// Evicting a spec that is still being computed is safe — the in-flight
+// caller holds its own entry pointer and completes normally; the entry
+// just becomes unreachable for new lookups.
 func (c *Cache) Evict(spec *corpus.AppSpec) {
 	key := Key(spec)
 	c.mu.Lock()

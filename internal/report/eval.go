@@ -275,18 +275,20 @@ type StudyConfig struct {
 	// sequential; results are identical either way (outcomes are folded in
 	// dataset order).
 	Parallel int
-	// Cache memoizes app builds across runs. Nil means artifact.Default.
+	// Cache serves the run's app builds and extractions. Nil means
+	// artifact.Default. The run evicts each app from it once the app has
+	// folded, so runs share artifacts only through the cache's store.
 	Cache *artifact.Cache
 	// Source optionally overrides the corpus: any random-access spec source —
 	// typically corpus.NewFamily for corpus-scale runs — instead of the fixed
 	// 217-app corpus.StudySpecs(Seed). A lazy source never materializes a
 	// spec slice.
 	Source corpus.SpecSource
-	// Stream releases each app once it has folded: its artifact-cache
-	// entries are evicted, so its spec, app and IR program become garbage.
-	// Peak heap is then O(Window) however large the corpus. Without it the
-	// cache keeps every app the run built, for later runs to reuse. Every
-	// derived number is the same either way.
+	// Stream changes nothing: every run releases each app once it has
+	// folded, so peak heap is O(Window) however large the corpus.
+	//
+	// Deprecated: no code reads it. It stays only while bench/fragbench
+	// still sets it, and is deleted once that code stops.
 	Stream bool
 	// Window bounds the apps in flight (admitted, not yet folded); zero
 	// derives max(2·Parallel, 4).

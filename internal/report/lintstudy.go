@@ -162,8 +162,8 @@ func (s *LintStudy) add(packed bool, diags []lint.Diagnostic) {
 
 // RunLintStudy lints every analyzable app of the dataset study, through the
 // same artifact cache and the same in-order fold as the fragment study.
-// cfg.Source overrides the corpus, and cfg.Stream releases each app once it
-// has folded, so a corpus-scale lint sweep holds O(Window) extractions.
+// cfg.Source overrides the corpus. Each app is released once it has folded,
+// so a corpus-scale lint sweep holds O(Window) extractions.
 func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 	src := cfg.source()
 	cache := cfg.cacheOrDefault()

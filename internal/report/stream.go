@@ -68,10 +68,10 @@ func (h *heapSampler) stop() uint64 {
 
 // RunStudyStreamed is RunStudyWith plus a measurement of the run: elapsed
 // time, throughput, the in-flight high-water mark and the sampled peak heap.
-// It is the corpus-scale path behind `fragstudy -corpus family -stream`,
-// which also sets cfg.Stream, so each app is released once it has folded and
-// peak heap stays O(Window · app size) however large the corpus. The
-// StudyResult is the one RunStudyWith returns for the same config.
+// It is the path behind `fragstudy -stream`. Like every corpus run it
+// releases each app once it has folded, so peak heap stays O(Window · app
+// size) however large the corpus. The StudyResult is the one RunStudyWith
+// returns for the same config.
 func RunStudyStreamed(cfg StudyConfig) (*StudyResult, *StreamStats, error) {
 	sampler := startHeapSampler(0)
 	start := time.Now()

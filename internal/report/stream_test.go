@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,11 +79,11 @@ func TestRunStreamedSerial(t *testing.T) {
 	}
 }
 
-// TestStreamedStudyParity is the tentpole's correctness pin: the streaming
-// fold must reproduce the positional fold bit for bit on the 217-app study —
-// same totals, same packed/fragment partition, same sorted per-category
-// breakdown — under a parallel, small-window schedule that forces heavy
-// out-of-order completion.
+// TestStreamedStudyParity is the streaming fold's correctness pin:
+// RunStudyStreamed must reproduce RunStudyWith bit for bit on the 217-app
+// study — same totals, same packed/fragment partition, same sorted
+// per-category breakdown — under a parallel, small-window schedule that
+// forces heavy out-of-order completion.
 func TestStreamedStudyParity(t *testing.T) {
 	positional, err := RunStudyWith(StudyConfig{Seed: 1, Parallel: 8, Cache: artifact.NewCache()})
 	if err != nil {
@@ -110,9 +111,8 @@ func TestStreamedStudyParity(t *testing.T) {
 	}
 }
 
-// TestStreamedStudyViaRunStudyWith pins the config plumbing: StudyConfig
-// with Stream set routes through the streaming path and returns the same
-// result object shape.
+// TestStreamedStudyViaRunStudyWith pins that the deprecated Stream field,
+// with its own window, changes nothing RunStudyWith returns.
 func TestStreamedStudyViaRunStudyWith(t *testing.T) {
 	plain, err := RunStudyWith(StudyConfig{Seed: 3, Parallel: 4, Cache: artifact.NewCache()})
 	if err != nil {
@@ -142,11 +142,10 @@ func TestStreamedLintParity(t *testing.T) {
 	}
 }
 
-// TestStreamedFamilyBoundedLiveSet pins the release discipline on a family
-// corpus, for the study and for the lint sweep. With Stream the artifact
-// cache holds zero live entries after the run: every app was evicted once it
-// folded. Without it the cache keeps every entry the run created. The
-// results agree either way.
+// TestStreamedFamilyBoundedLiveSet pins the release rule on a family
+// corpus, for the study and for the lint sweep. With or without Stream the
+// artifact cache holds zero live entries after the run: every app the run
+// built was evicted once it folded. The results agree either way.
 func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
 	fam := corpus.NewFamily(300, 2)
 	for _, c := range []struct {
@@ -162,25 +161,106 @@ func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
 		}},
 		{"lint", func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
 	} {
-		released, kept := artifact.NewCache(), artifact.NewCache()
-		streamed, err := c.run(StudyConfig{Source: fam, Parallel: 8, Window: 6, Stream: true, Cache: released})
+		withStream, without := artifact.NewCache(), artifact.NewCache()
+		streamed, err := c.run(StudyConfig{Source: fam, Parallel: 8, Window: 6, Stream: true, Cache: withStream})
 		if err != nil {
 			t.Fatal(err)
 		}
-		positional, err := c.run(StudyConfig{Source: fam, Parallel: 8, Cache: kept})
+		positional, err := c.run(StudyConfig{Source: fam, Parallel: 8, Cache: without})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if live := released.Live(); live != 0 {
-			t.Errorf("%s: cache holds %d live entries after a streamed run, want 0 (release leak)", c.name, live)
-		}
-		if live, created := kept.Live(), kept.Stats().Misses; created == 0 || uint64(live) != created {
-			t.Errorf("%s: cache holds %d live entries without Stream, want all %d the run created", c.name, live, created)
+		for _, r := range []struct {
+			mode  string
+			cache *artifact.Cache
+		}{{"with Stream", withStream}, {"without Stream", without}} {
+			if created := r.cache.Stats().Misses; created == 0 {
+				t.Errorf("%s %s: the run created no cache entries", c.name, r.mode)
+			}
+			if live := r.cache.Live(); live != 0 {
+				t.Errorf("%s %s: cache holds %d live entries after the run, want 0 (release leak)", c.name, r.mode, live)
+			}
 		}
 		if !reflect.DeepEqual(positional, streamed) {
-			t.Errorf("%s: streamed family run diverged from the run without Stream", c.name)
+			t.Errorf("%s: family run with Stream diverged from the run without it", c.name)
 		}
 	}
+}
+
+// TestStudyRunsReleaseEveryApp pins the release rule on the 217-app study,
+// for the study and for the lint sweep, each on an in-memory cache and then
+// twice on a store-backed one. During every run the cache holds at most a
+// window of apps, and after it none. Release leaves the store's copies: the
+// second store-backed run builds nothing and reads every artifact from disk.
+func TestStudyRunsReleaseEveryApp(t *testing.T) {
+	const window = 5
+	for _, c := range []struct {
+		name    string
+		entries int    // cache entries one in-flight app holds
+		reads   uint64 // store reads a warm run makes
+		run     func(StudyConfig) (any, error)
+	}{
+		{"study", 1, corpus.StudySize, func(cfg StudyConfig) (any, error) {
+			res, st, err := RunStudyStreamed(cfg)
+			if err == nil && (st.Window != window || st.MaxLive > st.Window) {
+				t.Errorf("study: max in-flight %d, window %d, want window %d", st.MaxLive, st.Window, window)
+			}
+			return res, err
+		}},
+		// A warm lint run reads each app's build and the 207 analyzable
+		// apps' extractions; the 10 packed apps have none.
+		{"lint", 2, corpus.StudySize + 207, func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
+	} {
+		stored, err := artifact.NewPersistentCache(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var first any
+		for run, cache := range []*artifact.Cache{artifact.NewCache(), stored, stored} {
+			src := &liveProbe{SpecSource: corpus.SliceSource(corpus.StudySpecs(1)), cache: cache}
+			before := cache.Stats()
+			res, err := c.run(StudyConfig{Source: src, Parallel: 4, Window: window, Cache: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if live := cache.Live(); live != 0 {
+				t.Errorf("%s run %d: cache holds %d live entries after the run, want 0", c.name, run, live)
+			}
+			if src.peak > c.entries*window {
+				t.Errorf("%s run %d: cache held %d live entries during the run, want at most %d", c.name, run, src.peak, c.entries*window)
+			}
+			if run == 0 {
+				first = res
+			} else if !reflect.DeepEqual(res, first) {
+				t.Errorf("%s run %d differs from the in-memory run", c.name, run)
+			}
+			if run < 2 {
+				continue
+			}
+			st := cache.Stats()
+			if st.Builds != before.Builds || st.Extractions != before.Extractions ||
+				st.DiskMisses != before.DiskMisses || st.DiskHits-before.DiskHits != c.reads {
+				t.Errorf("%s: second store-backed run built or missed: before %+v, after %+v, want %d disk hits",
+					c.name, before, st, c.reads)
+			}
+		}
+	}
+}
+
+// liveProbe is a spec source that samples its cache's live entries each
+// time a worker takes a spec, and keeps the peak.
+type liveProbe struct {
+	corpus.SpecSource
+	cache *artifact.Cache
+	mu    sync.Mutex
+	peak  int
+}
+
+func (p *liveProbe) At(i int) *corpus.AppSpec {
+	p.mu.Lock()
+	p.peak = max(p.peak, p.cache.Live())
+	p.mu.Unlock()
+	return p.SpecSource.At(i)
 }
 
 // TestStreamedFamilyBoundedHeap is the bounded-memory regression test: the
@@ -193,27 +273,29 @@ func TestStreamedFamilyBoundedHeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("corpus-scale heap measurement")
 	}
-	peakAt := func(n int) uint64 {
-		t.Helper()
-		_, st, err := RunStudyStreamed(StudyConfig{
-			Source: corpus.NewFamily(n, 2), Parallel: 8, Window: 8, Stream: true, Cache: artifact.NewCache(),
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, stream := range []bool{true, false} {
+		peakAt := func(n int) uint64 {
+			t.Helper()
+			_, st, err := RunStudyStreamed(StudyConfig{
+				Source: corpus.NewFamily(n, 2), Parallel: 8, Window: 8, Stream: stream, Cache: artifact.NewCache(),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st.PeakHeapBytes
 		}
-		return st.PeakHeapBytes
-	}
-	small := peakAt(150)
-	large := peakAt(1500)
-	// Floor the baseline: tiny corpora can finish before the runtime grows
-	// the heap at all, and GC timing adds noise in both directions.
-	floor := uint64(48 << 20)
-	base := small
-	if base < floor {
-		base = floor
-	}
-	if large > 5*base/2 {
-		t.Errorf("peak heap grew with corpus size: %d apps -> %d bytes, %d apps -> %d bytes (limit %d)",
-			150, small, 1500, large, 5*base/2)
+		small := peakAt(150)
+		large := peakAt(1500)
+		// Floor the baseline: tiny corpora can finish before the runtime grows
+		// the heap at all, and GC timing adds noise in both directions.
+		floor := uint64(48 << 20)
+		base := small
+		if base < floor {
+			base = floor
+		}
+		if large > 5*base/2 {
+			t.Errorf("Stream=%v: peak heap grew with corpus size: %d apps -> %d bytes, %d apps -> %d bytes (limit %d)",
+				stream, 150, small, 1500, large, 5*base/2)
+		}
 	}
 }
