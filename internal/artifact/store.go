@@ -44,7 +44,7 @@ const (
 	// here. A bump changes the fingerprint, every existing entry turns
 	// stale, and the next run rebuilds and overwrites.
 	appCodecVersion        = 2 // v2: intent filters carry deep-link data elements
-	extractionCodecVersion = 3 // v3: the embedded AFTM model blob is binc, not JSON
+	extractionCodecVersion = 4 // v4: the reach sets ride as one blob, decoded on first use
 
 	// irCodecVersion versions the compiled instruction-program payloads
 	// (ir/codec.go). The program is a pure function of the built app, so the

@@ -182,6 +182,20 @@ func (r *Reader) Int() int {
 	return int(x)
 }
 
+// Count reads the element count of a sequence whose elements each take at
+// least minSize payload bytes, rejecting a count the rest of the payload
+// cannot hold, so that a corrupt count never sizes an allocation beyond the
+// payload. minSize must be at least 1 and at most the smallest encoding of
+// one element.
+func (r *Reader) Count(minSize int) int {
+	n := r.Int()
+	if n > (len(r.data)-r.pos)/minSize {
+		r.fail("count overruns payload")
+		return 0
+	}
+	return n
+}
+
 // Bool reads a boolean byte.
 func (r *Reader) Bool() bool {
 	if r.err != nil {
@@ -212,7 +226,7 @@ func (r *Reader) Str() string {
 // StrSlice reads a length-prefixed sequence of interned strings (nil when
 // empty, matching how the analysis code builds such slices).
 func (r *Reader) StrSlice() []string {
-	n := r.Int()
+	n := r.Count(1)
 	if n == 0 {
 		return nil
 	}

@@ -154,3 +154,39 @@ func TestReaderErrSticky(t *testing.T) {
 		t.Error("Str after error: want empty")
 	}
 }
+
+// TestCountBoundedByPayload checks that a count the rest of the payload
+// cannot hold is an error, before any caller sizes an allocation by it: a
+// StrSlice claiming more strings than bytes remain fails, as does a Count
+// of three-byte elements one element too long.
+func TestCountBoundedByPayload(t *testing.T) {
+	w := NewWriter()
+	w.Int(4) // claims four strings; one follows
+	w.Str("x")
+	r, err := NewReader(w.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.StrSlice(); got != nil || r.Err() == nil {
+		t.Fatalf("StrSlice of an overlong count = %q, err %v; want nil and an error", got, r.Err())
+	}
+
+	w = NewWriter()
+	w.Int(2)
+	for i := 0; i < 6; i++ {
+		w.Bool(true)
+	}
+	data := w.Bytes()
+	for _, c := range []struct {
+		minSize, want int
+		ok            bool
+	}{{3, 2, true}, {4, 0, false}} {
+		r, err := NewReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := r.Count(c.minSize); got != c.want || (r.Err() == nil) != c.ok {
+			t.Errorf("Count(%d) = %d, err %v; want %d, ok %v", c.minSize, got, r.Err(), c.want, c.ok)
+		}
+	}
+}

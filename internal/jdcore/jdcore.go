@@ -118,17 +118,6 @@ func (c *Class) Method(name string) *Method {
 	return nil
 }
 
-// Statements returns all statements of the class, across methods, in
-// declaration order. Algorithm 1 iterates "all lines in A0.java"; this is
-// that view.
-func (c *Class) Statements() []Statement {
-	var out []Statement
-	for _, m := range c.Methods {
-		out = append(out, m.Statements...)
-	}
-	return out
-}
-
 // Program is a lowered program keyed by class name.
 type Program struct {
 	classes map[string]*Class

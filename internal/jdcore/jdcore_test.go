@@ -136,19 +136,6 @@ func TestObjectPatternStatements(t *testing.T) {
 	}
 }
 
-func TestClassStatementsFlatten(t *testing.T) {
-	p := lowerProgram(t)
-	mc := p.Class("com.ex.MainActivity")
-	all := mc.Statements()
-	var perMethod int
-	for _, m := range mc.Methods {
-		perMethod += len(m.Statements)
-	}
-	if len(all) != perMethod {
-		t.Fatalf("Statements() = %d, want %d", len(all), perMethod)
-	}
-}
-
 func TestRenderJava(t *testing.T) {
 	p := lowerProgram(t)
 	src := RenderJava(p.Class("com.ex.MainActivity"))

@@ -313,13 +313,13 @@ func (c *ctx) containersIn(layouts []string) map[string]bool {
 // ceiling cannot be confirmed by the explorer at all.
 func (c *ctx) unreachableComponents() {
 	for _, a := range c.ex.EffectiveActivities {
-		if !c.ex.LauncherReach.Activities[a] {
+		if !c.ex.LauncherReach().Activities[a] {
 			c.report(a, "", 0, "FL001", SeverityWarning,
 				"effective activity %s is not reachable from the launcher; only forced empty-Intent starts can visit it", a)
 		}
 	}
 	for _, f := range c.ex.EffectiveFragments {
-		if !c.ex.StaticReach.Fragments[f] {
+		if !c.ex.StaticReach().Fragments[f] {
 			c.report(f, "", 0, "FL001", SeverityWarning,
 				"effective fragment %s is never transaction-committed, inflated or statically declared; the explorer cannot confirm it", f)
 		}
@@ -517,7 +517,7 @@ func (c *ctx) requireExtras() {
 // confirmed dynamically — dead code, an unvisitable component, or a receiver
 // whose action nothing broadcasts.
 func (c *ctx) unreachableSensitive() {
-	reach := c.ex.StaticReach
+	reach := c.ex.StaticReach()
 	c.eachMethod(func(class string, m *smali.Method) {
 		for _, ins := range m.Body {
 			if ins.Op != smali.OpInvokeSensitive && ins.Op != smali.OpLoadLibrary {
@@ -543,7 +543,8 @@ func (c *ctx) permissions() {
 	for _, p := range c.app.Manifest.Permissions {
 		declared[p.Name] = true
 	}
-	for _, api := range c.ex.StaticReach.APIList() {
+	reach := c.ex.StaticReach()
+	for _, api := range reach.APIList() {
 		var missing []string
 		for _, p := range sensitive.PermissionsFor(api) {
 			if !declared[p] {
@@ -553,7 +554,7 @@ func (c *ctx) permissions() {
 		if len(missing) == 0 {
 			continue
 		}
-		owners := c.ex.StaticReach.APIs[api]
+		owners := reach.APIs[api]
 		class := ""
 		if len(owners) > 0 {
 			class = owners[0]
@@ -619,13 +620,9 @@ func appendUnique(s []string, v string) []string {
 // site — the message names the blocking edge so the gap is actionable.
 func (c *ctx) launcherBlockedSensitive() {
 	p := paths.New(c.ex, paths.Config{LauncherOnly: true, DefaultInput: "x"})
-	apis := make([]string, 0, len(c.ex.StaticReach.APIs))
-	for api := range c.ex.StaticReach.APIs {
-		apis = append(apis, api)
-	}
-	sort.Strings(apis)
-	for _, api := range apis {
-		for _, owner := range c.ex.StaticReach.APIs[api] {
+	reach := c.ex.StaticReach()
+	for _, api := range reach.APIList() {
+		for _, owner := range reach.APIs[api] {
 			sp := p.PlanSite(api, owner)
 			if sp.Liftable() {
 				continue

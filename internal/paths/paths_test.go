@@ -29,9 +29,9 @@ func demoExtraction(t *testing.T) *statics.Extraction {
 func TestPlanAllCoversCeiling(t *testing.T) {
 	ex := demoExtraction(t)
 	plans := New(ex, DefaultConfig()).PlanAll()
-	if len(plans) != ex.StaticReach.Invocations() {
+	if len(plans) != ex.StaticReach().Invocations() {
 		t.Fatalf("PlanAll = %d plans, StaticReach.Invocations = %d",
-			len(plans), ex.StaticReach.Invocations())
+			len(plans), ex.StaticReach().Invocations())
 	}
 	seen := make(map[Target]bool)
 	for _, sp := range plans {

@@ -1,10 +1,6 @@
 package paths
 
-import (
-	"sort"
-
-	"fragdroid/internal/callgraph"
-)
+import "fragdroid/internal/callgraph"
 
 // SitePlan is the planning result for one target: the lifted routes
 // (cheapest first), the enumerated-but-blocked paths, and launcher
@@ -86,7 +82,7 @@ func (p *Planner) PlanSite(api, owner string) SitePlan {
 // order — the static relations StaticReach records for it.
 func (p *Planner) PlanAPI(api string) []SitePlan {
 	var out []SitePlan
-	for _, owner := range p.ex.StaticReach.APIs[api] {
+	for _, owner := range p.ex.StaticReach().APIs[api] {
 		out = append(out, p.PlanSite(api, owner))
 	}
 	return out
@@ -96,13 +92,8 @@ func (p *Planner) PlanAPI(api string) []SitePlan {
 // extraction — exactly the relations StaticReach.Invocations counts, so a
 // classification over the result sums to the ceiling.
 func (p *Planner) PlanAll() []SitePlan {
-	apis := make([]string, 0, len(p.ex.StaticReach.APIs))
-	for api := range p.ex.StaticReach.APIs {
-		apis = append(apis, api)
-	}
-	sort.Strings(apis)
 	var out []SitePlan
-	for _, api := range apis {
+	for _, api := range p.ex.StaticReach().APIList() {
 		out = append(out, p.PlanAPI(api)...)
 	}
 	return out
@@ -143,11 +134,7 @@ func (p *Planner) componentNode(class string) (callgraph.Node, bool) {
 // launcherReaches reports whether launcher-only reachability covers the
 // (api, owner) relation.
 func (p *Planner) launcherReaches(api, owner string) bool {
-	lr := p.ex.LauncherReach
-	if lr == nil {
-		return false
-	}
-	for _, c := range lr.APIs[api] {
+	for _, c := range p.ex.LauncherReach().APIs[api] {
 		if c == owner {
 			return true
 		}

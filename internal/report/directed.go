@@ -2,7 +2,6 @@ package report
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fragdroid/internal/corpus"
@@ -216,12 +215,7 @@ func RunDirectedStudy(cfg EvalConfig, seeds []int64) (*DirectedStudy, error) {
 			return nil, fmt.Errorf("report: directed study extract %s: %w", row.Package, err)
 		}
 		launchSteps := bareLaunchSteps(ex)
-		apis := make([]string, 0, len(ex.StaticReach.APIs))
-		for api := range ex.StaticReach.APIs {
-			apis = append(apis, api)
-		}
-		sort.Strings(apis)
-		for _, api := range apis {
+		for _, api := range ex.StaticReach().APIList() {
 			tr := TargetRun{Package: row.Package, API: api, LaunchSteps: launchSteps}
 			for range seeds {
 				ur, err := explorer.ExploreTarget(ex, cfg.Explorer, api)

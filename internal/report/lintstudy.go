@@ -59,18 +59,19 @@ func (ev *Evaluation) BuildCeiling() *Ceiling {
 			DynA:    len(ar.Result.VisitedActivities()),
 			DynF:    len(ar.Result.VisitedFragments()),
 		}
+		reach := ex.StaticReach()
 		for _, a := range ex.EffectiveActivities {
-			if ex.StaticReach.Activities[a] {
+			if reach.Activities[a] {
 				row.StaticA++
 			}
 		}
 		for _, f := range ex.EffectiveFragments {
-			if ex.StaticReach.Fragments[f] {
+			if reach.Fragments[f] {
 				row.StaticF++
 			}
 		}
-		row.StaticAPIs = len(ex.StaticReach.APIs)
-		row.StaticInvocations = ex.StaticReach.Invocations()
+		row.StaticAPIs = len(reach.APIs)
+		row.StaticInvocations = reach.Invocations()
 		for _, u := range ar.Result.Collector.Usages() {
 			row.DynAPIs++
 			row.DynInvocations += len(u.Classes)

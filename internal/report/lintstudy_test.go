@@ -13,7 +13,7 @@ import (
 func TestCeilingSoundness(t *testing.T) {
 	for _, ar := range evaluation(t).Apps {
 		ex := ar.Result.Extraction
-		reach := ex.StaticReach
+		reach := ex.StaticReach()
 		for _, a := range ar.Result.VisitedActivities() {
 			if !reach.Activities[a] {
 				t.Errorf("%s: visited activity %s outside StaticReach", ar.Row.Package, a)

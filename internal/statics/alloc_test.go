@@ -1,0 +1,42 @@
+package statics
+
+import (
+	"testing"
+
+	"fragdroid/internal/corpus"
+)
+
+// TestExtractAllocBudget is the allocation regression gate for the static
+// phase: one Extract of com.adobe.reader. Measured at 719 allocs/op with
+// go1.24 on linux/amd64, once the call graph and both reach sets moved to
+// first use and the statement scans stopped copying each class's statements.
+// Before that the count was 1,286, which this budget rejects. The budget is
+// the measured count plus about 5% for corpus growth; Extract runs on every
+// cold load and every triage op, so a regression here multiplies across
+// every app. It is skipped under the race detector, whose instrumentation
+// moves the count.
+func TestExtractAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	const budget = 755
+	var spec *corpus.AppSpec
+	for _, row := range corpus.PaperRows() {
+		if row.Package == "com.adobe.reader" {
+			spec = corpus.PaperSpec(row)
+		}
+	}
+	app, err := corpus.BuildApp(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := testing.AllocsPerRun(20, func() {
+		if _, err := Extract(app); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("one Extract of com.adobe.reader allocates %.0f objects/op", got)
+	if got > budget {
+		t.Fatalf("one Extract of com.adobe.reader allocates %.0f objects/op, budget %d", got, budget)
+	}
+}

@@ -14,10 +14,11 @@ import (
 // derived from the app. The App is deliberately absent — it is its own
 // artifact kind in the store and is reattached by DecodeExtraction — and so
 // is the jdcore lowering, which is a cheap deterministic function of the
-// program and is recomputed on load. The AFTM travels as its JSON encoding
-// (models are small) and the call graph as its own codec's encoding; both
-// ride as embedded blobs. Maps are written in sorted key order so the
-// payload, and therefore the store checksum, is deterministic.
+// program and is recomputed on load. The AFTM, the call graph and the two
+// reach sets ride as embedded blobs, each a binc payload of its own; the
+// graph and reach blobs stay undecoded until their accessors' first use.
+// Maps are written in sorted key order so the payload, and therefore the
+// store checksum, is deterministic.
 
 func encodeStrBoolMap(w *binc.Writer, m map[string]bool) {
 	keys := make([]string, 0, len(m))
@@ -33,7 +34,7 @@ func encodeStrBoolMap(w *binc.Writer, m map[string]bool) {
 }
 
 func decodeStrBoolMap(r *binc.Reader) map[string]bool {
-	n := r.Int()
+	n := r.Count(2) // a key and a bool
 	m := make(map[string]bool, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.Str()
@@ -56,7 +57,7 @@ func encodeStrSliceMap(w *binc.Writer, m map[string][]string) {
 }
 
 func decodeStrSliceMap(r *binc.Reader) map[string][]string {
-	n := r.Int()
+	n := r.Count(2) // a key and a slice length
 	m := make(map[string][]string, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := r.Str()
@@ -83,6 +84,27 @@ func decodeReach(r *binc.Reader) *callgraph.Reach {
 	}
 }
 
+// encodeReachBlob encodes the two reach sets as one self-contained blob.
+func encodeReachBlob(static, launcher *callgraph.Reach) []byte {
+	w := binc.NewWriter()
+	encodeReach(w, static)
+	encodeReach(w, launcher)
+	return w.Bytes()
+}
+
+// decodeReachBlob is the inverse of encodeReachBlob.
+func decodeReachBlob(data []byte) (static, launcher *callgraph.Reach, err error) {
+	r, err := binc.NewReader(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	static, launcher = decodeReach(r), decodeReach(r)
+	if err := r.Done(); err != nil {
+		return nil, nil, err
+	}
+	return static, launcher, nil
+}
+
 func encodeLocation(w *binc.Writer, l WidgetLocation) {
 	w.Str(l.Ref)
 	w.Str(l.Type)
@@ -104,19 +126,18 @@ func decodeLocation(r *binc.Reader) WidgetLocation {
 }
 
 // EncodeExtraction serializes everything the static phase derived from the
-// app, so a warm load can skip Extract entirely.
+// app, so a warm load can skip Extract entirely. It builds the call graph
+// and the reach sets first if nothing has asked for them yet.
 func EncodeExtraction(ex *Extraction) ([]byte, error) {
 	model := aftm.EncodeModel(ex.Model)
 	graph, err := ex.Graph().Encode()
 	if err != nil {
 		return nil, fmt.Errorf("statics: encode extraction: %w", err)
 	}
-	if ex.StaticReach == nil || ex.LauncherReach == nil {
-		return nil, fmt.Errorf("statics: encode extraction: missing reach sets")
-	}
 	w := binc.NewWriter()
 	w.Blob(model)
 	w.Blob(graph)
+	w.Blob(encodeReachBlob(ex.StaticReach(), ex.LauncherReach()))
 	w.StrSlice(ex.EffectiveActivities)
 	w.StrSlice(ex.EffectiveFragments)
 	deps := ex.Deps
@@ -162,17 +183,16 @@ func EncodeExtraction(ex *Extraction) ([]byte, error) {
 	encodeStrBoolMap(w, ex.TxnCommitted)
 	encodeStrSliceMap(w, ex.SensitiveSites)
 	encodeStrSliceMap(w, ex.LayoutsOf)
-	encodeReach(w, ex.StaticReach)
-	encodeReach(w, ex.LauncherReach)
 	return w.Bytes(), nil
 }
 
 // DecodeExtraction reconstructs an Extraction from EncodeExtraction output,
 // attached to app (which must be the same bundle the extraction was computed
 // from — the artifact store keys both by the same spec). The AFTM is decoded
-// from its embedded encoding; the jdcore lowering and the call graph are
-// deferred to their accessors' first use (warm replay needs neither), and
-// every map comes back make-initialized, mirroring Extract's fields.
+// from its embedded encoding; the jdcore lowering, the call graph and the
+// reach sets are deferred to their accessors' first use (warm replay needs
+// none of them), and every map comes back make-initialized, mirroring
+// Extract's fields.
 func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 	r, err := binc.NewReader(data)
 	if err != nil {
@@ -180,6 +200,7 @@ func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 	}
 	modelBlob := r.Blob()
 	graphBlob := r.Blob()
+	reachBlob := r.Blob()
 	if r.Err() != nil {
 		return nil, fmt.Errorf("statics: decode extraction: %w", r.Err())
 	}
@@ -191,8 +212,9 @@ func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 		App:   app,
 		Model: model,
 		// Copied, not aliased: r.Blob() slices the full payload, and parking
-		// an alias would pin every section of it until the graph decodes.
+		// an alias would pin every section of it until the blob decodes.
 		graphBlob:           append([]byte(nil), graphBlob...),
+		reachBlob:           append([]byte(nil), reachBlob...),
 		EffectiveActivities: r.StrSlice(),
 		EffectiveFragments:  r.StrSlice(),
 	}
@@ -201,11 +223,11 @@ func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 		HostsOf:     decodeStrSliceMap(r),
 	}
 	ex.ResDeps = &ResourceDeps{ByWidget: make(map[string][]WidgetLocation)}
-	if n := r.Int(); n > 0 {
+	if n := r.Count(2); n > 0 { // a key and a location count
 		ex.ResDeps.ByWidget = make(map[string][]WidgetLocation, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			k := r.Str()
-			nl := r.Int()
+			nl := r.Count(8) // five strings and three bools
 			locs := make([]WidgetLocation, 0, nl)
 			for j := 0; j < nl && r.Err() == nil; j++ {
 				locs = append(locs, decodeLocation(r))
@@ -214,7 +236,7 @@ func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 		}
 	}
 	ex.ResDeps.ByOwner = decodeStrSliceMap(r)
-	if n := r.Int(); n > 0 && r.Err() == nil {
+	if n := r.Count(7); n > 0 { // seven strings
 		ex.InputWidgets = make([]InputWidget, 0, n)
 		for i := 0; i < n && r.Err() == nil; i++ {
 			iw := InputWidget{Ref: r.Str(), Type: r.Str(), Hint: r.Str(), Owner: r.Str()}
@@ -230,8 +252,6 @@ func DecodeExtraction(data []byte, app *apk.App) (*Extraction, error) {
 	ex.TxnCommitted = decodeStrBoolMap(r)
 	ex.SensitiveSites = decodeStrSliceMap(r)
 	ex.LayoutsOf = decodeStrSliceMap(r)
-	ex.StaticReach = decodeReach(r)
-	ex.LauncherReach = decodeReach(r)
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("statics: decode extraction: %w", err)
 	}

@@ -1,8 +1,13 @@
 package statics
 
 import (
+	"reflect"
 	"sort"
 	"testing"
+
+	"fragdroid/internal/callgraph"
+	"fragdroid/internal/corpus"
+	"fragdroid/internal/jdcore"
 )
 
 // TestOwnersOfSorted pins the documented ordering: Activities before
@@ -33,37 +38,82 @@ func TestOwnersOfSorted(t *testing.T) {
 	}
 }
 
-// TestExtractionReach checks that Extract wires the call graph and both
-// reachability fixpoints, and that the ceiling is consistent with the
-// effective sets.
+// TestExtractionReach checks that the reach accessors return the two
+// fixpoints over the app's call graph, on fresh and on decoded extractions
+// of the demo app, the 15 Table I apps and family members 0-39, and that the
+// ceiling is consistent with the effective sets.
 func TestExtractionReach(t *testing.T) {
-	ex := demoExtraction(t)
-	if ex.Graph() == nil || ex.StaticReach == nil || ex.LauncherReach == nil {
-		t.Fatal("Extract must populate Graph, StaticReach and LauncherReach")
+	specs := []*corpus.AppSpec{corpus.DemoSpec()}
+	for _, row := range corpus.PaperRows() {
+		specs = append(specs, corpus.PaperSpec(row))
 	}
+	fam := corpus.NewFamily(40, 1)
+	for i := 0; i < fam.Len(); i++ {
+		specs = append(specs, fam.At(i))
+	}
+	for _, spec := range specs {
+		app, err := corpus.BuildApp(spec)
+		if err != nil {
+			t.Fatalf("build %s: %v", spec.Package, err)
+		}
+		fresh, err := Extract(app)
+		if err != nil {
+			t.Fatalf("extract %s: %v", spec.Package, err)
+		}
+		g := callgraph.Build(app, jdcore.Decompile(app.Program))
+		wantLauncher := g.Reach(g.LauncherRoots())
+		wantStatic := g.Reach(g.ForcedRoots(fresh.EffectiveActivities))
+		data, err := EncodeExtraction(fresh)
+		if err != nil {
+			t.Fatalf("encode %s: %v", spec.Package, err)
+		}
+		decoded, err := DecodeExtraction(data, app)
+		if err != nil {
+			t.Fatalf("decode %s: %v", spec.Package, err)
+		}
+		for name, ex := range map[string]*Extraction{"fresh": fresh, "decoded": decoded} {
+			if !reflect.DeepEqual(ex.LauncherReach(), wantLauncher) {
+				t.Errorf("%s %s: LauncherReach differs from the launcher-rooted fixpoint", spec.Package, name)
+			}
+			if !reflect.DeepEqual(ex.StaticReach(), wantStatic) {
+				t.Errorf("%s %s: StaticReach differs from the forced-start fixpoint", spec.Package, name)
+			}
+		}
+		checkCeiling(t, spec.Package, fresh)
+	}
+	// On the demo app, statically reachable APIs also cover every
+	// effective-component site. (Elsewhere a site may sit in a method no
+	// root reaches, which FL009 reports.)
+	ex := demoExtraction(t)
+	apis := ex.StaticReach().APIList()
+	for api := range ex.SensitiveSites {
+		i := sort.SearchStrings(apis, api)
+		if i >= len(apis) || apis[i] != api {
+			t.Errorf("demo: SensitiveSites API %s missing from StaticReach.APIs", api)
+		}
+	}
+}
+
+// checkCeiling checks that the forced-start ceiling contains every effective
+// activity and the launcher reach.
+func checkCeiling(t *testing.T, pkg string, ex *Extraction) {
+	t.Helper()
+	static, launcher := ex.StaticReach(), ex.LauncherReach()
 	// Every effective activity is a forced-start root, hence in the ceiling.
 	for _, a := range ex.EffectiveActivities {
-		if !ex.StaticReach.Activities[a] {
-			t.Errorf("effective activity %s missing from StaticReach", a)
+		if !static.Activities[a] {
+			t.Errorf("%s: effective activity %s missing from StaticReach", pkg, a)
 		}
 	}
 	// Launcher-only reach never exceeds the forced-start ceiling.
-	for a := range ex.LauncherReach.Activities {
-		if !ex.StaticReach.Activities[a] {
-			t.Errorf("LauncherReach activity %s missing from StaticReach", a)
+	for a := range launcher.Activities {
+		if !static.Activities[a] {
+			t.Errorf("%s: LauncherReach activity %s missing from StaticReach", pkg, a)
 		}
 	}
-	for f := range ex.LauncherReach.Fragments {
-		if !ex.StaticReach.Fragments[f] {
-			t.Errorf("LauncherReach fragment %s missing from StaticReach", f)
-		}
-	}
-	// Statically reachable APIs cover the effective-component sites.
-	static := ex.StaticReach.APIList()
-	for api := range ex.SensitiveSites {
-		i := sort.SearchStrings(static, api)
-		if i >= len(static) || static[i] != api {
-			t.Errorf("SensitiveSites API %s missing from StaticReach.APIs", api)
+	for f := range launcher.Fragments {
+		if !static.Fragments[f] {
+			t.Errorf("%s: LauncherReach fragment %s missing from StaticReach", pkg, f)
 		}
 	}
 }

@@ -175,21 +175,21 @@ type Extraction struct {
 	// LayoutsOf maps a component class to the layout names it inflates.
 	LayoutsOf map[string][]string
 	// graph is the interprocedural whole-program call/transition graph,
-	// populated eagerly by Extract and lazily by the Graph accessor for
-	// store-loaded extractions (graphBlob holds the encoded form then).
-	// The warm replay path never consults the graph, so decoding it on
-	// every artifact load would tax the common case for nothing.
+	// built by the Graph accessor on first use: from graphBlob for a
+	// store-loaded extraction, else from the program. Exploration never
+	// consults the graph, so building it in Extract, or decoding it on every
+	// artifact load, would tax the common case for nothing.
 	graph     *callgraph.Graph
 	graphOnce sync.Once
 	graphBlob []byte
-	// StaticReach is the attainable-coverage ceiling: reachability with the
-	// launcher plus every effective Activity as roots, modelling the
-	// explorer's forced empty-Intent starts (§VI-C). Every component or
-	// sensitive API the dynamic phase can visit is contained in it.
-	StaticReach *callgraph.Reach
-	// LauncherReach is launcher-only reachability: what a user reaches by
-	// clicking from the entry Activity, without forced starts.
-	LauncherReach *callgraph.Reach
+	// staticReach and launcherReach are the two reachability fixpoints
+	// behind the StaticReach and LauncherReach accessors, built together on
+	// first use: from reachBlob for a store-loaded extraction, else from
+	// Graph.
+	staticReach   *callgraph.Reach
+	launcherReach *callgraph.Reach
+	reachOnce     sync.Once
+	reachBlob     []byte
 }
 
 // Java returns the decompiled source view, decompiling on first use when the
@@ -203,26 +203,60 @@ func (ex *Extraction) Java() *jdcore.Program {
 	return ex.java
 }
 
-// Graph returns the interprocedural whole-program call/transition graph.
-// Extract populates it up front; an extraction loaded from the artifact
-// store decodes its embedded graph blob on the first call instead, falling
-// back to a full rebuild from the program if the blob does not decode (a
-// rebuild is always correct — the graph is a deterministic function of the
-// app — just slower).
+// Graph returns the interprocedural whole-program call/transition graph,
+// built on the first call. An extraction loaded from the artifact store
+// decodes its embedded graph blob; a fresh one, or a stored one whose blob
+// does not decode, builds the graph from the program (a rebuild is always
+// correct — the graph is a deterministic function of the app — just slower).
 func (ex *Extraction) Graph() *callgraph.Graph {
 	ex.graphOnce.Do(func() {
 		blob := ex.graphBlob
 		ex.graphBlob = nil // decoded (or rebuilt) below; don't pin the bytes
-		if ex.graph != nil {
-			return
-		}
-		if g, err := callgraph.Decode(blob, ex.App.Program); err == nil {
-			ex.graph = g
-			return
+		if blob != nil {
+			if g, err := callgraph.Decode(blob, ex.App.Program); err == nil {
+				ex.graph = g
+				return
+			}
 		}
 		ex.graph = callgraph.Build(ex.App, ex.Java())
 	})
 	return ex.graph
+}
+
+// StaticReach returns the attainable-coverage ceiling: reachability with the
+// launcher plus every effective Activity as roots, modelling the explorer's
+// forced empty-Intent starts (§VI-C). Every component or sensitive API the
+// dynamic phase can visit is contained in it. It is built on first use, with
+// LauncherReach.
+func (ex *Extraction) StaticReach() *callgraph.Reach {
+	ex.buildReach()
+	return ex.staticReach
+}
+
+// LauncherReach returns launcher-only reachability: what a user reaches by
+// clicking from the entry Activity, without forced starts. It is built on
+// first use, with StaticReach.
+func (ex *Extraction) LauncherReach() *callgraph.Reach {
+	ex.buildReach()
+	return ex.launcherReach
+}
+
+// buildReach fills both reach sets once: from the stored reach blob when
+// it decodes, else by running the two fixpoints over Graph.
+func (ex *Extraction) buildReach() {
+	ex.reachOnce.Do(func() {
+		blob := ex.reachBlob
+		ex.reachBlob = nil
+		if blob != nil {
+			if static, launcher, err := decodeReachBlob(blob); err == nil {
+				ex.staticReach, ex.launcherReach = static, launcher
+				return
+			}
+		}
+		g := ex.Graph()
+		ex.launcherReach = g.Reach(g.LauncherRoots())
+		ex.staticReach = g.Reach(g.ForcedRoots(ex.EffectiveActivities))
+	})
 }
 
 // Extract runs the full static phase on a loaded app.
@@ -285,12 +319,6 @@ func Extract(app *apk.App) (*Extraction, error) {
 	ex.SensitiveSites = sensitiveSites(ex.Java(), app.Program,
 		ex.EffectiveActivities, ex.EffectiveFragments)
 
-	// Whole-program call graph and the two reachability fixpoints: the
-	// launcher-only view and the forced-start ceiling.
-	ex.graph = callgraph.Build(app, ex.Java())
-	ex.LauncherReach = ex.graph.Reach(ex.graph.LauncherRoots())
-	ex.StaticReach = ex.graph.Reach(ex.graph.ForcedRoots(ex.EffectiveActivities))
-
 	return ex, nil
 }
 
@@ -305,16 +333,19 @@ func sensitiveSites(java *jdcore.Program, prog *smali.Program, activities, fragm
 			if jc == nil {
 				continue
 			}
-			for _, st := range jc.Statements() {
-				if st.Kind != jdcore.StmtSensitiveCall {
-					continue
+			for _, m := range jc.Methods {
+				for i := range m.Statements {
+					st := &m.Statements[i]
+					if st.Kind != jdcore.StmtSensitiveCall {
+						continue
+					}
+					key := st.API + "|" + owner
+					if seen[key] {
+						continue
+					}
+					seen[key] = true
+					out[st.API] = append(out[st.API], owner)
 				}
-				key := st.API + "|" + owner
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				out[st.API] = append(out[st.API], owner)
 			}
 		}
 	}
@@ -585,34 +616,40 @@ func (ex *Extraction) buildEdges(activities, fragments []string, entry string) e
 		return err
 	}
 
+	// edge applies one lowered statement of owner's code to the model.
+	edge := func(owner aftm.Node, st *jdcore.Statement) error {
+		switch st.Kind {
+		case jdcore.StmtNewIntentExplicit, jdcore.StmtSetClass:
+			if declared[st.Class2] {
+				_, err := ex.Model.MergeEdge(owner, aftm.ActivityNode(st.Class2), aftm.ViaIntent, host)
+				return err
+			}
+		case jdcore.StmtNewIntentAction, jdcore.StmtSetAction:
+			if target, ok := man.ActivityForAction(st.Action); ok && declared[target] && target != owner.Name {
+				_, err := ex.Model.MergeEdge(owner, aftm.ActivityNode(target), aftm.ViaAction(st.Action), host)
+				return err
+			}
+		case jdcore.StmtNewInstance, jdcore.StmtNewInstanceCall, jdcore.StmtInstanceOf:
+			if effFrag[st.Class1] {
+				return addFragEdge(owner, st.Class1, "")
+			}
+		case jdcore.StmtTxnAdd, jdcore.StmtTxnReplace, jdcore.StmtInflateFragmentView:
+			return addFragEdge(owner, st.Class1, aftm.ViaTransaction)
+		}
+		return nil
+	}
+
+	// scan walks "all lines in A0.java" (Algorithm 1): every statement of
+	// owner and its inner classes, method by method in declaration order.
 	scan := func(owner aftm.Node, classes []string) error {
 		for _, cn := range classes {
 			jc := ex.Java().Class(cn)
 			if jc == nil {
 				continue
 			}
-			for _, st := range jc.Statements() {
-				switch st.Kind {
-				case jdcore.StmtNewIntentExplicit, jdcore.StmtSetClass:
-					if declared[st.Class2] {
-						if _, err := ex.Model.MergeEdge(owner, aftm.ActivityNode(st.Class2), aftm.ViaIntent, host); err != nil {
-							return err
-						}
-					}
-				case jdcore.StmtNewIntentAction, jdcore.StmtSetAction:
-					if target, ok := man.ActivityForAction(st.Action); ok && declared[target] && target != owner.Name {
-						if _, err := ex.Model.MergeEdge(owner, aftm.ActivityNode(target), aftm.ViaAction(st.Action), host); err != nil {
-							return err
-						}
-					}
-				case jdcore.StmtNewInstance, jdcore.StmtNewInstanceCall, jdcore.StmtInstanceOf:
-					if effFrag[st.Class1] {
-						if err := addFragEdge(owner, st.Class1, ""); err != nil {
-							return err
-						}
-					}
-				case jdcore.StmtTxnAdd, jdcore.StmtTxnReplace, jdcore.StmtInflateFragmentView:
-					if err := addFragEdge(owner, st.Class1, aftm.ViaTransaction); err != nil {
+			for _, m := range jc.Methods {
+				for i := range m.Statements {
+					if err := edge(owner, &m.Statements[i]); err != nil {
 						return err
 					}
 				}
