@@ -6,9 +6,12 @@
 //
 //	aftmviz -app demo > aftm.dot
 //	aftmviz -app com.inditex.zara -explored | dot -Tsvg > aftm.svg
+//
+// The app is named with -app only; a positional argument is an error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -38,7 +41,13 @@ func run(args []string) error {
 		cacheDir = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("takes no arguments, got %s; name the app with -app", strings.Join(fs.Args(), " "))
 	}
 	dir, err := artifact.ResolveDir(*cacheDir)
 	if err != nil {

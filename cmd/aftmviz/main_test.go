@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"strings"
 	"testing"
 )
 
@@ -40,5 +41,31 @@ func TestRunPaperApp(t *testing.T) {
 func TestRunUnknown(t *testing.T) {
 	if err := run([]string{"-app", "nope"}); err == nil {
 		t.Fatal("unknown app: want error")
+	}
+}
+
+// TestRunHelp pins -h and -help as a successful run: the flag package
+// prints the usage to stderr and run returns no error, so the exit code is 0.
+func TestRunHelp(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"-help"}} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
+// TestRunRejectsArguments pins the input boundary: aftmviz reads its app
+// from -app alone, so a positional argument is an error naming -app rather
+// than a silent render of the default demo app.
+func TestRunRejectsArguments(t *testing.T) {
+	for _, args := range [][]string{
+		{"com.inditex.zara"},
+		{"-cache", "off", "com.inditex.zara"},
+		{"-app", "demo", "extra"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "-app") {
+			t.Errorf("run(%v) = %v, want an error naming -app", args, err)
+		}
 	}
 }

@@ -55,6 +55,9 @@ func run(args []string) error {
 		cacheFlag = fs.String("cache", "auto", "persistent artifact store for -trace smoke boots: auto, off, or a directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	if *famN < 1 {

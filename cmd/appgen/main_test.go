@@ -143,6 +143,16 @@ func TestRunUnknownCorpus(t *testing.T) {
 	}
 }
 
+// TestRunHelp pins -h and -help as a successful run: the flag package
+// prints the usage to stderr and run returns no error, so the exit code is 0.
+func TestRunHelp(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"-help"}} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
 // TestRunRejectsUnreadFlags pins the flag boundary: -n or -seed with a
 // corpus that never reads it, -cache without -trace and -n below 1 are
 // errors, and neither the output directory nor the store appears.

@@ -76,6 +76,9 @@ func run(args []string) error {
 		interp       = fs.String("interp", device.DefaultInterp(), "interpreter backend for app code: ir (precompiled instruction programs) or classic (tree-walking smali)")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
 	if *maxCases < 1 {

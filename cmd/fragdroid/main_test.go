@@ -270,6 +270,16 @@ func TestRunTargetMode(t *testing.T) {
 	}
 }
 
+// TestRunHelp pins -h and -help as a successful run: the flag package
+// prints the usage to stderr and run returns no error, so the exit code is 0.
+func TestRunHelp(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"-help"}} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
 // TestRunErrors pins the flag boundary: unknown apps, missing files and a
 // test case budget below 1 are errors, and so is every flag the selected
 // kind of run never reads. No rejected run may leave a file behind.

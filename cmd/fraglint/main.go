@@ -17,13 +17,14 @@
 // app linting, -seed and -parallel only with -study, and -severity and
 // -cache with every run but -list. -parallel must be at least 1.
 //
-// Exit codes: 0 clean at the chosen severity, 1 worst finding is a warning,
-// 2 worst finding is an error, 3 operational failure (bad flag, unreadable
-// app).
+// Exit codes: 0 clean at the chosen severity (or -h), 1 worst finding is a
+// warning, 2 worst finding is an error, 3 operational failure (bad flag,
+// unreadable app).
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -57,6 +58,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cacheDir = fs.String("cache", "auto", "persistent artifact store: auto, off, or a directory")
 	)
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
 		return 3
 	}
 	// The first of these that is set picks the run; without one, fraglint

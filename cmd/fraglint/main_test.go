@@ -203,6 +203,17 @@ func TestStudyMode(t *testing.T) {
 	}
 }
 
+// TestHelp pins -h and -help as a successful run: exit 0 with the usage on
+// stderr and no error line.
+func TestHelp(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		stdout, stderr, code := runCLI(t, arg)
+		if code != 0 || stdout != "" || !strings.Contains(stderr, "Usage of fraglint") || strings.Contains(stderr, "help requested") {
+			t.Errorf("fraglint %s: exit %d, stdout %q, stderr %q; want exit 0 and only the usage", arg, code, stdout, stderr)
+		}
+	}
+}
+
 // TestRejectsUnreadFlags pins the flag boundary: a flag the selected run
 // never reads, two flags that pick different runs, app arguments to a run
 // that picks its own apps and -parallel below 1 all exit 3 with only an

@@ -163,6 +163,16 @@ func TestRunSharedFlags(t *testing.T) {
 	}
 }
 
+// TestRunHelp pins -h and -help as a successful run: the flag package
+// prints the usage to stderr and run returns no error, so the exit code is 0.
+func TestRunHelp(t *testing.T) {
+	for _, args := range [][]string{{"-h"}, {"-help"}} {
+		if err := run(args); err != nil {
+			t.Errorf("run(%v): %v", args, err)
+		}
+	}
+}
+
 func TestRunBadFlag(t *testing.T) {
 	if err := run([]string{"-bogus"}); err == nil {
 		t.Fatal("bad flag: want error")
