@@ -42,7 +42,8 @@ type App struct {
 
 	// irState is an opaque, atomically-swapped slot owned by internal/ir
 	// (kept untyped here to avoid an import cycle): it carries the app's
-	// parked compiled-program source and, once resolved, the program itself.
+	// compiled program once its first execution has compiled it, so every
+	// device of the app shares one program and its inline caches.
 	// Living on the App ties the registry's lifetime to the app — a
 	// process-global map keyed by app pointer would pin every app ever
 	// loaded, a real leak for long-lived static-only consumers.

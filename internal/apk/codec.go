@@ -161,15 +161,20 @@ func encodeClass(w *binc.Writer, c *smali.Class) {
 // Validate and bundle Lint that Load and Assemble run, which is what makes a
 // warm load fast. Callers must only feed it payloads whose integrity is
 // established elsewhere (the artifact store verifies a sha256 checksum
-// before handing bytes over).
+// before handing bytes over). Corrupt input still yields an error, never a
+// panic: every count that sizes an allocation is checked against the bytes
+// left to decode, and the arena totals must match what they size, so
+// decoding allocates at most a constant multiple of the payload.
 func DecodeApp(data []byte) (*App, error) {
 	r, err := binc.NewReader(data)
 	if err != nil {
 		return nil, fmt.Errorf("apk: decode app: %w", err)
 	}
 	m := decodeManifest(r)
-	resHint := r.Int()
-	nLayouts := r.Int()
+	// Every resource is a layout or a widget ID, and a layout with its root
+	// widget takes at least 11 bytes for two resources.
+	resHint := r.Count(5)
+	nLayouts := r.Count(2 + minWidgetSize) // a name, a node count and a root
 	tbl := res.NewTableSized(resHint)
 	layouts := make(map[string]*layout.Layout, nLayouts)
 	for i := 0; i < nLayouts; i++ {
@@ -189,21 +194,33 @@ func DecodeApp(data []byte) (*App, error) {
 		if _, err := tbl.Define(res.KindLayout, l.Name); err != nil {
 			return nil, err
 		}
-		arena := make([]layout.Widget, r.Int())
-		var regErr error
-		l.Root, _ = decodeWidget(r, arena, tbl, &regErr)
-		if regErr != nil {
-			return nil, fmt.Errorf("apk: decode app: layout %s: %w", l.Name, regErr)
+		arena := make([]layout.Widget, r.Count(minWidgetSize))
+		if r.Err() != nil {
+			break
+		}
+		if len(arena) == 0 {
+			return nil, fmt.Errorf("apk: decode app: layout %s has no root", l.Name)
+		}
+		l.Root = &arena[0]
+		rest, err := decodeWidget(r, l.Root, arena[1:], tbl)
+		if err != nil {
+			return nil, fmt.Errorf("apk: decode app: layout %s: %w", l.Name, err)
 		}
 		if r.Err() != nil {
 			break
 		}
+		if len(rest) != 0 {
+			return nil, fmt.Errorf("apk: decode app: layout %s: %d nodes beyond the tree", l.Name, len(rest))
+		}
 		layouts[l.Name] = l
 	}
-	nClasses := r.Int()
+	nClasses := r.Count(8) // six strings, slices and counts, a bool and a source file
 	prog := smali.NewProgramSized(nClasses)
 	for i := 0; i < nClasses; i++ {
-		c := decodeClass(r)
+		c, err := decodeClass(r)
+		if err != nil {
+			return nil, fmt.Errorf("apk: decode app: %w", err)
+		}
 		if r.Err() != nil {
 			break
 		}
@@ -226,14 +243,14 @@ func decodeManifest(r *binc.Reader) *manifest.Manifest {
 	m.XMLName.Local = r.Str()
 	m.Package = r.Str()
 	m.VersionName = r.Str()
-	if n := r.Int(); n > 0 {
+	if n := r.Count(1); n > 0 { // a name
 		m.Permissions = make([]manifest.Permission, n)
 		for i := range m.Permissions {
 			m.Permissions[i].Name = r.Str()
 		}
 	}
 	m.Application.Label = r.Str()
-	if n := r.Int(); n > 0 {
+	if n := r.Count(3); n > 0 { // a name, a bool and a filter count
 		m.Application.Activities = make([]manifest.Activity, n)
 		for i := range m.Application.Activities {
 			a := &m.Application.Activities[i]
@@ -242,7 +259,7 @@ func decodeManifest(r *binc.Reader) *manifest.Manifest {
 			a.Filters = decodeFilters(r)
 		}
 	}
-	if n := r.Int(); n > 0 {
+	if n := r.Count(2); n > 0 { // a name and a filter count
 		m.Application.Receivers = make([]manifest.Receiver, n)
 		for i := range m.Application.Receivers {
 			rc := &m.Application.Receivers[i]
@@ -254,25 +271,25 @@ func decodeManifest(r *binc.Reader) *manifest.Manifest {
 }
 
 func decodeFilters(r *binc.Reader) []manifest.IntentFilter {
-	n := r.Int()
+	n := r.Count(3) // three counts
 	if n == 0 {
 		return nil
 	}
 	fs := make([]manifest.IntentFilter, n)
 	for i := range fs {
-		if na := r.Int(); na > 0 {
+		if na := r.Count(1); na > 0 {
 			fs[i].Actions = make([]manifest.Action, na)
 			for j := range fs[i].Actions {
 				fs[i].Actions[j].Name = r.Str()
 			}
 		}
-		if nc := r.Int(); nc > 0 {
+		if nc := r.Count(1); nc > 0 {
 			fs[i].Categories = make([]manifest.Category, nc)
 			for j := range fs[i].Categories {
 				fs[i].Categories[j].Name = r.Str()
 			}
 		}
-		if nd := r.Int(); nd > 0 {
+		if nd := r.Count(1); nd > 0 {
 			fs[i].Data = make([]manifest.Data, nd)
 			for j := range fs[i].Data {
 				fs[i].Data[j].URI = r.Str()
@@ -282,18 +299,17 @@ func decodeFilters(r *binc.Reader) []manifest.IntentFilter {
 	return fs
 }
 
-// decodeWidget decodes one widget subtree out of arena, the flat
-// preallocated node backing (the stored node count sizes it), registering
-// widget IDs into tbl as it goes. It returns the unused arena tail; if a
-// corrupt count exhausts the arena early, extra nodes fall back to individual
-// allocations.
-func decodeWidget(r *binc.Reader, arena []layout.Widget, tbl *res.Table, regErr *error) (*layout.Widget, []layout.Widget) {
-	var wd *layout.Widget
-	if len(arena) > 0 {
-		wd, arena = &arena[0], arena[1:]
-	} else {
-		wd = &layout.Widget{}
-	}
+// minWidgetSize is the smallest encoding of a widget: six strings, two
+// bools and a child count.
+const minWidgetSize = 9
+
+// decodeWidget decodes one widget into wd and its subtree into arena, the
+// unused tail of the layout's node backing (the stored node count sizes
+// it), registering widget IDs into tbl in decode (= pre-)order. A widget's
+// children take one contiguous run of the arena, so a tree that claims more
+// nodes than its count is an error before anything is allocated for them.
+// It returns the arena's unused tail.
+func decodeWidget(r *binc.Reader, wd *layout.Widget, arena []layout.Widget, tbl *res.Table) ([]layout.Widget, error) {
 	wd.Type = r.Str()
 	wd.IDRef = r.Str()
 	wd.Text = r.Str()
@@ -301,31 +317,33 @@ func decodeWidget(r *binc.Reader, arena []layout.Widget, tbl *res.Table, regErr 
 	wd.OnClick = r.Str()
 	wd.Hidden = r.Bool()
 	wd.FragmentClass = r.Str()
-	if wd.IDRef != "" && *regErr == nil {
+	if wd.IDRef != "" {
 		if _, err := tbl.ResolveOrDefine(wd.IDRef); err != nil {
-			*regErr = err
+			return arena, err
 		}
 	}
 	notNil := r.Bool()
-	n := r.Int()
-	if r.Err() != nil {
-		return wd, arena
+	n := r.Count(minWidgetSize)
+	if r.Err() != nil || (!notNil && n == 0) {
+		return arena, nil
 	}
-	if notNil {
-		wd.Children = make([]*layout.Widget, 0, n)
+	if !notNil || n > len(arena) {
+		return arena, fmt.Errorf("widget claims %d children, %d nodes left", n, len(arena))
 	}
-	for i := 0; i < n; i++ {
-		var c *layout.Widget
-		c, arena = decodeWidget(r, arena, tbl, regErr)
-		wd.Children = append(wd.Children, c)
-		if r.Err() != nil {
-			break
+	kids := arena[:n]
+	arena = arena[n:]
+	wd.Children = make([]*layout.Widget, n)
+	var err error
+	for i := range kids {
+		wd.Children[i] = &kids[i]
+		if arena, err = decodeWidget(r, &kids[i], arena, tbl); err != nil || r.Err() != nil {
+			return arena, err
 		}
 	}
-	return wd, arena
+	return arena, nil
 }
 
-func decodeClass(r *binc.Reader) *smali.Class {
+func decodeClass(r *binc.Reader) (*smali.Class, error) {
 	c := &smali.Class{
 		Name:       r.Str(),
 		Super:      r.Str(),
@@ -333,7 +351,7 @@ func decodeClass(r *binc.Reader) *smali.Class {
 		Access:     r.StrSlice(),
 	}
 	c.RequiresArgs = r.Bool()
-	if n := r.Int(); n > 0 {
+	if n := r.Count(3); n > 0 { // a name, a descriptor and an access list
 		c.Fields = make([]smali.Field, n)
 		for i := range c.Fields {
 			c.Fields[i].Name = r.Str()
@@ -341,36 +359,34 @@ func decodeClass(r *binc.Reader) *smali.Class {
 			c.Fields[i].Access = r.StrSlice()
 		}
 	}
-	if n := r.Int(); n > 0 {
+	if n := r.Count(3); n > 0 { // a name, an access list and a body length
 		c.Methods = make([]*smali.Method, 0, n)
 		// Three arenas for the whole class: methods, instructions and
 		// operand strings, sized by the stored totals. Bodies and Args are
 		// carved out of them, so a class costs a handful of allocations no
 		// matter how many instructions it has.
 		marena := make([]smali.Method, n)
-		iarena := make([]smali.Instr, r.Int())
-		sarena := make([]string, r.Int())
+		iarena := make([]smali.Instr, r.Count(3)) // an op, an argument list and a line
+		sarena := make([]string, r.Count(1))
 		for i := 0; i < n; i++ {
 			m := &marena[i]
 			m.Name = r.Str()
 			m.Access = r.StrSlice()
-			nb := r.Int()
-			if nb > 0 && r.Err() == nil {
-				if nb <= len(iarena) {
-					m.Body, iarena = iarena[:nb:nb], iarena[nb:]
-				} else {
-					// Corrupt totals; keep decoding off-arena.
-					m.Body = make([]smali.Instr, nb)
-				}
+			nb := r.Count(3)
+			if nb > len(iarena) {
+				return nil, fmt.Errorf("class %s: method bodies overrun the instruction total", c.Name)
+			}
+			if nb > 0 {
+				m.Body, iarena = iarena[:nb:nb], iarena[nb:]
 				for j := range m.Body {
 					m.Body[j].Op = smali.Op(r.Str())
-					if na := r.Int(); na > 0 && r.Err() == nil {
-						var args []string
-						if na <= len(sarena) {
-							args, sarena = sarena[:na:na], sarena[na:]
-						} else {
-							args = make([]string, na)
-						}
+					na := r.Count(1)
+					if na > len(sarena) {
+						return nil, fmt.Errorf("class %s: operands overrun the operand total", c.Name)
+					}
+					if na > 0 {
+						args := sarena[:na:na]
+						sarena = sarena[na:]
 						for k := range args {
 							args[k] = r.Str()
 						}
@@ -384,7 +400,10 @@ func decodeClass(r *binc.Reader) *smali.Class {
 				break
 			}
 		}
+		if r.Err() == nil && len(iarena)+len(sarena) != 0 {
+			return nil, fmt.Errorf("class %s: instruction or operand total exceeds the bodies", c.Name)
+		}
 	}
 	c.SourceFile = r.Str()
-	return c
+	return c, nil
 }

@@ -5,7 +5,9 @@
 // for the same apps from every benchmark, ablation and CLI run; with the
 // in-memory layer each artifact is computed once per process, and with a
 // Store attached a warm second process skips building and static analysis
-// entirely, decoding checksum-verified payloads instead.
+// entirely, decoding checksum-verified payloads instead. Compiled
+// interpreter programs are not stored: ir.For compiles an app's program on
+// its first execution in a process, once per app.
 //
 // Sharing is sound because both artifact kinds are read-only after
 // construction: the device clones layouts before mutating widget state, and
@@ -23,7 +25,6 @@ import (
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
-	"fragdroid/internal/ir"
 	"fragdroid/internal/statics"
 )
 
@@ -167,13 +168,6 @@ type Cache struct {
 	diskMisses atomic.Uint64
 	diskWrites atomic.Uint64
 	diskErrors atomic.Uint64
-
-	// The compiled-program layer has its own counters: a warm run that skips
-	// method compilation entirely is a distinct observable from app/extraction
-	// disk traffic.
-	irHits   atomic.Uint64
-	irMisses atomic.Uint64
-	irWrites atomic.Uint64
 }
 
 // NewCache returns an empty in-memory cache.
@@ -199,14 +193,6 @@ func NewPersistentCache(dir string) (*Cache, error) {
 	return c, nil
 }
 
-// SetStore attaches (or, with nil, detaches) the persistent layer. Already
-// memoized entries are unaffected.
-func (c *Cache) SetStore(s *Store) {
-	c.mu.Lock()
-	c.store = s
-	c.mu.Unlock()
-}
-
 // Store returns the attached persistent store, nil for in-memory caches.
 func (c *Cache) Store() *Store {
 	c.mu.Lock()
@@ -217,8 +203,7 @@ func (c *Cache) Store() *Store {
 // Default is the process-wide cache the evaluation entry points fall back
 // to, so repeated benchmark and CLI runs in one process share artifacts;
 // the corpus folds behind the study and lint sweeps evict each app they
-// fold, so they share nothing through it. It has no persistent layer;
-// attach one with SetStore if a CLI wants the default cache disk-backed.
+// fold, so they share nothing through it. It has no persistent layer.
 var Default = NewCache()
 
 // Stats is a point-in-time snapshot of the cache counters.
@@ -235,11 +220,10 @@ type Stats struct {
 	// written back; DiskErrors counts failed write-backs (the computed
 	// artifact is still served from memory).
 	DiskHits, DiskMisses, DiskWrites, DiskErrors uint64
-	// IRHits counts compiled instruction programs decoded from disk (the warm
-	// run skipped method compilation); IRMisses counts programs compiled in
-	// process; IRWrites counts programs written back. All zero without a
-	// persistent store — in-memory reuse is handled by ir's own registry.
-	IRHits, IRMisses, IRWrites uint64
+	// Deprecated: IRHits and IRMisses are always zero. The store keeps no
+	// compiled programs: ir.For compiles each app's program on its first
+	// execution in a process.
+	IRHits, IRMisses uint64
 }
 
 // Stats returns the current counter values.
@@ -253,9 +237,6 @@ func (c *Cache) Stats() Stats {
 		DiskMisses:  c.diskMisses.Load(),
 		DiskWrites:  c.diskWrites.Load(),
 		DiskErrors:  c.diskErrors.Load(),
-		IRHits:      c.irHits.Load(),
-		IRMisses:    c.irMisses.Load(),
-		IRWrites:    c.irWrites.Load(),
 	}
 }
 
@@ -283,27 +264,6 @@ func (c *Cache) Live() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.apps) + len(c.exts)
-}
-
-// Reset drops all in-memory entries and zeroes the counters. Entries in the
-// persistent store are kept: a subsequent lookup misses in memory and reads
-// back from disk.
-func (c *Cache) Reset() {
-	c.mu.Lock()
-	c.apps = make(map[string]*appEntry)
-	c.exts = make(map[string]*extEntry)
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.builds.Store(0)
-	c.extractions.Store(0)
-	c.diskHits.Store(0)
-	c.diskMisses.Store(0)
-	c.diskWrites.Store(0)
-	c.diskErrors.Store(0)
-	c.irHits.Store(0)
-	c.irMisses.Store(0)
-	c.irWrites.Store(0)
 }
 
 // App payload framing: one tag byte ahead of the codec bytes. Packed specs
@@ -367,30 +327,6 @@ func (c *Cache) saveApp(store *Store, key string, app *apk.App, err error) {
 	c.diskWrites.Add(1)
 }
 
-// installIR parks the compiled-program store entry for a built app behind a
-// lazy source: nothing is read, decoded or compiled until the app's first
-// execution asks ir.For for its program. Static-only consumers — lint
-// studies, source exports, reach audits — therefore pay zero IR cost on warm
-// (or cold) loads. On first execution a cleanly decoding entry counts as a
-// hit; a missing, corrupt or stale entry is a plain miss whose freshly
-// compiled program is written back to repair the store. The resolved program
-// registers in ir's process-wide registry keyed by the app pointer, so every
-// device created for this app — in any engine — shares the one program and
-// its inline caches.
-func (c *Cache) installIR(store *Store, key string, app *apk.App) {
-	ir.RegisterLazy(app,
-		func() ([]byte, bool) { return store.Load(kindIR, key) },
-		func() { c.irHits.Add(1) },
-		func(p *ir.Program) {
-			c.irMisses.Add(1)
-			if err := store.Save(kindIR, key, ir.Encode(p)); err != nil {
-				c.diskErrors.Add(1)
-				return
-			}
-			c.irWrites.Add(1)
-		})
-}
-
 // App returns the memoized build of spec. Packed specs yield apk.ErrPacked,
 // exactly like corpus.BuildApp; the error is memoized too. The returned App
 // is shared between callers and must be treated as read-only.
@@ -411,9 +347,6 @@ func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
 		if store != nil {
 			if app, err, ok := c.loadApp(store, key); ok {
 				e.app, e.err = app, err
-				if e.err == nil && e.app != nil {
-					c.installIR(store, key, e.app)
-				}
 				return
 			}
 		}
@@ -421,9 +354,6 @@ func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
 		e.app, e.err = corpus.BuildApp(spec)
 		if store != nil {
 			c.saveApp(store, key, e.app, e.err)
-			if e.err == nil && e.app != nil {
-				c.installIR(store, key, e.app)
-			}
 		}
 	})
 	return e.app, e.err

@@ -112,22 +112,3 @@ func TestPackedSpecYieldsErrPacked(t *testing.T) {
 		}
 	}
 }
-
-// TestReset drops entries so the next lookup rebuilds.
-func TestReset(t *testing.T) {
-	c := NewCache()
-	spec := corpus.DemoSpec()
-	if _, err := c.App(spec); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if st := c.Stats(); st != (Stats{}) {
-		t.Errorf("stats after Reset = %+v, want zero", st)
-	}
-	if _, err := c.App(spec); err != nil {
-		t.Fatal(err)
-	}
-	if st := c.Stats(); st.Builds != 1 {
-		t.Errorf("Builds after Reset+App = %d, want 1", st.Builds)
-	}
-}

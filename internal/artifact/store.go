@@ -45,27 +45,19 @@ const (
 	// stale, and the next run rebuilds and overwrites.
 	appCodecVersion        = 2 // v2: intent filters carry deep-link data elements
 	extractionCodecVersion = 4 // v4: the reach sets ride as one blob, decoded on first use
-
-	// irCodecVersion versions the compiled instruction-program payloads
-	// (ir/codec.go). The program is a pure function of the built app, so the
-	// version only needs bumping when the IR encoding itself changes — app
-	// content drift is already covered by the cache key.
-	irCodecVersion = 1
 )
 
 // Artifact kinds.
 const (
 	kindApp        = "app"
 	kindExtraction = "extraction"
-	kindIR         = "ir"
 )
 
 // Fingerprint returns the schema fingerprint stamped into every entry
 // header: container format plus every payload codec version. Entries written
 // under a different fingerprint are stale and read as misses.
 func Fingerprint() string {
-	return fmt.Sprintf("fdart%d/app%d/ext%d/ir%d",
-		FormatVersion, appCodecVersion, extractionCodecVersion, irCodecVersion)
+	return fmt.Sprintf("fdart%d/app%d/ext%d", FormatVersion, appCodecVersion, extractionCodecVersion)
 }
 
 // Store is a persistent, content-addressed artifact store rooted at one
@@ -86,7 +78,7 @@ func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("artifact: empty store directory")
 	}
-	for _, k := range []string{kindApp, kindExtraction, kindIR} {
+	for _, k := range []string{kindApp, kindExtraction} {
 		if err := os.MkdirAll(filepath.Join(dir, k), 0o755); err != nil {
 			return nil, fmt.Errorf("artifact: open store: %w", err)
 		}

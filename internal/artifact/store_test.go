@@ -1,12 +1,20 @@
 package artifact
 
 import (
+	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"fragdroid/internal/apk"
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/ir"
+	"fragdroid/internal/statics"
 )
 
 // openTestStore returns a store rooted in a fresh temp dir.
@@ -159,7 +167,9 @@ func TestStaleFingerprintIsRebuilt(t *testing.T) {
 
 // TestPersistentCacheWarmLoad checks the end-to-end cold/warm contract: a
 // second cache on the same directory serves every artifact from disk, with
-// zero builds and zero extractions.
+// zero builds and zero extractions. Executing either app compiles its
+// program in process and writes nothing: the store holds one app entry and
+// one extraction entry, and no ir directory.
 func TestPersistentCacheWarmLoad(t *testing.T) {
 	dir := t.TempDir()
 	cold, err := NewPersistentCache(dir)
@@ -167,7 +177,8 @@ func TestPersistentCacheWarmLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := corpus.DemoSpec()
-	if _, err := cold.App(spec); err != nil {
+	coldApp, err := cold.App(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cold.Extraction(spec); err != nil {
@@ -177,12 +188,14 @@ func TestPersistentCacheWarmLoad(t *testing.T) {
 	if st.Builds != 1 || st.Extractions != 1 || st.DiskWrites != 2 {
 		t.Fatalf("cold stats: %+v", st)
 	}
+	ir.For(coldApp)
 
 	warm, err := NewPersistentCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := warm.App(spec); err != nil {
+	warmApp, err := warm.App(spec)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := warm.Extraction(spec); err != nil {
@@ -195,6 +208,156 @@ func TestPersistentCacheWarmLoad(t *testing.T) {
 	if st.DiskHits != 2 || st.DiskMisses != 0 {
 		t.Errorf("warm run missed the store: %+v", st)
 	}
+	ir.For(warmApp)
+
+	if st := cold.Stats(); st.DiskWrites != 2 {
+		t.Errorf("executing the cold app wrote to the store: %+v", st)
+	}
+	if st := warm.Stats(); st.DiskWrites != 0 {
+		t.Errorf("warm run wrote to the store: %+v", st)
+	}
+	entries := map[string]int{}
+	err = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			rel, _ := filepath.Rel(dir, path)
+			entries[strings.Split(filepath.ToSlash(rel), "/")[0]]++
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := map[string]int{kindApp: 1, kindExtraction: 1}; !reflect.DeepEqual(entries, want) {
+		t.Errorf("store holds %v, want %v", entries, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "ir")); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("store has an ir directory (stat: %v)", err)
+	}
+}
+
+// TestStoreWriteFailures blocks both entries of a spec so that every store
+// write fails, and requires the failure to stay a counted error: the cache
+// still serves the artifacts it built, each equal to an in-memory build,
+// counts two DiskErrors and no DiskWrites, and leaves no temp file behind.
+// Once the obstacle is gone, a fresh cache writes both entries and a third
+// reads them back. Permission bits cannot make a write fail for root, so the
+// obstacles are paths of the wrong type.
+func TestStoreWriteFailures(t *testing.T) {
+	spec := corpus.DemoSpec()
+	mem := NewCache()
+	wantApp, err := mem.App(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantEx, err := mem.Extraction(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := []struct {
+		name string
+		// obstruct places the obstacle for the entry at path and returns
+		// the path to remove to clear it.
+		obstruct func(path string) (string, error)
+	}{
+		{"file at shard directory", func(path string) (string, error) {
+			shard := filepath.Dir(path)
+			return shard, os.WriteFile(shard, []byte("not a directory"), 0o644)
+		}},
+		{"directory at entry", func(path string) (string, error) {
+			return path, os.MkdirAll(path, 0o755)
+		}},
+	}
+	for _, f := range faults {
+		t.Run(f.name, func(t *testing.T) {
+			dir := t.TempDir()
+			c, err := NewPersistentCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var obstacles []string
+			for _, kind := range []string{kindApp, kindExtraction} {
+				o, err := f.obstruct(c.Store().entryPath(kind, Key(spec)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				obstacles = append(obstacles, o)
+			}
+			ex, err := c.Extraction(spec)
+			if err != nil {
+				t.Fatalf("a failed write surfaced as an error: %v", err)
+			}
+			requireSameArtifacts(t, ex, wantApp, wantEx)
+			if st := c.Stats(); st.DiskErrors != 2 || st.DiskWrites != 0 {
+				t.Errorf("want 2 disk errors and no writes, got %+v", st)
+			}
+			if tmps := tempFiles(t, dir); len(tmps) != 0 {
+				t.Errorf("temp files left behind: %v", tmps)
+			}
+
+			for _, o := range obstacles {
+				if err := os.RemoveAll(o); err != nil {
+					t.Fatal(err)
+				}
+			}
+			refill, err := NewPersistentCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := refill.Extraction(spec); err != nil {
+				t.Fatal(err)
+			}
+			if st := refill.Stats(); st.DiskWrites != 2 || st.DiskErrors != 0 {
+				t.Errorf("cleared store: want 2 writes, got %+v", st)
+			}
+			warm, err := NewPersistentCache(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err = warm.Extraction(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameArtifacts(t, ex, wantApp, wantEx)
+			if st := warm.Stats(); st.DiskHits != 2 || st.Builds != 0 || st.Extractions != 0 {
+				t.Errorf("refilled store not served from disk: %+v", st)
+			}
+		})
+	}
+}
+
+// requireSameArtifacts compares an extraction and its app with in-memory
+// builds through their store encodings, which cover every stored field.
+func requireSameArtifacts(t *testing.T, ex *statics.Extraction, wantApp *apk.App, wantEx *statics.Extraction) {
+	t.Helper()
+	must := func(b []byte, err error) []byte {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	if !bytes.Equal(must(apk.EncodeApp(ex.App)), must(apk.EncodeApp(wantApp))) {
+		t.Error("app differs from the in-memory build")
+	}
+	if !bytes.Equal(must(statics.EncodeExtraction(ex)), must(statics.EncodeExtraction(wantEx))) {
+		t.Error("extraction differs from the in-memory build")
+	}
+}
+
+// tempFiles lists the store's leftover temp files.
+func tempFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	var tmps []string
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasPrefix(d.Name(), ".tmp-") {
+			tmps = append(tmps, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tmps
 }
 
 // TestStoreConcurrentStress hammers one store directory from two cache

@@ -64,13 +64,14 @@ func (g *Graph) Encode() ([]byte, error) {
 // Decode reconstructs a graph from Encode output. prog is the program the
 // graph was built over; it is reattached rather than serialized, exactly as
 // Build stores it. Decode trusts checksum-verified input and does not
-// re-derive the edges.
+// re-derive the edges; corrupt input still yields an error, and the node
+// count that presizes the maps is checked against the bytes left.
 func Decode(data []byte, prog *smali.Program) (*Graph, error) {
 	r, err := binc.NewReader(data)
 	if err != nil {
 		return nil, fmt.Errorf("callgraph: decode: %w", err)
 	}
-	nNodes := r.Int()
+	nNodes := r.Count(3) // a kind and two strings
 	g := &Graph{
 		prog:  prog,
 		nodes: make(map[Node]bool, nNodes),

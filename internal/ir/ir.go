@@ -207,7 +207,7 @@ type cacheSlot struct{ v atomic.Uint64 }
 
 // Program is a compiled app: every method body lowered into one flat Code
 // slice, with all derived tables linked against the app. Everything except
-// the inline-cache slots is immutable after Compile/Decode returns.
+// the inline-cache slots is immutable after Compile returns.
 type Program struct {
 	Strings []string
 	Classes []Class
@@ -299,8 +299,8 @@ func (c *compiler) site() int32 {
 
 // Compile lowers an app's smali program. It is deterministic: classes in
 // program insertion order, methods in declaration order, layouts in sorted
-// name order, strings interned first-seen — so Encode(Compile(app)) is
-// content-addressable.
+// name order, strings interned first-seen — so every compilation of one app
+// yields the same program.
 func Compile(app *apk.App) *Program {
 	c := &compiler{
 		p:      &Program{},
@@ -496,8 +496,7 @@ func layoutNameOf(ref string) string {
 
 // link builds the runtime-only tables against an app: layout widget indexes
 // (with visibility paths and onClick cache sites, numbered deterministically
-// after the instruction sites) and the inline-cache array. Decode calls it
-// too, so none of this state needs to be serialized.
+// after the instruction sites) and the inline-cache array.
 func (p *Program) link(app *apk.App) {
 	nsites := p.instrSites + 1 // slot 0 reserved: "no cache"
 	p.byPtr = make(map[*layout.Layout]*LayoutInfo, len(p.Layouts))
