@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("replay on a second device: OK (same landing activity)")
 
 	// --- the same script runs through the ADB instrumentation path ----
-	bridge := adb.New(device.New(app, device.Options{}))
+	bridge := adb.New(app, device.Options{})
 	bridge.InstallTest("com.demo.app.test", script)
 	out, err := bridge.Run("am instrument -w com.demo.app.test android.test.InstrumentationTestRunner")
 	if err != nil {

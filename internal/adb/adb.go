@@ -18,6 +18,7 @@ import (
 	"sort"
 	"strings"
 
+	"fragdroid/internal/apk"
 	"fragdroid/internal/device"
 	"fragdroid/internal/robotium"
 )
@@ -25,13 +26,27 @@ import (
 // Bridge is an ADB connection to one device with an installed app.
 type Bridge struct {
 	dev *device.Device
+	// log is the device log since installation, recorded through the
+	// device's Hook for logcat.
+	log []string
 	// tests holds instrumentation test packages registered with Install.
 	tests map[string]robotium.Script
 }
 
-// New returns a bridge for a device.
-func New(dev *device.Device) *Bridge {
-	return &Bridge{dev: dev, tests: make(map[string]robotium.Script)}
+// New installs app on a new device configured by opts and returns a bridge
+// to it. The bridge records the device log for logcat through the device's
+// Hook, and passes each line on to opts.Hook when that is set.
+func New(app *apk.App, opts device.Options) *Bridge {
+	b := &Bridge{tests: make(map[string]robotium.Script)}
+	next := opts.Hook
+	opts.Hook = func(line string) {
+		b.log = append(b.log, line)
+		if next != nil {
+			next(line)
+		}
+	}
+	b.dev = device.New(app, opts)
+	return b
 }
 
 // Device exposes the underlying device.
@@ -231,7 +246,7 @@ func (b *Bridge) logcat(args []string) (string, error) {
 			return "", fmt.Errorf("adb: logcat: unknown flag %q", a)
 		}
 	}
-	return strings.Join(b.dev.Events(), "\n"), nil
+	return strings.Join(b.log, "\n"), nil
 }
 
 // input implements tap/text/keyevent against widget refs (the simulator has

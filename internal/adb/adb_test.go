@@ -17,7 +17,7 @@ func bridge(t *testing.T) *Bridge {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return New(device.New(app, device.Options{}))
+	return New(app, device.Options{})
 }
 
 func TestAmStartLauncher(t *testing.T) {
@@ -149,9 +149,9 @@ func TestAmBroadcast(t *testing.T) {
 		t.Fatal(err)
 	}
 	var apis []string
-	b := New(device.New(app, device.Options{Monitor: func(e device.SensitiveEvent) {
+	b := New(app, device.Options{Monitor: func(e device.SensitiveEvent) {
 		apis = append(apis, e.API)
-	}}))
+	}})
 	if _, err := b.Run("am start -n com.b/.Main -a android.intent.action.MAIN -c android.intent.category.LAUNCHER"); err != nil {
 		t.Fatal(err)
 	}
@@ -173,8 +173,16 @@ func TestAmBroadcast(t *testing.T) {
 	}
 }
 
+// TestLogcat pins that logcat prints the device log the bridge records
+// through the device's Hook, and that a caller's own Hook still receives
+// every line.
 func TestLogcat(t *testing.T) {
-	b := bridge(t)
+	app, err := corpus.BuildApp(corpus.DemoSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	b := New(app, device.Options{Hook: func(line string) { lines = append(lines, line) }})
 	if _, err := b.Run("am start -n com.demo.app/.Main -a android.intent.action.MAIN -c android.intent.category.LAUNCHER"); err != nil {
 		t.Fatal(err)
 	}
@@ -184,6 +192,9 @@ func TestLogcat(t *testing.T) {
 	}
 	if !strings.Contains(out, "am start") {
 		t.Fatalf("logcat = %q", out)
+	}
+	if joined := strings.Join(lines, "\n"); joined != out {
+		t.Fatalf("the caller's Hook saw %q, logcat printed %q", joined, out)
 	}
 }
 

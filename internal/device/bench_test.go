@@ -9,16 +9,16 @@ import (
 )
 
 // BenchmarkLaunchReplay is the kill-and-restart hot loop in isolation: one
-// fresh device per iteration, launched at the entry activity — the work every
-// replayed test case pays before its first own operation. The allocs/op
-// number is the per-restart interpreter footprint the snapshot satellite
-// optimizes (layout clones, eager state maps, lifecycle scratch).
+// device reset and launched at the entry activity per iteration — the work
+// every replayed test case of a session pays before its first own
+// operation. The allocs/op number is the per-restart interpreter footprint.
 func BenchmarkLaunchReplay(b *testing.B) {
 	app := benchApp(b, "com.adobe.reader")
+	d := device.New(app, device.Options{})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		d := device.New(app, device.Options{})
+		d.Reset()
 		if err := d.LaunchMain(); err != nil {
 			b.Fatal(err)
 		}

@@ -69,8 +69,8 @@ type Options struct {
 	Monitor func(SensitiveEvent)
 	// Hook receives every device-log line as it is written — the trace hook
 	// an exploration session uses to forward device activity to its
-	// structured event stream. Nil disables forwarding; the internal log is
-	// kept either way.
+	// structured event stream, and the only way to read the log: the device
+	// keeps no copy. Nil disables the log, and the device builds no line.
 	Hook func(line string)
 	// MaxStartDepth bounds nested activity starts within one event to break
 	// pathological onCreate→startActivity cycles (treated as an ANR crash).
@@ -124,6 +124,9 @@ type Device struct {
 	// running the same app.
 	ir *ir.Program
 
+	// stack is the task's back stack. Its backing array beyond len still
+	// holds the instances a BACK, a finish or a crash dropped, until a task
+	// reset moves them to free.
 	stack    []*activityInstance
 	crashed  bool
 	crashMsg string
@@ -133,19 +136,23 @@ type Device struct {
 	// restore. restored is the portion of steps that came from restores.
 	steps    int
 	restored int
-	// journal is the ordered side-effect history since creation: log lines
-	// and sensitive-API emissions. Snapshots capture it so Restore can
-	// re-apply the exact observable stream of the skipped execution.
-	journal []journalEntry
+
+	// free and freeFrags hold the activity and fragment instances of killed
+	// tasks, emptied, for the next starts and commits to reuse: a session
+	// replays every test case on one device, so a replay allocates only what
+	// the previous runs never needed.
+	free      []*activityInstance
+	freeFrags []*fragmentInstance
 }
 
 // activityInstance is one live activity on the back stack.
 //
-// The override maps (fragments, listeners, texts, visible) are allocated
-// lazily on first write — most activity starts never touch most of them, and
-// the kill-and-restart discipline makes activity starts the interpreter's
-// hottest allocation site. Readers must tolerate nil maps (indexing a nil map
-// is fine in Go); writers go through the set* helpers.
+// The override maps (listeners, texts, visible) are allocated lazily on
+// first write — most activity starts never touch most of them, and the
+// kill-and-restart discipline makes activity starts the interpreter's hottest
+// allocation site. A recycled instance keeps its maps, emptied. Readers must
+// tolerate nil maps (indexing a nil map is fine in Go); writers go through
+// the set* helpers.
 type activityInstance struct {
 	class  string
 	intent intent
@@ -153,9 +160,9 @@ type activityInstance struct {
 	// (all mutable widget state lives in the override maps below), so content
 	// aliases the installed app's tree — no per-start deep copy.
 	content *layout.Layout
-	// fragments maps container ref -> live fragment, in commit order.
-	fragments map[string]*fragmentInstance
-	fragOrder []string
+	// frags lists the live fragments in commit order, at most one per
+	// container. An activity holds only a few, so lookups scan it.
+	frags []*fragmentInstance
 	// listeners maps widget ref -> handler registered via code.
 	listeners map[string]handlerRef
 	// texts and visible override widget state.
@@ -197,6 +204,16 @@ type fragmentInstance struct {
 	// FragmentTransaction (true) or loaded directly (false). Instrumentation
 	// can only confirm FM-backed fragments.
 	viaFM bool
+}
+
+// fragmentOf returns the first live fragment of the given class, or nil.
+func (t *activityInstance) fragmentOf(class string) *fragmentInstance {
+	for _, f := range t.frags {
+		if f.class == class {
+			return f
+		}
+	}
+	return nil
 }
 
 func (f *fragmentInstance) setListener(ref string, h handlerRef) {
@@ -272,21 +289,10 @@ func (d *Device) RestoredSteps() int { return d.restored }
 // ExecutedSteps reports the steps the interpreter actually performed.
 func (d *Device) ExecutedSteps() int { return d.steps - d.restored }
 
-// Events returns the device log (driver-visible trace).
-func (d *Device) Events() []string {
-	out := make([]string, 0, len(d.journal))
-	for _, e := range d.journal {
-		if e.sens == nil {
-			out = append(out, e.line)
-		}
-	}
-	return out
-}
-
-// log appends a pre-built line to the journal; hot paths concatenate their
-// lines directly instead of going through fmt.
+// log forwards a pre-built line to the Hook, if any; hot paths concatenate
+// their lines directly instead of going through fmt. A call site that builds
+// its line checks for the Hook first, so a device without one builds none.
 func (d *Device) log(line string) {
-	d.journal = append(d.journal, journalEntry{line: line})
 	if d.opts.Hook != nil {
 		d.opts.Hook(line)
 	}
@@ -330,7 +336,9 @@ func (d *Device) LaunchMain() error {
 		return err
 	}
 	d.reset()
-	d.log("am start -n " + entry + " -a android.intent.action.MAIN -c android.intent.category.LAUNCHER")
+	if d.opts.Hook != nil {
+		d.log("am start -n " + entry + " -a android.intent.action.MAIN -c android.intent.category.LAUNCHER")
+	}
 	return d.startActivity(intent{explicit: entry}, 0)
 }
 
@@ -345,15 +353,89 @@ func (d *Device) ForceStart(activity string) error {
 		return fmt.Errorf("device: am start: activity %s not declared", activity)
 	}
 	d.reset()
-	d.log("am start -n " + activity)
+	if d.opts.Hook != nil {
+		d.log("am start -n " + activity)
+	}
 	return d.startActivity(intent{explicit: activity}, 0)
 }
 
-// reset clears the task and crash state (process restart).
+// Reset returns the device to its freshly installed state: the app is not
+// running, not crashed, and no steps are counted. The options, and so the
+// Monitor and the Hook, stay. Nothing of the previous runs' program state
+// survives; only the storage of their activity and fragment instances is
+// kept for reuse.
+func (d *Device) Reset() {
+	d.reset()
+	d.steps, d.restored = 0, 0
+}
+
+// reset kills the task (process restart): it clears the crash state and
+// moves every activity instance of the task to the free list, including
+// those a BACK, a finish or a crash dropped. No interpretation runs at a
+// reset, so nothing else still refers to them. The top goes in first, so a
+// replay that starts the same activities again gets each one's old
+// instance, with maps sized for it.
 func (d *Device) reset() {
-	d.stack = nil
+	all := d.stack[:cap(d.stack)]
+	for i := len(all) - 1; i >= 0; i-- {
+		if all[i] != nil {
+			d.recycle(all[i])
+			all[i] = nil
+		}
+	}
+	d.stack = d.stack[:0]
 	d.crashed = false
 	d.crashMsg = ""
+}
+
+// recycle empties an activity instance and its fragments onto the free
+// lists, keeping their maps' storage.
+func (d *Device) recycle(t *activityInstance) {
+	for _, f := range t.frags {
+		clear(f.listeners)
+		*f = fragmentInstance{listeners: f.listeners}
+		d.freeFrags = append(d.freeFrags, f)
+	}
+	clear(t.frags)
+	clear(t.listeners)
+	clear(t.texts)
+	clear(t.visible)
+	*t = activityInstance{frags: t.frags[:0], listeners: t.listeners, texts: t.texts, visible: t.visible}
+	d.free = append(d.free, t)
+}
+
+// reuse pops an emptied instance off a free list, or returns a new one.
+func reuse[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
+// newActivity returns an activity instance for a start.
+func (d *Device) newActivity(class string, it intent) *activityInstance {
+	t := reuse(&d.free)
+	t.class, t.intent = class, it
+	return t
+}
+
+// attachFragment puts a new fragment instance into container: in place of
+// the fragment living there, else after every live fragment.
+func (d *Device) attachFragment(t *activityInstance, class, container string, viaFM bool) *fragmentInstance {
+	f := reuse(&d.freeFrags)
+	f.class, f.container, f.viaFM = class, container, viaFM
+	for i, old := range t.frags {
+		if old.container == container {
+			t.frags[i] = f
+			return f
+		}
+	}
+	t.frags = append(t.frags, f)
+	return f
 }
 
 // Back pops the foreground activity (the BACK key).
@@ -372,16 +454,22 @@ func (d *Device) Back() error {
 		return nil
 	}
 	d.stack = d.stack[:len(d.stack)-1]
-	d.log("back: finished " + top.class)
+	if d.opts.Hook != nil {
+		d.log("back: finished " + top.class)
+	}
 	return nil
 }
 
-// crash force-closes the app.
+// crash force-closes the app. The dropped instances stay in the stack's
+// backing array: frames still running may refer to them, so only the next
+// task reset recycles them.
 func (d *Device) crash(reason string) {
 	d.crashed = true
 	d.crashMsg = reason
-	d.stack = nil
-	d.log("FATAL EXCEPTION: " + reason)
+	d.stack = d.stack[:0]
+	if d.opts.Hook != nil {
+		d.log("FATAL EXCEPTION: " + reason)
+	}
 }
 
 // DismissDialog clicks blank space to remove a dialog or popup menu (§VI-A
@@ -398,7 +486,9 @@ func (d *Device) DismissDialog() error {
 		return errors.New("device: no dialog to dismiss")
 	}
 	d.steps++
-	d.log("dismiss dialog " + strconv.Quote(t.dialog.text))
+	if d.opts.Hook != nil {
+		d.log("dismiss dialog " + strconv.Quote(t.dialog.text))
+	}
 	t.dialog = nil
 	return nil
 }
@@ -430,7 +520,9 @@ func (d *Device) EnterText(ref, value string) error {
 		return fmt.Errorf("%w: %s", ErrNotEditable, ref)
 	}
 	t.setText(apk.NormalizeRef(ref), value)
-	d.log("enter " + strconv.Quote(value) + " into " + ref)
+	if d.opts.Hook != nil {
+		d.log("enter " + strconv.Quote(value) + " into " + ref)
+	}
 	return nil
 }
 
@@ -446,7 +538,9 @@ func (d *Device) Click(ref string) error {
 	}
 	d.steps++
 	if t.dialog != nil {
-		d.log("click " + ref + " intercepted by dialog; dismissed")
+		if d.opts.Hook != nil {
+			d.log("click " + ref + " intercepted by dialog; dismissed")
+		}
 		t.dialog = nil
 		return nil
 	}
@@ -471,7 +565,9 @@ func (d *Device) Click(ref string) error {
 		} else {
 			t.setText(nref, CheckBoxChecked)
 		}
-		d.log("checkbox " + ref + " -> " + t.texts[nref])
+		if d.opts.Hook != nil {
+			d.log("checkbox " + ref + " -> " + t.texts[nref])
+		}
 		if h, ok := d.handlerFor(t, w, owner, nref); ok {
 			return d.dispatch(t, h)
 		}
@@ -481,7 +577,9 @@ func (d *Device) Click(ref string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotClickable, ref)
 	}
-	d.log("click " + ref + " -> " + h.class + "." + h.method)
+	if d.opts.Hook != nil {
+		d.log("click " + ref + " -> " + h.class + "." + h.method)
+	}
 	return d.dispatch(t, h)
 }
 
@@ -520,9 +618,8 @@ func (d *Device) findWidget(t *activityInstance, nref string) (*layout.Widget, w
 			return w, widgetOwner{}, vis, true
 		}
 	}
-	for _, c := range t.fragOrder {
-		f := t.fragments[c]
-		if f == nil || f.content == nil {
+	for _, f := range t.frags {
+		if f.content == nil {
 			continue
 		}
 		if w, vis, ok := findInTree(f.content, nref, t.visible); ok {
@@ -647,6 +744,8 @@ func (d *Device) Reflect(fragment, container string) error {
 	if !ok || !cw.Container() {
 		return &ReflectionError{Fragment: fragment, Reason: fmt.Sprintf("no container %s in current UI", container)}
 	}
-	d.log("reflect: commit " + fragment + " into " + container)
+	if d.opts.Hook != nil {
+		d.log("reflect: commit " + fragment + " into " + container)
+	}
 	return d.commitFragment(t, nref, fragment, true)
 }

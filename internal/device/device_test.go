@@ -345,12 +345,13 @@ func TestClickErrors(t *testing.T) {
 }
 
 func TestStepsAndEvents(t *testing.T) {
-	d := demoDevice(t, Options{})
+	var log logRecorder
+	d := demoDevice(t, Options{Hook: log.hook})
 	launch(t, d)
 	if d.Steps() == 0 {
 		t.Fatal("no steps counted")
 	}
-	joined := strings.Join(d.Events(), "\n")
+	joined := log.String()
 	if !strings.Contains(joined, "am start") {
 		t.Fatalf("events missing launch record:\n%s", joined)
 	}

@@ -86,72 +86,50 @@ func (u UIDump) refs(match func(WidgetInfo) bool) []string {
 
 // Dump observes the current UI.
 func (d *Device) Dump() (UIDump, error) {
+	var u UIDump
+	err := d.DumpInto(&u)
+	return u, err
+}
+
+// DumpInto observes the current UI into u, refilling u's Widgets and
+// FMFragments in place so that a caller observing repeatedly reuses their
+// storage. Whatever u held before is overwritten, and slices taken from it
+// earlier may change. On error u is left empty.
+func (d *Device) DumpInto(u *UIDump) error {
+	*u = UIDump{Widgets: u.Widgets[:0], FMFragments: u.FMFragments[:0]}
 	if d.crashed {
-		return UIDump{}, ErrCrashed
+		return ErrCrashed
 	}
 	t := d.top()
 	if t == nil {
-		return UIDump{}, ErrNotRunning
+		return ErrNotRunning
 	}
-	dump := UIDump{Activity: t.class, HasDialog: t.dialog != nil}
+	u.Activity, u.HasDialog = t.class, t.dialog != nil
 	// Size the widget list exactly: every IDRef'd widget in the content tree
 	// and each live fragment's tree produces one entry regardless of
 	// visibility, and layouts are immutable, so the per-layout census is
-	// memoized and the sum is exact — one allocation, no growslice ladder.
-	n := 0
+	// memoized and the sum is exact — at most one allocation, no growslice
+	// ladder.
+	n, nfm := 0, 0
 	if t.content != nil {
 		n = t.content.IDRefCount()
 	}
-	for _, c := range t.fragOrder {
-		if f := t.fragments[c]; f != nil && f.content != nil {
+	for _, f := range t.frags {
+		if f.content != nil {
 			n += f.content.IDRefCount()
 		}
-	}
-	if n > 0 {
-		dump.Widgets = make([]WidgetInfo, 0, n)
-	}
-
-	appendTree := func(l *layout.Layout, fromFragment string, baseVisible bool, owner *fragmentInstance) {
-		if l == nil {
-			return
+		if f.viaFM {
+			nfm++
 		}
-		var walk func(w *layout.Widget, vis bool)
-		walk = func(w *layout.Widget, vis bool) {
-			wVis := vis && widgetVisible(w, t.visible)
-			if w.IDRef != "" {
-				ref := apk.NormalizeRef(w.IDRef)
-				info := WidgetInfo{
-					Ref:          ref,
-					Type:         w.Type,
-					Text:         w.Text,
-					Visible:      wVis,
-					Editable:     w.Input(),
-					FromFragment: fromFragment,
-				}
-				if txt, ok := t.texts[ref]; ok {
-					info.Text = txt
-				}
-				ow := widgetOwner{}
-				if owner != nil {
-					ow = widgetOwner{fragment: owner}
-				}
-				_, info.Clickable = d.handlerFor(t, w, ow, ref)
-				if w.Type == layout.TypeCheckBox {
-					info.Clickable = true // toggles even without a handler
-				}
-				dump.Widgets = append(dump.Widgets, info)
-			}
-			for _, c := range w.Children {
-				walk(c, wVis)
-			}
-		}
-		walk(l.Root, baseVisible)
 	}
-
-	appendTree(t.content, "", true, nil)
-	for _, c := range t.fragOrder {
-		f := t.fragments[c]
-		if f == nil {
+	if cap(u.Widgets) < n {
+		u.Widgets = make([]WidgetInfo, 0, n)
+	}
+	if t.content != nil {
+		d.dumpTree(u, t, t.content.Root, true, nil)
+	}
+	for _, f := range t.frags {
+		if f.content == nil {
 			continue
 		}
 		baseVis := true
@@ -160,26 +138,53 @@ func (d *Device) Dump() (UIDump, error) {
 				baseVis = vis
 			}
 		}
-		appendTree(f.content, f.class, baseVis, f)
+		d.dumpTree(u, t, f.content.Root, baseVis, f)
 	}
 
-	nfm := 0
-	for _, c := range t.fragOrder {
-		if f := t.fragments[c]; f != nil && f.viaFM {
-			nfm++
+	if cap(u.FMFragments) < nfm {
+		u.FMFragments = make([]string, 0, nfm)
+	}
+	for _, f := range t.frags {
+		if f.viaFM {
+			u.FMFragments = append(u.FMFragments, f.class)
 		}
 	}
-	if nfm > 0 {
-		fm := make([]string, 0, nfm)
-		for _, c := range t.fragOrder {
-			if f := t.fragments[c]; f != nil && f.viaFM {
-				fm = append(fm, f.class)
-			}
-		}
-		sort.Strings(fm)
-		dump.FMFragments = fm
+	sort.Strings(u.FMFragments)
+	return nil
+}
+
+// dumpTree appends the widgets of the subtree at w to u in draw order; vis
+// is the effective visibility of w's parent, and owner the live fragment
+// whose layout the tree is, nil for the activity's own.
+func (d *Device) dumpTree(u *UIDump, t *activityInstance, w *layout.Widget, vis bool, owner *fragmentInstance) {
+	if w == nil {
+		return
 	}
-	return dump, nil
+	wVis := vis && widgetVisible(w, t.visible)
+	if w.IDRef != "" {
+		ref := apk.NormalizeRef(w.IDRef)
+		info := WidgetInfo{
+			Ref:      ref,
+			Type:     w.Type,
+			Text:     w.Text,
+			Visible:  wVis,
+			Editable: w.Input(),
+		}
+		if owner != nil {
+			info.FromFragment = owner.class
+		}
+		if txt, ok := t.texts[ref]; ok {
+			info.Text = txt
+		}
+		_, info.Clickable = d.handlerFor(t, w, widgetOwner{fragment: owner}, ref)
+		if w.Type == layout.TypeCheckBox {
+			info.Clickable = true // toggles even without a handler
+		}
+		u.Widgets = append(u.Widgets, info)
+	}
+	for _, c := range w.Children {
+		d.dumpTree(u, t, c, wVis, owner)
+	}
 }
 
 // ActiveFragments returns ground truth about live fragments: every fragment
@@ -192,10 +197,8 @@ func (d *Device) ActiveFragments() map[string]bool {
 		return nil
 	}
 	out := make(map[string]bool)
-	for _, c := range t.fragOrder {
-		if f := t.fragments[c]; f != nil {
-			out[f.class] = f.viaFM
-		}
+	for _, f := range t.frags {
+		out[f.class] = f.viaFM
 	}
 	return out
 }

@@ -14,8 +14,10 @@ import (
 // FuzzCompileExec is the differential fuzzer over the two interpreters: an
 // arbitrary two-class app plus an arbitrary interaction script must produce
 // the same observable outcome — per-action errors, crash state, step count,
-// journal, final activity, and panic behavior — whether executed by the
-// classic tree-walking interpreter or the compiled instruction IR. Inputs
+// device log, final activity, and panic behavior — whether executed by the
+// classic tree-walking interpreter or the compiled instruction IR. Each
+// interpreter then runs the script again on the same device after Reset,
+// which must reproduce its first outcome exactly. Inputs
 // the pipeline rejects (manifest, layout, or smali parse failures) are
 // skipped: both interpreters would never see them. Super-chain cycles among
 // declared classes are skipped too — the classic method resolver predates
@@ -111,13 +113,19 @@ func FuzzCompileExec(f *testing.F) {
 		if hasSuperCycle(app.Program) {
 			return
 		}
-		classic, cPanic := runFuzzScript(app, "classic", script)
-		compiled, iPanic := runFuzzScript(app, "ir", script)
+		classic, classicAgain, cPanic := runFuzzScript(app, "classic", script)
+		compiled, compiledAgain, iPanic := runFuzzScript(app, "ir", script)
 		if cPanic != iPanic {
 			t.Fatalf("panic divergence: classic=%q ir=%q", cPanic, iPanic)
 		}
 		if !reflect.DeepEqual(classic, compiled) {
 			t.Fatalf("outcome divergence:\nclassic: %q\nir:      %q", classic, compiled)
+		}
+		if !reflect.DeepEqual(classicAgain, classic) {
+			t.Fatalf("classic rerun after Reset diverged:\nfirst: %q\nagain: %q", classic, classicAgain)
+		}
+		if !reflect.DeepEqual(compiledAgain, compiled) {
+			t.Fatalf("ir rerun after Reset diverged:\nfirst: %q\nagain: %q", compiled, compiledAgain)
 		}
 	})
 }
@@ -170,20 +178,31 @@ func hasSuperCycle(p *smali.Program) bool {
 	return false
 }
 
-// runFuzzScript executes one interaction script on a fresh device and renders
-// every observable into a canonical transcript. A panic is returned as text
-// so the caller can require both interpreters to panic identically.
-func runFuzzScript(app *apk.App, mode, script string) (out []string, panicked string) {
+// runFuzzScript executes one interaction script on a fresh device, then again
+// on the same device after Reset, and renders every observable of each run
+// into a canonical transcript. A panic is returned as text so the caller can
+// require both interpreters to panic identically.
+func runFuzzScript(app *apk.App, mode, script string) (first, again []string, panicked string) {
 	defer func() {
 		if r := recover(); r != nil {
 			panicked = fmt.Sprint(r)
 		}
 	}()
-	refs := []string{"@id/b0", "@id/b1", "@id/b2", "@id/c", "@id/nope"}
 	// Depth-limited start chains still fan out exponentially under mutated
 	// inputs (k starts per onCreate → k^16 executions); the step budget keeps
 	// every input finite without changing which interpreter wins.
-	d := New(app, Options{Interp: mode, MaxSteps: 100_000})
+	var log logRecorder
+	d := New(app, Options{Interp: mode, MaxSteps: 100_000, Hook: log.hook})
+	first = playFuzzScript(d, &log, script)
+	d.Reset()
+	again = playFuzzScript(d, &log, script)
+	return first, again, ""
+}
+
+// playFuzzScript runs one interaction script from launch and renders its
+// outcome, with the lines log collected meanwhile.
+func playFuzzScript(d *Device, log *logRecorder, script string) (out []string) {
+	refs := []string{"@id/b0", "@id/b1", "@id/b2", "@id/c", "@id/nope"}
 	out = append(out, "launch: "+errText(d.LaunchMain()))
 	for _, b := range []byte(script) {
 		ref := refs[int(b/7)%len(refs)]
@@ -211,8 +230,8 @@ func runFuzzScript(app *apk.App, mode, script string) (out []string, panicked st
 	out = append(out,
 		fmt.Sprintf("final: crashed=%v reason=%q steps=%d activity=%q/%s",
 			d.Crashed(), d.CrashReason(), d.Steps(), cur, errText(err)),
-		"journal: "+strings.Join(d.Events(), "\n"))
-	return out, ""
+		"log: "+strings.Join(log.take(), "\n"))
+	return out
 }
 
 func errText(err error) string {

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 
 	"fragdroid/internal/apk"
 	"fragdroid/internal/layout"
@@ -75,9 +76,11 @@ func (d *Device) startActivity(it intent, depth int) error {
 		d.crash(fmt.Sprintf("ActivityNotFoundException: %s not declared", target))
 		return ErrCrashed
 	}
-	inst := &activityInstance{class: target, intent: it}
+	inst := d.newActivity(target, it)
 	d.stack = append(d.stack, inst)
-	d.logf("start %s", target)
+	if d.opts.Hook != nil {
+		d.logf("start %s", target)
+	}
 	// Lifecycle: onCreate, then onStart and onResume when defined. A
 	// require-input abort in one callback does not suppress the next.
 	for _, lifecycle := range activityLifecycle {
@@ -126,13 +129,7 @@ func (d *Device) invoke(t *activityInstance, class, method string) error {
 		d.crash(fmt.Sprintf("NoSuchMethodException: %s.%s", class, method))
 		return ErrCrashed
 	}
-	ctx := &execCtx{act: t, class: class}
-	for _, c := range t.fragOrder {
-		if f := t.fragments[c]; f != nil && f.class == class {
-			ctx.frag = f
-			break
-		}
-	}
+	ctx := &execCtx{act: t, frag: t.fragmentOf(class), class: class}
 	err := d.run(ctx, m)
 	if _, ok := err.(abortMethod); ok {
 		return nil
@@ -235,7 +232,9 @@ func (d *Device) exec(ctx *execCtx, ins smali.Instr) error {
 		}
 		_ = w
 		t.setVisible(ref, !vis)
-		d.logf("visibility of %s -> %v", ref, !vis)
+		if d.opts.Hook != nil {
+			d.logf("visibility of %s -> %v", ref, !vis)
+		}
 
 	case smali.OpSetText:
 		t.setText(apk.NormalizeRef(ins.Args[0]), ins.Args[1])
@@ -266,7 +265,9 @@ func (d *Device) exec(ctx *execCtx, ins smali.Instr) error {
 	case smali.OpFinish:
 		if len(d.stack) > 0 && d.stack[len(d.stack)-1] == t {
 			d.stack = d.stack[:len(d.stack)-1]
-			d.logf("finish %s", t.class)
+			if d.opts.Hook != nil {
+				d.logf("finish %s", t.class)
+			}
 		}
 
 	case smali.OpGetFragmentManager, smali.OpGetSupportFragmentManager:
@@ -308,16 +309,22 @@ func (d *Device) exec(ctx *execCtx, ins smali.Instr) error {
 
 	case smali.OpShowDialog:
 		t.dialog = &dialog{text: ins.Args[0]}
-		d.logf("dialog %q", ins.Args[0])
+		if d.opts.Hook != nil {
+			d.logf("dialog %q", ins.Args[0])
+		}
 	case smali.OpShowPopup:
 		t.dialog = &dialog{text: ins.Args[0], popup: true}
-		d.logf("popup %q", ins.Args[0])
+		if d.opts.Hook != nil {
+			d.logf("popup %q", ins.Args[0])
+		}
 
 	case smali.OpRequireInput:
 		ref := apk.NormalizeRef(ins.Args[0])
 		if t.texts[ref] != ins.Args[1] {
 			t.dialog = &dialog{text: "Invalid input"}
-			d.logf("require-input %s failed", ref)
+			if d.opts.Hook != nil {
+				d.logf("require-input %s failed", ref)
+			}
 			return abortMethod{fmt.Sprintf("input %s mismatch", ref)}
 		}
 	case smali.OpRequireExtra:
@@ -333,7 +340,9 @@ func (d *Device) exec(ctx *execCtx, ins smali.Instr) error {
 		d.emitSensitive(ctx, "shell/loadLibrary")
 
 	case smali.OpLog:
-		d.logf("app log: %s", ins.Args[0])
+		if d.opts.Hook != nil {
+			d.logf("app log: %s", ins.Args[0])
+		}
 	case smali.OpNop:
 		// nothing
 	default:
@@ -343,23 +352,19 @@ func (d *Device) exec(ctx *execCtx, ins smali.Instr) error {
 }
 
 func (d *Device) emitSensitive(ctx *execCtx, api string) {
+	if d.opts.Monitor == nil {
+		return
+	}
 	activity := ""
 	if ctx.act != nil {
 		activity = ctx.act.class
 	}
-	ev := SensitiveEvent{
+	d.opts.Monitor(SensitiveEvent{
 		API:        api,
 		Class:      ctx.class,
 		InFragment: d.app.Program.IsFragmentClass(ctx.class),
 		Activity:   activity,
-	}
-	// Journal even without a monitor: a snapshot taken on an unmonitored
-	// device must still re-emit the emission stream when restored on a
-	// monitored one.
-	d.journal = append(d.journal, journalEntry{sens: &ev})
-	if d.opts.Monitor != nil {
-		d.opts.Monitor(ev)
-	}
+	})
 }
 
 // deliverBroadcast runs the onReceive of every manifest receiver subscribed
@@ -374,7 +379,9 @@ func (d *Device) deliverBroadcast(action string, depth int) error {
 		return ErrCrashed
 	}
 	receivers := d.app.Manifest.ReceiversFor(action)
-	d.logf("broadcast %s -> %d receivers", action, len(receivers))
+	if d.opts.Hook != nil {
+		d.logf("broadcast %s -> %d receivers", action, len(receivers))
+	}
 	for _, cls := range receivers {
 		m := d.methodOf(cls, "onReceive")
 		if m == nil {
@@ -413,15 +420,10 @@ func (d *Device) commitFragment(t *activityInstance, container, fragment string,
 	if fc == nil {
 		return crashError{fmt.Sprintf("ClassNotFoundException: %s", fragment)}
 	}
-	f := &fragmentInstance{class: fragment, container: container, viaFM: viaFM}
-	if _, exists := t.fragments[container]; !exists {
-		t.fragOrder = append(t.fragOrder, container)
+	f := d.attachFragment(t, fragment, container, viaFM)
+	if d.opts.Hook != nil {
+		d.logf("fragment %s -> %s (viaFM=%v)", fragment, container, viaFM)
 	}
-	if t.fragments == nil {
-		t.fragments = make(map[string]*fragmentInstance)
-	}
-	t.fragments[container] = f
-	d.logf("fragment %s -> %s (viaFM=%v)", fragment, container, viaFM)
 	for _, lifecycle := range fragmentLifecycle {
 		m := d.methodOf(fragment, lifecycle)
 		if m == nil {
@@ -434,7 +436,7 @@ func (d *Device) commitFragment(t *activityInstance, container, fragment string,
 			}
 			return err
 		}
-		if t.fragments[container] != f {
+		if !slices.Contains(t.frags, f) {
 			break // replaced or removed by its own callback
 		}
 	}
@@ -443,10 +445,12 @@ func (d *Device) commitFragment(t *activityInstance, container, fragment string,
 
 // removeFragment detaches the first live fragment of the given class.
 func (d *Device) removeFragment(t *activityInstance, fragment string) {
-	for _, c := range t.fragOrder {
-		if f := t.fragments[c]; f != nil && f.class == fragment {
-			delete(t.fragments, c)
-			d.log("fragment " + fragment + " removed from " + c)
+	for i, f := range t.frags {
+		if f.class == fragment {
+			t.frags = slices.Delete(t.frags, i, i+1)
+			if d.opts.Hook != nil {
+				d.log("fragment " + fragment + " removed from " + f.container)
+			}
 			return
 		}
 	}

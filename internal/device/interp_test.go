@@ -2,6 +2,7 @@ package device
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,6 +162,104 @@ func TestTxnRemoveAndSetText(t *testing.T) {
 	}
 }
 
+// TestTxnRemoveThenReAdd pins that a fragment removed from its container and
+// then added again is one live fragment, not two: the dump lists it once in
+// FMFragments and each of its widgets once, and the widgets stay clickable
+// through both an XML onClick and a code-registered listener.
+func TestTxnRemoveThenReAdd(t *testing.T) {
+	app := makeApp(t,
+		[]string{"t.A"},
+		map[string]string{
+			"a": `<LinearLayout id="@+id/a_root">
+  <Button id="@+id/add" onClick="onAdd"/>
+  <Button id="@+id/rm" onClick="onRemove"/>
+  <FrameLayout id="@+id/c"/>
+</LinearLayout>`,
+			"f": `<LinearLayout id="@+id/f_root">
+  <Button id="@+id/f_xml" onClick="onXML"/>
+  <Button id="@+id/f_code"/>
+</LinearLayout>`,
+		},
+		map[string]string{
+			"t.A": `
+.class Lt/A;
+.super Landroid/app/Activity;
+.method onCreate()V
+    set-content-view @layout/a
+.end method
+.method onAdd()V
+    get-fragment-manager
+    begin-transaction
+    txn-add @id/c Lt/F;
+    txn-commit
+.end method
+.method onRemove()V
+    get-fragment-manager
+    begin-transaction
+    txn-remove Lt/F;
+    txn-commit
+.end method`,
+			"t.F": `
+.class Lt/F;
+.super Landroid/app/Fragment;
+.method onCreateView()V
+    set-content-view @layout/f
+    set-click-listener @id/f_code onCode
+.end method
+.method onXML()V
+    log "xml handler ran"
+.end method
+.method onCode()V
+    log "code handler ran"
+.end method`,
+		})
+	for _, mode := range []string{"ir", "classic"} {
+		t.Run(mode, func(t *testing.T) {
+			var log logRecorder
+			d := New(app, Options{Interp: mode, Hook: log.hook})
+			if err := d.LaunchMain(); err != nil {
+				t.Fatal(err)
+			}
+			for _, ref := range []string{"@id/add", "@id/rm", "@id/add"} {
+				if err := d.Click(ref); err != nil {
+					t.Fatalf("click %s: %v", ref, err)
+				}
+			}
+			dump, err := d.Dump()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(dump.FMFragments) != 1 || dump.FMFragments[0] != "t.F" {
+				t.Fatalf("FMFragments = %v, want [t.F]", dump.FMFragments)
+			}
+			seen := make(map[string]int)
+			for _, w := range dump.Widgets {
+				seen[w.Ref]++
+			}
+			for _, ref := range []string{"@id/a_root", "@id/add", "@id/rm", "@id/c", "@id/f_root", "@id/f_xml", "@id/f_code"} {
+				if seen[ref] != 1 {
+					t.Errorf("%s listed %d times in the dump, want once", ref, seen[ref])
+				}
+			}
+			if len(dump.Widgets) != 7 {
+				t.Errorf("the dump lists %d widgets, want 7", len(dump.Widgets))
+			}
+			clickable := dump.ClickableRefs()
+			for _, ref := range []string{"@id/f_xml", "@id/f_code"} {
+				if !slices.Contains(clickable, ref) {
+					t.Errorf("%s is not clickable; clickable: %v", ref, clickable)
+				}
+				if err := d.Click(ref); err != nil {
+					t.Errorf("click %s: %v", ref, err)
+				}
+			}
+			if got := log.String(); !strings.Contains(got, "xml handler ran") || !strings.Contains(got, "code handler ran") {
+				t.Fatalf("a re-added fragment's handler did not run:\n%s", got)
+			}
+		})
+	}
+}
+
 func TestANRDepthGuard(t *testing.T) {
 	// A and B start each other from onCreate: an unbounded launch loop.
 	app := makeApp(t,
@@ -279,14 +378,15 @@ func TestMethodInheritance(t *testing.T) {
     set-content-view @layout/c
 .end method`,
 		})
-	d := New(app, Options{})
+	var log logRecorder
+	d := New(app, Options{Hook: log.hook})
 	if err := d.LaunchMain(); err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Click("@id/go"); err != nil {
 		t.Fatalf("inherited handler: %v", err)
 	}
-	if !strings.Contains(strings.Join(d.Events(), "\n"), "inherited handler ran") {
+	if !strings.Contains(log.String(), "inherited handler ran") {
 		t.Fatal("base-class handler did not execute")
 	}
 }

@@ -1,6 +1,7 @@
 package device
 
 import (
+	"slices"
 	"strconv"
 	"sync"
 
@@ -9,7 +10,7 @@ import (
 )
 
 // This file is the IR fast path: the same observable semantics as interp.go
-// (same journal lines, same crash messages, same step accounting, byte for
+// (same log lines, same crash messages, same step accounting, byte for
 // byte — pinned by the golden transcripts and the differential corpus test),
 // executed over the precompiled ir.Program instead of parsed smali. Numeric
 // opcodes dispatch through one dense switch, operands arrive pre-resolved
@@ -121,7 +122,9 @@ func (d *Device) runIR(f *irFrame, mi int32) error {
 				return ErrCrashed
 			}
 			t.setVisible(ref, !vis)
-			d.log("visibility of " + ref + " -> " + strconv.FormatBool(!vis))
+			if d.opts.Hook != nil {
+				d.log("visibility of " + ref + " -> " + strconv.FormatBool(!vis))
+			}
 
 		case ir.OpSetText:
 			t.setText(p.Strings[ins.A], p.Strings[ins.B])
@@ -161,7 +164,9 @@ func (d *Device) runIR(f *irFrame, mi int32) error {
 		case ir.OpFinish:
 			if len(d.stack) > 0 && d.stack[len(d.stack)-1] == t {
 				d.stack = d.stack[:len(d.stack)-1]
-				d.log("finish " + t.class)
+				if d.opts.Hook != nil {
+					d.log("finish " + t.class)
+				}
 			}
 
 		case ir.OpGetFragmentManager, ir.OpGetSupportFragmentManager:
@@ -199,16 +204,22 @@ func (d *Device) runIR(f *irFrame, mi int32) error {
 
 		case ir.OpShowDialog:
 			t.dialog = &dialog{text: p.Strings[ins.A]}
-			d.log("dialog " + strconv.Quote(p.Strings[ins.A]))
+			if d.opts.Hook != nil {
+				d.log("dialog " + strconv.Quote(p.Strings[ins.A]))
+			}
 		case ir.OpShowPopup:
 			t.dialog = &dialog{text: p.Strings[ins.A], popup: true}
-			d.log("popup " + strconv.Quote(p.Strings[ins.A]))
+			if d.opts.Hook != nil {
+				d.log("popup " + strconv.Quote(p.Strings[ins.A]))
+			}
 
 		case ir.OpRequireInput:
 			ref := p.Strings[ins.A]
 			if t.texts[ref] != p.Strings[ins.B] {
 				t.dialog = &dialog{text: "Invalid input"}
-				d.log("require-input " + ref + " failed")
+				if d.opts.Hook != nil {
+					d.log("require-input " + ref + " failed")
+				}
 				return abortMethod{"input " + ref + " mismatch"}
 			}
 		case ir.OpRequireExtra:
@@ -224,7 +235,9 @@ func (d *Device) runIR(f *irFrame, mi int32) error {
 			d.emitSensitiveIR(t, f.classID, p.Strings[ins.A])
 
 		case ir.OpLog:
-			d.log("app log: " + p.Strings[ins.A])
+			if d.opts.Hook != nil {
+				d.log("app log: " + p.Strings[ins.A])
+			}
 
 		default: // ir.OpUnknown
 			d.crash("VerifyError: unhandled opcode " + p.Strings[ins.A])
@@ -257,9 +270,11 @@ func (d *Device) startActivityIR(it intent, depth int) error {
 		d.crash("ActivityNotFoundException: " + target + " not declared")
 		return ErrCrashed
 	}
-	inst := &activityInstance{class: target, intent: it}
+	inst := d.newActivity(target, it)
 	d.stack = append(d.stack, inst)
-	d.log("start " + target)
+	if d.opts.Hook != nil {
+		d.log("start " + target)
+	}
 	p := d.ir
 	if ci := p.ClassID(target); ci >= 0 {
 		cls := &p.Classes[ci]
@@ -307,13 +322,7 @@ func (d *Device) invokeIR(t *activityInstance, h handlerRef) error {
 		d.crash("NoSuchMethodException: " + h.class + "." + h.method)
 		return ErrCrashed
 	}
-	f := getFrame(t, nil, ci, 0)
-	for _, c := range t.fragOrder {
-		if fr := t.fragments[c]; fr != nil && fr.class == h.class {
-			f.frag = fr
-			break
-		}
-	}
+	f := getFrame(t, t.fragmentOf(h.class), ci, 0)
 	err := d.runIR(f, mi)
 	putFrame(f)
 	if _, ok := err.(abortMethod); ok {
@@ -330,7 +339,9 @@ func (d *Device) deliverBroadcastIR(action string, depth int) error {
 	}
 	p := d.ir
 	receivers := d.app.Manifest.ReceiversFor(action)
-	d.log("broadcast " + action + " -> " + strconv.Itoa(len(receivers)) + " receivers")
+	if d.opts.Hook != nil {
+		d.log("broadcast " + action + " -> " + strconv.Itoa(len(receivers)) + " receivers")
+	}
 	for _, cls := range receivers {
 		mi := int32(-1)
 		ci := p.ClassID(cls)
@@ -360,18 +371,9 @@ func (d *Device) commitFragmentIR(t *activityInstance, container, fragment strin
 		d.crash("ClassNotFoundException: " + fragment)
 		return ErrCrashed
 	}
-	f := &fragmentInstance{class: fragment, container: container, viaFM: viaFM}
-	if _, exists := t.fragments[container]; !exists {
-		t.fragOrder = append(t.fragOrder, container)
-	}
-	if t.fragments == nil {
-		t.fragments = make(map[string]*fragmentInstance)
-	}
-	t.fragments[container] = f
-	if viaFM {
-		d.log("fragment " + fragment + " -> " + container + " (viaFM=true)")
-	} else {
-		d.log("fragment " + fragment + " -> " + container + " (viaFM=false)")
+	f := d.attachFragment(t, fragment, container, viaFM)
+	if d.opts.Hook != nil {
+		d.log("fragment " + fragment + " -> " + container + " (viaFM=" + strconv.FormatBool(viaFM) + ")")
 	}
 	p := d.ir
 	cls := &p.Classes[classID]
@@ -389,7 +391,7 @@ func (d *Device) commitFragmentIR(t *activityInstance, container, fragment strin
 			}
 			return err
 		}
-		if t.fragments[container] != f {
+		if !slices.Contains(t.frags, f) {
 			break // replaced or removed by its own callback
 		}
 	}
@@ -399,16 +401,15 @@ func (d *Device) commitFragmentIR(t *activityInstance, container, fragment strin
 // emitSensitiveIR is emitSensitive with the fragment flag read off the
 // compiled class instead of re-walking the superclass chain per emission.
 func (d *Device) emitSensitiveIR(act *activityInstance, classID int32, api string) {
+	if d.opts.Monitor == nil {
+		return
+	}
 	activity := ""
 	if act != nil {
 		activity = act.class
 	}
 	c := &d.ir.Classes[classID]
-	ev := SensitiveEvent{API: api, Class: c.Name, InFragment: c.IsFragment, Activity: activity}
-	d.journal = append(d.journal, journalEntry{sens: &ev})
-	if d.opts.Monitor != nil {
-		d.opts.Monitor(ev)
-	}
+	d.opts.Monitor(SensitiveEvent{API: api, Class: c.Name, InFragment: c.IsFragment, Activity: activity})
 }
 
 // findWidgetIR is findWidget over the per-layout widget index: a map hit plus
@@ -427,9 +428,8 @@ func (d *Device) findWidgetIR(t *activityInstance, nref string) (*layout.Widget,
 			return w, widgetOwner{}, vis, true
 		}
 	}
-	for _, c := range t.fragOrder {
-		f := t.fragments[c]
-		if f == nil || f.content == nil {
+	for _, f := range t.frags {
+		if f.content == nil {
 			continue
 		}
 		var w *layout.Widget

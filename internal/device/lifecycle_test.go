@@ -26,11 +26,12 @@ func TestActivityLifecycleOrder(t *testing.T) {
 .end method`,
 		})
 	var apis []string
-	d := New(app, Options{Monitor: func(e SensitiveEvent) { apis = append(apis, e.API) }})
+	var log logRecorder
+	d := New(app, Options{Monitor: func(e SensitiveEvent) { apis = append(apis, e.API) }, Hook: log.hook})
 	if err := d.LaunchMain(); err != nil {
 		t.Fatal(err)
 	}
-	joined := strings.Join(d.Events(), "\n")
+	joined := log.String()
 	ci := strings.Index(joined, "app log: create")
 	si := strings.Index(joined, "app log: start")
 	ri := strings.Index(joined, "app log: resume")
@@ -71,11 +72,12 @@ func TestFragmentLifecycle(t *testing.T) {
     log "fragment resumed"
 .end method`,
 		})
-	d := New(app, Options{})
+	var log logRecorder
+	d := New(app, Options{Hook: log.hook})
 	if err := d.LaunchMain(); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(strings.Join(d.Events(), "\n"), "fragment resumed") {
+	if !strings.Contains(log.String(), "fragment resumed") {
 		t.Fatal("fragment onResume did not run")
 	}
 }
@@ -105,14 +107,15 @@ func TestLifecycleStopsAfterRedirect(t *testing.T) {
     set-content-view @layout/a
 .end method`,
 		})
-	d := New(app, Options{})
+	var log logRecorder
+	d := New(app, Options{Hook: log.hook})
 	if err := d.LaunchMain(); err != nil {
 		t.Fatal(err)
 	}
 	if cur, _ := d.CurrentActivity(); cur != "t.B" {
 		t.Fatalf("current = %q", cur)
 	}
-	if strings.Contains(strings.Join(d.Events(), "\n"), "A resumed") {
+	if strings.Contains(log.String(), "A resumed") {
 		t.Fatal("backgrounded activity ran onResume")
 	}
 }

@@ -11,35 +11,21 @@ import (
 // resume into state that never existed on this installation.
 var ErrStaleSnapshot = errors.New("device: snapshot belongs to a different app installation")
 
-// journalEntry is one replayable side effect of interpretation: either a
-// device-log line or a sensitive-API emission. The journal is what makes
-// snapshots observationally exact: restoring a snapshot re-applies the
-// entries in order, so the monitor and the log hook see the same stream a
-// real re-execution of the route prefix would have produced.
-type journalEntry struct {
-	line string
-	// sens is non-nil for sensitive-API emissions, nil for log lines. A
-	// pointer keeps the common log entry at two words — the journal is the
-	// interpreter's fastest-growing slice, and most entries are plain lines.
-	sens *SensitiveEvent
-}
-
 // Snapshot is an immutable capture of a device's full interpreter state: the
 // activity back stack with live fragments, widget-state overrides, pending
-// dialogs and intent extras, the crash state, the logical step count, and the
-// side-effect journal accumulated since the device was created. Snapshots
-// never alias mutable device state — Snapshot deep-copies on capture and
-// Restore deep-copies on reinstatement — so one snapshot can seed any number
-// of devices, concurrently, without write-back. Layout trees are shared, not
-// copied: they are immutable at runtime (all mutable widget state lives in
-// the per-activity override maps).
+// dialogs and intent extras, the crash state and the logical step count. It
+// holds no side effects: the device keeps no log, and a restore re-emits
+// nothing. Snapshots never alias mutable device state — Snapshot deep-copies
+// on capture and Restore deep-copies on reinstatement — so one snapshot can
+// seed any number of devices, concurrently, without write-back. Layout trees
+// are shared, not copied: they are immutable at runtime (all mutable widget
+// state lives in the per-activity override maps).
 type Snapshot struct {
 	app      *apk.App
 	stack    []*activityInstance
 	crashed  bool
 	crashMsg string
 	steps    int
-	journal  []journalEntry
 }
 
 // Steps reports the logical step count the snapshot stands for — the
@@ -51,8 +37,7 @@ func (s *Snapshot) Steps() int { return s.steps }
 // capture covers everything interpretation can observe or mutate — activity
 // and fragment stacks, widget trees (shared, immutable), listener
 // registrations, text and visibility overrides, intent extras, dialogs, the
-// crash state — plus the side-effect journal and step count needed to make a
-// later Restore observationally identical to re-executing the route.
+// crash state — plus the step count a re-execution of the route would bill.
 func (d *Device) Snapshot() *Snapshot {
 	return &Snapshot{
 		app:      d.app,
@@ -60,23 +45,16 @@ func (d *Device) Snapshot() *Snapshot {
 		crashed:  d.crashed,
 		crashMsg: d.crashMsg,
 		steps:    d.steps,
-		// A capped view, not a copy: the journal is append-only and its
-		// entries are immutable values, so the prefix can be shared. The cap
-		// keeps any append on the view from ever touching the device's tail,
-		// and a capture costs O(state) instead of O(journal).
-		journal: d.journal[:len(d.journal):len(d.journal)],
 	}
 }
 
 // Restore reinstates a snapshot: the interpreter state (stack, fragments,
 // overrides, crash state) replaces whatever the device was doing — exactly
-// like the kill-and-restart the snapshot stands in for — while the
-// side-effect journal and step charge are applied on top of the device's own
-// log and counters, as a real re-execution would have appended them. The
-// journal entries are re-emitted through the device's monitor and log hook,
-// so sensitive-API collectors and trace observers see the same stream either
-// way. Restoring a snapshot captured on a different app installation fails
-// with ErrStaleSnapshot and leaves the device untouched.
+// like the kill-and-restart the snapshot stands in for — and the snapshot's
+// steps are credited on top of the device's own count, as restored steps.
+// Nothing is re-emitted: neither the Monitor nor the Hook sees the captured
+// run's events again. Restoring a snapshot captured on a different app
+// installation fails with ErrStaleSnapshot and leaves the device untouched.
 func (d *Device) Restore(s *Snapshot) error {
 	if s == nil || s.app != d.app {
 		return ErrStaleSnapshot
@@ -86,24 +64,15 @@ func (d *Device) Restore(s *Snapshot) error {
 	d.crashMsg = s.crashMsg
 	d.steps += s.steps
 	d.restored += s.steps
-	d.journal = append(d.journal, s.journal...)
-	for _, e := range s.journal {
-		if e.sens != nil {
-			if d.opts.Monitor != nil {
-				d.opts.Monitor(*e.sens)
-			}
-		} else if d.opts.Hook != nil {
-			d.opts.Hook(e.line)
-		}
-	}
 	return nil
 }
 
 // copyStack deep-copies the activity back stack. Map nil-ness is preserved
 // (instances allocate their override maps lazily); layout content pointers
-// are shared because the trees are immutable at runtime.
+// are shared because the trees are immutable at runtime. An empty stack
+// copies as nil.
 func copyStack(stack []*activityInstance) []*activityInstance {
-	if stack == nil {
+	if len(stack) == 0 {
 		return nil
 	}
 	out := make([]*activityInstance, len(stack))
@@ -112,7 +81,6 @@ func copyStack(stack []*activityInstance) []*activityInstance {
 			class:     a.class,
 			intent:    a.intent,
 			content:   a.content,
-			fragOrder: append([]string(nil), a.fragOrder...),
 			listeners: copyHandlerMap(a.listeners),
 			texts:     copyStringMap(a.texts),
 			visible:   copyBoolMap(a.visible),
@@ -122,17 +90,16 @@ func copyStack(stack []*activityInstance) []*activityInstance {
 			dl := *a.dialog
 			cp.dialog = &dl
 		}
-		if a.fragments != nil {
-			cp.fragments = make(map[string]*fragmentInstance, len(a.fragments))
-			for c, f := range a.fragments {
-				fc := &fragmentInstance{
+		if a.frags != nil {
+			cp.frags = make([]*fragmentInstance, len(a.frags))
+			for j, f := range a.frags {
+				cp.frags[j] = &fragmentInstance{
 					class:     f.class,
 					container: f.container,
 					content:   f.content,
 					listeners: copyHandlerMap(f.listeners),
 					viaFM:     f.viaFM,
 				}
-				cp.fragments[c] = fc
 			}
 		}
 		out[i] = cp

@@ -10,7 +10,8 @@ import (
 )
 
 // snapState is the externally observable device state used by the parity
-// assertions below.
+// assertions below. events holds the log lines the device's Hook received
+// since its previous observation.
 type snapState struct {
 	activity string
 	dump     UIDump
@@ -20,9 +21,14 @@ type snapState struct {
 	reason   string
 }
 
-func observeState(t *testing.T, d *Device) snapState {
+// observeState observes d; log is the recorder on d's Hook, nil for a device
+// without one.
+func observeState(t *testing.T, d *Device, log *logRecorder) snapState {
 	t.Helper()
-	st := snapState{steps: d.Steps(), events: d.Events(), crashed: d.Crashed(), reason: d.CrashReason()}
+	st := snapState{steps: d.Steps(), crashed: d.Crashed(), reason: d.CrashReason()}
+	if log != nil {
+		st.events = log.take()
+	}
 	if d.Running() {
 		var err error
 		if st.activity, err = d.CurrentActivity(); err != nil {
@@ -44,10 +50,12 @@ func requireEqualState(t *testing.T, got, want snapState) {
 
 // TestSnapshotRestoreRoundTrip pins the tentpole guarantee: restoring a
 // snapshot onto a fresh device yields a state observationally identical to
-// re-executing the captured route — same screen, same step count, same device
-// log — and subsequent interaction behaves identically on both.
+// re-executing the captured route — same screen, same step count — without
+// re-emitting the captured run's log, and subsequent interaction behaves
+// and logs identically on both.
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	src := demoDevice(t, Options{})
+	var srcLog, dstLog logRecorder
+	src := demoDevice(t, Options{Hook: srcLog.hook})
 	launch(t, src)
 	if err := src.Click(corpus.NavButtonRef("Main", "Detail")); err != nil {
 		t.Fatal(err)
@@ -59,12 +67,14 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if snap.Steps() != src.Steps() {
 		t.Fatalf("snapshot steps = %d, device steps = %d", snap.Steps(), src.Steps())
 	}
+	want := observeState(t, src, &srcLog)
+	want.events = nil // a restore re-emits none of the captured run's lines
 
-	dst := New(src.App(), Options{})
+	dst := New(src.App(), Options{Hook: dstLog.hook})
 	if err := dst.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	requireEqualState(t, observeState(t, dst), observeState(t, src))
+	requireEqualState(t, observeState(t, dst, &dstLog), want)
 	if dst.RestoredSteps() != snap.Steps() || dst.ExecutedSteps() != 0 {
 		t.Fatalf("restored/executed = %d/%d, want %d/0",
 			dst.RestoredSteps(), dst.ExecutedSteps(), snap.Steps())
@@ -77,7 +87,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("menu click after restore: %v", err)
 		}
 	}
-	requireEqualState(t, observeState(t, dst), observeState(t, src))
+	requireEqualState(t, observeState(t, dst, &dstLog), observeState(t, src, &srcLog))
 }
 
 // TestSnapshotIsImmutable pins copy-on-write isolation in both directions:
@@ -87,7 +97,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	src := demoDevice(t, Options{})
 	launch(t, src)
 	snap := src.Snapshot()
-	want := observeState(t, src)
+	want := observeState(t, src, nil)
 
 	// Mutate the source: switch tabs, then navigate away.
 	if err := src.Click(corpus.TabButtonRef("Main", "Recent")); err != nil {
@@ -101,7 +111,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if err := one.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	requireEqualState(t, observeState(t, one), want)
+	requireEqualState(t, observeState(t, one, nil), want)
 
 	// Mutate the first restored device, then seed a second from the same
 	// snapshot: it must still observe the capture-time state.
@@ -112,62 +122,7 @@ func TestSnapshotIsImmutable(t *testing.T) {
 	if err := two.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	requireEqualState(t, observeState(t, two), want)
-}
-
-// TestRestoreReplaysJournal pins that Restore re-emits the side-effect stream
-// of the skipped execution: the monitor sees the same sensitive events (same
-// order, same attribution) and the hook the same log lines as a real
-// re-execution would produce.
-func TestRestoreReplaysJournal(t *testing.T) {
-	var srcEvents []SensitiveEvent
-	var srcLines []string
-	src := demoDevice(t, Options{
-		Monitor: func(e SensitiveEvent) { srcEvents = append(srcEvents, e) },
-		Hook:    func(line string) { srcLines = append(srcLines, line) },
-	})
-	launch(t, src)
-	snap := src.Snapshot()
-
-	var dstEvents []SensitiveEvent
-	var dstLines []string
-	dst := New(src.App(), Options{
-		Monitor: func(e SensitiveEvent) { dstEvents = append(dstEvents, e) },
-		Hook:    func(line string) { dstLines = append(dstLines, line) },
-	})
-	if err := dst.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(srcEvents) == 0 {
-		t.Fatal("demo launch emitted no sensitive events; test is vacuous")
-	}
-	if !reflect.DeepEqual(dstEvents, srcEvents) {
-		t.Fatalf("monitor streams diverged:\n got: %+v\nwant: %+v", dstEvents, srcEvents)
-	}
-	if !reflect.DeepEqual(dstLines, srcLines) {
-		t.Fatalf("hook streams diverged:\n got: %q\nwant: %q", dstLines, srcLines)
-	}
-	if !reflect.DeepEqual(dst.Events(), src.Events()) {
-		t.Fatalf("device logs diverged")
-	}
-}
-
-// TestRestoreJournaledWithoutMonitor pins that snapshots captured on an
-// unmonitored device still carry the emission stream: restoring one on a
-// monitored device replays it.
-func TestRestoreJournaledWithoutMonitor(t *testing.T) {
-	src := demoDevice(t, Options{}) // no monitor
-	launch(t, src)
-	snap := src.Snapshot()
-
-	var events []SensitiveEvent
-	dst := New(src.App(), Options{Monitor: func(e SensitiveEvent) { events = append(events, e) }})
-	if err := dst.Restore(snap); err != nil {
-		t.Fatal(err)
-	}
-	if len(events) == 0 {
-		t.Fatal("restore did not replay sensitive emissions captured without a monitor")
-	}
+	requireEqualState(t, observeState(t, two, nil), want)
 }
 
 // TestRestoreStaleSnapshot is the corruption-style case: a snapshot captured
@@ -187,11 +142,11 @@ func TestRestoreStaleSnapshot(t *testing.T) {
 	if err := d.ForceStart(pkg + "Settings"); err != nil {
 		t.Fatal(err)
 	}
-	before := observeState(t, d)
+	before := observeState(t, d, nil)
 	if err := d.Restore(snap); !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("Restore on reinstalled app = %v, want ErrStaleSnapshot", err)
 	}
-	requireEqualState(t, observeState(t, d), before)
+	requireEqualState(t, observeState(t, d, nil), before)
 
 	if err := d.Restore(nil); !errors.Is(err, ErrStaleSnapshot) {
 		t.Fatalf("Restore(nil) = %v, want ErrStaleSnapshot", err)
@@ -200,21 +155,25 @@ func TestRestoreStaleSnapshot(t *testing.T) {
 
 // TestRestoreReplacesMutatedState pins the restart semantics: a device that
 // moved on (forced start to a different activity) and then restores a
-// snapshot is back at the snapshot's screen, with the steps and journal of
-// both the detour and the restored prefix accounted — exactly what a real
-// kill-and-re-execute of the prefix would leave behind.
+// snapshot is back at the snapshot's screen, with the steps of both the
+// detour and the restored prefix accounted and nothing logged by the
+// restore. From there it logs what the snapshot's source logs.
 func TestRestoreReplacesMutatedState(t *testing.T) {
-	src := demoDevice(t, Options{})
+	var srcLog, log logRecorder
+	src := demoDevice(t, Options{Hook: srcLog.hook})
 	launch(t, src)
 	snap := src.Snapshot()
+	srcLog.take()
 
-	d := New(src.App(), Options{})
+	d := New(src.App(), Options{Hook: log.hook})
 	launch(t, d)
 	if err := d.ForceStart(pkg + "Settings"); err != nil {
 		t.Fatal(err)
 	}
 	detourSteps := d.Steps()
-	detourEvents := len(d.Events())
+	if len(log.take()) == 0 {
+		t.Fatal("the detour logged nothing; the test is vacuous")
+	}
 	if err := d.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +183,16 @@ func TestRestoreReplacesMutatedState(t *testing.T) {
 	if d.Steps() != detourSteps+snap.Steps() {
 		t.Fatalf("steps = %d, want detour %d + restored %d", d.Steps(), detourSteps, snap.Steps())
 	}
-	if len(d.Events()) <= detourEvents {
-		t.Fatal("restore did not append the prefix's log lines")
+	if lines := log.take(); len(lines) != 0 {
+		t.Fatalf("restore logged %q; it re-emits nothing", lines)
+	}
+	for _, dev := range []*Device{src, d} {
+		if err := dev.Click(corpus.NavButtonRef("Main", "Detail")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := log.take(), srcLog.take(); len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after restore the device logged %q, its source %q", got, want)
 	}
 }
 
@@ -248,7 +215,7 @@ func TestRestoreCrashState(t *testing.T) {
 
 // driveRich pushes a device through a mixed interaction burst — launches,
 // fills, clicks, backs, crash restarts — so its snapshot holds a deep stack,
-// live fragments, listener tables, widget overrides and a long journal.
+// live fragments, listener tables and widget overrides.
 func driveRich(t *testing.T, d *Device) {
 	t.Helper()
 	if err := d.LaunchMain(); err != nil {
@@ -284,9 +251,9 @@ func burst(d *Device, from, n int) {
 }
 
 // requireUnaliased fails if any mutable part of stack b — an activity
-// instance, its listener table, override maps, intent extras, fragment
-// table, fragment order or dialog, or a fragment instance and its listener
-// table — is shared with stack a.
+// instance, its listener table, override maps, intent extras, fragment list
+// or dialog, or a fragment instance and its listener table — is shared with
+// stack a.
 func requireUnaliased(t *testing.T, a, b []*activityInstance) {
 	t.Helper()
 	parts := func(stack []*activityInstance) []uintptr {
@@ -302,12 +269,11 @@ func requireUnaliased(t *testing.T, a, b []*activityInstance) {
 			add(in.texts)
 			add(in.visible)
 			add(in.intent.extras)
-			add(in.fragments)
 			add(in.dialog)
-			if cap(in.fragOrder) > 0 {
-				add(in.fragOrder)
+			if cap(in.frags) > 0 {
+				add(in.frags)
 			}
-			for _, f := range in.fragments {
+			for _, f := range in.frags {
 				add(f)
 				add(f.listeners)
 			}
@@ -330,9 +296,9 @@ func requireUnaliased(t *testing.T, a, b []*activityInstance) {
 // the device: Snapshot encodes the state, Restore decodes it onto a fresh
 // device, and a second Snapshot of that device must reproduce the first
 // exactly, unexported nil-ness and all. Neither step may alias mutable
-// state across the copy. The restored device must then drive like the
-// original, and the snapshot must still restore to the capture-time state
-// after both devices moved on.
+// state across the copy. The restored device must then drive and log like
+// the original, and the snapshot must still restore to the capture-time
+// state after both devices moved on.
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	specs := []*corpus.AppSpec{corpus.DemoSpec()}
 	for _, row := range corpus.PaperRows() {
@@ -348,13 +314,15 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("BuildApp: %v", err)
 			}
-			d := New(app, Options{})
+			var log, log2 logRecorder
+			d := New(app, Options{Hook: log.hook})
 			driveRich(t, d)
 			snap := d.Snapshot()
 			requireUnaliased(t, d.stack, snap.stack)
-			want := observeState(t, d)
+			want := observeState(t, d, &log)
+			want.events = nil // a restore re-emits none of the captured run's lines
 
-			d2 := New(app, Options{})
+			d2 := New(app, Options{Hook: log2.hook})
 			if err := d2.Restore(snap); err != nil {
 				t.Fatalf("Restore: %v", err)
 			}
@@ -362,17 +330,17 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 			if got := d2.Snapshot(); !reflect.DeepEqual(got, snap) {
 				t.Fatalf("round trip diverged:\n got: %#v\nwant: %#v", got, snap)
 			}
-			requireEqualState(t, observeState(t, d2), want)
+			requireEqualState(t, observeState(t, d2, &log2), want)
 
 			burst(d, 15, 10)
 			burst(d2, 15, 10)
-			requireEqualState(t, observeState(t, d2), observeState(t, d))
+			requireEqualState(t, observeState(t, d2, &log2), observeState(t, d, &log))
 
 			d3 := New(app, Options{})
 			if err := d3.Restore(snap); err != nil {
 				t.Fatalf("Restore after both devices moved on: %v", err)
 			}
-			requireEqualState(t, observeState(t, d3), want)
+			requireEqualState(t, observeState(t, d3, nil), want)
 		})
 	}
 }

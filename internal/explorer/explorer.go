@@ -224,6 +224,12 @@ type engine struct {
 	launchRan  bool
 	// seedIdx is the next cfg.Seeds entry to propose (phaseSeeds).
 	seedIdx int
+
+	// dumps are the buffers observe fills, in turn: exploreInterface keeps
+	// one observation while it takes the next, so the dump observe returns
+	// stays valid until the second observe after it.
+	dumps    [2]device.UIDump
+	nextDump int
 }
 
 // Propose phases of the evolutionary loop.
@@ -412,9 +418,14 @@ const (
 
 // observe dumps the device's UI and identifies the interface it shows. The
 // explorer observes each device state once: callers carry the result
-// forward until the next device call.
+// forward until the next device call. The dump shares its storage with the
+// engine's buffers, so it stays valid until the second observe after this
+// one.
 func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
-	dump, err := d.Dump()
+	buf := &e.dumps[e.nextDump]
+	e.nextDump ^= 1
+	err := d.DumpInto(buf)
+	dump := *buf
 	if err != nil {
 		return iface{}, dump, err
 	}
@@ -587,8 +598,9 @@ func (e *engine) Finish(out *session.Outcome) error {
 	return nil
 }
 
-// replayTo re-provisions a device and replays a route, verifying arrival.
-// It returns the device with the dump it observed at item.target.
+// replayTo replays a route from launch on the session's reset device,
+// verifying arrival. It returns the device with the dump it observed at
+// item.target.
 func (e *engine) replayTo(item workItem) (*device.Device, device.UIDump, bool) {
 	d, res, ok := e.s.RunScript(item.route, session.PurposeReplay)
 	if !ok {

@@ -113,6 +113,9 @@ type Options struct {
 type Session struct {
 	app  *apk.App
 	opts Options
+	// dev is the device RunScript replays every test case on, provisioned
+	// on the first and reset for each later one.
+	dev *device.Device
 
 	collector *sensitive.Collector
 	stats     Stats
@@ -199,7 +202,10 @@ func (s *Session) Notef(format string, args ...any) {
 
 // NewDevice provisions a fresh instrumented device: the app installed, the
 // sensitive-API monitor wired to the session collector, and — while an
-// Observer is attached — the device log forwarded as trace events.
+// Observer is attached — the device log forwarded as trace events. Without
+// an Observer the device has no Hook, so it builds no log line at all.
+// Engines that drive one long-lived device (Monkey, biased, the recorder's
+// replay) take theirs here; RunScript keeps its own.
 func (s *Session) NewDevice() *device.Device {
 	opts := device.Options{Monitor: func(ev device.SensitiveEvent) {
 		e := sensitive.Event(ev)
@@ -217,16 +223,24 @@ func (s *Session) NewDevice() *device.Device {
 	return device.New(s.app, opts)
 }
 
-// RunScript provisions a fresh device and executes one budgeted test case on
-// it. The third return is false when the session is halted or out of budget
-// (no device was provisioned then).
+// RunScript executes one budgeted test case on the session's device, reset
+// to its freshly installed state first: every test case starts from a killed
+// app, with no program state left by the ones before (§VI-A Case 3). The
+// device is provisioned on the first call with NewDevice and reused after,
+// so the returned device is valid only until the session's next RunScript.
+// The third return is false when the session is halted or out of budget
+// (nothing ran then).
 func (s *Session) RunScript(sc robotium.Script, p Purpose) (*device.Device, robotium.Result, bool) {
 	if s.Halted() || s.Exhausted() {
 		return nil, robotium.Result{}, false
 	}
-	d := s.NewDevice()
-	res, ok := s.RunOn(d, sc, p)
-	return d, res, ok
+	if s.dev == nil {
+		s.dev = s.NewDevice()
+	} else {
+		s.dev.Reset()
+	}
+	res, ok := s.RunOn(s.dev, sc, p)
+	return s.dev, res, ok
 }
 
 // RunOn executes one budgeted test case on a caller-provided device,

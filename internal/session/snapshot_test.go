@@ -34,8 +34,16 @@ func newRecordedDevice(app *apk.App) *recordedDevice {
 	return r
 }
 
+// take returns the lines and events recorded since the last take.
+func (r *recordedDevice) take() ([]string, []device.SensitiveEvent) {
+	lines, events := r.lines, r.events
+	r.lines, r.events = nil, nil
+	return lines, events
+}
+
 // screen is the externally observable state of a device: where it is, what
-// it shows, what it logged, and whether it crashed.
+// it shows, what it logged since its previous observation, and whether it
+// crashed.
 type screen struct {
 	Activity string
 	Dump     device.UIDump
@@ -45,9 +53,19 @@ type screen struct {
 	Reason   string
 }
 
-func observe(t *testing.T, d *device.Device) screen {
+// observe observes a recorded device, with the lines it logged since its
+// previous observation.
+func observe(t *testing.T, r *recordedDevice) screen {
 	t.Helper()
-	sc := screen{Steps: d.Steps(), Log: d.Events(), Crashed: d.Crashed(), Reason: d.CrashReason()}
+	sc := screenOf(t, r.Device)
+	sc.Log, _ = r.take()
+	return sc
+}
+
+// screenOf observes any device; its Log stays empty.
+func screenOf(t *testing.T, d *device.Device) screen {
+	t.Helper()
+	sc := screen{Steps: d.Steps(), Crashed: d.Crashed(), Reason: d.CrashReason()}
 	if d.Running() {
 		var err error
 		if sc.Activity, err = d.CurrentActivity(); err != nil {
@@ -64,9 +82,9 @@ func observe(t *testing.T, d *device.Device) screen {
 // fixtures' routes: every visit route the explorer finds on a fixture app
 // (each must appear in the fixture) is replayed from launch on a fresh
 // device, and a snapshot of its end state restored onto another fresh
-// device must show the same screen, bill the same steps — as restored, not
-// executed — and re-emit the same device log and sensitive events in the
-// same order. Both devices must then take the same next step alike.
+// device must show the same screen and bill the same steps — as restored,
+// not executed. Both devices must then take the same next step alike, and
+// log it alike.
 func TestSnapshotParityGolden(t *testing.T) {
 	for _, pkg := range parityApps {
 		pkg := pkg
@@ -105,22 +123,19 @@ func TestSnapshotParityGolden(t *testing.T) {
 				if err := restored.Restore(replayed.Snapshot()); err != nil {
 					t.Fatalf("%s: Restore: %v", v.Route.Name, err)
 				}
-				want := observe(t, replayed.Device)
-				if got := observe(t, restored.Device); !reflect.DeepEqual(got, want) {
+				want := observe(t, replayed)
+				want.Log = nil // a restore re-emits none of the replay's lines
+				if got := observe(t, restored); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: restored device diverged from the replay:\n got: %+v\nwant: %+v", v.Route.Name, got, want)
 				}
 				if restored.RestoredSteps() != replayed.Steps() || restored.ExecutedSteps() != 0 {
 					t.Fatalf("%s: restored/executed steps = %d/%d, want %d/0",
 						v.Route.Name, restored.RestoredSteps(), restored.ExecutedSteps(), replayed.Steps())
 				}
-				if !reflect.DeepEqual(restored.lines, replayed.lines) || !reflect.DeepEqual(restored.events, replayed.events) {
-					t.Fatalf("%s: restore re-emitted %d lines and %d sensitive events, the replay %d and %d",
-						v.Route.Name, len(restored.lines), len(restored.events), len(replayed.lines), len(replayed.events))
-				}
 
 				_ = replayed.Back()
 				_ = restored.Back()
-				if got, want := observe(t, restored.Device), observe(t, replayed.Device); !reflect.DeepEqual(got, want) {
+				if got, want := observe(t, restored), observe(t, replayed); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: devices diverged after Back:\n got: %+v\nwant: %+v", v.Route.Name, got, want)
 				}
 			}
@@ -147,6 +162,7 @@ func TestSnapshotStepAccounting(t *testing.T) {
 	s := session.New(app, session.Options{AutoDismiss: true})
 	var (
 		last    *device.Device
+		steps   []int
 		results []robotium.Result
 	)
 	for i := 0; i < 3; i++ {
@@ -157,10 +173,10 @@ func TestSnapshotStepAccounting(t *testing.T) {
 		if d.RestoredSteps() != 0 || d.ExecutedSteps() != d.Steps() {
 			t.Errorf("run %d: restored/executed = %d/%d, want 0/%d", i, d.RestoredSteps(), d.ExecutedSteps(), d.Steps())
 		}
-		if last != nil && d.Steps() != last.Steps() {
-			t.Errorf("run %d billed %d steps, run %d billed %d", i, d.Steps(), i-1, last.Steps())
+		if i > 0 && d.Steps() != steps[i-1] {
+			t.Errorf("run %d billed %d steps, run %d billed %d", i, d.Steps(), i-1, steps[i-1])
 		}
-		last, results = d, append(results, res)
+		last, steps, results = d, append(steps, d.Steps()), append(results, res)
 	}
 	perRun := last.Steps()
 	if perRun == 0 {
@@ -192,14 +208,22 @@ func TestSnapshotStepAccounting(t *testing.T) {
 // TestSnapshotPrefixResume pins the evolutionary-loop pattern against the
 // session's own runs: a child route extending a parent, run from launch by
 // the session, ends where a device resumed from the parent's snapshot ends
-// after executing only the appended suffix — same screen, log and step
-// count, with the parent's steps restored and only the suffix's executed.
+// after executing only the appended suffix — same screen and step count,
+// with the parent's steps restored and only the suffix's executed, and the
+// child run's log is the parent run's followed by the resumed device's.
+// The session replays every test case on one device, so the parent's
+// snapshot is taken before the child runs.
 func TestSnapshotPrefixResume(t *testing.T) {
 	app, err := corpus.BuildApp(corpus.DemoSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := session.New(app, session.Options{AutoDismiss: true})
+	var runLog []string
+	s := session.New(app, session.Options{AutoDismiss: true, Observer: session.ObserverFunc(func(ev session.Event) {
+		if ev.Kind == session.KindDevice {
+			runLog = append(runLog, ev.Detail)
+		}
+	})})
 
 	parent := launchScript()
 	d1, res, ok := s.RunScript(parent, session.PurposeLaunch)
@@ -207,6 +231,9 @@ func TestSnapshotPrefixResume(t *testing.T) {
 		t.Fatalf("parent run: ok=%v err=%v", ok, res.Err)
 	}
 	parentSteps := d1.Steps()
+	snap := d1.Snapshot()
+	parentLog := runLog
+	runLog = nil
 
 	suffix := robotium.Click(corpus.NavButtonRef("Main", "Detail"))
 	child := parent.Append("child", suffix)
@@ -218,15 +245,20 @@ func TestSnapshotPrefixResume(t *testing.T) {
 		t.Errorf("child executed = %d, want %d", res.Executed, len(child.Ops))
 	}
 
-	resumed := device.New(app, device.Options{})
-	if err := resumed.Restore(d1.Snapshot()); err != nil {
+	resumed := newRecordedDevice(app)
+	if err := resumed.Restore(snap); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
-	rr := robotium.Run(resumed, robotium.Script{Name: "suffix", Ops: []robotium.Op{suffix}}, robotium.Options{AutoDismiss: true})
+	rr := robotium.Run(resumed.Device, robotium.Script{Name: "suffix", Ops: []robotium.Op{suffix}}, robotium.Options{AutoDismiss: true})
 	if rr.Err != nil || rr.Executed != 1 {
 		t.Fatalf("suffix run: executed=%d err=%v", rr.Executed, rr.Err)
 	}
-	if got, want := observe(t, resumed), observe(t, d2); !reflect.DeepEqual(got, want) {
+	got := observe(t, resumed)
+	if want := append(append([]string(nil), parentLog...), got.Log...); len(got.Log) == 0 || !reflect.DeepEqual(runLog, want) {
+		t.Fatalf("the child run logged %q; the parent run and the resumed suffix logged %q", runLog, want)
+	}
+	got.Log = nil
+	if want := screenOf(t, d2); !reflect.DeepEqual(got, want) {
 		t.Fatalf("resumed device diverged from the session's child run:\n got: %+v\nwant: %+v", got, want)
 	}
 	if cur, err := resumed.CurrentActivity(); err != nil || cur != "com.demo.app.Detail" {
