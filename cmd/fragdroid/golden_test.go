@@ -34,22 +34,54 @@ func TestTranscriptGoldens(t *testing.T) {
 	for _, r := range goldenRuns(t) {
 		t.Run(r.name, func(t *testing.T) {
 			got := runStdout(t, []string{"-app", r.app, "-v", "-cache", "off"})
-			path := filepath.Join("testdata", r.golden+".golden")
-			if *update && !written[path] {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				written[path] = true
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("%v (run with -update to create it)", err)
-			}
-			if got != string(want) {
-				t.Errorf("fragdroid -app %s -v differs from %s:\n%s", r.name, path, firstDiff(got, string(want)))
-			}
+			checkGolden(t, filepath.Join("testdata", r.golden+".golden"), got, written)
 		})
+	}
+}
+
+// TestJavaGoldens runs fragdroid -java on goldenApps, by name and as .sapk
+// archives, and compares its stdout with testdata/<name>.java.golden byte
+// for byte: both runs of an app must print the same Java. Regenerate the
+// files only with `go test ./cmd/fragdroid -run TestJavaGoldens -update`,
+// and say in the change why each one moved.
+func TestJavaGoldens(t *testing.T) {
+	written := make(map[string]bool)
+	for _, r := range goldenRuns(t)[:2*len(goldenApps)] {
+		t.Run(r.name, func(t *testing.T) {
+			got := runStdout(t, []string{"-app", r.app, "-java", "-cache", "off"})
+			checkGolden(t, filepath.Join("testdata", r.golden+".java.golden"), got, written)
+		})
+	}
+}
+
+// TestMarkdownGolden runs fragdroid -md on the demo app and compares its
+// stdout with testdata/demo.md.golden byte for byte. The report's "Not
+// visited" reasons come from the exploration transcript. Regenerate the
+// file only with `go test ./cmd/fragdroid -run TestMarkdownGolden -update`,
+// and say in the change why it moved.
+func TestMarkdownGolden(t *testing.T) {
+	got := runStdout(t, []string{"-app", "demo", "-md", "-cache", "off"})
+	checkGolden(t, filepath.Join("testdata", "demo.md.golden"), got, map[string]bool{})
+}
+
+// checkGolden compares got with the golden file at path, or under -update
+// writes it there once per test (written records the paths already
+// written, so a second run of the same golden compares against the first).
+func checkGolden(t *testing.T, path, got string, written map[string]bool) {
+	t.Helper()
+	if *update && !written[path] {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		written[path] = true
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	if got != string(want) {
+		t.Errorf("output differs from %s:\n%s", path, firstDiff(got, string(want)))
 	}
 }
 
