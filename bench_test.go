@@ -643,10 +643,12 @@ func BenchmarkLintCorpus(b *testing.B) {
 	})
 }
 
-// S1 — session-runtime tracing overhead: one corpus app explored with a
-// no-op observer attached versus full event buffering. The trace layer is
-// designed to stay within a few percent of the untraced hot path (typed
-// events are only constructed while an observer is attached).
+// S1 — session-runtime tracing overhead: one corpus app explored untraced,
+// with a no-op observer attached, and with full event buffering. Only a
+// traced run builds run text: the device log lines, the transcript with its
+// notes and the §VI-B queue lines, and the events' text payloads. The
+// untraced run builds none of it, so the gap between the first two
+// sub-benchmarks is what that text costs.
 func BenchmarkSessionOverhead(b *testing.B) {
 	app, err := corpus.BuildApp(corpus.PaperSpec(corpus.PaperRows()[0]))
 	if err != nil {

@@ -202,8 +202,11 @@ func run(args []string) error {
 		}
 		return nil
 	}
+	// A run keeps its transcript only while traced, so -v and -md, which
+	// print transcript lines, trace into a buffer too; only -trace writes
+	// the buffer out.
 	var trace *session.TraceBuffer
-	if *tracePath != "" {
+	if *tracePath != "" || *verbose || *markdown {
 		trace = &session.TraceBuffer{}
 	}
 
@@ -316,9 +319,9 @@ func runName(mode, strat string) string {
 }
 
 // writeTrace dumps the collected structured events as a JSON array; "-"
-// writes to stdout. A nil buffer (no -trace flag) is a no-op.
+// writes to stdout. An empty path (no -trace flag) is a no-op.
 func writeTrace(path string, buf *session.TraceBuffer) error {
-	if buf == nil {
+	if path == "" {
 		return nil
 	}
 	data, err := buf.JSON()

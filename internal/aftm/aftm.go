@@ -341,13 +341,18 @@ func (m *Model) Nodes() []Node {
 	for n := range m.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].Name < out[j].Name
-	})
+	sortNodes(out)
 	return out
+}
+
+// sortNodes sorts nodes Activities first, each group by name.
+func sortNodes(ns []Node) {
+	sort.Slice(ns, func(i, j int) bool {
+		if ns[i].Kind != ns[j].Kind {
+			return ns[i].Kind < ns[j].Kind
+		}
+		return ns[i].Name < ns[j].Name
+	})
 }
 
 // Activities returns the A set, sorted.
@@ -413,31 +418,26 @@ func (m *Model) EdgeBetween(from, to Node) (Edge, bool) {
 	return *e, true
 }
 
-// Degree reports in+out degree of a node; isolated nodes have degree 0.
-func (m *Model) Degree(n Node) int {
-	d := 0
-	for _, e := range m.edges {
-		if e.From == n || e.To == n {
-			d++
-		}
-	}
-	return d
-}
-
 // RemoveIsolated deletes nodes with degree 0, except the entry node; the
 // paper filters out "isolated Activities ... not linked by any edge"
-// (§IV-B2). It returns the removed nodes.
+// (§IV-B2). It returns the removed nodes in Nodes order. One pass over the
+// edges marks the linked nodes, so the cost is linear in nodes plus edges.
 func (m *Model) RemoveIsolated() []Node {
+	linked := make(map[Node]bool, len(m.nodes))
+	for _, e := range m.edges {
+		linked[e.From] = true
+		linked[e.To] = true
+	}
 	var removed []Node
-	for _, n := range m.Nodes() {
-		if m.hasEntry && n == m.entry {
-			continue
-		}
-		if m.Degree(n) == 0 {
-			delete(m.nodes, n)
-			delete(m.visited, n)
+	for n := range m.nodes {
+		if !linked[n] && !(m.hasEntry && n == m.entry) {
 			removed = append(removed, n)
 		}
+	}
+	sortNodes(removed)
+	for _, n := range removed {
+		delete(m.nodes, n)
+		delete(m.visited, n)
 	}
 	return removed
 }

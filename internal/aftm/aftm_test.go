@@ -237,14 +237,31 @@ func TestVisitAndUnvisited(t *testing.T) {
 
 func TestRemoveIsolated(t *testing.T) {
 	m := buildModel(t)
-	m.AddNode(ActivityNode("Iso1"))
 	m.AddNode(FragmentNode("IsoF"))
+	m.AddNode(ActivityNode("Iso1"))
+	m.AddNode(ActivityNode("Iso0"))
+	m.Visit(ActivityNode("Iso1"))
 	removed := m.RemoveIsolated()
-	if len(removed) != 2 {
-		t.Fatalf("removed = %v", removed)
+	// Removed nodes come back in Nodes order: Activities first, by name.
+	want := []Node{ActivityNode("Iso0"), ActivityNode("Iso1"), FragmentNode("IsoF")}
+	if !reflect.DeepEqual(removed, want) {
+		t.Fatalf("removed = %v, want %v", removed, want)
 	}
 	if m.HasNode(ActivityNode("Iso1")) || m.HasNode(FragmentNode("IsoF")) {
 		t.Fatal("isolated nodes still present")
+	}
+	// A node that is only an edge's target is linked, so it stays.
+	for _, n := range []Node{ActivityNode("A1"), FragmentNode("F2")} {
+		if !m.HasNode(n) {
+			t.Errorf("%s, the target of an edge, was removed", n)
+		}
+	}
+	// A removed node leaves no visited mark behind.
+	if m.Visited(ActivityNode("Iso1")) {
+		t.Error("removed node Iso1 is still marked visited")
+	}
+	if got := m.Count().VisitedActs; got != 0 {
+		t.Errorf("VisitedActs = %d after removing the only visited node", got)
 	}
 	// Entry survives even when isolated.
 	m2 := New()

@@ -11,6 +11,7 @@ import (
 
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/robotium"
+	"fragdroid/internal/session"
 )
 
 // explorationDigests pins every observable output of one exploration per
@@ -156,7 +157,8 @@ func digestCases() []digestCase {
 }
 
 // TestExplorationDigests pins exploration output byte for byte on 56 apps,
-// well beyond the three golden parity fixtures.
+// well beyond the three golden parity fixtures. Each run is traced, since a
+// run keeps its transcript only while an Observer is attached.
 func TestExplorationDigests(t *testing.T) {
 	for _, c := range digestCases() {
 		c := c
@@ -165,6 +167,7 @@ func TestExplorationDigests(t *testing.T) {
 			if err != nil {
 				t.Fatalf("build: %v", err)
 			}
+			c.cfg.Observer = &session.TraceBuffer{}
 			res, err := Explore(app, c.cfg)
 			if err != nil {
 				t.Fatalf("explore: %v", err)

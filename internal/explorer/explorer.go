@@ -49,8 +49,10 @@ type Config struct {
 	// kill-and-restart discipline; this engineering optimization trades
 	// paper fidelity for fewer test cases and is off by default).
 	UseBackNavigation bool
-	// Observer receives the run's structured trace events (nil disables
-	// tracing; the transcript and counters are produced regardless).
+	// Observer receives the run's structured trace events. The transcript,
+	// its notes and the §VI-B queue lines exist only while one is attached;
+	// nil disables all of them, and the counters, visits and reports are
+	// produced either way.
 	Observer session.Observer
 	// Seeds are compiled route scripts (statically lifted UI paths from
 	// internal/paths) executed right after the launch test case and before
@@ -112,9 +114,6 @@ type Result struct {
 	Visits map[aftm.Node]Visit
 	// Collector holds the sensitive-API observations of the whole run.
 	Collector *sensitive.Collector
-	// InitialPlan is the UI transition queue generated from the static AFTM
-	// before any test case ran (§VI-B queue generation).
-	InitialPlan []PlannedItem
 	// Curve records cumulative coverage after each executed test case — the
 	// data behind a coverage-vs-budget figure. Points are appended only when
 	// coverage changes, plus a final point at the last test case.
@@ -127,7 +126,9 @@ type Result struct {
 	// Stats carries the session counters (TestCases, Steps, Crashes,
 	// Replays, ReflectionAttempts, ForcedStarts, …) promoted as fields.
 	session.Stats
-	// Transcript is a human-readable run log.
+	// Transcript is the human-readable run log: the Msg lines of the events
+	// Config.Observer received, among them the §VI-B queue items
+	// (PlanQueue). It is nil without an Observer.
 	Transcript []string
 }
 
@@ -208,12 +209,13 @@ type engine struct {
 	// worklist holds interfaces awaiting Case 3 exploration.
 	worklist []workItem
 
-	// plan is the §VI-B initial queue, generated in Init.
-	plan []PlannedItem
 	// entry is the manifest entry activity (for the launch-failure error).
 	entry string
 	// launch is the entry test case every route grows from.
 	launch robotium.Script
+	// forced holds each activity's forced-start script, built by its first
+	// forced start and reused by the passes of later rounds.
+	forced map[string]robotium.Script
 
 	// Propose phase-machine state: the current phase, the round counter, and
 	// the round's progress flag (§VI-C termination: queue empty and AFTM
@@ -287,7 +289,7 @@ func Explore(app *apk.App, cfg Config) (*Result, error) {
 // ExploreExtracted runs the dynamic phase on an existing static extraction:
 // it constructs the engine as a session.Strategy and lets the generic drive
 // loop run it, then re-attaches the explorer-specific riches (the evolved
-// model, visit routes, the initial plan) the generic Outcome cannot carry.
+// model, visit routes) the generic Outcome cannot carry.
 func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 	if cfg.MaxTestCases == 0 {
 		cfg.MaxTestCases = 600
@@ -303,7 +305,6 @@ func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 	}
 	return &Result{
 		Extraction:   ex,
-		InitialPlan:  e.plan,
 		Model:        e.model,
 		Visits:       e.visits,
 		Collector:    out.Collector,
@@ -347,16 +348,17 @@ func (e *engine) SessionOptions(h session.Harness) session.Options {
 	}
 }
 
-// Init binds the run context, resolves the input hints, and generates the
-// §VI-B initial queue from the static AFTM.
+// Init binds the run context and resolves the input hints. While tracing it
+// also logs the §VI-B initial queue generated from the static AFTM.
 func (e *engine) Init(ctx *session.DriveContext) error {
 	e.s = ctx.Session
 	for _, w := range e.ex.InputWidgets {
 		e.hints[w.Ref] = w.Hint
 	}
-	e.plan = PlanQueue(e.ex.Model)
-	for _, item := range e.plan {
-		e.s.Note("queue item " + item.String())
+	if e.s.Tracing() {
+		for _, item := range PlanQueue(e.ex.Model) {
+			e.s.Note("queue item " + item.String())
+		}
 	}
 	entry, err := e.app.Manifest.EntryActivity()
 	if err != nil {
@@ -460,10 +462,13 @@ func (e *engine) visit(n aftm.Node, method ReachMethod, route robotium.Script) b
 	} else {
 		e.visitedFrags++
 	}
-	node, ops := n.String(), strconv.Itoa(len(route.Ops))
-	e.s.Trace(session.Event{Kind: session.KindVisit, Node: node,
-		Method: string(method), Script: route.Name, Ops: len(route.Ops),
-		Msg: "visited " + node + " via " + string(method) + " (" + ops + " ops)"})
+	ev := session.Event{Kind: session.KindVisit, Method: string(method),
+		Script: route.Name, Ops: len(route.Ops)}
+	if e.s.Tracing() {
+		ev.Node = n.String()
+		ev.Msg = "visited " + ev.Node + " via " + ev.Method + " (" + strconv.Itoa(ev.Ops) + " ops)"
+	}
+	e.s.Trace(ev)
 	return true
 }
 
@@ -520,7 +525,9 @@ func (e *engine) Propose() (session.TestCase, bool) {
 				e.explored[item.target] = true
 				e.progressed = true
 				return session.TestCase{Run: func() error {
-					e.s.Note("explore interface " + item.target.String() + " (reached via " + string(item.method) + ")")
+					if e.s.Tracing() {
+						e.s.Note("explore interface " + item.target.String() + " (reached via " + string(item.method) + ")")
+					}
 					e.exploreInterface(item)
 					return nil
 				}}, true
@@ -658,7 +665,9 @@ func (e *engine) exploreInterface(item workItem) {
 		cur, dump, _ = e.observe(d)
 	}
 	clickables := dump.ClickableRefs()
-	e.s.Note("interface " + item.target.String() + ": " + strconv.Itoa(len(clickables)) + " clickable widgets")
+	if e.s.Tracing() {
+		e.s.Note("interface " + item.target.String() + ": " + strconv.Itoa(len(clickables)) + " clickable widgets")
+	}
 
 	observed := true // cur and dump describe d's current state
 	fresh := false   // d left the target interface: replay before the next click
@@ -687,7 +696,9 @@ func (e *engine) exploreInterface(item workItem) {
 			ev := session.Event{Kind: session.KindInputFill, Ref: op.Ref, Value: op.Value}
 			if err := d.EnterText(op.Ref, op.Value); err != nil {
 				ev.Err = err.Error()
-				ev.Msg = fmt.Sprintf("fill %s: %v", op.Ref, err)
+				if e.s.Tracing() {
+					ev.Msg = fmt.Sprintf("fill %s: %v", op.Ref, err)
+				}
 			}
 			e.s.Trace(ev)
 		}
@@ -853,9 +864,12 @@ func (e *engine) reflectionItems(item workItem) {
 				return
 			}
 			if res.Err != nil {
-				e.s.Trace(session.Event{Kind: session.KindReflectionAttempt,
-					Fragment: frag, Activity: act, Container: container, Err: res.Err.Error(),
-					Msg: fmt.Sprintf("reflection to %s in %s via %s failed: %v", frag, act, container, res.Err)})
+				ev := session.Event{Kind: session.KindReflectionAttempt,
+					Fragment: frag, Activity: act, Container: container, Err: res.Err.Error()}
+				if e.s.Tracing() {
+					ev.Msg = fmt.Sprintf("reflection to %s in %s via %s failed: %v", frag, act, container, res.Err)
+				}
+				e.s.Trace(ev)
 				continue
 			}
 			st, _, err := e.observe(d)
@@ -869,10 +883,13 @@ func (e *engine) reflectionItems(item workItem) {
 				}
 			}
 			if !credited {
-				e.s.Trace(session.Event{Kind: session.KindReflectionAttempt,
+				ev := session.Event{Kind: session.KindReflectionAttempt,
 					Fragment: frag, Activity: act, Container: container,
-					Err: "not confirmed by instrumentation",
-					Msg: fmt.Sprintf("reflection to %s in %s not confirmed by instrumentation", frag, act)})
+					Err: "not confirmed by instrumentation"}
+				if e.s.Tracing() {
+					ev.Msg = fmt.Sprintf("reflection to %s in %s not confirmed by instrumentation", frag, act)
+				}
+				e.s.Trace(ev)
 				continue
 			}
 			// The reflective transaction committed into this activity's own
@@ -894,22 +911,33 @@ func (e *engine) reflectionItems(item workItem) {
 // whether anything new was visited or enqueued.
 func (e *engine) forcedStartPass() bool {
 	progressed := false
-	for _, n := range e.model.Unvisited(aftm.KindActivity) {
+	unvisited := e.model.Unvisited(aftm.KindActivity)
+	if e.forced == nil {
+		e.forced = make(map[string]robotium.Script, len(unvisited))
+	}
+	for _, n := range unvisited {
 		if e.s.Exhausted() {
 			break
 		}
-		script := robotium.Script{
-			Name: "force_" + n.Name,
-			Ops:  []robotium.Op{robotium.ForceStart(n.Name)},
+		script, ok := e.forced[n.Name]
+		if !ok {
+			script = robotium.Script{
+				Name: "force_" + n.Name,
+				Ops:  []robotium.Op{robotium.ForceStart(n.Name)},
+			}
+			e.forced[n.Name] = script
 		}
 		d, res, ok := e.s.RunScript(script, session.PurposeForcedStart)
 		if !ok {
 			break
 		}
 		if res.Err != nil {
-			e.s.Trace(session.Event{Kind: session.KindForcedStart, Activity: n.Name,
-				Err: res.Err.Error(), Reason: res.CrashReason,
-				Msg: fmt.Sprintf("forced start of %s failed: %v (%s)", n.Name, res.Err, res.CrashReason)})
+			ev := session.Event{Kind: session.KindForcedStart, Activity: n.Name,
+				Err: res.Err.Error(), Reason: res.CrashReason}
+			if e.s.Tracing() {
+				ev.Msg = fmt.Sprintf("forced start of %s failed: %v (%s)", n.Name, res.Err, res.CrashReason)
+			}
+			e.s.Trace(ev)
 			continue
 		}
 		st, _, err := e.observe(d)

@@ -1,10 +1,10 @@
 package explorer
 
 import (
-	"strings"
 	"testing"
 
 	"fragdroid/internal/aftm"
+	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
 )
 
@@ -69,19 +69,23 @@ func TestPlanQueueEmptyModel(t *testing.T) {
 	}
 }
 
+// TestInitialPlanInResultAndTranscript pins the §VI-B queue of a traced run:
+// the transcript opens with one "queue item" line per item PlanQueue derives
+// from the result's static model, in order.
 func TestInitialPlanInResultAndTranscript(t *testing.T) {
-	res := exploreDemo(t, fullConfig())
-	if len(res.InitialPlan) == 0 {
-		t.Fatal("result carries no initial plan")
+	cfg := fullConfig()
+	cfg.Observer = &session.TraceBuffer{}
+	res := exploreDemo(t, cfg)
+	plan := PlanQueue(res.Extraction.Model)
+	if len(plan) == 0 {
+		t.Fatal("the demo's static model plans no queue")
 	}
-	joined := strings.Join(res.Transcript, "\n")
-	if !strings.Contains(joined, "queue item #0") {
-		t.Error("transcript missing queue items")
+	if len(res.Transcript) < len(plan) {
+		t.Fatalf("transcript has %d lines, plan %d items", len(res.Transcript), len(plan))
 	}
-	// Every planned item renders.
-	for _, item := range res.InitialPlan {
-		if item.String() == "" {
-			t.Errorf("item %d renders empty", item.Index)
+	for i, item := range plan {
+		if want := "queue item " + item.String(); res.Transcript[i] != want {
+			t.Errorf("transcript line %d = %q, want %q", i, res.Transcript[i], want)
 		}
 	}
 }

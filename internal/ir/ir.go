@@ -155,9 +155,10 @@ type Class struct {
 	FragLife  [3]int32
 	OnReceive int32
 
-	// methods maps own declared method names to method indexes; the first
-	// declaration wins, matching smali.Class.Method's linear scan.
-	methods map[string]int32
+	// mOff and mEnd delimit the class's own methods in Program.Methods, in
+	// declaration order. Resolve scans them, so the first declaration of a
+	// name wins, matching smali.Class.Method's linear scan.
+	mOff, mEnd int32
 }
 
 // Method is a compiled method: a window into Program.Code.
@@ -237,8 +238,10 @@ func (p *Program) ClassID(name string) int32 {
 func (p *Program) Resolve(ci int32, name string) int32 {
 	for hops := len(p.Classes); ci >= 0 && hops >= 0; hops-- {
 		c := &p.Classes[ci]
-		if mi, ok := c.methods[name]; ok {
-			return mi
+		for mi := c.mOff; mi < c.mEnd; mi++ {
+			if p.Methods[mi].Name == name {
+				return mi
+			}
 		}
 		ci = c.Super
 	}
@@ -300,18 +303,36 @@ func (c *compiler) site() int32 {
 // Compile lowers an app's smali program. It is deterministic: classes in
 // program insertion order, methods in declaration order, layouts in sorted
 // name order, strings interned first-seen — so every compilation of one app
-// yields the same program.
+// yields the same program. It counts the code first, so the program's
+// tables are each allocated once, at their size.
 func Compile(app *apk.App) *Program {
+	sp := app.Program
+	names := sp.Names()
+	nmethods, ninstrs := 0, 0
+	for _, name := range names {
+		if smali.FrameworkClass(name) {
+			continue
+		}
+		for _, m := range sp.Class(name).Methods {
+			nmethods++
+			ninstrs += len(m.Body)
+		}
+	}
+	p := &Program{
+		Classes: make([]Class, len(names)),
+		Methods: make([]Method, 0, nmethods),
+		Code:    make([]Instr, 0, ninstrs),
+		// An instruction interns at most two operands, but most repeat:
+		// the corpus apps intern about 0.6 strings per instruction.
+		Strings:  make([]string, 0, ninstrs),
+		classIdx: make(map[string]int32, len(names)),
+	}
 	c := &compiler{
-		p:      &Program{},
-		strIdx: make(map[string]int32),
+		p:      p,
+		strIdx: make(map[string]int32, ninstrs),
 		// site 0 is reserved as "no cache".
 		nextSite: 1,
 	}
-	p := c.p
-	sp := app.Program
-	names := sp.Names()
-	p.classIdx = make(map[string]int32, len(names))
 	for i, n := range names {
 		p.classIdx[n] = int32(i)
 	}
@@ -323,12 +344,13 @@ func Compile(app *apk.App) *Program {
 	sort.Strings(lnames)
 	c.layoutIdx = make(map[string]int32, len(lnames))
 	p.Layouts = make([]*LayoutInfo, len(lnames))
+	infos := make([]LayoutInfo, len(lnames))
 	for i, n := range lnames {
 		c.layoutIdx[n] = int32(i)
-		p.Layouts[i] = &LayoutInfo{Name: n}
+		infos[i].Name = n
+		p.Layouts[i] = &infos[i]
 	}
 
-	p.Classes = make([]Class, len(names))
 	for i, name := range names {
 		sc := sp.Class(name)
 		cls := &p.Classes[i]
@@ -337,6 +359,8 @@ func Compile(app *apk.App) *Program {
 		cls.RequiresArgs = sc.RequiresArgs
 		cls.IsFragment = sp.IsFragmentClass(name)
 		cls.Framework = smali.FrameworkClass(name)
+		cls.mOff = int32(len(p.Methods))
+		cls.mEnd = cls.mOff
 		if cls.Framework {
 			// The classic methodOf refuses framework-named receivers before
 			// looking at their methods, so none of this class's code is
@@ -348,18 +372,14 @@ func Compile(app *apk.App) *Program {
 				cls.Super = si
 			}
 		}
-		cls.methods = make(map[string]int32, len(sc.Methods))
 		for _, m := range sc.Methods {
-			mi := int32(len(p.Methods))
 			off := int32(len(p.Code))
 			for _, ins := range m.Body {
 				p.Code = append(p.Code, c.lower(ins))
 			}
 			p.Methods = append(p.Methods, Method{Name: m.Name, Class: int32(i), Off: off, End: int32(len(p.Code))})
-			if _, dup := cls.methods[m.Name]; !dup {
-				cls.methods[m.Name] = mi
-			}
 		}
+		cls.mEnd = int32(len(p.Methods))
 	}
 
 	// UsesFM mirrors the classic classUsesFM: the class plus its $-inner
@@ -383,7 +403,7 @@ func Compile(app *apk.App) *Program {
 		p.Classes[i].UsesFM = uses
 	}
 
-	// Lifecycle vtables, resolvable only once every class's method map is in.
+	// Lifecycle vtables, resolvable only once every class's methods are in.
 	for i := range p.Classes {
 		cls := &p.Classes[i]
 		for k, n := range actLifecycle {
@@ -496,9 +516,10 @@ func layoutNameOf(ref string) string {
 
 // link builds the runtime-only tables against an app: layout widget indexes
 // (with visibility paths and onClick cache sites, numbered deterministically
-// after the instruction sites) and the inline-cache array.
+// after the instruction sites) and the inline-cache array. A layout's
+// WidgetInfos share one slice, and their paths one backing array.
 func (p *Program) link(app *apk.App) {
-	nsites := p.instrSites + 1 // slot 0 reserved: "no cache"
+	k := &linker{p: p, nsites: p.instrSites + 1} // slot 0 reserved: "no cache"
 	p.byPtr = make(map[*layout.Layout]*LayoutInfo, len(p.Layouts))
 	for _, li := range p.Layouts {
 		l := app.Layouts[li.Name]
@@ -507,36 +528,72 @@ func (p *Program) link(app *apk.App) {
 			continue
 		}
 		p.byPtr[l] = li
-		li.ByRef = make(map[string]*WidgetInfo)
-		var path []PathStep
-		var walk func(w *layout.Widget)
-		walk = func(w *layout.Widget) {
-			nref := ""
-			if w.IDRef != "" {
-				nref = apk.NormalizeRef(w.IDRef)
-			}
-			path = append(path, PathStep{NRef: nref, Hidden: w.Hidden})
-			if w.Type == layout.TypeFragment && w.FragmentClass != "" {
-				li.Statics = append(li.Statics, StaticFragment{
-					Container: nref, Class: w.FragmentClass, ClassID: p.ClassID(w.FragmentClass),
-				})
-			}
-			if nref != "" {
-				if _, dup := li.ByRef[nref]; !dup {
-					wi := &WidgetInfo{W: w, Path: append([]PathStep(nil), path...)}
-					if w.OnClick != "" {
-						wi.Site = nsites
-						nsites++
-					}
-					li.ByRef[nref] = wi
-				}
-			}
-			for _, ch := range w.Children {
-				walk(ch)
-			}
-			path = path[:len(path)-1]
-		}
-		walk(l.Root)
+		n := l.IDRefCount()
+		li.ByRef = make(map[string]*WidgetInfo, n)
+		k.li = li
+		k.infos = make([]WidgetInfo, 0, n)
+		k.paths = make([]PathStep, 0, idPathLen(l.Root, 1))
+		k.walk(l.Root)
 	}
-	p.sites = make([]cacheSlot, nsites)
+	p.sites = make([]cacheSlot, k.nsites)
+}
+
+// linker carries the state of link's walk over one layout at a time.
+type linker struct {
+	p  *Program
+	li *LayoutInfo
+	// path is the root-to-widget path of the widget being walked.
+	path []PathStep
+	// infos backs li.ByRef's values and paths their Path slices: both are
+	// sized before the walk, so appending never moves what a map entry or
+	// an earlier Path points at.
+	infos  []WidgetInfo
+	paths  []PathStep
+	nsites int32
+}
+
+// walk indexes w and its subtree into k.li: the first pre-order widget per
+// normalized ID, and every static <fragment> declaration.
+func (k *linker) walk(w *layout.Widget) {
+	nref := ""
+	if w.IDRef != "" {
+		nref = apk.NormalizeRef(w.IDRef)
+	}
+	k.path = append(k.path, PathStep{NRef: nref, Hidden: w.Hidden})
+	if w.Type == layout.TypeFragment && w.FragmentClass != "" {
+		k.li.Statics = append(k.li.Statics, StaticFragment{
+			Container: nref, Class: w.FragmentClass, ClassID: k.p.ClassID(w.FragmentClass),
+		})
+	}
+	if nref != "" {
+		if _, dup := k.li.ByRef[nref]; !dup {
+			start := len(k.paths)
+			k.paths = append(k.paths, k.path...)
+			wi := WidgetInfo{W: w, Path: k.paths[start:len(k.paths):len(k.paths)]}
+			if w.OnClick != "" {
+				wi.Site = k.nsites
+				k.nsites++
+			}
+			k.infos = append(k.infos, wi)
+			k.li.ByRef[nref] = &k.infos[len(k.infos)-1]
+		}
+	}
+	for _, ch := range w.Children {
+		k.walk(ch)
+	}
+	k.path = k.path[:len(k.path)-1]
+}
+
+// idPathLen sums the lengths of the root-to-widget paths of the widgets in
+// w's subtree that carry an ID, w being at the given depth (the root at 1):
+// an upper bound of what link stores, which skips repeated IDs.
+func idPathLen(w *layout.Widget, depth int) int {
+	n := 0
+	if w.IDRef != "" {
+		n = depth
+	}
+	for _, ch := range w.Children {
+		n += idPathLen(ch, depth+1)
+	}
+	return n
 }

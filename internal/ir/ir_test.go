@@ -40,13 +40,19 @@ func TestInlineCache(t *testing.T) {
 // ancestor, a missing one resolves to -1, and a cyclic chain terminates
 // instead of hanging. An archive may declare such a cycle (which is why
 // smali's SuperChain breaks cycles too), and Compile links it as declared.
+// A class that declares a name twice resolves it to the first declaration,
+// and a class without methods falls through to its super.
 func TestResolve(t *testing.T) {
-	p := &Program{Classes: []Class{
-		{Name: "A", Super: 1, methods: map[string]int32{"own": 0}},
-		{Name: "B", Super: 2, methods: map[string]int32{"inherited": 1}},
-		{Name: "C", Super: 0},
-		{Name: "Self", Super: 3},
-	}}
+	p := &Program{
+		Methods: []Method{{Name: "own"}, {Name: "inherited"}, {Name: "twice"}, {Name: "twice"}},
+		Classes: []Class{
+			{Name: "A", Super: 1, mOff: 0, mEnd: 1},
+			{Name: "B", Super: 2, mOff: 1, mEnd: 4},
+			{Name: "C", Super: 0, mOff: 4, mEnd: 4},
+			{Name: "Self", Super: 3, mOff: 4, mEnd: 4},
+			{Name: "Empty", Super: 1, mOff: 4, mEnd: 4},
+		},
+	}
 	for _, c := range []struct {
 		class int32
 		name  string
@@ -58,6 +64,10 @@ func TestResolve(t *testing.T) {
 		{0, "missing", -1},
 		{3, "missing", -1},
 		{-1, "own", -1},
+		{1, "twice", 2},
+		{0, "twice", 2},
+		{4, "inherited", 1},
+		{4, "twice", 2},
 	} {
 		if got := p.Resolve(c.class, c.name); got != c.want {
 			t.Errorf("Resolve(%d, %q) = %d, want %d", c.class, c.name, got, c.want)

@@ -83,7 +83,7 @@ func TestLoweredKinds(t *testing.T) {
 	}
 	for i, s := range oc.Statements {
 		if s.Kind != want[i] {
-			t.Errorf("stmt[%d].Kind = %d, want %d (%s)", i, s.Kind, want[i], s.Source)
+			t.Errorf("stmt[%d].Kind = %d, want %d (%+v)", i, s.Kind, want[i], s)
 		}
 	}
 	if !oc.Statements[2].Support {
@@ -104,8 +104,8 @@ func TestIntentStatements(t *testing.T) {
 	if ni.Kind != StmtNewIntentExplicit || ni.Class1 != "com.ex.MainActivity" || ni.Class2 != "com.ex.NextActivity" {
 		t.Fatalf("new-intent lowered wrong: %+v", ni)
 	}
-	if !strings.Contains(ni.Source, "new Intent(MainActivity.class, NextActivity.class)") {
-		t.Errorf("Source = %q", ni.Source)
+	if src := RenderJava(p.Class("com.ex.MainActivity")); !strings.Contains(src, "Intent intent = new Intent(MainActivity.class, NextActivity.class);") {
+		t.Errorf("RenderJava misses the explicit intent:\n%s", src)
 	}
 	if pe := onGo.Statements[1]; pe.Kind != StmtPutExtra || pe.Key != "k" || pe.Value != "v" {
 		t.Errorf("put-extra should lower to StmtPutExtra{k,v}, got %+v", pe)
@@ -131,11 +131,14 @@ func TestObjectPatternStatements(t *testing.T) {
 			t.Errorf("stmt[%d].Class1 = %q", i, oc.Statements[i].Class1)
 		}
 	}
-	if !strings.Contains(oc.Statements[1].Source, "HomeFragment.newInstance()") {
-		t.Errorf("newInstance Source = %q", oc.Statements[1].Source)
+	if src := RenderJava(p.Class("com.ex.NextActivity")); !strings.Contains(src, "HomeFragment obj = HomeFragment.newInstance();") {
+		t.Errorf("RenderJava misses the newInstance call:\n%s", src)
 	}
 }
 
+// TestRenderJava checks the rendered lines, among them the two that come
+// from the original instruction rather than the statement: a loadLibrary
+// call prints its argument and an uninteresting instruction prints itself.
 func TestRenderJava(t *testing.T) {
 	p := lowerProgram(t)
 	src := RenderJava(p.Class("com.ex.MainActivity"))
@@ -145,11 +148,22 @@ func TestRenderJava(t *testing.T) {
 		"setContentView(R.layout.main);",
 		"FragmentManager fm = getSupportFragmentManager();",
 		"txn.replace(R.id.container, new HomeFragment());",
+		"// sensitive: location/getProviders",
+		`System.loadLibrary("native-lib");`,
+		`intent.putExtra("k", "v");`,
 		"startActivity(intent);",
 	} {
 		if !strings.Contains(src, want) {
 			t.Errorf("RenderJava missing %q:\n%s", want, src)
 		}
+	}
+	const frag = "public class HomeFragment extends Fragment {\n" +
+		"    public void onCreateView() {\n" +
+		"        // nop\n" +
+		"    }\n" +
+		"}\n"
+	if got := RenderJava(p.Class("com.ex.HomeFragment")); got != frag {
+		t.Errorf("RenderJava(HomeFragment) = %q, want %q", got, frag)
 	}
 }
 
@@ -181,7 +195,7 @@ func TestSendBroadcastLowering(t *testing.T) {
 	if st.Action != "p.PING" {
 		t.Fatalf("action = %q", st.Action)
 	}
-	if !strings.Contains(st.Source, `sendBroadcast(new Intent("p.PING"))`) {
-		t.Fatalf("source = %q", st.Source)
+	if src := RenderJava(p.Class("p.R")); !strings.Contains(src, `sendBroadcast(new Intent("p.PING"));`) {
+		t.Fatalf("RenderJava misses the broadcast:\n%s", src)
 	}
 }

@@ -344,21 +344,28 @@ func hasActionCategory(a Activity, action, category string) bool {
 // the manifest declares none (such packages are not startable) or more than
 // one (ambiguous entry; the paper's model has a single entry node A0).
 func (m *Manifest) EntryActivity() (string, error) {
-	var found []string
+	var entry string
+	var more []string // the launchers after the first; empty on a valid manifest
+	n := 0
 	for _, a := range m.Application.Activities {
-		if hasActionCategory(a, ActionMain, CategoryLauncher) {
-			found = append(found, a.Name)
+		if !hasActionCategory(a, ActionMain, CategoryLauncher) {
+			continue
 		}
+		if n == 0 {
+			entry = a.Name
+		} else {
+			more = append(more, a.Name)
+		}
+		n++
 	}
-	switch len(found) {
+	switch n {
 	case 0:
 		return "", fmt.Errorf("manifest: %s has no MAIN/LAUNCHER activity", m.Package)
 	case 1:
-		return found[0], nil
-	default:
-		return "", fmt.Errorf("manifest: %s has %d launcher activities: %s",
-			m.Package, len(found), strings.Join(found, ", "))
+		return entry, nil
 	}
+	return "", fmt.Errorf("manifest: %s has %d launcher activities: %s, %s",
+		m.Package, n, entry, strings.Join(more, ", "))
 }
 
 // ActivityForAction resolves an implicit intent action string to the first

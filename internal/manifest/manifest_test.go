@@ -75,6 +75,8 @@ func TestEntryActivityErrors(t *testing.T) {
 	}
 	if _, err := two.EntryActivity(); err == nil {
 		t.Error("two launchers: want error")
+	} else if msg := err.Error(); !strings.Contains(msg, "p.A, p.B") {
+		t.Errorf("two launchers: error %q does not name both", msg)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 // RenderAppReport renders a single app's exploration as a markdown report:
 // coverage summary, the AFTM shape, every visit with its reach method and
 // route length, the unvisited nodes with the reason the run logged for them,
-// and the sensitive-API findings.
+// and the sensitive-API findings. The reasons come from the transcript, so
+// only a traced run (explorer.Config.Observer set) has them.
 func RenderAppReport(pkg string, res *explorer.Result) string {
 	var b strings.Builder
 	ex := res.Extraction

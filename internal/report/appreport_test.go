@@ -6,6 +6,7 @@ import (
 
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/explorer"
+	"fragdroid/internal/session"
 )
 
 func TestRenderAppReport(t *testing.T) {
@@ -13,7 +14,11 @@ func TestRenderAppReport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := explorer.Explore(app, explorer.DefaultConfig())
+	// The miss reasons come from the transcript, which only a traced run
+	// keeps.
+	cfg := explorer.DefaultConfig()
+	cfg.Observer = &session.TraceBuffer{}
+	res, err := explorer.Explore(app, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

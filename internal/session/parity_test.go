@@ -14,6 +14,7 @@ import (
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/sensitive"
+	"fragdroid/internal/session"
 )
 
 // update regenerates the golden fixtures. The fixtures were produced by the
@@ -110,7 +111,8 @@ func renderTranscript(b *strings.Builder, lines []string) {
 
 // runParity produces the full canonical rendering for one corpus app: the
 // FragDroid explorer, the Activity-level baseline, and Monkey, run with the
-// evaluation configurations.
+// evaluation configurations. Each engine runs traced, so that it keeps its
+// transcript.
 func runParity(t *testing.T, pkg string) string {
 	t.Helper()
 	spec := parityApp(t, pkg)
@@ -121,6 +123,7 @@ func runParity(t *testing.T, pkg string) string {
 
 	ecfg := explorer.DefaultConfig()
 	ecfg.MaxTestCases = 4000
+	ecfg.Observer = &session.TraceBuffer{}
 	eres, err := explorer.Explore(app, ecfg)
 	if err != nil {
 		t.Fatalf("explore %s: %v", pkg, err)
@@ -128,12 +131,13 @@ func runParity(t *testing.T, pkg string) string {
 
 	acfg := baseline.DefaultActivityConfig()
 	acfg.MaxTestCases = 4000
+	acfg.Observer = &session.TraceBuffer{}
 	ares, err := baseline.ExploreActivities(app, acfg)
 	if err != nil {
 		t.Fatalf("activity baseline %s: %v", pkg, err)
 	}
 
-	mres, err := baseline.Monkey(app, baseline.MonkeyConfig{Seed: 7, Events: 1500})
+	mres, err := baseline.Monkey(app, baseline.MonkeyConfig{Seed: 7, Events: 1500, Observer: &session.TraceBuffer{}})
 	if err != nil {
 		t.Fatalf("monkey %s: %v", pkg, err)
 	}

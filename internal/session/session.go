@@ -101,8 +101,11 @@ type Options struct {
 	// Collector receives the run's sensitive-API observations; nil allocates
 	// a fresh collector for the app package.
 	Collector *sensitive.Collector
-	// Observer is the structured trace sink; nil disables event delivery
-	// (counters, transcript, and reports are maintained regardless).
+	// Observer is the structured trace sink. While one is attached the
+	// session keeps the transcript (the Msg lines of the events it received)
+	// and forwards the device log; nil disables both, so an untraced run
+	// builds no run text. Counters, crash reports and the curve are kept
+	// either way.
 	Observer Observer
 	// Coverage supplies the cumulative visited counts behind the coverage
 	// curve; nil disables curve sampling.
@@ -145,9 +148,14 @@ func (s *Session) Collector() *sensitive.Collector { return s.collector }
 // Stats returns the accumulated counters.
 func (s *Session) Stats() Stats { return s.stats }
 
-// Transcript returns the human-readable run log: the Msg lines of the event
-// stream, in order.
+// Transcript returns the human-readable run log: the Msg lines of the events
+// the Observer received, in order. It is nil without an Observer.
 func (s *Session) Transcript() []string { return s.transcript }
+
+// Tracing reports whether an Observer is attached. Engines build transcript
+// lines (an event's Msg) only while it holds: the session drops them
+// otherwise.
+func (s *Session) Tracing() bool { return s.opts.Observer != nil }
 
 // CrashReports returns the triaged force-closes, one per distinct reason.
 func (s *Session) CrashReports() []CrashReport { return s.crashReports }
@@ -165,13 +173,12 @@ func (s *Session) Halted() bool {
 	return s.opts.HaltOnAPI != "" && s.collector.Has(s.opts.HaltOnAPI)
 }
 
-// Trace emits one structured event: it stamps the sequence number and app,
-// updates the counters the event kind implies, appends Msg (when present) to
-// the transcript, and delivers the event to the Observer if one is attached.
+// Trace emits one structured event: it updates the counters the event's
+// Kind and Err imply and, while an Observer is attached, stamps the sequence
+// number and app, appends Msg (when present) to the transcript, and delivers
+// the event. Untraced, the counters are all it does, so callers must emit
+// every event that counts whether or not they built its Msg.
 func (s *Session) Trace(ev Event) {
-	s.seq++
-	ev.Seq = s.seq
-	ev.App = s.app.Manifest.Package
 	switch ev.Kind {
 	case KindInputFill:
 		if ev.Err == "" {
@@ -182,22 +189,30 @@ func (s *Session) Trace(ev Event) {
 			s.stats.ReflectionFailures++
 		}
 	}
+	if s.opts.Observer == nil {
+		return
+	}
+	s.seq++
+	ev.Seq = s.seq
+	ev.App = s.app.Manifest.Package
 	if ev.Msg != "" {
 		s.transcript = append(s.transcript, ev.Msg)
 	}
-	if s.opts.Observer != nil {
-		s.opts.Observer.OnEvent(ev)
-	}
+	s.opts.Observer.OnEvent(ev)
 }
 
-// Note emits a note event for an already-built transcript line.
+// Note emits a note event for an already-built transcript line. Callers on
+// a hot path build the line only while Tracing.
 func (s *Session) Note(msg string) {
 	s.Trace(Event{Kind: KindNote, Msg: msg})
 }
 
 // Notef emits a free-form note event whose Msg becomes a transcript line.
+// Untraced it formats nothing.
 func (s *Session) Notef(format string, args ...any) {
-	s.Note(fmt.Sprintf(format, args...))
+	if s.Tracing() {
+		s.Note(fmt.Sprintf(format, args...))
+	}
 }
 
 // NewDevice provisions a fresh instrumented device: the app installed, the
@@ -294,8 +309,11 @@ func (s *Session) MarkCrash(reason string, route robotium.Script) {
 	}
 	s.crashSeen[reason] = true
 	s.crashReports = append(s.crashReports, CrashReport{Reason: reason, Route: route})
-	s.Trace(Event{Kind: KindCrash, Reason: reason, Ops: len(route.Ops),
-		Msg: fmt.Sprintf("crash recorded: %s (%d ops to reproduce)", reason, len(route.Ops))})
+	ev := Event{Kind: KindCrash, Reason: reason, Ops: len(route.Ops)}
+	if s.Tracing() {
+		ev.Msg = fmt.Sprintf("crash recorded: %s (%d ops to reproduce)", reason, len(route.Ops))
+	}
+	s.Trace(ev)
 }
 
 // SampleCurve appends a coverage sample when coverage changed (the latest

@@ -12,50 +12,60 @@ import (
 	"fragdroid/internal/session"
 )
 
-func buildParityApp(t *testing.T, pkg string) *explorer.Result {
-	t.Helper()
-	app, err := corpus.BuildApp(parityApp(t, pkg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := explorer.DefaultConfig()
-	res, err := explorer.Explore(app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
-}
-
-// TestObserverIsPassive pins that attaching an Observer changes nothing about
-// a run: visits, counters, curve, and transcript are identical with tracing
-// on and off.
+// TestObserverIsPassive pins that attaching an Observer changes nothing
+// about a run but its text, on the demo and the 15 Table I apps: an untraced
+// run keeps no transcript, a traced run's transcript is the Msg lines of the
+// events its Observer received, and the counters, curve, visits, crash
+// reports, collector usages and evolved model are identical either way. The
+// counters catch an engine that skips an event which counts (a successful
+// input fill, a failed reflection) when untraced instead of only its Msg.
 func TestObserverIsPassive(t *testing.T) {
-	app, err := corpus.BuildApp(parityApp(t, "com.adobe.reader"))
-	if err != nil {
-		t.Fatal(err)
+	specs := []*corpus.AppSpec{corpus.DemoSpec()}
+	for _, row := range corpus.PaperRows() {
+		specs = append(specs, corpus.PaperSpec(row))
 	}
-	plain, err := explorer.Explore(app, explorer.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := explorer.DefaultConfig()
-	buf := &session.TraceBuffer{}
-	cfg.Observer = buf
-	traced, err := explorer.Explore(app, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(plain.Transcript, traced.Transcript) {
-		t.Error("transcript differs with an observer attached")
-	}
-	if plain.Stats != traced.Stats {
-		t.Errorf("stats differ with an observer attached: %+v vs %+v", plain.Stats, traced.Stats)
-	}
-	if !reflect.DeepEqual(plain.Curve, traced.Curve) {
-		t.Error("coverage curve differs with an observer attached")
-	}
-	if buf.Len() == 0 {
-		t.Fatal("observer received no events")
+	for _, spec := range specs {
+		t.Run(spec.Package, func(t *testing.T) {
+			app, err := corpus.BuildApp(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := explorer.Explore(app, explorer.DefaultConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := explorer.DefaultConfig()
+			buf := &session.TraceBuffer{}
+			cfg.Observer = buf
+			traced, err := explorer.Explore(app, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Transcript != nil {
+				t.Errorf("an untraced run kept %d transcript lines", len(plain.Transcript))
+			}
+			if len(traced.Transcript) == 0 || !reflect.DeepEqual(traced.Transcript, session.RenderTranscript(buf.Events())) {
+				t.Error("the traced transcript is not the Msg lines of the observed events")
+			}
+			if plain.Stats != traced.Stats {
+				t.Errorf("stats differ with an observer attached: %+v vs %+v", plain.Stats, traced.Stats)
+			}
+			if !reflect.DeepEqual(plain.Curve, traced.Curve) {
+				t.Error("coverage curve differs with an observer attached")
+			}
+			if !reflect.DeepEqual(plain.Visits, traced.Visits) {
+				t.Error("visits differ with an observer attached")
+			}
+			if !reflect.DeepEqual(plain.CrashReports, traced.CrashReports) {
+				t.Error("crash reports differ with an observer attached")
+			}
+			if !reflect.DeepEqual(plain.Collector.Usages(), traced.Collector.Usages()) {
+				t.Error("collector usages differ with an observer attached")
+			}
+			if !reflect.DeepEqual(plain.Model.Edges(), traced.Model.Edges()) {
+				t.Error("model edges differ with an observer attached")
+			}
+		})
 	}
 }
 

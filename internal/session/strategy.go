@@ -34,7 +34,8 @@ type Harness struct {
 	// HaltOnAPI stops the run as soon as the named sensitive API fires
 	// (targeted SmartDroid-style runs).
 	HaltOnAPI string
-	// Observer receives the run's structured trace events (nil disables).
+	// Observer receives the run's structured trace events; nil disables
+	// them and the transcript (see Options.Observer).
 	Observer Observer
 }
 
@@ -81,7 +82,9 @@ type Outcome struct {
 	Curve []CurvePoint
 	// CrashReports lists triaged force-closes, one per distinct reason.
 	CrashReports []CrashReport
-	// Transcript is the human-readable run log.
+	// Transcript is the human-readable run log: the Msg lines of the events
+	// the Observer received (RenderTranscript of them). It is nil when the
+	// run had no Observer.
 	Transcript []string
 }
 

@@ -48,7 +48,8 @@ type Options struct {
 	Seed int64
 	// Inputs is the analyst-provided input dependency: widget ref → value.
 	Inputs map[string]string
-	// Observer receives structured trace events (nil disables).
+	// Observer receives structured trace events; nil disables them and the
+	// run's transcript.
 	Observer session.Observer
 	// Curve enables coverage-curve sampling on strategies where it is
 	// opt-in (the legacy baselines keep their trace streams byte-identical

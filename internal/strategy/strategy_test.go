@@ -86,14 +86,18 @@ func TestStrategySeedDeterminism(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			run := func(seed int64) *session.Outcome {
 				// Fresh extraction state is shared safely: strategies clone
-				// or only read it.
-				out, err := Run(name, demo, Options{Budget: 150, Seed: seed, Curve: true})
+				// or only read it. The observer keeps the transcript.
+				out, err := Run(name, demo, Options{Budget: 150, Seed: seed, Curve: true,
+					Observer: &session.TraceBuffer{}})
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				return out
 			}
 			a, b := run(7), run(7)
+			if len(a.Transcript) == 0 {
+				t.Fatalf("%s: a traced run kept no transcript", name)
+			}
 			if !reflect.DeepEqual(a.VisitedActivities, b.VisitedActivities) ||
 				!reflect.DeepEqual(a.Transcript, b.Transcript) ||
 				a.Stats != b.Stats ||
