@@ -35,7 +35,8 @@ type Result struct {
 	// Curve records cumulative coverage after each test case; empty unless
 	// the config opted into curve sampling.
 	Curve []session.CurvePoint
-	// Transcript is the run log.
+	// Transcript is the run log: the Msg lines of the events the Observer
+	// received. It is nil without an Observer.
 	Transcript []string
 }
 
@@ -52,7 +53,7 @@ type ActivityConfig struct {
 	// MaxTestCases bounds device sessions. Zero means 600.
 	MaxTestCases int
 	// Observer receives the run's structured trace events (nil disables
-	// tracing).
+	// tracing and the transcript).
 	Observer session.Observer
 	// SampleCurve enables coverage-curve sampling after every test case.
 	// Off by default: curve samples add trace events, and legacy runs'

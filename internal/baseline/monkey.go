@@ -20,7 +20,7 @@ type MonkeyConfig struct {
 	// subscribe to (Dynodroid-style "UI and system events", §IX).
 	SystemEvents bool
 	// Observer receives the run's structured trace events (nil disables
-	// tracing).
+	// tracing and the transcript).
 	Observer session.Observer
 	// SampleCurve enables coverage-curve sampling after every injected
 	// event. Off by default: curve samples add trace events, and legacy
