@@ -32,39 +32,52 @@ func corpusExtractions(t *testing.T) map[string]*statics.Extraction {
 	return out
 }
 
-// TestStrategySmoke runs every registered strategy on every corpus app with
-// a small budget and asserts each reaches at least one activity — the floor
-// any working generator must clear.
+// TestStrategySmoke runs every registered strategy on every corpus app at
+// budgets 1, 2 and 120 and asserts each returns, reaches at least one
+// activity and stays within its budget — the floor any working generator
+// must clear. Each engine's loop owns its own termination, so the tiny
+// budgets check that every loop stops when the session runs out. Monkey and
+// biased bill one test case per injected event, so they bill exactly the
+// budget; the script-driven strategies bill at most the budget.
 func TestStrategySmoke(t *testing.T) {
 	exs := corpusExtractions(t)
 	lib, err := CorpusLibrary("")
 	if err != nil {
 		t.Fatalf("corpus library: %v", err)
 	}
+	eventBudgeted := map[string]bool{"monkey": true, "biased": true}
 	for _, name := range Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			for pkg, ex := range exs {
-				out, err := Run(name, ex, Options{
-					Budget:  120,
-					Seed:    7,
-					Curve:   true,
-					Library: lib,
-				})
-				if err != nil {
-					t.Fatalf("%s on %s: %v", name, pkg, err)
-				}
-				if out.Strategy != name {
-					t.Errorf("%s on %s: outcome labeled %q", name, pkg, out.Strategy)
-				}
-				if len(out.VisitedActivities) == 0 {
-					t.Errorf("%s on %s: reached no activities", name, pkg)
-				}
-				if out.Stats.TestCases == 0 {
-					t.Errorf("%s on %s: billed no test cases", name, pkg)
-				}
-				if len(out.Curve) == 0 {
-					t.Errorf("%s on %s: sampled no coverage curve", name, pkg)
+			for _, budget := range []int{1, 2, 120} {
+				for pkg, ex := range exs {
+					out, err := Run(name, ex, Options{
+						Budget:  budget,
+						Seed:    7,
+						Curve:   true,
+						Library: lib,
+					})
+					if err != nil {
+						t.Fatalf("%s on %s at budget %d: %v", name, pkg, budget, err)
+					}
+					if out.Strategy != name {
+						t.Errorf("%s on %s: outcome labeled %q", name, pkg, out.Strategy)
+					}
+					if len(out.VisitedActivities) == 0 {
+						t.Errorf("%s on %s at budget %d: reached no activities", name, pkg, budget)
+					}
+					if out.Stats.TestCases == 0 {
+						t.Errorf("%s on %s at budget %d: billed no test cases", name, pkg, budget)
+					}
+					if eventBudgeted[name] && out.Stats.TestCases != budget {
+						t.Errorf("%s on %s: billed %d test cases for %d events", name, pkg, out.Stats.TestCases, budget)
+					}
+					if out.Stats.TestCases > budget {
+						t.Errorf("%s on %s: billed %d test cases over budget %d", name, pkg, out.Stats.TestCases, budget)
+					}
+					if len(out.Curve) == 0 {
+						t.Errorf("%s on %s at budget %d: sampled no coverage curve", name, pkg, budget)
+					}
 				}
 			}
 		})
