@@ -18,27 +18,8 @@ import (
 	"fragdroid/internal/apk"
 	"fragdroid/internal/device"
 	"fragdroid/internal/robotium"
-	"fragdroid/internal/sensitive"
 	"fragdroid/internal/session"
 )
-
-// Result reports a baseline run. Fragment-level crediting is intentionally
-// absent: these tools cannot observe fragments.
-type Result struct {
-	// VisitedActivities lists reached activity classes, sorted.
-	VisitedActivities []string
-	// Collector holds the sensitive-API observations.
-	Collector *sensitive.Collector
-	// Stats carries the session counters (TestCases counts device sessions
-	// for ActivityExplorer, injected event batches for Monkey).
-	session.Stats
-	// Curve records cumulative coverage after each test case; empty unless
-	// the config opted into curve sampling.
-	Curve []session.CurvePoint
-	// Transcript is the run log: the Msg lines of the events the Observer
-	// received. It is nil without an Observer.
-	Transcript []string
-}
 
 // ActivityConfig tunes the Activity-level explorer.
 type ActivityConfig struct {
@@ -77,44 +58,18 @@ type actEngine struct {
 	s       *session.Session
 	visited map[string]robotium.Script
 	queue   []string
-	launch  robotium.Script
-
-	// Propose phase-machine state (same round discipline as the explorer:
-	// drain the queue, run the forced pass, repeat until nothing new).
-	phase      int
-	progressed bool
-	launchRan  bool
 }
 
-// Propose phases of the activity-level loop.
-const (
-	actLaunch = iota
-	actDrain
-	actForced
-	actRoundEnd
-	actDone
-)
-
-// ExploreActivities runs the Activity-level baseline on a loaded app.
-func ExploreActivities(app *apk.App, cfg ActivityConfig) (*Result, error) {
+// ExploreActivities runs the Activity-level baseline on a loaded app. The
+// outcome carries no fragments: this tool cannot observe them.
+func ExploreActivities(app *apk.App, cfg ActivityConfig) (*session.Outcome, error) {
 	if cfg.MaxTestCases == 0 {
 		cfg.MaxTestCases = 600
 	}
-	e := NewActivityStrategy(app, cfg)
-	out, err := session.Drive(app, e, session.Harness{
+	return session.Drive(app, NewActivityStrategy(app, cfg), session.Harness{
 		Budget:   cfg.MaxTestCases,
 		Observer: cfg.Observer,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		VisitedActivities: out.VisitedActivities,
-		Collector:         out.Collector,
-		Stats:             out.Stats,
-		Curve:             out.Curve,
-		Transcript:        out.Transcript,
-	}, nil
 }
 
 // NewActivityStrategy returns the Activity-level baseline as a
@@ -124,7 +79,6 @@ func NewActivityStrategy(app *apk.App, cfg ActivityConfig) *actEngine {
 		app:     app,
 		cfg:     cfg,
 		visited: make(map[string]robotium.Script),
-		launch:  robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}},
 	}
 }
 
@@ -157,61 +111,16 @@ func (e *actEngine) coverage() (int, int) {
 	return n, 0
 }
 
-// Init binds the run context.
-func (e *actEngine) Init(ctx *session.DriveContext) error {
-	e.s = ctx.Session
-	return nil
-}
-
-// Propose drives the launch → drain → forced-pass round loop.
-func (e *actEngine) Propose() (session.TestCase, bool) {
-	for {
-		switch e.phase {
-		case actLaunch:
-			e.phase = actDrain
-			return session.TestCase{Script: e.launch, Purpose: session.PurposeLaunch}, true
-		case actDrain:
-			if !e.launchRan {
-				e.phase = actDone
-				return session.TestCase{}, false
-			}
-			for len(e.queue) > 0 && !e.s.Exhausted() {
-				a := e.queue[0]
-				e.queue = e.queue[1:]
-				e.progressed = true
-				return session.TestCase{Run: func() error {
-					e.exploreActivity(a)
-					return nil
-				}}, true
-			}
-			e.phase = actForced
-		case actForced:
-			e.phase = actRoundEnd
-			if e.cfg.UseForcedStart && !e.s.Exhausted() {
-				return session.TestCase{Run: func() error {
-					if e.forcedPass() {
-						e.progressed = true
-					}
-					return nil
-				}}, true
-			}
-		case actRoundEnd:
-			if !e.progressed || e.s.Exhausted() {
-				e.phase = actDone
-				return session.TestCase{}, false
-			}
-			e.progressed = false
-			e.phase = actDrain
-		default:
-			return session.TestCase{}, false
-		}
+// Explore runs the explorer's round discipline at the Activity level: launch,
+// then drain the queue and run the forced pass, repeated until a round finds
+// nothing new. A launch that never ran leaves an empty outcome, not an error.
+func (e *actEngine) Explore(s *session.Session) error {
+	e.s = s
+	launch := robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
+	d, res, ok := s.RunScript(launch, session.PurposeLaunch)
+	if !ok {
+		return nil
 	}
-}
-
-// Observe handles the launch — the only script-form proposal this baseline
-// makes.
-func (e *actEngine) Observe(tc session.TestCase, d *device.Device, res robotium.Result) error {
-	e.launchRan = true
 	if res.Err != nil {
 		return fmt.Errorf("baseline: launch failed: %w", res.Err)
 	}
@@ -219,14 +128,27 @@ func (e *actEngine) Observe(tc session.TestCase, d *device.Device, res robotium.
 	if err != nil {
 		return err
 	}
-	e.visit(cur, tc.Script)
-	return nil
+	e.visit(cur, launch)
+	for {
+		progressed := false
+		for len(e.queue) > 0 && !s.Exhausted() {
+			a := e.queue[0]
+			e.queue = e.queue[1:]
+			progressed = true
+			e.exploreActivity(a)
+		}
+		if e.cfg.UseForcedStart && !s.Exhausted() && e.forcedPass() {
+			progressed = true
+		}
+		if !progressed || s.Exhausted() {
+			return nil
+		}
+	}
 }
 
 // Finish fills the generic outcome with the visited activity set.
-func (e *actEngine) Finish(out *session.Outcome) error {
+func (e *actEngine) Finish(out *session.Outcome) {
 	out.VisitedActivities = session.SortedKeys(e.visited)
-	return nil
 }
 
 func (e *actEngine) visit(activity string, route robotium.Script) {

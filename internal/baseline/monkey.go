@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"fragdroid/internal/apk"
-	"fragdroid/internal/device"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
 )
@@ -37,35 +36,22 @@ var randomWords = []string{"abc", "test", "12345", "qwerty", "hello", ""}
 
 // Monkey injects pseudo-random events: clicks on random visible widgets,
 // random text, BACK presses, and dialog dismissals, restarting the app after
-// crashes or exits. It models Google's Monkey exerciser.
-func Monkey(app *apk.App, cfg MonkeyConfig) (*Result, error) {
+// crashes or exits. It models Google's Monkey exerciser. The outcome carries
+// no fragments, and its TestCases counts injected events.
+func Monkey(app *apk.App, cfg MonkeyConfig) (*session.Outcome, error) {
 	if cfg.Events == 0 {
 		cfg.Events = 2000
 	}
-	e := NewMonkeyStrategy(app, cfg)
-	out, err := session.Drive(app, e, session.Harness{Observer: cfg.Observer})
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		VisitedActivities: out.VisitedActivities,
-		Collector:         out.Collector,
-		Stats:             out.Stats,
-		Curve:             out.Curve,
-		Transcript:        out.Transcript,
-	}, nil
+	return session.Drive(app, NewMonkeyStrategy(app, cfg), session.Harness{Observer: cfg.Observer})
 }
 
-// monkeyEngine is Monkey as a session.Strategy: one run-form proposal
-// containing the whole event-injection loop on a long-lived device (random
-// testing has no test-case decomposition to expose — the event batch is the
-// test case).
+// monkeyEngine is Monkey as a session.Strategy: one event-injection loop on
+// a long-lived device (random testing has no test-case decomposition to
+// expose, so each injected event bills one test case).
 type monkeyEngine struct {
 	app     *apk.App
 	cfg     MonkeyConfig
-	s       *session.Session
 	visited map[string]bool
-	done    bool
 }
 
 // NewMonkeyStrategy returns the Monkey exerciser as a session.Strategy,
@@ -105,36 +91,15 @@ func (e *monkeyEngine) coverage() (int, int) {
 	return n, 0
 }
 
-// Init binds the run context.
-func (e *monkeyEngine) Init(ctx *session.DriveContext) error {
-	e.s = ctx.Session
-	return nil
-}
-
-// Propose yields the single run-form event loop, then reports done.
-func (e *monkeyEngine) Propose() (session.TestCase, bool) {
-	if e.done {
-		return session.TestCase{}, false
-	}
-	e.done = true
-	return session.TestCase{Run: e.loop}, true
-}
-
-// Observe is never called: the monkey makes no script-form proposals.
-func (e *monkeyEngine) Observe(session.TestCase, *device.Device, robotium.Result) error {
-	return nil
-}
-
 // Finish fills the generic outcome with the reached activity set.
-func (e *monkeyEngine) Finish(out *session.Outcome) error {
+func (e *monkeyEngine) Finish(out *session.Outcome) {
 	out.VisitedActivities = session.SortedKeys(e.visited)
-	return nil
 }
 
-// loop is the event-injection loop: every crash or exit restarts the app at
-// MAIN/LAUNCHER.
-func (e *monkeyEngine) loop() error {
-	app, cfg, s := e.app, e.cfg, e.s
+// Explore is the event-injection loop: every crash or exit restarts the app
+// at MAIN/LAUNCHER.
+func (e *monkeyEngine) Explore(s *session.Session) error {
+	app, cfg := e.app, e.cfg
 	d := s.NewDevice()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	restarts := 0

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fragdroid/internal/corpus"
+	"fragdroid/internal/session"
 )
 
 // eventSpec: an activity reachable ONLY through a broadcast receiver — the
@@ -59,7 +60,7 @@ func TestMonkeySystemEventsReachReceiverActivities(t *testing.T) {
 		t.Fatalf("system-event monkey missed the receiver activity: %v", sys.VisitedActivities)
 	}
 	// And its sensitive API is observed only in the system-event run.
-	apis := func(r *Result) map[string]bool {
+	apis := func(r *session.Outcome) map[string]bool {
 		m := make(map[string]bool)
 		for _, u := range r.Collector.Usages() {
 			m[u.API] = true

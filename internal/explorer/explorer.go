@@ -182,10 +182,8 @@ func (r *Result) FragmentsInVisitedActivities() (visited, sum int) {
 }
 
 // engine is the run state: the AFTM evolution and queue discipline,
-// implemented as a session.Strategy. All harness mechanics (budget, devices,
-// crash triage, curve, transcript) live in the session the drive loop binds
-// in Init; the evolutionary loop of §VI-C is expressed as the Propose phase
-// machine below.
+// implemented as a session.Strategy. All harness mechanics (budget, device,
+// crash triage, curve, transcript) live in the session Explore runs on.
 type engine struct {
 	app *apk.App
 	ex  *statics.Extraction
@@ -209,23 +207,9 @@ type engine struct {
 	// worklist holds interfaces awaiting Case 3 exploration.
 	worklist []workItem
 
-	// entry is the manifest entry activity (for the launch-failure error).
-	entry string
-	// launch is the entry test case every route grows from.
-	launch robotium.Script
 	// forced holds each activity's forced-start script, built by its first
 	// forced start and reused by the passes of later rounds.
 	forced map[string]robotium.Script
-
-	// Propose phase-machine state: the current phase, the round counter, and
-	// the round's progress flag (§VI-C termination: queue empty and AFTM
-	// stable). launchRan records that the launch test case actually executed.
-	phase      int
-	round      int
-	progressed bool
-	launchRan  bool
-	// seedIdx is the next cfg.Seeds entry to propose (phaseSeeds).
-	seedIdx int
 
 	// dumps are the buffers observe fills, in turn: exploreInterface keeps
 	// one observation while it takes the next, so the dump observe returns
@@ -233,16 +217,6 @@ type engine struct {
 	dumps    [2]device.UIDump
 	nextDump int
 }
-
-// Propose phases of the evolutionary loop.
-const (
-	phaseLaunch = iota
-	phaseSeeds
-	phaseDrain
-	phaseForced
-	phaseRoundEnd
-	phaseDone
-)
 
 // CrashReport is one distinct force-close with a route that reproduces it.
 type CrashReport = session.CrashReport
@@ -287,9 +261,9 @@ func Explore(app *apk.App, cfg Config) (*Result, error) {
 }
 
 // ExploreExtracted runs the dynamic phase on an existing static extraction:
-// it constructs the engine as a session.Strategy and lets the generic drive
-// loop run it, then re-attaches the explorer-specific riches (the evolved
-// model, visit routes) the generic Outcome cannot carry.
+// it constructs the engine as a session.Strategy and lets session.Drive run
+// it, then re-attaches the explorer-specific riches (the evolved model,
+// visit routes) the generic Outcome cannot carry.
 func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 	if cfg.MaxTestCases == 0 {
 		cfg.MaxTestCases = 600
@@ -328,7 +302,6 @@ func NewStrategy(ex *statics.Extraction, cfg Config) *engine {
 		hints:     make(map[string]string),
 		explored:  make(map[iface]bool),
 		reflected: make(map[string]bool),
-		launch:    robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}},
 	}
 }
 
@@ -346,26 +319,6 @@ func (e *engine) SessionOptions(h session.Harness) session.Options {
 		Observer:      h.Observer,
 		Coverage:      e.coverage,
 	}
-}
-
-// Init binds the run context and resolves the input hints. While tracing it
-// also logs the §VI-B initial queue generated from the static AFTM.
-func (e *engine) Init(ctx *session.DriveContext) error {
-	e.s = ctx.Session
-	for _, w := range e.ex.InputWidgets {
-		e.hints[w.Ref] = w.Hint
-	}
-	if e.s.Tracing() {
-		for _, item := range PlanQueue(e.ex.Model) {
-			e.s.Note("queue item " + item.String())
-		}
-	}
-	entry, err := e.app.Manifest.EntryActivity()
-	if err != nil {
-		return err
-	}
-	e.entry = entry
-	return nil
 }
 
 // coverage feeds the session's curve sampler with the cumulative visited
@@ -489,110 +442,85 @@ func (e *engine) arrive(st iface, method ReachMethod, route robotium.Script) {
 	}
 }
 
-// Propose is the evolutionary loop of §VI-C as a phase machine: the initial
-// launch, breadth-first interface exploration (one run-form unit per queue
-// item), the forced-start second loop, and rounds repeated until the queue
-// is empty and the AFTM stops changing.
-func (e *engine) Propose() (session.TestCase, bool) {
-	for {
-		switch e.phase {
-		case phaseLaunch:
-			e.phase = phaseSeeds
-			e.round = 1
-			return session.TestCase{Script: e.launch, Purpose: session.PurposeLaunch}, true
-		case phaseSeeds:
-			// Directed seeding: replay the statically compiled routes before
-			// any frontier work; arrivals enter the normal queue discipline.
-			for e.launchRan && e.seedIdx < len(e.cfg.Seeds) && !e.s.Exhausted() {
-				sc := e.cfg.Seeds[e.seedIdx]
-				e.seedIdx++
-				return session.TestCase{Script: sc, Purpose: session.PurposeSeed}, true
-			}
-			e.phase = phaseDrain
-		case phaseDrain:
-			if !e.launchRan {
-				// The launch test case never executed (budget exhausted
-				// before it); Finish surfaces the failure.
-				e.phase = phaseDone
-				return session.TestCase{}, false
-			}
-			for len(e.worklist) > 0 && !e.s.Exhausted() {
-				item := e.worklist[0]
-				e.worklist = e.worklist[1:]
-				if e.explored[item.target] {
-					continue
-				}
-				e.explored[item.target] = true
-				e.progressed = true
-				return session.TestCase{Run: func() error {
-					if e.s.Tracing() {
-						e.s.Note("explore interface " + item.target.String() + " (reached via " + string(item.method) + ")")
-					}
-					e.exploreInterface(item)
-					return nil
-				}}, true
-			}
-			e.phase = phaseForced
-		case phaseForced:
-			e.phase = phaseRoundEnd
-			if e.cfg.UseForcedStart && !e.s.Exhausted() {
-				return session.TestCase{Run: func() error {
-					if e.forcedStartPass() {
-						e.progressed = true
-					}
-					return nil
-				}}, true
-			}
-		case phaseRoundEnd:
-			if !e.progressed || e.s.Exhausted() {
-				e.s.Notef("terminated after round %d: queue empty and AFTM stable (test cases: %d)", e.round, e.s.Stats().TestCases)
-				e.phase = phaseDone
-				return session.TestCase{}, false
-			}
-			e.round++
-			e.progressed = false
-			e.phase = phaseDrain
-		default:
-			return session.TestCase{}, false
+// Explore is the evolutionary loop of §VI-C. It resolves the input hints,
+// logs the §VI-B initial queue generated from the static AFTM while tracing,
+// launches the entry activity and replays the directed route seeds. Then it
+// runs rounds of breadth-first interface exploration and the forced-start
+// second loop until the queue is empty and the AFTM stops changing.
+func (e *engine) Explore(s *session.Session) error {
+	e.s = s
+	for _, w := range e.ex.InputWidgets {
+		e.hints[w.Ref] = w.Hint
+	}
+	if s.Tracing() {
+		for _, item := range PlanQueue(e.ex.Model) {
+			s.Note("queue item " + item.String())
 		}
 	}
-}
-
-// Observe handles the script-form proposals: the launch test case and the
-// directed route seeds (interface exploration runs as self-driven units).
-func (e *engine) Observe(tc session.TestCase, d *device.Device, res robotium.Result) error {
-	if tc.Purpose == session.PurposeSeed {
-		// A failed seed is a near miss, not an error: the frontier phases
-		// pick up from whatever prefix the replay established.
-		if res.Err != nil {
-			e.s.Notef("seed %s failed at %q: %v", tc.Script.Name, res.FailedOp, res.Err)
-			return nil
-		}
-		st, _, err := e.observe(d)
-		if err != nil {
-			return nil
-		}
-		e.arrive(st, ReachSeed, tc.Script)
-		return nil
+	entry, err := e.app.Manifest.EntryActivity()
+	if err != nil {
+		return err
 	}
-	e.launchRan = true
+	launch := robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
+	d, res, ok := s.RunScript(launch, session.PurposeLaunch)
+	if !ok {
+		return errors.New("explorer: test-case budget exhausted before launch")
+	}
 	if res.Err != nil {
-		e.s.Notef("entry launch failed: %v", res.Err)
-		return fmt.Errorf("explorer: cannot launch entry %s: %w", e.entry, res.Err)
+		s.Notef("entry launch failed: %v", res.Err)
+		return fmt.Errorf("explorer: cannot launch entry %s: %w", entry, res.Err)
 	}
 	st, _, err := e.observe(d)
 	if err != nil {
 		return err
 	}
-	e.arrive(st, ReachLaunch, tc.Script)
-	return nil
+	e.arrive(st, ReachLaunch, launch)
+
+	// Directed seeding: replay the statically compiled routes before any
+	// frontier work; arrivals enter the normal queue discipline. A failed
+	// seed is a near miss, not an error: the frontier picks up from whatever
+	// prefix the replay established.
+	for _, sc := range e.cfg.Seeds {
+		d, res, ok := s.RunScript(sc, session.PurposeSeed)
+		if !ok {
+			break
+		}
+		if res.Err != nil {
+			s.Notef("seed %s failed at %q: %v", sc.Name, res.FailedOp, res.Err)
+			continue
+		}
+		if st, _, err := e.observe(d); err == nil {
+			e.arrive(st, ReachSeed, sc)
+		}
+	}
+
+	for round := 1; ; round++ {
+		progressed := false
+		for len(e.worklist) > 0 && !s.Exhausted() {
+			item := e.worklist[0]
+			e.worklist = e.worklist[1:]
+			if e.explored[item.target] {
+				continue
+			}
+			e.explored[item.target] = true
+			progressed = true
+			if s.Tracing() {
+				s.Note("explore interface " + item.target.String() + " (reached via " + string(item.method) + ")")
+			}
+			e.exploreInterface(item)
+		}
+		if e.cfg.UseForcedStart && !s.Exhausted() && e.forcedStartPass() {
+			progressed = true
+		}
+		if !progressed || s.Exhausted() {
+			s.Notef("terminated after round %d: queue empty and AFTM stable (test cases: %d)", round, s.Stats().TestCases)
+			return nil
+		}
+	}
 }
 
 // Finish fills the generic outcome with the visited component sets.
-func (e *engine) Finish(out *session.Outcome) error {
-	if !e.launchRan {
-		return errors.New("explorer: test-case budget exhausted before launch")
-	}
+func (e *engine) Finish(out *session.Outcome) {
 	for n := range e.visits {
 		if n.Kind == aftm.KindActivity {
 			out.VisitedActivities = append(out.VisitedActivities, n.Name)
@@ -602,7 +530,6 @@ func (e *engine) Finish(out *session.Outcome) error {
 	}
 	sort.Strings(out.VisitedActivities)
 	sort.Strings(out.VisitedFragments)
-	return nil
 }
 
 // replayTo replays a route from launch on the session's reset device,

@@ -78,7 +78,7 @@ func renderExplorer(res *explorer.Result) string {
 	return b.String()
 }
 
-func renderBaseline(label string, res *baseline.Result) string {
+func renderBaseline(label string, res *session.Outcome) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "== %s ==\n", label)
 	fmt.Fprintf(&b, "visited-activities: %s\n", strings.Join(res.VisitedActivities, " "))

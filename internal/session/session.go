@@ -5,11 +5,12 @@
 // with a replayable route), coverage-curve sampling, and a structured trace
 // of typed events behind a pluggable Observer sink.
 //
-// The explorer, the Activity-level baseline, Monkey, and the recorder's
-// replay all share this layer, so the harness mechanics — budgets, restarts,
-// crash handling — are identical across strategies by construction (the
-// fairness requirement of comparative evaluations; Choudhary et al.), and
-// every run yields the same telemetry shape for the report tables.
+// Every exploration engine implements Strategy and runs its own loop on one
+// Session through Drive; the recorder's replay runs inside a session too. The
+// harness mechanics — budgets, restarts, crash handling — are therefore
+// identical across strategies by construction (the fairness requirement of
+// comparative evaluations; Choudhary et al.), and every run yields the same
+// telemetry shape for the report tables.
 package session
 
 import (

@@ -27,13 +27,11 @@ type Biased struct {
 	seed      int64
 	events    int
 
-	s       *session.Session
 	rng     *rand.Rand
 	gen     *inputgen.Heuristic
 	hints   map[string]string
 	visited map[string]bool
 	clicks  map[string]int
-	done    bool
 }
 
 // NewBiased returns the biased-random strategy for one analyzed app, ready
@@ -81,31 +79,9 @@ func (b *Biased) coverage() (int, int) {
 	return n, 0
 }
 
-// Init binds the run context and seeds the RNG.
-func (b *Biased) Init(ctx *session.DriveContext) error {
-	b.s = ctx.Session
-	b.rng = rand.New(rand.NewSource(b.seed))
-	return nil
-}
-
-// Propose yields the single run-form event loop, then reports done.
-func (b *Biased) Propose() (session.TestCase, bool) {
-	if b.done {
-		return session.TestCase{}, false
-	}
-	b.done = true
-	return session.TestCase{Run: b.loop}, true
-}
-
-// Observe is never called: the strategy makes no script-form proposals.
-func (b *Biased) Observe(session.TestCase, *device.Device, robotium.Result) error {
-	return nil
-}
-
 // Finish fills the generic outcome with the reached activity set.
-func (b *Biased) Finish(out *session.Outcome) error {
+func (b *Biased) Finish(out *session.Outcome) {
 	out.VisitedActivities = session.SortedKeys(b.visited)
-	return nil
 }
 
 // clickWeight scores one clickable widget: navigation-bearing kinds start
@@ -170,12 +146,12 @@ func (b *Biased) inputValue(ref string) string {
 	return "test123"
 }
 
-// loop is the event-injection loop: weighted clicks dominate, text entries
-// use resolved values, BACK and dialog dismissal keep their Monkey share,
-// and crashes or exits restart the app. Each event bills one test case so
-// the coverage curve is indexed by events injected.
-func (b *Biased) loop() error {
-	s := b.s
+// Explore is the event-injection loop: weighted clicks dominate, text
+// entries use resolved values, BACK and dialog dismissal keep their Monkey
+// share, and crashes or exits restart the app. Each event bills one test
+// case so the coverage curve is indexed by events injected.
+func (b *Biased) Explore(s *session.Session) error {
+	b.rng = rand.New(rand.NewSource(b.seed))
 	d := s.NewDevice()
 
 	observe := func() {

@@ -13,8 +13,6 @@ import (
 // as seeds before falling back to its normal frontier exploration.
 type Directed struct {
 	session.Strategy
-	// Seeded counts the compiled route seeds the engine starts from.
-	Seeded int
 }
 
 // NewDirected compiles the app's static route seeds and wraps the explorer
@@ -29,7 +27,7 @@ func NewDirected(ex *statics.Extraction, opts Options) *Directed {
 		DefaultInput: cfg.DefaultInput,
 	})
 	cfg.Seeds = explorer.SeedScripts(p.PlanAll())
-	return &Directed{Strategy: explorer.NewStrategy(ex, cfg), Seeded: len(cfg.Seeds)}
+	return &Directed{Strategy: explorer.NewStrategy(ex, cfg)}
 }
 
 // Name implements session.Strategy.

@@ -24,10 +24,6 @@ type ModelGuided struct {
 	ex        *statics.Extraction
 	effective map[string]bool
 
-	s            *session.Session
-	targets      []modelTarget
-	next         int
-	forcedBuilt  bool
 	visitedActs  map[string]bool
 	visitedFrags map[string]bool
 }
@@ -76,32 +72,68 @@ func (m *ModelGuided) coverage() (int, int) {
 	return n, len(m.visitedFrags)
 }
 
-// Init compiles the static AFTM into the target suite, breadth-first from
+// Explore compiles the static AFTM into the target suite, replays it in
+// order, skipping targets already credited on the way, then sweeps the
+// still-unvisited effective activities with forced starts (§VI-C's second
+// loop, without the rounds).
+func (m *ModelGuided) Explore(s *session.Session) error {
+	m.replay(s, m.suite(s))
+	if s.Exhausted() || s.Halted() {
+		return nil
+	}
+	var sweep []modelTarget
+	for _, a := range m.ex.EffectiveActivities {
+		if m.visitedActs[a] {
+			continue
+		}
+		sweep = append(sweep, modelTarget{
+			node:    aftm.ActivityNode(a),
+			script:  robotium.Script{Name: "force_" + a, Ops: []robotium.Op{robotium.ForceStart(a)}},
+			purpose: session.PurposeForcedStart,
+		})
+	}
+	if len(sweep) > 0 {
+		s.Notef("model: forced-start sweep over %d unvisited activities", len(sweep))
+		m.replay(s, sweep)
+	}
+	return nil
+}
+
+// suite compiles the static AFTM into the target suite, breadth-first from
 // the entry (the §VI-B queue order, compiled instead of evolved).
-func (m *ModelGuided) Init(ctx *session.DriveContext) error {
-	m.s = ctx.Session
+func (m *ModelGuided) suite(s *session.Session) []modelTarget {
 	launch := robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
 	entry, ok := m.ex.Model.Entry()
 	if !ok {
-		m.s.Notef("model: no entry node; launch only")
-		m.targets = []modelTarget{{script: launch, purpose: session.PurposeLaunch}}
-		return nil
+		s.Notef("model: no entry node; launch only")
+		return []modelTarget{{script: launch, purpose: session.PurposeLaunch}}
 	}
-	m.targets = []modelTarget{{node: entry, script: launch, purpose: session.PurposeLaunch}}
-	compiled := 0
+	targets := []modelTarget{{node: entry, script: launch, purpose: session.PurposeLaunch}}
 	for _, n := range m.ex.Model.BFS() {
 		if n == entry {
 			continue
 		}
-		t, ok := m.compile(n)
-		if !ok {
+		if t, ok := m.compile(n); ok {
+			targets = append(targets, t)
+		}
+	}
+	s.Notef("model: compiled %d targets from the static AFTM", len(targets)-1)
+	return targets
+}
+
+// replay runs the targets in order, skipping those already credited, until
+// the session is exhausted or halted.
+func (m *ModelGuided) replay(s *session.Session, targets []modelTarget) {
+	for _, t := range targets {
+		if m.reached(t.node) {
 			continue
 		}
-		m.targets = append(m.targets, t)
-		compiled++
+		d, res, ok := s.RunScript(t.script, t.purpose)
+		if !ok {
+			return
+		}
+		m.credit(s, t.script, d, res)
 	}
-	m.s.Notef("model: compiled %d targets from the static AFTM", compiled)
-	return nil
 }
 
 // compile renders the AFTM path to one node as a concrete test case.
@@ -161,45 +193,6 @@ func (m *ModelGuided) compileEdge(e aftm.Edge) (robotium.Op, bool) {
 	return robotium.ForceStart(e.To.Name), true
 }
 
-// Propose replays the compiled suite in order, skipping targets already
-// credited on the way, then sweeps still-unvisited effective activities with
-// forced starts (§VI-C's second loop, without the rounds).
-func (m *ModelGuided) Propose() (session.TestCase, bool) {
-	for {
-		if m.s.Exhausted() || m.s.Halted() {
-			return session.TestCase{}, false
-		}
-		if m.next < len(m.targets) {
-			t := m.targets[m.next]
-			m.next++
-			if m.reached(t.node) {
-				continue
-			}
-			return session.TestCase{Script: t.script, Purpose: t.purpose}, true
-		}
-		if !m.forcedBuilt {
-			m.forcedBuilt = true
-			added := 0
-			for _, a := range m.ex.EffectiveActivities {
-				if m.visitedActs[a] {
-					continue
-				}
-				m.targets = append(m.targets, modelTarget{
-					node:    aftm.ActivityNode(a),
-					script:  robotium.Script{Name: "force_" + a, Ops: []robotium.Op{robotium.ForceStart(a)}},
-					purpose: session.PurposeForcedStart,
-				})
-				added++
-			}
-			if added > 0 {
-				m.s.Notef("model: forced-start sweep over %d unvisited activities", added)
-				continue
-			}
-		}
-		return session.TestCase{}, false
-	}
-}
-
 // reached reports whether a target node was already credited.
 func (m *ModelGuided) reached(n aftm.Node) bool {
 	switch n.Kind {
@@ -211,38 +204,36 @@ func (m *ModelGuided) reached(n aftm.Node) bool {
 	return false
 }
 
-// Observe credits whatever interface the test case actually landed on —
+// credit credits whatever interface the test case actually landed on —
 // including partial progress of failed runs (the device holds the state the
 // failing op left behind).
-func (m *ModelGuided) Observe(tc session.TestCase, d *device.Device, res robotium.Result) error {
+func (m *ModelGuided) credit(s *session.Session, sc robotium.Script, d *device.Device, res robotium.Result) {
 	if res.Err != nil {
-		m.s.Notef("model target %s failed at %q: %v", tc.Script.Name, res.FailedOp, res.Err)
+		s.Notef("model target %s failed at %q: %v", sc.Name, res.FailedOp, res.Err)
 	}
 	dump, err := d.Dump()
 	if err != nil {
-		return nil
+		return
 	}
 	if cur := dump.Activity; cur != "" && !m.visitedActs[cur] {
 		m.visitedActs[cur] = true
-		m.s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
-			Script: tc.Script.Name, Ops: len(tc.Script.Ops),
-			Msg: fmt.Sprintf("model reached %s (%d ops)", cur, len(tc.Script.Ops))})
+		s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
+			Script: sc.Name, Ops: len(sc.Ops),
+			Msg: fmt.Sprintf("model reached %s (%d ops)", cur, len(sc.Ops))})
 	}
 	for _, f := range identifyFragments(m.ex, dump) {
 		if m.visitedFrags[f] {
 			continue
 		}
 		m.visitedFrags[f] = true
-		m.s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
-			Script: tc.Script.Name,
+		s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
+			Script: sc.Name,
 			Msg:    fmt.Sprintf("model reached fragment %s", f)})
 	}
-	return nil
 }
 
 // Finish fills the generic outcome with the credited component sets.
-func (m *ModelGuided) Finish(out *session.Outcome) error {
+func (m *ModelGuided) Finish(out *session.Outcome) {
 	out.VisitedActivities = session.SortedKeys(m.visitedActs)
 	out.VisitedFragments = session.SortedKeys(m.visitedFrags)
-	return nil
 }

@@ -1,8 +1,8 @@
 // Package strategy is the registry of exploration strategies: every dynamic
-// engine the repo ships — the four classic ones (FragDroid's explorer, the
-// Activity-level baseline, Monkey, recorder replay) and the newer generator
-// families layered on the session.Strategy seam — selectable by name with
-// one option set, all returning the engine-independent session.Outcome.
+// engine the repo ships — the three classic ones (FragDroid's explorer, the
+// Activity-level baseline, Monkey) and the newer generator families, each a
+// session.Strategy running its own loop on one session — selectable by name
+// with one option set, all returning the engine-independent session.Outcome.
 //
 // The registry is what turns the repo from one tool into a benchmark
 // platform ("Are We There Yet?", PAPERS.md): CLIs pick strategies by name,
@@ -100,18 +100,7 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.Observer = opts.Observer
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
-		r, err := baseline.ExploreActivities(ex.App, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &session.Outcome{
-			Strategy:          "activity",
-			VisitedActivities: r.VisitedActivities,
-			Collector:         r.Collector,
-			Stats:             r.Stats,
-			Curve:             r.Curve,
-			Transcript:        r.Transcript,
-		}, nil
+		return baseline.ExploreActivities(ex.App, cfg)
 	case "monkey":
 		cfg := baseline.MonkeyConfig{
 			Seed:     opts.Seed,
@@ -120,18 +109,7 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		}
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
-		r, err := baseline.Monkey(ex.App, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &session.Outcome{
-			Strategy:          "monkey",
-			VisitedActivities: r.VisitedActivities,
-			Collector:         r.Collector,
-			Stats:             r.Stats,
-			Curve:             r.Curve,
-			Transcript:        r.Transcript,
-		}, nil
+		return baseline.Monkey(ex.App, cfg)
 	case "biased":
 		return session.Drive(ex.App, NewBiased(ex, opts), h)
 	case "model":

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"fragdroid/internal/device"
-	"fragdroid/internal/recorder"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -52,12 +51,6 @@ func (l *Library) Add(pkg string, routes ...robotium.Script) {
 	}
 }
 
-// AddRecording records a recorder session's script (the record-and-replay
-// collection side feeding the reuse side).
-func (l *Library) AddRecording(pkg string, rec *recorder.Recorder) {
-	l.Add(pkg, rec.Script())
-}
-
 // Apps returns the library's package names, sorted.
 func (l *Library) Apps() []string { return session.SortedKeys(l.entries) }
 
@@ -98,9 +91,6 @@ type TraceReuse struct {
 	lib       *Library
 	effective map[string]bool
 
-	s            *session.Session
-	scripts      []session.TestCase
-	next         int
 	visitedActs  map[string]bool
 	visitedFrags map[string]bool
 }
@@ -153,14 +143,31 @@ func (t *TraceReuse) vocab() map[string]bool {
 	return v
 }
 
-// Init ranks the library by similarity and adapts the closest apps' routes.
-func (t *TraceReuse) Init(ctx *session.DriveContext) error {
-	t.s = ctx.Session
-	launch := robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
-	t.scripts = []session.TestCase{{Script: launch, Purpose: session.PurposeLaunch}}
+// Explore adapts the library's routes to the target, then replays the
+// launch and the adapted routes in order until the session is exhausted or
+// halted.
+func (t *TraceReuse) Explore(s *session.Session) error {
+	for i, sc := range t.scripts(s) {
+		purpose := session.PurposeReplay
+		if i == 0 {
+			purpose = session.PurposeLaunch
+		}
+		d, res, ok := s.RunScript(sc, purpose)
+		if !ok {
+			return nil
+		}
+		t.credit(s, sc, d, res)
+	}
+	return nil
+}
+
+// scripts ranks the library by similarity and adapts the closest apps'
+// routes, most similar first, after the launch.
+func (t *TraceReuse) scripts(s *session.Session) []robotium.Script {
+	scripts := []robotium.Script{{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}}
 	if t.lib == nil {
-		t.s.Notef("trace: no route library; launch only")
-		return nil
+		s.Notef("trace: no route library; launch only")
+		return scripts
 	}
 	vocab := t.vocab()
 	self := t.ex.App.Manifest.Package
@@ -182,33 +189,28 @@ func (t *TraceReuse) Init(ctx *session.DriveContext) error {
 		}
 		return order[i].e.pkg < order[j].e.pkg
 	})
-	adapted := 0
 	for _, r := range order {
 		for i, route := range r.e.routes {
-			ops := t.adapt(route.Ops)
+			ops := t.adapt(route.Ops, vocab)
 			if len(ops) <= 1 {
 				continue // nothing survived beyond the launch fallback
 			}
-			adapted++
-			t.scripts = append(t.scripts, session.TestCase{
-				Script: robotium.Script{
-					Name: fmt.Sprintf("trace_%s_%d", r.e.pkg, i),
-					Ops:  ops,
-				},
-				Purpose: session.PurposeReplay,
+			scripts = append(scripts, robotium.Script{
+				Name: fmt.Sprintf("trace_%s_%d", r.e.pkg, i),
+				Ops:  ops,
 			})
 		}
 	}
-	t.s.Notef("trace: adapted %d routes from %d similar apps", adapted, len(order))
-	return nil
+	s.Notef("trace: adapted %d routes from %d similar apps", len(scripts)-1, len(order))
+	return scripts
 }
 
 // adapt filters a recorded route down to the operations the target app can
 // perform: clicks and text entries on widgets it has, starts of activities
 // it declares, reflective switches of fragments it commits — everything else
-// is dropped. The result always begins with a launch.
-func (t *TraceReuse) adapt(ops []robotium.Op) []robotium.Op {
-	vocab := t.vocab()
+// is dropped; vocab is the target's widget-ref vocabulary. The result
+// always begins with a launch.
+func (t *TraceReuse) adapt(ops []robotium.Op, vocab map[string]bool) []robotium.Op {
 	out := []robotium.Op{robotium.LaunchMain()}
 	for _, op := range ops {
 		switch op.Kind {
@@ -244,48 +246,36 @@ func (t *TraceReuse) adapt(ops []robotium.Op) []robotium.Op {
 	return out
 }
 
-// Propose replays the adapted scripts in order under the budget.
-func (t *TraceReuse) Propose() (session.TestCase, bool) {
-	if t.s.Exhausted() || t.s.Halted() || t.next >= len(t.scripts) {
-		return session.TestCase{}, false
-	}
-	tc := t.scripts[t.next]
-	t.next++
-	return tc, true
-}
-
-// Observe credits the interface the replay landed on.
-func (t *TraceReuse) Observe(tc session.TestCase, d *device.Device, res robotium.Result) error {
+// credit credits the interface the replay landed on.
+func (t *TraceReuse) credit(s *session.Session, sc robotium.Script, d *device.Device, res robotium.Result) {
 	if res.Err != nil {
-		t.s.Notef("trace %s stopped at %q: %v", tc.Script.Name, res.FailedOp, res.Err)
+		s.Notef("trace %s stopped at %q: %v", sc.Name, res.FailedOp, res.Err)
 	}
 	dump, err := d.Dump()
 	if err != nil {
-		return nil
+		return
 	}
 	if cur := dump.Activity; cur != "" && !t.visitedActs[cur] {
 		t.visitedActs[cur] = true
-		t.s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
-			Script: tc.Script.Name, Ops: len(tc.Script.Ops),
-			Msg: fmt.Sprintf("trace reached %s (%d ops)", cur, len(tc.Script.Ops))})
+		s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
+			Script: sc.Name, Ops: len(sc.Ops),
+			Msg: fmt.Sprintf("trace reached %s (%d ops)", cur, len(sc.Ops))})
 	}
 	for _, f := range identifyFragments(t.ex, dump) {
 		if t.visitedFrags[f] {
 			continue
 		}
 		t.visitedFrags[f] = true
-		t.s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
-			Script: tc.Script.Name,
+		s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
+			Script: sc.Name,
 			Msg:    fmt.Sprintf("trace reached fragment %s", f)})
 	}
-	return nil
 }
 
 // Finish fills the generic outcome with the credited component sets.
-func (t *TraceReuse) Finish(out *session.Outcome) error {
+func (t *TraceReuse) Finish(out *session.Outcome) {
 	out.VisitedActivities = session.SortedKeys(t.visitedActs)
 	out.VisitedFragments = session.SortedKeys(t.visitedFrags)
-	return nil
 }
 
 // HarvestVisits adds an explorer run's first-arrival routes to the library —
