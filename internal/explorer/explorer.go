@@ -432,10 +432,10 @@ func (e *engine) arrive(st iface, method ReachMethod, route robotium.Script) {
 	if e.model.HasNode(actNode) || e.app.Manifest.HasActivity(st.activity) {
 		e.visit(actNode, method, route)
 	}
-	if st.fragments != "" {
-		for _, f := range strings.Split(st.fragments, ",") {
-			e.visit(aftm.FragmentNode(f), method, route)
-		}
+	for rest := st.fragments; rest != ""; {
+		var f string
+		f, rest, _ = strings.Cut(rest, ",")
+		e.visit(aftm.FragmentNode(f), method, route)
 	}
 	if !e.explored[st] {
 		e.worklist = append(e.worklist, workItem{method: method, target: st, route: route})
@@ -671,6 +671,18 @@ func (e *engine) exploreInterface(item workItem) {
 	e.reflectionItems(item)
 }
 
+// hasFragment reports whether the comma-joined fragment key holds f.
+func hasFragment(key, f string) bool {
+	for key != "" {
+		var cur string
+		cur, key, _ = strings.Cut(key, ",")
+		if cur == f {
+			return true
+		}
+	}
+	return false
+}
+
 // widgetFragment finds which fragment (if any) owned the clicked widget.
 func widgetFragment(dump device.UIDump, ref string) string {
 	for _, w := range dump.Widgets {
@@ -710,17 +722,10 @@ func (e *engine) recordTransition(from iface, ownerFrag string, to iface, ref st
 	}
 	// Fragment arrivals: edge from the click source to each newly shown
 	// fragment of the destination interface.
-	if to.fragments == "" {
-		return
-	}
-	prev := make(map[string]bool)
-	if from.fragments != "" && to.activity == from.activity {
-		for _, f := range strings.Split(from.fragments, ",") {
-			prev[f] = true
-		}
-	}
-	for _, f := range strings.Split(to.fragments, ",") {
-		if prev[f] {
+	for rest := to.fragments; rest != ""; {
+		var f string
+		f, rest, _ = strings.Cut(rest, ",")
+		if to.activity == from.activity && hasFragment(from.fragments, f) {
 			continue
 		}
 		fromNode := src
@@ -803,13 +808,7 @@ func (e *engine) reflectionItems(item workItem) {
 			if err != nil {
 				continue
 			}
-			credited := false
-			for _, f := range strings.Split(st.fragments, ",") {
-				if f == frag {
-					credited = true
-				}
-			}
-			if !credited {
+			if !hasFragment(st.fragments, frag) {
 				ev := session.Event{Kind: session.KindReflectionAttempt,
 					Fragment: frag, Activity: act, Container: container,
 					Err: "not confirmed by instrumentation"}
