@@ -32,7 +32,6 @@ func TestStrategyGoldens(t *testing.T) {
 	}
 	for _, pkg := range goldenApps {
 		for _, name := range Names() {
-			pkg, name := pkg, name
 			t.Run(pkg+"/"+name, func(t *testing.T) {
 				buf := &session.TraceBuffer{}
 				out, err := Run(name, exs[pkg], Options{
