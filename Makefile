@@ -66,7 +66,8 @@ bench-check:
 # the 15-app corpus, COMPARE_SEEDS seeds, COMPARE_BUDGET test cases/events
 # per run — and writes the per-strategy coverage-at-budget table (mean and
 # variance across seeds) as JSON. The checked-in BENCH_PR7.json comes from
-# the defaults; CI runs the same target as a smoke signal on every PR.
+# the defaults; CI runs the same target at the defaults on every PR and
+# requires its JSON to equal BENCH_PR7.json byte for byte.
 COMPARE_BUDGET ?= 300
 COMPARE_SEEDS ?= 3
 COMPARE_JSON ?= BENCH_PR7.json

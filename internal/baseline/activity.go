@@ -10,6 +10,10 @@
 //
 //   - Monkey: seeded random event injection after Google's
 //     UI/Application Exerciser Monkey, the paper's Section I strawman.
+//
+//   - Biased: widget-weighted random testing, Monkey's event loop with a
+//     layout-aware click draw and hint-aware text entry. The two random
+//     testers share one loop and differ only in an eventPolicy.
 package baseline
 
 import (
@@ -87,12 +91,8 @@ func (e *actEngine) Name() string { return "activity" }
 
 // SessionOptions implements session.Strategy: auto-dismiss on, no crash
 // triage (the baselines count crashes but produce no fault-finding output).
-func (e *actEngine) SessionOptions(h session.Harness) session.Options {
-	opts := session.Options{
-		Budget:      h.Budget,
-		AutoDismiss: true,
-		Observer:    h.Observer,
-	}
+func (e *actEngine) SessionOptions() session.Options {
+	opts := session.Options{AutoDismiss: true}
 	if e.cfg.SampleCurve {
 		opts.Coverage = e.coverage
 	}

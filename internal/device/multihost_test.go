@@ -105,16 +105,17 @@ func TestDumpHelperViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	dump, _ := d.Dump()
-	vis := dump.VisibleRefs()
 	click := dump.ClickableRefs()
 	edit := dump.EditableRefs()
-	if len(vis) == 0 || len(click) == 0 || len(edit) != 1 {
-		t.Fatalf("helpers: vis=%d click=%d edit=%v", len(vis), len(click), edit)
+	if len(click) == 0 || len(edit) != 1 {
+		t.Fatalf("helpers: click=%d edit=%v", len(click), edit)
 	}
 	// Clickable and editable refs are all visible.
 	visSet := make(map[string]bool)
-	for _, r := range vis {
-		visSet[r] = true
+	for _, w := range dump.Widgets {
+		if w.Visible {
+			visSet[w.Ref] = true
+		}
 	}
 	for _, r := range append(append([]string(nil), click...), edit...) {
 		if !visSet[r] {

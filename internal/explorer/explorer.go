@@ -310,15 +310,8 @@ func (e *engine) Name() string { return "explorer" }
 
 // SessionOptions implements session.Strategy: the explorer runs with
 // auto-dismiss, crash triage, and curve sampling on.
-func (e *engine) SessionOptions(h session.Harness) session.Options {
-	return session.Options{
-		Budget:        h.Budget,
-		HaltOnAPI:     h.HaltOnAPI,
-		AutoDismiss:   true,
-		TriageCrashes: true,
-		Observer:      h.Observer,
-		Coverage:      e.coverage,
-	}
+func (e *engine) SessionOptions() session.Options {
+	return session.Options{AutoDismiss: true, TriageCrashes: true, Coverage: e.coverage}
 }
 
 // coverage feeds the session's curve sampler with the cumulative visited
@@ -327,35 +320,37 @@ func (e *engine) coverage() (acts, frags int) {
 	return e.visitedActs, e.visitedFrags
 }
 
-// identifyFragments maps a dump to the credited fragment classes, sorted and
-// comma-joined: fragments the FragmentManager confirms AND the resource
-// dependency can identify from visible widgets (fragments with no
-// identifiable widgets are trusted from the FragmentManager alone).
-// Fragments loaded without a FragmentManager are never credited — FragDroid
-// "cannot determine whether the Fragment is a real loading" (§VII-B2).
-func (e *engine) identifyFragments(dump device.UIDump) string {
-	var out string
+// IdentifyFragments is the fragment-crediting rule of §VII-B2 that every
+// engine crediting fragments applies to a UI dump. A fragment counts only if
+// the FragmentManager confirms it and, when the resource dependency gives it
+// widgets, a visible widget of its layouts identifies it (Algorithm 3).
+// Fragments loaded without a FragmentManager are never credited: FragDroid
+// "cannot determine whether the Fragment is a real loading". The result is
+// the credited classes, sorted and comma-joined; it allocates only to join
+// two or more.
+func IdentifyFragments(ex *statics.Extraction, dump device.UIDump) string {
+	var key string
 	for _, f := range dump.FMFragments { // sorted by the device
-		if len(e.ex.ResDeps.ByOwner[f]) != 0 && !e.identifiedByResource(f, dump) {
+		if len(ex.ResDeps.ByOwner[f]) != 0 && !shownByWidget(ex, f, dump) {
 			continue
 		}
-		if out == "" {
-			out = f
+		if key == "" {
+			key = f
 		} else {
-			out += "," + f
+			key += "," + f
 		}
 	}
-	return out
+	return key
 }
 
-// identifiedByResource reports whether a visible widget of the dump belongs
-// to fragment f's layouts (Algorithm 3's resource dependency).
-func (e *engine) identifiedByResource(f string, dump device.UIDump) bool {
+// shownByWidget reports whether a visible widget of the dump belongs to
+// fragment f's layouts.
+func shownByWidget(ex *statics.Extraction, f string, dump device.UIDump) bool {
 	for _, w := range dump.Widgets {
 		if !w.Visible {
 			continue
 		}
-		for _, loc := range e.ex.ResDeps.ByWidget[w.Ref] { // both keyed by normalized ref
+		for _, loc := range ex.ResDeps.ByWidget[w.Ref] { // both keyed by normalized ref
 			if loc.OwnerKind == statics.OwnerFragment && loc.Owner == f {
 				return true
 			}
@@ -397,7 +392,7 @@ func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
 	}
 	return iface{
 		activity:  dump.Activity,
-		fragments: e.identifyFragments(dump),
+		fragments: IdentifyFragments(e.ex, dump),
 		widgets:   h,
 	}, dump, nil
 }
@@ -446,7 +441,8 @@ func (e *engine) arrive(st iface, method ReachMethod, route robotium.Script) {
 // logs the §VI-B initial queue generated from the static AFTM while tracing,
 // launches the entry activity and replays the directed route seeds. Then it
 // runs rounds of breadth-first interface exploration and the forced-start
-// second loop until the queue is empty and the AFTM stops changing.
+// second loop until the queue is empty and the AFTM stops changing, the
+// budget is spent, or a targeted run observes its API.
 func (e *engine) Explore(s *session.Session) error {
 	e.s = s
 	for _, w := range e.ex.InputWidgets {
@@ -511,6 +507,10 @@ func (e *engine) Explore(s *session.Session) error {
 		}
 		if e.cfg.UseForcedStart && !s.Exhausted() && e.forcedStartPass() {
 			progressed = true
+		}
+		if s.Halted() {
+			s.Notef("halted after round %d: target API %s observed (test cases: %d)", round, e.cfg.haltOnAPI, s.Stats().TestCases)
+			return nil
 		}
 		if !progressed || s.Exhausted() {
 			s.Notef("terminated after round %d: queue empty and AFTM stable (test cases: %d)", round, s.Stats().TestCases)

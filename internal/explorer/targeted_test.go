@@ -1,9 +1,12 @@
 package explorer
 
 import (
+	"strings"
 	"testing"
 
 	"fragdroid/internal/aftm"
+	"fragdroid/internal/corpus"
+	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
 )
 
@@ -61,6 +64,52 @@ func TestExploreTargetTriggersAndHaltsEarly(t *testing.T) {
 	// cases than full exploration.
 	if tr.Result.TestCases > full.TestCases {
 		t.Errorf("targeted run used %d cases, full run %d", tr.Result.TestCases, full.TestCases)
+	}
+}
+
+// TestExploreTargetStopsAtHalt pins that a targeted run does nothing after
+// its API fires: com.inditex.zara calls internet/connect in the test case
+// that launches it, and no interface may be explored after that, with the
+// run's last note naming the halt.
+func TestExploreTargetStopsAtHalt(t *testing.T) {
+	const api = "internet/connect"
+	var spec *corpus.AppSpec
+	for _, row := range corpus.PaperRows() {
+		if row.Package == "com.inditex.zara" {
+			spec = corpus.PaperSpec(row)
+		}
+	}
+	app, err := corpus.BuildApp(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := statics.Extract(app)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig()
+	buf := &session.TraceBuffer{}
+	cfg.Observer = buf
+	tr, err := ExploreTarget(ex, cfg, api)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tr.Triggered {
+		t.Fatal("target API not triggered")
+	}
+	fired, last := false, ""
+	for _, ev := range buf.Events() {
+		fired = fired || ev.Kind == session.KindSensitive && ev.API == api
+		if ev.Kind != session.KindNote {
+			continue
+		}
+		if fired && strings.HasPrefix(ev.Msg, "explore interface") {
+			t.Errorf("note after the API fired: %s", ev.Msg)
+		}
+		last = ev.Msg
+	}
+	if !strings.HasPrefix(last, "halted after round") || !strings.Contains(last, api) {
+		t.Errorf("last note %q does not name the halt on %s", last, api)
 	}
 }
 

@@ -164,9 +164,10 @@ func (s *Session) CrashReports() []CrashReport { return s.crashReports }
 // Curve returns the coverage-curve samples.
 func (s *Session) Curve() []CurvePoint { return s.curve }
 
-// Exhausted reports whether the test-case budget is spent.
+// Exhausted reports whether the session can run no more test cases: the
+// test-case budget is spent, or the run is halted.
 func (s *Session) Exhausted() bool {
-	return s.opts.Budget > 0 && s.stats.TestCases >= s.opts.Budget
+	return s.opts.Budget > 0 && s.stats.TestCases >= s.opts.Budget || s.Halted()
 }
 
 // Halted reports whether a targeted run has already observed its API.
@@ -244,10 +245,9 @@ func (s *Session) NewDevice() *device.Device {
 // app, with no program state left by the ones before (§VI-A Case 3). The
 // device is provisioned on the first call with NewDevice and reused after,
 // so the returned device is valid only until the session's next RunScript.
-// The third return is false when the session is halted or out of budget
-// (nothing ran then).
+// The third return is false when the session is exhausted (nothing ran then).
 func (s *Session) RunScript(sc robotium.Script, p Purpose) (*device.Device, robotium.Result, bool) {
-	if s.Halted() || s.Exhausted() {
+	if s.Exhausted() {
 		return nil, robotium.Result{}, false
 	}
 	if s.dev == nil {
@@ -264,7 +264,7 @@ func (s *Session) RunScript(sc robotium.Script, p Purpose) (*device.Device, robo
 // RunScript. Steps are charged as the device's delta across the run, so
 // long-lived devices are billed correctly.
 func (s *Session) RunOn(d *device.Device, sc robotium.Script, p Purpose) (robotium.Result, bool) {
-	if s.Halted() || s.Exhausted() {
+	if s.Exhausted() {
 		return robotium.Result{}, false
 	}
 	s.stats.TestCases++

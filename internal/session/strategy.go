@@ -23,7 +23,7 @@ import (
 // Harness bundles the engine-independent run plumbing every strategy shares:
 // the test-case budget, halt condition, and trace sink. Engine-specific knobs
 // (reflection, input files, event mixes) stay in each strategy's own config;
-// SessionOptions merges the two.
+// Drive sets the harness fields on the options SessionOptions returns.
 type Harness struct {
 	// Budget bounds the number of budgeted test cases; zero lets the
 	// strategy's own default apply.
@@ -69,23 +69,26 @@ type Outcome struct {
 type Strategy interface {
 	// Name is the registry name ("explorer", "monkey", "biased", ...).
 	Name() string
-	// SessionOptions merges the shared harness plumbing with the strategy's
-	// engine-specific session knobs (auto-dismiss, crash triage, coverage
-	// sampling). Called once, before Explore.
-	SessionOptions(h Harness) Options
+	// SessionOptions returns the strategy's own session knobs (auto-dismiss,
+	// crash triage, coverage sampling); Drive fills in Budget, HaltOnAPI and
+	// Observer from the Harness. Called once, before Explore.
+	SessionOptions() Options
 	// Explore runs the engine's loop on the session until the engine is
-	// done or the session is exhausted or halted. A non-nil error aborts
-	// the drive.
+	// done or the session is exhausted (out of budget or halted). A non-nil
+	// error aborts the drive.
 	Explore(s *Session) error
 	// Finish fills the generic outcome's visited sets after Explore.
 	Finish(out *Outcome)
 }
 
 // Drive runs one strategy to completion on one app: it constructs the
-// session from the strategy's options, lets the strategy explore on it,
-// takes the final coverage-curve sample, and assembles the generic Outcome.
+// session from the strategy's options and the harness, lets the strategy
+// explore on it, takes the final coverage-curve sample, and assembles the
+// generic Outcome.
 func Drive(app *apk.App, strat Strategy, h Harness) (*Outcome, error) {
-	s := New(app, strat.SessionOptions(h))
+	opts := strat.SessionOptions()
+	opts.Budget, opts.HaltOnAPI, opts.Observer = h.Budget, h.HaltOnAPI, h.Observer
+	s := New(app, opts)
 	if err := strat.Explore(s); err != nil {
 		return nil, err
 	}

@@ -82,25 +82,6 @@ func (r *ResourceDeps) OwnersOf(ref string) []WidgetLocation {
 	return out
 }
 
-// IdentifyFragments maps a set of visible widget refs to the Fragment classes
-// they belong to, the core of UI-state identification on the Fragment level.
-func (r *ResourceDeps) IdentifyFragments(visible []string) []string {
-	set := make(map[string]bool)
-	for _, ref := range visible {
-		for _, loc := range r.ByWidget[apk.NormalizeRef(ref)] {
-			if loc.OwnerKind == OwnerFragment {
-				set[loc.Owner] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for f := range set {
-		out = append(out, f)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Dependencies is the output of Algorithm 2 plus derived host information.
 type Dependencies struct {
 	// FragmentsOf maps an Activity to the Fragments it depends on.

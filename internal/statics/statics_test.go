@@ -151,14 +151,6 @@ func TestResourceDependency(t *testing.T) {
 	if len(locs) != 1 || locs[0].Owner != pkg+"Home" || locs[0].OwnerKind != OwnerFragment {
 		t.Fatalf("switch button owner = %+v", locs)
 	}
-	// State identification: visible widget refs map to fragment classes.
-	frags := ex.ResDeps.IdentifyFragments([]string{
-		corpus.SwitchButtonRef("Home", "Recent"),
-		corpus.NavButtonRef("Main", "Detail"),
-	})
-	if !reflect.DeepEqual(frags, []string{pkg + "Home"}) {
-		t.Fatalf("IdentifyFragments = %v", frags)
-	}
 	// Plain TextViews never referenced in code are ruled out.
 	if locs := ex.ResDeps.OwnersOf("@id/main_title"); len(locs) != 0 {
 		t.Errorf("non-interactive widget kept: %+v", locs)

@@ -1,11 +1,9 @@
 package strategy
 
 import (
-	"fmt"
 	"strings"
 
 	"fragdroid/internal/aftm"
-	"fragdroid/internal/device"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -21,55 +19,19 @@ import (
 // evolutionary feedback loop: model-guided reaches what static analysis
 // predicted, and nothing else.
 type ModelGuided struct {
-	ex        *statics.Extraction
-	effective map[string]bool
-
-	visitedActs  map[string]bool
-	visitedFrags map[string]bool
-}
-
-// modelTarget is one compiled test case and the node it aims for.
-type modelTarget struct {
-	node    aftm.Node
-	script  robotium.Script
-	purpose session.Purpose
+	ledger
 }
 
 // NewModelGuided returns the model-guided strategy for one analyzed app,
 // ready for session.Drive.
 func NewModelGuided(ex *statics.Extraction, _ Options) *ModelGuided {
-	return &ModelGuided{
-		ex:           ex,
-		effective:    EffectiveSet(ex),
-		visitedActs:  make(map[string]bool),
-		visitedFrags: make(map[string]bool),
-	}
+	return &ModelGuided{newLedger(ex, "model", "model target %s failed at %q: %v")}
 }
-
-// Name implements session.Strategy.
-func (m *ModelGuided) Name() string { return "model" }
 
 // SessionOptions implements session.Strategy: test-case-budgeted with
 // auto-dismiss and curve sampling, like the explorer.
-func (m *ModelGuided) SessionOptions(h session.Harness) session.Options {
-	return session.Options{
-		Budget:      h.Budget,
-		HaltOnAPI:   h.HaltOnAPI,
-		AutoDismiss: true,
-		Observer:    h.Observer,
-		Coverage:    m.coverage,
-	}
-}
-
-// coverage counts credited effective activities and fragments.
-func (m *ModelGuided) coverage() (int, int) {
-	n := 0
-	for a := range m.visitedActs {
-		if m.effective[a] {
-			n++
-		}
-	}
-	return n, len(m.visitedFrags)
+func (m *ModelGuided) SessionOptions() session.Options {
+	return session.Options{AutoDismiss: true, Coverage: m.coverage}
 }
 
 // Explore compiles the static AFTM into the target suite, replays it in
@@ -78,15 +40,15 @@ func (m *ModelGuided) coverage() (int, int) {
 // loop, without the rounds).
 func (m *ModelGuided) Explore(s *session.Session) error {
 	m.replay(s, m.suite(s))
-	if s.Exhausted() || s.Halted() {
+	if s.Exhausted() {
 		return nil
 	}
-	var sweep []modelTarget
+	var sweep []target
 	for _, a := range m.ex.EffectiveActivities {
 		if m.visitedActs[a] {
 			continue
 		}
-		sweep = append(sweep, modelTarget{
+		sweep = append(sweep, target{
 			node:    aftm.ActivityNode(a),
 			script:  robotium.Script{Name: "force_" + a, Ops: []robotium.Op{robotium.ForceStart(a)}},
 			purpose: session.PurposeForcedStart,
@@ -101,14 +63,14 @@ func (m *ModelGuided) Explore(s *session.Session) error {
 
 // suite compiles the static AFTM into the target suite, breadth-first from
 // the entry (the §VI-B queue order, compiled instead of evolved).
-func (m *ModelGuided) suite(s *session.Session) []modelTarget {
+func (m *ModelGuided) suite(s *session.Session) []target {
 	launch := robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}
 	entry, ok := m.ex.Model.Entry()
 	if !ok {
 		s.Notef("model: no entry node; launch only")
-		return []modelTarget{{script: launch, purpose: session.PurposeLaunch}}
+		return []target{{script: launch, purpose: session.PurposeLaunch}}
 	}
-	targets := []modelTarget{{node: entry, script: launch, purpose: session.PurposeLaunch}}
+	targets := []target{{node: entry, script: launch, purpose: session.PurposeLaunch}}
 	for _, n := range m.ex.Model.BFS() {
 		if n == entry {
 			continue
@@ -121,32 +83,17 @@ func (m *ModelGuided) suite(s *session.Session) []modelTarget {
 	return targets
 }
 
-// replay runs the targets in order, skipping those already credited, until
-// the session is exhausted or halted.
-func (m *ModelGuided) replay(s *session.Session, targets []modelTarget) {
-	for _, t := range targets {
-		if m.reached(t.node) {
-			continue
-		}
-		d, res, ok := s.RunScript(t.script, t.purpose)
-		if !ok {
-			return
-		}
-		m.credit(s, t.script, d, res)
-	}
-}
-
 // compile renders the AFTM path to one node as a concrete test case.
-func (m *ModelGuided) compile(n aftm.Node) (modelTarget, bool) {
+func (m *ModelGuided) compile(n aftm.Node) (target, bool) {
 	path := m.ex.Model.PathTo(n)
 	if len(path) == 0 {
-		return modelTarget{}, false
+		return target{}, false
 	}
 	ops := []robotium.Op{robotium.LaunchMain()}
 	for _, e := range path {
 		op, ok := m.compileEdge(e)
 		if !ok {
-			return modelTarget{}, false
+			return target{}, false
 		}
 		ops = append(ops, op)
 	}
@@ -157,7 +104,7 @@ func (m *ModelGuided) compile(n aftm.Node) (modelTarget, bool) {
 	case robotium.OpForceStart:
 		purpose = session.PurposeForcedStart
 	}
-	return modelTarget{
+	return target{
 		node:    n,
 		script:  robotium.Script{Name: "model_" + n.Name, Ops: ops},
 		purpose: purpose,
@@ -191,49 +138,4 @@ func (m *ModelGuided) compileEdge(e aftm.Edge) (robotium.Op, bool) {
 		return robotium.Reflect(frag, containers[0]), true
 	}
 	return robotium.ForceStart(e.To.Name), true
-}
-
-// reached reports whether a target node was already credited.
-func (m *ModelGuided) reached(n aftm.Node) bool {
-	switch n.Kind {
-	case aftm.KindActivity:
-		return m.visitedActs[n.Name]
-	case aftm.KindFragment:
-		return m.visitedFrags[n.Name]
-	}
-	return false
-}
-
-// credit credits whatever interface the test case actually landed on —
-// including partial progress of failed runs (the device holds the state the
-// failing op left behind).
-func (m *ModelGuided) credit(s *session.Session, sc robotium.Script, d *device.Device, res robotium.Result) {
-	if res.Err != nil {
-		s.Notef("model target %s failed at %q: %v", sc.Name, res.FailedOp, res.Err)
-	}
-	dump, err := d.Dump()
-	if err != nil {
-		return
-	}
-	if cur := dump.Activity; cur != "" && !m.visitedActs[cur] {
-		m.visitedActs[cur] = true
-		s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
-			Script: sc.Name, Ops: len(sc.Ops),
-			Msg: fmt.Sprintf("model reached %s (%d ops)", cur, len(sc.Ops))})
-	}
-	for _, f := range identifyFragments(m.ex, dump) {
-		if m.visitedFrags[f] {
-			continue
-		}
-		m.visitedFrags[f] = true
-		s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
-			Script: sc.Name,
-			Msg:    fmt.Sprintf("model reached fragment %s", f)})
-	}
-}
-
-// Finish fills the generic outcome with the credited component sets.
-func (m *ModelGuided) Finish(out *session.Outcome) {
-	out.VisitedActivities = session.SortedKeys(m.visitedActs)
-	out.VisitedFragments = session.SortedKeys(m.visitedFrags)
 }

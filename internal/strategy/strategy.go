@@ -7,14 +7,15 @@
 // The registry is what turns the repo from one tool into a benchmark
 // platform ("Are We There Yet?", PAPERS.md): CLIs pick strategies by name,
 // and the bake-off harness in internal/report compares them under identical
-// budgets, seeds, and session mechanics.
+// budgets, seeds, and session mechanics. Engines that share a mechanic share
+// its code, so the mechanics stay identical: fragments are credited with
+// explorer.IdentifyFragments everywhere, and biased, widget-weighted random
+// testing, is a policy on Monkey's event loop in internal/baseline.
 //
-// The three strategies implemented here cover the generator families the
-// comparison literature names beyond FragDroid's own:
+// The two strategies implemented here replay a fixed list of test cases on
+// one replay-and-credit ledger, and cover generator families the comparison
+// literature names beyond FragDroid's own:
 //
-//   - biased: widget-weighted random testing — Monkey with a layout-aware
-//     event distribution (buttons and menu items weighted above plain views,
-//     repeat clicks decayed) and hint-aware text entry.
 //   - model: static-model-guided walking — compiles AFTM paths to unvisited
 //     nodes into test cases up front and replays them, with no evolutionary
 //     feedback (A3E-targeted-style systematic exploration).
@@ -25,11 +26,9 @@ package strategy
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"fragdroid/internal/baseline"
-	"fragdroid/internal/device"
 	"fragdroid/internal/explorer"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -101,17 +100,19 @@ func Run(name string, ex *statics.Extraction, opts Options) (*session.Outcome, e
 		cfg.SampleCurve = opts.Curve
 		cfg.Effective = EffectiveSet(ex)
 		return baseline.ExploreActivities(ex.App, cfg)
-	case "monkey":
+	case "monkey", "biased":
 		cfg := baseline.MonkeyConfig{
-			Seed:     opts.Seed,
-			Events:   opts.Budget,
-			Observer: opts.Observer,
+			Seed:        opts.Seed,
+			Events:      opts.Budget,
+			Observer:    opts.Observer,
+			SampleCurve: opts.Curve,
+			Effective:   EffectiveSet(ex),
 		}
-		cfg.SampleCurve = opts.Curve
-		cfg.Effective = EffectiveSet(ex)
-		return baseline.Monkey(ex.App, cfg)
-	case "biased":
-		return session.Drive(ex.App, NewBiased(ex, opts), h)
+		if name == "monkey" {
+			return baseline.Monkey(ex.App, cfg)
+		}
+		cfg.SampleCurve = true // biased is not a legacy baseline: it always samples
+		return baseline.Biased(ex, cfg, opts.Inputs)
 	case "model":
 		return session.Drive(ex.App, NewModelGuided(ex, opts), h)
 	case "trace":
@@ -167,24 +168,4 @@ func EffectiveSet(ex *statics.Extraction) map[string]bool {
 		set[a] = true
 	}
 	return set
-}
-
-// identifyFragments maps a UI dump to the credited fragment classes, the
-// explorer's crediting rule (§VII-B2): fragments the FragmentManager
-// confirms AND the resource dependency can identify from visible widgets
-// (fragments with no identifiable widgets are trusted from the
-// FragmentManager alone).
-func identifyFragments(ex *statics.Extraction, dump device.UIDump) []string {
-	byRes := make(map[string]bool)
-	for _, f := range ex.ResDeps.IdentifyFragments(dump.VisibleRefs()) {
-		byRes[f] = true
-	}
-	var out []string
-	for _, f := range dump.FMFragments {
-		if byRes[f] || len(ex.ResDeps.ByOwner[f]) == 0 {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

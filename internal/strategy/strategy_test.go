@@ -160,3 +160,52 @@ func TestTraceLibraryAdaptation(t *testing.T) {
 		t.Error("trace strategy with corpus library reached nothing")
 	}
 }
+
+// TestStrategyObserverIsPassive runs every registered strategy on the demo
+// and Table I apps once untraced and once with a trace buffer: the untraced
+// run keeps no transcript, and everything else it yields — counters, curve,
+// visited sets, crash reports and collector usages — equals the traced
+// run's. An engine that emits a counted event only while tracing (an input
+// fill, a reflection attempt) fails here.
+func TestStrategyObserverIsPassive(t *testing.T) {
+	exs := corpusExtractions(t)
+	lib, err := CorpusLibrary("")
+	if err != nil {
+		t.Fatalf("corpus library: %v", err)
+	}
+	for _, name := range Names() {
+		t.Run(name, func(t *testing.T) {
+			for _, pkg := range session.SortedKeys(exs) {
+				run := func(obs session.Observer) *session.Outcome {
+					out, err := Run(name, exs[pkg], Options{Budget: 300, Seed: 7, Curve: true,
+						Library: lib, Observer: obs})
+					if err != nil {
+						t.Fatalf("%s on %s: %v", name, pkg, err)
+					}
+					return out
+				}
+				plain, traced := run(nil), run(&session.TraceBuffer{})
+				if plain.Transcript != nil {
+					t.Errorf("%s on %s: an untraced run kept %d transcript lines", name, pkg, len(plain.Transcript))
+				}
+				if len(traced.Transcript) == 0 {
+					t.Errorf("%s on %s: a traced run kept no transcript", name, pkg)
+				}
+				if plain.Stats != traced.Stats {
+					t.Errorf("%s on %s: stats differ with an observer attached: %+v vs %+v", name, pkg, plain.Stats, traced.Stats)
+				}
+				for what, pair := range map[string][2]any{
+					"curve":              {plain.Curve, traced.Curve},
+					"visited activities": {plain.VisitedActivities, traced.VisitedActivities},
+					"visited fragments":  {plain.VisitedFragments, traced.VisitedFragments},
+					"crash reports":      {plain.CrashReports, traced.CrashReports},
+					"collector usages":   {plain.Collector.Usages(), traced.Collector.Usages()},
+				} {
+					if !reflect.DeepEqual(pair[0], pair[1]) {
+						t.Errorf("%s on %s: %s differ with an observer attached", name, pkg, what)
+					}
+				}
+			}
+		})
+	}
+}

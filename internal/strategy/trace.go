@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fragdroid/internal/device"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
@@ -87,49 +86,20 @@ func jaccard(a, b map[string]bool) float64 {
 // activities, or fragments the target does not have are dropped), and the
 // surviving scripts replayed most-similar-first after a guaranteed launch.
 type TraceReuse struct {
-	ex        *statics.Extraction
-	lib       *Library
-	effective map[string]bool
-
-	visitedActs  map[string]bool
-	visitedFrags map[string]bool
+	ledger
+	lib *Library
 }
 
 // NewTraceReuse returns the trace-reuse strategy for one analyzed app, ready
 // for session.Drive. A nil library leaves only the launch fallback.
 func NewTraceReuse(ex *statics.Extraction, opts Options) *TraceReuse {
-	return &TraceReuse{
-		ex:           ex,
-		lib:          opts.Library,
-		effective:    EffectiveSet(ex),
-		visitedActs:  make(map[string]bool),
-		visitedFrags: make(map[string]bool),
-	}
+	return &TraceReuse{ledger: newLedger(ex, "trace", "trace %s stopped at %q: %v"), lib: opts.Library}
 }
-
-// Name implements session.Strategy.
-func (t *TraceReuse) Name() string { return "trace" }
 
 // SessionOptions implements session.Strategy. Replays run verbatim — no
 // auto-dismiss — matching the recorder's replay discipline.
-func (t *TraceReuse) SessionOptions(h session.Harness) session.Options {
-	return session.Options{
-		Budget:    h.Budget,
-		HaltOnAPI: h.HaltOnAPI,
-		Observer:  h.Observer,
-		Coverage:  t.coverage,
-	}
-}
-
-// coverage counts credited effective activities and fragments.
-func (t *TraceReuse) coverage() (int, int) {
-	n := 0
-	for a := range t.visitedActs {
-		if t.effective[a] {
-			n++
-		}
-	}
-	return n, len(t.visitedFrags)
+func (t *TraceReuse) SessionOptions() session.Options {
+	return session.Options{Coverage: t.coverage}
 }
 
 // vocab is the target app's widget-ref vocabulary, from its layouts.
@@ -144,30 +114,23 @@ func (t *TraceReuse) vocab() map[string]bool {
 }
 
 // Explore adapts the library's routes to the target, then replays the
-// launch and the adapted routes in order until the session is exhausted or
-// halted.
+// launch and the adapted routes in order until the session is exhausted.
 func (t *TraceReuse) Explore(s *session.Session) error {
-	for i, sc := range t.scripts(s) {
-		purpose := session.PurposeReplay
-		if i == 0 {
-			purpose = session.PurposeLaunch
-		}
-		d, res, ok := s.RunScript(sc, purpose)
-		if !ok {
-			return nil
-		}
-		t.credit(s, sc, d, res)
-	}
+	t.replay(s, t.scripts(s))
 	return nil
 }
 
 // scripts ranks the library by similarity and adapts the closest apps'
-// routes, most similar first, after the launch.
-func (t *TraceReuse) scripts(s *session.Session) []robotium.Script {
-	scripts := []robotium.Script{{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}}}
+// routes, most similar first, after the launch. They aim for no node, so
+// the replay runs every one.
+func (t *TraceReuse) scripts(s *session.Session) []target {
+	targets := []target{{
+		script:  robotium.Script{Name: "launch", Ops: []robotium.Op{robotium.LaunchMain()}},
+		purpose: session.PurposeLaunch,
+	}}
 	if t.lib == nil {
 		s.Notef("trace: no route library; launch only")
-		return scripts
+		return targets
 	}
 	vocab := t.vocab()
 	self := t.ex.App.Manifest.Package
@@ -195,14 +158,14 @@ func (t *TraceReuse) scripts(s *session.Session) []robotium.Script {
 			if len(ops) <= 1 {
 				continue // nothing survived beyond the launch fallback
 			}
-			scripts = append(scripts, robotium.Script{
-				Name: fmt.Sprintf("trace_%s_%d", r.e.pkg, i),
-				Ops:  ops,
+			targets = append(targets, target{
+				script:  robotium.Script{Name: fmt.Sprintf("trace_%s_%d", r.e.pkg, i), Ops: ops},
+				purpose: session.PurposeReplay,
 			})
 		}
 	}
-	s.Notef("trace: adapted %d routes from %d similar apps", len(scripts)-1, len(order))
-	return scripts
+	s.Notef("trace: adapted %d routes from %d similar apps", len(targets)-1, len(order))
+	return targets
 }
 
 // adapt filters a recorded route down to the operations the target app can
@@ -244,38 +207,6 @@ func (t *TraceReuse) adapt(ops []robotium.Op, vocab map[string]bool) []robotium.
 		}
 	}
 	return out
-}
-
-// credit credits the interface the replay landed on.
-func (t *TraceReuse) credit(s *session.Session, sc robotium.Script, d *device.Device, res robotium.Result) {
-	if res.Err != nil {
-		s.Notef("trace %s stopped at %q: %v", sc.Name, res.FailedOp, res.Err)
-	}
-	dump, err := d.Dump()
-	if err != nil {
-		return
-	}
-	if cur := dump.Activity; cur != "" && !t.visitedActs[cur] {
-		t.visitedActs[cur] = true
-		s.Trace(session.Event{Kind: session.KindVisit, Activity: cur,
-			Script: sc.Name, Ops: len(sc.Ops),
-			Msg: fmt.Sprintf("trace reached %s (%d ops)", cur, len(sc.Ops))})
-	}
-	for _, f := range identifyFragments(t.ex, dump) {
-		if t.visitedFrags[f] {
-			continue
-		}
-		t.visitedFrags[f] = true
-		s.Trace(session.Event{Kind: session.KindVisit, Node: "F:" + f,
-			Script: sc.Name,
-			Msg:    fmt.Sprintf("trace reached fragment %s", f)})
-	}
-}
-
-// Finish fills the generic outcome with the credited component sets.
-func (t *TraceReuse) Finish(out *session.Outcome) {
-	out.VisitedActivities = session.SortedKeys(t.visitedActs)
-	out.VisitedFragments = session.SortedKeys(t.visitedFrags)
 }
 
 // HarvestVisits adds an explorer run's first-arrival routes to the library —
