@@ -6,11 +6,10 @@
 // of typed events behind a pluggable Observer sink.
 //
 // Every exploration engine implements Strategy and runs its own loop on one
-// Session through Drive; the recorder's replay runs inside a session too. The
-// harness mechanics — budgets, restarts, crash handling — are therefore
-// identical across strategies by construction (the fairness requirement of
-// comparative evaluations; Choudhary et al.), and every run yields the same
-// telemetry shape for the report tables.
+// Session through Drive. The harness mechanics — budgets, restarts, crash
+// handling — are therefore identical across strategies by construction (the
+// fairness requirement of comparative evaluations; Choudhary et al.), and
+// every run yields the same telemetry shape for the report tables.
 package session
 
 import (
@@ -140,9 +139,6 @@ func New(app *apk.App, opts Options) *Session {
 	return s
 }
 
-// App returns the application under test.
-func (s *Session) App() *apk.App { return s.app }
-
 // Collector returns the session's sensitive-API collector.
 func (s *Session) Collector() *sensitive.Collector { return s.collector }
 
@@ -221,8 +217,8 @@ func (s *Session) Notef(format string, args ...any) {
 // sensitive-API monitor wired to the session collector, and — while an
 // Observer is attached — the device log forwarded as trace events. Without
 // an Observer the device has no Hook, so it builds no log line at all.
-// Engines that drive one long-lived device (Monkey, biased, the recorder's
-// replay) take theirs here; RunScript keeps its own.
+// Engines that drive one long-lived device (Monkey and biased) take theirs
+// here; RunScript keeps its own.
 func (s *Session) NewDevice() *device.Device {
 	opts := device.Options{Monitor: func(ev device.SensitiveEvent) {
 		e := sensitive.Event(ev)
@@ -245,7 +241,9 @@ func (s *Session) NewDevice() *device.Device {
 // app, with no program state left by the ones before (§VI-A Case 3). The
 // device is provisioned on the first call with NewDevice and reused after,
 // so the returned device is valid only until the session's next RunScript.
-// The third return is false when the session is exhausted (nothing ran then).
+// The run gets the session's accounting, crash triage, curve sampling and
+// tracing. The third return is false when the session is exhausted (nothing
+// ran then).
 func (s *Session) RunScript(sc robotium.Script, p Purpose) (*device.Device, robotium.Result, bool) {
 	if s.Exhausted() {
 		return nil, robotium.Result{}, false
@@ -254,18 +252,6 @@ func (s *Session) RunScript(sc robotium.Script, p Purpose) (*device.Device, robo
 		s.dev = s.NewDevice()
 	} else {
 		s.dev.Reset()
-	}
-	res, ok := s.RunOn(s.dev, sc, p)
-	return s.dev, res, ok
-}
-
-// RunOn executes one budgeted test case on a caller-provided device,
-// applying the same accounting, crash triage, curve sampling, and tracing as
-// RunScript. Steps are charged as the device's delta across the run, so
-// long-lived devices are billed correctly.
-func (s *Session) RunOn(d *device.Device, sc robotium.Script, p Purpose) (robotium.Result, bool) {
-	if s.Exhausted() {
-		return robotium.Result{}, false
 	}
 	s.stats.TestCases++
 	switch p {
@@ -282,19 +268,18 @@ func (s *Session) RunOn(d *device.Device, sc robotium.Script, p Purpose) (roboti
 			s.Trace(Event{Kind: KindOp, Script: sc.Name, Op: op.String(), Err: errString(err)})
 		}
 	}
-	before := d.Steps()
-	res := robotium.Run(d, sc, opts)
-	delta := d.Steps() - before
-	s.stats.Steps += delta
+	res := robotium.Run(s.dev, sc, opts)
+	steps := s.dev.Steps() // counted from the fresh or reset device
+	s.stats.Steps += steps
 	if res.Crashed {
 		s.MarkCrash(res.CrashReason, sc)
 	}
 	s.Trace(Event{Kind: KindScriptRun, Script: sc.Name, Purpose: p,
-		Ops: len(sc.Ops), Executed: res.Executed, Steps: delta,
+		Ops: len(sc.Ops), Executed: res.Executed, Steps: steps,
 		Crashed: res.Crashed, Reason: res.CrashReason, Err: errString(res.Err),
 		TestCase: s.stats.TestCases})
 	s.SampleCurve()
-	return res, true
+	return s.dev, res, true
 }
 
 // MarkCrash counts one observed force-close. With triage enabled, the first
@@ -345,7 +330,7 @@ func (s *Session) SampleCurve() {
 // its event batches this way).
 func (s *Session) AddTestCases(n int) { s.stats.TestCases += n }
 
-// AddSteps charges device work performed outside RunOn.
+// AddSteps charges device work performed outside RunScript.
 func (s *Session) AddSteps(n int) { s.stats.Steps += n }
 
 func errString(err error) string {

@@ -97,7 +97,7 @@ func NewTraceReuse(ex *statics.Extraction, opts Options) *TraceReuse {
 }
 
 // SessionOptions implements session.Strategy. Replays run verbatim — no
-// auto-dismiss — matching the recorder's replay discipline.
+// auto-dismiss — as their routes were recorded, popups included.
 func (t *TraceReuse) SessionOptions() session.Options {
 	return session.Options{Coverage: t.coverage}
 }
