@@ -42,7 +42,7 @@ import (
 func BenchmarkStudyFragmentUsage(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		res, err := report.RunStudy(1)
+		res, err := report.RunStudyWith(report.StudyConfig{Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -123,7 +123,7 @@ type Model struct {
 	// kind prefix ("A:" < "F:") agrees with KindActivity < KindFragment and
 	// a node never has two edges to the same target. The slices share *Edge
 	// pointers with m.edges so Via upgrades stay visible. Keeping the order
-	// an insertion invariant makes EdgesFrom, BFS and PathTo sort-free;
+	// an insertion invariant makes BFS, Paths and PathTo sort-free;
 	// per-call sorting here dominated the warm exploration profile.
 	outAdj map[Node][]*Edge
 }
@@ -388,20 +388,6 @@ func (m *Model) Edges() []Edge {
 		}
 		return a.To.String() < b.To.String()
 	})
-	return out
-}
-
-// EdgesFrom returns the edges leaving n, sorted by target. The adjacency
-// list is kept in that order by AddEdge, so this is a copy, not a sort.
-func (m *Model) EdgesFrom(n Node) []Edge {
-	adj := m.outAdj[n]
-	if len(adj) == 0 {
-		return nil
-	}
-	out := make([]Edge, len(adj))
-	for i, e := range adj {
-		out[i] = *e
-	}
 	return out
 }
 

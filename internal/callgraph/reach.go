@@ -26,12 +26,6 @@ type Reach struct {
 // ActivityList returns the reachable activities, sorted.
 func (r *Reach) ActivityList() []string { return sortedKeys(r.Activities) }
 
-// FragmentList returns the reachable fragments, sorted.
-func (r *Reach) FragmentList() []string { return sortedKeys(r.Fragments) }
-
-// ReceiverList returns the reachable receivers, sorted.
-func (r *Reach) ReceiverList() []string { return sortedKeys(r.Receivers) }
-
 // APIList returns the reachable sensitive APIs, sorted.
 func (r *Reach) APIList() []string {
 	out := make([]string, 0, len(r.APIs))

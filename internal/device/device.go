@@ -264,14 +264,6 @@ func New(app *apk.App, opts Options) *Device {
 	return d
 }
 
-// Interp reports the backend this device runs on.
-func (d *Device) Interp() string {
-	if d.ir != nil {
-		return "ir"
-	}
-	return "classic"
-}
-
 // App returns the installed app.
 func (d *Device) App() *apk.App { return d.app }
 

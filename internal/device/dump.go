@@ -184,8 +184,8 @@ func (d *Device) dumpTree(u *UIDump, t *activityInstance, w *layout.Widget, vis 
 
 // ActiveFragments returns ground truth about live fragments: every fragment
 // instance in the foreground activity with its via-FragmentManager flag.
-// The evaluation harness uses it for Sum accounting; the explorer must rely
-// on Dump (which hides non-FM fragments), like real instrumentation.
+// Tests check Dump against it; the explorer must rely on Dump (which hides
+// non-FM fragments), like real instrumentation.
 func (d *Device) ActiveFragments() map[string]bool {
 	t := d.top()
 	if t == nil || d.crashed {

@@ -406,35 +406,6 @@ func (m *Manifest) ActivityForURI(uri string) (string, bool) {
 	return "", false
 }
 
-// DeepLinkURIs lists every URI some activity's VIEW filter matches, sorted
-// and deduplicated — the deep-link entry vocabulary of the app.
-func (m *Manifest) DeepLinkURIs() []string {
-	set := make(map[string]bool)
-	for _, a := range m.Application.Activities {
-		for _, f := range a.Filters {
-			viewOK := false
-			for _, act := range f.Actions {
-				if act.Name == ActionView {
-					viewOK = true
-					break
-				}
-			}
-			if !viewOK {
-				continue
-			}
-			for _, d := range f.Data {
-				set[d.URI] = true
-			}
-		}
-	}
-	out := make([]string, 0, len(set))
-	for u := range set {
-		out = append(out, u)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ForceStartable reports whether the activity may be started directly with an
 // explicit component intent from outside the app: it must be exported or
 // carry a MAIN action.

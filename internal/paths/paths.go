@@ -80,14 +80,6 @@ type Path struct {
 	Cost int
 }
 
-// End returns the path's final node.
-func (p Path) End() callgraph.Node {
-	if len(p.Edges) == 0 {
-		return p.Root
-	}
-	return p.Edges[len(p.Edges)-1].To
-}
-
 // Planner enumerates and lowers paths over one app's extraction.
 type Planner struct {
 	ex  *statics.Extraction

@@ -295,11 +295,6 @@ type StudyConfig struct {
 	Window int
 }
 
-// RunStudy performs the 217-app study sequentially with the default cache.
-func RunStudy(seed int64) (*StudyResult, error) {
-	return RunStudyWith(StudyConfig{Seed: seed})
-}
-
 // studyFold accumulates the study aggregate one app at a time, in dataset
 // order.
 type studyFold struct {

@@ -75,7 +75,7 @@ func TestTable2MatchesPaperAggregates(t *testing.T) {
 }
 
 func TestStudyReproduces91Percent(t *testing.T) {
-	s, err := RunStudy(1)
+	s, err := RunStudyWith(StudyConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestRenderers(t *testing.T) {
 			t.Errorf("Table2 render missing %q", want)
 		}
 	}
-	s, err := RunStudy(1)
+	s, err := RunStudyWith(StudyConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,12 +139,6 @@ var opSpecs = map[Op]opSpec{
 	OpNop:             {0, nil},
 }
 
-// KnownOp reports whether op is part of the instruction set.
-func KnownOp(op Op) bool {
-	_, ok := opSpecs[op]
-	return ok
-}
-
 // validate checks operand count and shapes for an instruction.
 func (i Instr) validate() error {
 	spec, ok := opSpecs[i.Op]

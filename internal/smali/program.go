@@ -16,7 +16,6 @@ const (
 	ClassSupportFragment  = "android.support.v4.app.Fragment"
 	ClassFragmentActivity = "android.support.v4.app.FragmentActivity"
 	ClassObject           = "java.lang.Object"
-	ClassIntent           = "android.content.Intent"
 	ClassReceiver         = "android.content.BroadcastReceiver"
 )
 
