@@ -512,7 +512,11 @@ func (e *engine) Explore(s *session.Session) error {
 			s.Notef("halted after round %d: target API %s observed (test cases: %d)", round, e.cfg.haltOnAPI, s.Stats().TestCases)
 			return nil
 		}
-		if !progressed || s.Exhausted() {
+		if s.Exhausted() {
+			s.Notef("stopped after round %d: test-case budget spent (test cases: %d)", round, s.Stats().TestCases)
+			return nil
+		}
+		if !progressed {
 			s.Notef("terminated after round %d: queue empty and AFTM stable (test cases: %d)", round, s.Stats().TestCases)
 			return nil
 		}

@@ -113,6 +113,38 @@ func TestExploreTargetStopsAtHalt(t *testing.T) {
 	}
 }
 
+// TestExploreStopNoteNamesTheCause pins the run's last note to the reason it
+// stopped: at a budget of 3 test cases the demo still has interfaces queued,
+// so the note must name the spent budget, while under the default budget,
+// which the demo never reaches, the queue drains after 33 test cases.
+func TestExploreStopNoteNamesTheCause(t *testing.T) {
+	app := demoApp(t)
+	for _, tc := range []struct {
+		budget int
+		want   string
+	}{
+		{3, "stopped after round 1: test-case budget spent (test cases: 3)"},
+		{0, "terminated after round 3: queue empty and AFTM stable (test cases: 33)"},
+	} {
+		cfg := DefaultConfig()
+		cfg.MaxTestCases = tc.budget
+		buf := &session.TraceBuffer{}
+		cfg.Observer = buf
+		if _, err := Explore(app, cfg); err != nil {
+			t.Fatal(err)
+		}
+		last := ""
+		for _, ev := range buf.Events() {
+			if ev.Kind == session.KindNote {
+				last = ev.Msg
+			}
+		}
+		if last != tc.want {
+			t.Errorf("budget %d: last note %q, want %q", tc.budget, last, tc.want)
+		}
+	}
+}
+
 func TestExploreTargetUnreachableAPI(t *testing.T) {
 	ex, err := statics.Extract(demoApp(t))
 	if err != nil {
