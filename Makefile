@@ -15,14 +15,26 @@ vet:
 	$(GO) vet ./...
 
 # lint chains the static gates: go vet, gofmt (any tracked .go file it would
-# reformat fails the target), staticcheck when installed (CI always runs it;
-# local runs without the binary degrade to a notice), and fraglint — the
-# repo's own diagnostics engine — over the built-in corpus apps the
-# examples/ programs drive, failing on error-severity findings.
+# reformat fails the target), the orphan check, staticcheck when installed
+# (CI always runs it; local runs without the binary degrade to a notice), and
+# fraglint — the repo's own diagnostics engine — over the built-in corpus
+# apps the examples/ programs drive, failing on error-severity findings.
+# The orphan check fails on every internal package that no command under
+# cmd/ imports, directly or not: such a package is code no user can run, kept
+# alive only by an example or its own tests, and staticcheck cannot see it
+# because its exports count as used.
 lint: vet
 	@unformatted=$$(git ls-files -z '*.go' | xargs -0 gofmt -l); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt would reformat:"; echo "$$unformatted"; exit 1; \
+	fi
+	@deps=$$($(GO) list -deps ./cmd/...) && pkgs=$$($(GO) list ./internal/...) || exit 1; \
+	orphans=; \
+	for p in $$pkgs; do \
+		printf '%s\n' "$$deps" | grep -qxF "$$p" || orphans="$$orphans $$p"; \
+	done; \
+	if [ -n "$$orphans" ]; then \
+		echo "internal packages no command imports:"; printf '  %s\n' $$orphans; exit 1; \
 	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
