@@ -1,6 +1,7 @@
 package aftm
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -241,6 +242,10 @@ func TestRemoveIsolated(t *testing.T) {
 	m.AddNode(ActivityNode("Iso1"))
 	m.AddNode(ActivityNode("Iso0"))
 	m.Visit(ActivityNode("Iso1"))
+	// A10 is numbered after A2 but sorts before it.
+	if _, err := m.AddEdge(ActivityNode("A2"), ActivityNode("A10"), ViaIntent); err != nil {
+		t.Fatal(err)
+	}
 	removed := m.RemoveIsolated()
 	// Removed nodes come back in Nodes order: Activities first, by name.
 	want := []Node{ActivityNode("Iso0"), ActivityNode("Iso1"), FragmentNode("IsoF")}
@@ -263,6 +268,12 @@ func TestRemoveIsolated(t *testing.T) {
 	if got := m.Count().VisitedActs; got != 0 {
 		t.Errorf("VisitedActs = %d after removing the only visited node", got)
 	}
+	// The nodes left are numbered in Nodes order.
+	for i, n := range m.Nodes() {
+		if id, ok := m.ID(n); !ok || id != i {
+			t.Errorf("ID(%s) = %d, %v, want %d", n, id, ok, i)
+		}
+	}
 	// Entry survives even when isolated.
 	m2 := New()
 	if err := m2.SetEntry(ActivityNode("Solo")); err != nil {
@@ -284,21 +295,94 @@ func TestDOT(t *testing.T) {
 	}
 }
 
+// TestCloneIndependence checks that a derived model's writes never reach
+// its base: a visit, a new edge, a Via upgrade of a shared edge and a new
+// node each stay in the derived model, and so do the edges that two models
+// derived from one base insert into the same shared adjacency list.
 func TestCloneIndependence(t *testing.T) {
-	m := buildModel(t)
-	cl := m.Clone()
-	cl.Visit(ActivityNode("A1"))
-	if _, err := cl.AddEdge(ActivityNode("A1"), ActivityNode("A9"), ViaIntent); err != nil {
-		t.Fatal(err)
-	}
-	if m.Visited(ActivityNode("A1")) {
-		t.Fatal("Clone shares visited set")
-	}
-	if m.HasNode(ActivityNode("A9")) {
-		t.Fatal("Clone shares node set")
-	}
-	if !reflect.DeepEqual(m.BFS(), buildModel(t).BFS()) {
-		t.Fatal("original mutated")
+	for _, numbered := range []bool{false, true} {
+		base := buildModel(t)
+		if numbered {
+			base.RemoveIsolated() // numbers the model, as the static phase does
+		}
+		want := base.DOT("base")
+		check := func(t *testing.T) {
+			t.Helper()
+			if got := base.DOT("base"); got != want {
+				t.Fatalf("the base changed:\n%s\nwant\n%s", got, want)
+			}
+		}
+		t.Run(fmt.Sprintf("numbered=%v", numbered), func(t *testing.T) {
+			t.Run("visit", func(t *testing.T) {
+				d := base.Derive()
+				if !d.Visit(ActivityNode("A1")) || !d.Visited(ActivityNode("A1")) {
+					t.Fatal("the derived model lost its visit")
+				}
+				check(t)
+			})
+			t.Run("new edge", func(t *testing.T) {
+				d := base.Derive()
+				if isNew, err := d.AddEdge(ActivityNode("A1"), ActivityNode("A2"), ViaIntent); err != nil || !isNew {
+					t.Fatalf("AddEdge = %v, %v", isNew, err)
+				}
+				if _, ok := d.EdgeBetween(ActivityNode("A1"), ActivityNode("A2")); !ok {
+					t.Fatal("the derived model lost its edge")
+				}
+				check(t)
+			})
+			t.Run("via upgrade of a shared edge", func(t *testing.T) {
+				d := base.Derive()
+				if _, err := d.AddEdge(ActivityNode("A0"), FragmentNode("F0"), ViaClick("@id/f0")); err != nil {
+					t.Fatal(err)
+				}
+				if e, _ := d.EdgeBetween(ActivityNode("A0"), FragmentNode("F0")); e.Via != ViaClick("@id/f0") {
+					t.Fatalf("derived Via = %q", e.Via)
+				}
+				if e, _ := base.EdgeBetween(ActivityNode("A0"), FragmentNode("F0")); e.Via != ViaTransaction {
+					t.Fatalf("base Via = %q", e.Via)
+				}
+				check(t)
+			})
+			t.Run("new node", func(t *testing.T) {
+				d := base.Derive()
+				if _, err := d.AddEdge(ActivityNode("A1"), ActivityNode("A9"), ViaIntent); err != nil {
+					t.Fatal(err)
+				}
+				d.Visit(FragmentNode("F00"))
+				if got, want := d.Activities(), []string{"A0", "A1", "A2", "A9"}; !reflect.DeepEqual(got, want) {
+					t.Fatalf("derived Activities = %v, want %v", got, want)
+				}
+				if got, want := d.Fragments(), []string{"F0", "F00", "F1", "F2"}; !reflect.DeepEqual(got, want) {
+					t.Fatalf("derived Fragments = %v, want %v", got, want)
+				}
+				if base.HasNode(ActivityNode("A9")) || base.HasNode(FragmentNode("F00")) {
+					t.Fatal("the base shares the derived model's nodes")
+				}
+				check(t)
+			})
+			t.Run("two derived models", func(t *testing.T) {
+				d1, d2 := base.Derive(), base.Derive()
+				if _, err := d1.AddEdge(ActivityNode("A0"), ActivityNode("A3"), ViaIntent); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := d2.AddEdge(ActivityNode("A0"), ActivityNode("A4"), ViaIntent); err != nil {
+					t.Fatal(err)
+				}
+				if _, ok := d1.EdgeBetween(ActivityNode("A0"), ActivityNode("A4")); ok {
+					t.Fatal("d1 sees d2's edge")
+				}
+				if _, ok := d2.EdgeBetween(ActivityNode("A0"), ActivityNode("A3")); ok {
+					t.Fatal("d2 sees d1's edge")
+				}
+				if got := len(d1.Edges()); got != 7 {
+					t.Fatalf("d1 has %d edges, want 7", got)
+				}
+				check(t)
+			})
+		})
+		if !reflect.DeepEqual(base.BFS(), buildModel(t).BFS()) {
+			t.Fatal("the base's traversal changed")
+		}
 	}
 }
 

@@ -14,7 +14,8 @@ const bincModelVersion = 1
 // JSON form (kept for human-facing exports), but decoded on every warm
 // artifact load, so it is built for decode speed: class names are interned
 // once in the string table and kinds are varints, with no reflection on
-// either side. The output is deterministic.
+// either side. Nodes come in Nodes order and edges in Edges order, so the
+// output is deterministic and a decoded model is numbered as it arrives.
 func EncodeModel(m *Model) []byte {
 	w := binc.NewWriter()
 	w.Int(bincModelVersion)
@@ -23,30 +24,42 @@ func EncodeModel(m *Model) []byte {
 		entry = e.Name
 	}
 	w.Str(entry)
-	nodes := m.Nodes()
-	w.Int(len(nodes))
-	for _, n := range nodes {
+	w.Int(len(m.order))
+	for _, id := range m.order {
+		n := m.nodes[id]
 		w.Int(int(n.Kind))
 		w.Str(n.Name)
-		w.Bool(m.Visited(n))
+		w.Bool(m.visited.has(id))
 	}
-	edges := m.Edges()
-	w.Int(len(edges))
-	for _, e := range edges {
+	w.Int(len(m.edges))
+	m.eachEdge(func(e *edge) {
 		// From/To kinds are implied by the edge kind (E1: A→A, E2: A→F,
-		// E3: F→F) and cross-checked against the node table on decode.
-		w.Int(int(e.Kind))
-		w.Str(e.From.Name)
-		w.Str(e.To.Name)
-		w.Str(e.Via)
-	}
+		// E3: F→F) and checked against the node table on decode.
+		w.Int(int(e.kind))
+		w.Str(m.nodes[e.from].Name)
+		w.Str(m.nodes[e.to].Name)
+		w.Str(e.via)
+	})
 	return w.Bytes()
 }
 
-// DecodeModel reconstructs a model from its binc form, applying the same
-// validation as the JSON decoder: node kinds must be well-formed, edge
-// endpoints must be declared, and the serialized edge kind must match the
-// kind the endpoints derive.
+// endpointKinds returns the node kinds an edge of kind k joins.
+func endpointKinds(k EdgeKind) (from, to NodeKind, ok bool) {
+	switch k {
+	case E1:
+		return KindActivity, KindActivity, true
+	case E2:
+		return KindActivity, KindFragment, true
+	case E3:
+		return KindFragment, KindFragment, true
+	}
+	return 0, 0, false
+}
+
+// DecodeModel reconstructs a model from its binc form, numbering the nodes
+// in the order they arrive. Node kinds must be well-formed, a name may not
+// be declared with both kinds, every edge must join declared nodes of the
+// kinds its edge kind implies, and the entry must be a declared activity.
 func DecodeModel(data []byte) (*Model, error) {
 	r, err := binc.NewReader(data)
 	if err != nil {
@@ -59,59 +72,70 @@ func DecodeModel(data []byte) (*Model, error) {
 		return nil, fmt.Errorf("aftm: unsupported model version %d", v)
 	}
 	entry := r.Str()
-	m := New()
-	kinds := make(map[string]NodeKind)
-	nNodes := r.Int()
+	nNodes := r.Count(3) // a kind, a name and a visited mark, a byte each at least
+	m := &Model{
+		entry: -1,
+		nodes: make([]Node, 0, nNodes),
+		index: make(map[Node]int32, nNodes),
+		order: make([]int32, 0, nNodes),
+		adj:   make([][]int32, 0, nNodes),
+	}
 	for i := 0; i < nNodes && r.Err() == nil; i++ {
 		k := NodeKind(r.Int())
 		name := r.Str()
 		visited := r.Bool()
-		if k != KindActivity && k != KindFragment {
+		other := KindFragment
+		switch k {
+		case KindActivity:
+		case KindFragment:
+			other = KindActivity
+		default:
 			return nil, fmt.Errorf("aftm: unknown node kind %d", int(k))
 		}
-		if prev, dup := kinds[name]; dup && prev != k {
+		if m.HasNode(Node{Kind: other, Name: name}) {
 			return nil, fmt.Errorf("aftm: node %q declared with two kinds", name)
 		}
-		kinds[name] = k
-		n := Node{Kind: k, Name: name}
-		m.AddNode(n)
+		id, _ := m.add(Node{Kind: k, Name: name})
 		if visited {
-			m.Visit(n)
+			m.visited.set(id)
 		}
 	}
-	nEdges := r.Int()
+	nEdges := r.Count(4) // a kind and three names, a byte each at least
+	m.edges = make([]edge, 0, nEdges)
 	for i := 0; i < nEdges && r.Err() == nil; i++ {
 		ek := EdgeKind(r.Int())
 		from := r.Str()
 		to := r.Str()
 		via := r.Str()
-		fk, ok := kinds[from]
+		if r.Err() != nil {
+			break
+		}
+		fk, tk, ok := endpointKinds(ek)
 		if !ok {
-			return nil, fmt.Errorf("aftm: edge from undeclared node %q", from)
+			return nil, fmt.Errorf("aftm: unknown edge kind %d", int(ek))
 		}
-		tk, ok := kinds[to]
+		f, ok := m.index[Node{Kind: fk, Name: from}]
 		if !ok {
-			return nil, fmt.Errorf("aftm: edge to undeclared node %q", to)
+			return nil, fmt.Errorf("aftm: %s edge from undeclared %s node %q", ek, fk, from)
 		}
-		if _, err := m.AddEdge(Node{Kind: fk, Name: from}, Node{Kind: tk, Name: to}, via); err != nil {
-			return nil, err
+		t, ok := m.index[Node{Kind: tk, Name: to}]
+		if !ok {
+			return nil, fmt.Errorf("aftm: %s edge to undeclared %s node %q", ek, tk, to)
 		}
-		if e, ok := m.EdgeBetween(Node{Kind: fk, Name: from}, Node{Kind: tk, Name: to}); ok && e.Kind != ek {
-			return nil, fmt.Errorf("aftm: edge %s->%s declared %s, derived %s",
-				from, to, ek, e.Kind)
+		if f == t {
+			return nil, fmt.Errorf("aftm: self edge on %s", m.nodes[f])
 		}
+		m.link(ek, f, t, via)
 	}
 	if r.Err() != nil {
 		return nil, fmt.Errorf("aftm: decode: %w", r.Err())
 	}
 	if entry != "" {
-		k, ok := kinds[entry]
-		if !ok || k != KindActivity {
+		id, ok := m.index[ActivityNode(entry)]
+		if !ok {
 			return nil, fmt.Errorf("aftm: entry %q is not a declared activity", entry)
 		}
-		if err := m.SetEntry(ActivityNode(entry)); err != nil {
-			return nil, err
-		}
+		m.entry = id
 	}
 	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("aftm: decode: %w", err)

@@ -1,9 +1,6 @@
 package aftm
 
-import (
-	"encoding/json"
-	"fmt"
-)
+import "encoding/json"
 
 // jsonModel is the serialized form of a Model.
 type jsonModel struct {
@@ -35,17 +32,6 @@ func kindName(k NodeKind) string {
 	return "fragment"
 }
 
-func kindFromName(s string) (NodeKind, error) {
-	switch s {
-	case "activity":
-		return KindActivity, nil
-	case "fragment":
-		return KindFragment, nil
-	default:
-		return 0, fmt.Errorf("aftm: unknown node kind %q", s)
-	}
-}
-
 // MarshalJSON serializes the model: nodes (with visited marks), edges, and
 // the entry node. The output is deterministic.
 func (m *Model) MarshalJSON() ([]byte, error) {
@@ -53,80 +39,21 @@ func (m *Model) MarshalJSON() ([]byte, error) {
 	if e, ok := m.Entry(); ok {
 		jm.Entry = e.Name
 	}
-	for _, n := range m.Nodes() {
+	for _, id := range m.order {
+		n := m.nodes[id]
 		jm.Nodes = append(jm.Nodes, jsonNode{
 			Kind:    kindName(n.Kind),
 			Name:    n.Name,
-			Visited: m.Visited(n),
+			Visited: m.visited.has(id),
 		})
 	}
-	for _, e := range m.Edges() {
+	m.eachEdge(func(e *edge) {
 		jm.Edges = append(jm.Edges, jsonEdge{
-			Kind: e.Kind.String(),
-			From: e.From.Name,
-			To:   e.To.Name,
-			Via:  e.Via,
+			Kind: e.kind.String(),
+			From: m.nodes[e.from].Name,
+			To:   m.nodes[e.to].Name,
+			Via:  e.via,
 		})
-	}
+	})
 	return json.Marshal(jm)
-}
-
-// UnmarshalModel reconstructs a model from its JSON form.
-func UnmarshalModel(data []byte) (*Model, error) {
-	var jm jsonModel
-	if err := json.Unmarshal(data, &jm); err != nil {
-		return nil, fmt.Errorf("aftm: decode: %w", err)
-	}
-	if jm.Version != jsonVersion {
-		return nil, fmt.Errorf("aftm: unsupported model version %d", jm.Version)
-	}
-	m := New()
-	kinds := make(map[string]NodeKind, len(jm.Nodes))
-	for _, jn := range jm.Nodes {
-		k, err := kindFromName(jn.Kind)
-		if err != nil {
-			return nil, err
-		}
-		if prev, dup := kinds[jn.Name]; dup && prev != k {
-			return nil, fmt.Errorf("aftm: node %q declared with two kinds", jn.Name)
-		}
-		kinds[jn.Name] = k
-		n := Node{Kind: k, Name: jn.Name}
-		m.AddNode(n)
-		if jn.Visited {
-			m.Visit(n)
-		}
-	}
-	for _, je := range jm.Edges {
-		fk, ok := kinds[je.From]
-		if !ok {
-			return nil, fmt.Errorf("aftm: edge from undeclared node %q", je.From)
-		}
-		tk, ok := kinds[je.To]
-		if !ok {
-			return nil, fmt.Errorf("aftm: edge to undeclared node %q", je.To)
-		}
-		from := Node{Kind: fk, Name: je.From}
-		to := Node{Kind: tk, Name: je.To}
-		isNew, err := m.AddEdge(from, to, je.Via)
-		if err != nil {
-			return nil, err
-		}
-		// Cross-check the serialized edge kind.
-		if e, ok := m.EdgeBetween(from, to); ok && e.Kind.String() != je.Kind {
-			return nil, fmt.Errorf("aftm: edge %s->%s declared %s, derived %s",
-				je.From, je.To, je.Kind, e.Kind)
-		}
-		_ = isNew
-	}
-	if jm.Entry != "" {
-		k, ok := kinds[jm.Entry]
-		if !ok || k != KindActivity {
-			return nil, fmt.Errorf("aftm: entry %q is not a declared activity", jm.Entry)
-		}
-		if err := m.SetEntry(ActivityNode(jm.Entry)); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
 }

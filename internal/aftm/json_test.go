@@ -2,6 +2,7 @@ package aftm
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,5 +85,75 @@ func TestJSONShape(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("JSON missing %s:\n%s", want, s)
 		}
+	}
+}
+
+// UnmarshalModel reconstructs a model from its JSON form, the inverse of
+// MarshalJSON that the round-trip tests check it against.
+func UnmarshalModel(data []byte) (*Model, error) {
+	var jm jsonModel
+	if err := json.Unmarshal(data, &jm); err != nil {
+		return nil, fmt.Errorf("aftm: decode: %w", err)
+	}
+	if jm.Version != jsonVersion {
+		return nil, fmt.Errorf("aftm: unsupported model version %d", jm.Version)
+	}
+	m := New()
+	kinds := make(map[string]NodeKind, len(jm.Nodes))
+	for _, jn := range jm.Nodes {
+		k, err := kindFromName(jn.Kind)
+		if err != nil {
+			return nil, err
+		}
+		if prev, dup := kinds[jn.Name]; dup && prev != k {
+			return nil, fmt.Errorf("aftm: node %q declared with two kinds", jn.Name)
+		}
+		kinds[jn.Name] = k
+		n := Node{Kind: k, Name: jn.Name}
+		m.AddNode(n)
+		if jn.Visited {
+			m.Visit(n)
+		}
+	}
+	for _, je := range jm.Edges {
+		fk, ok := kinds[je.From]
+		if !ok {
+			return nil, fmt.Errorf("aftm: edge from undeclared node %q", je.From)
+		}
+		tk, ok := kinds[je.To]
+		if !ok {
+			return nil, fmt.Errorf("aftm: edge to undeclared node %q", je.To)
+		}
+		from := Node{Kind: fk, Name: je.From}
+		to := Node{Kind: tk, Name: je.To}
+		if _, err := m.AddEdge(from, to, je.Via); err != nil {
+			return nil, err
+		}
+		// Cross-check the serialized edge kind.
+		if e, ok := m.EdgeBetween(from, to); ok && e.Kind.String() != je.Kind {
+			return nil, fmt.Errorf("aftm: edge %s->%s declared %s, derived %s",
+				je.From, je.To, je.Kind, e.Kind)
+		}
+	}
+	if jm.Entry != "" {
+		k, ok := kinds[jm.Entry]
+		if !ok || k != KindActivity {
+			return nil, fmt.Errorf("aftm: entry %q is not a declared activity", jm.Entry)
+		}
+		if err := m.SetEntry(ActivityNode(jm.Entry)); err != nil {
+			return nil, err
+		}
+	}
+	return m, nil
+}
+
+func kindFromName(s string) (NodeKind, error) {
+	switch s {
+	case "activity":
+		return KindActivity, nil
+	case "fragment":
+		return KindFragment, nil
+	default:
+		return 0, fmt.Errorf("aftm: unknown node kind %q", s)
 	}
 }

@@ -1,17 +1,21 @@
 package explorer
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
+	"fragdroid/internal/aftm"
 	"fragdroid/internal/corpus"
 	"fragdroid/internal/robotium"
 	"fragdroid/internal/session"
+	"fragdroid/internal/statics"
 )
 
 // explorationDigests pins every observable output of one exploration per
@@ -175,6 +179,73 @@ func TestExplorationDigests(t *testing.T) {
 			got := digestExploration(res)
 			if want := explorationDigests[c.name]; got != want {
 				t.Errorf("exploration digest %s, want %s", got, want)
+			}
+		})
+	}
+}
+
+// TestExploreLeavesStaticModelUntouched explores one extraction of each of
+// three apps from four goroutines at once. Every run derives its model from
+// the extraction's, which they all share, so each run must equal a serial
+// run of the same extraction, down to its digest and the DOT of its model,
+// and the extraction's model must encode to the same bytes afterwards. Under
+// the race detector it also checks that no run writes the shared model.
+func TestExploreLeavesStaticModelUntouched(t *testing.T) {
+	const runs = 4
+	for _, c := range digestCases() {
+		if c.name != "demo" && c.name != "table1/com.adobe.reader" && c.name != "table1/com.inditex.zara" {
+			continue
+		}
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			app, err := corpus.BuildApp(c.spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := statics.Extract(app)
+			if err != nil {
+				t.Fatal(err)
+			}
+			static := aftm.EncodeModel(ex.Model)
+			explore := func() (digest, dot string, err error) {
+				cfg := c.cfg
+				cfg.Observer = &session.TraceBuffer{}
+				res, err := ExploreExtracted(ex, cfg)
+				if err != nil {
+					return "", "", err
+				}
+				return digestExploration(res), res.Model.DOT(c.name), nil
+			}
+			wantDigest, wantDOT, err := explore()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wantDigest != explorationDigests[c.name] {
+				t.Fatalf("serial exploration digest %s, want %s", wantDigest, explorationDigests[c.name])
+			}
+			var wg sync.WaitGroup
+			digests, dots, errs := make([]string, runs), make([]string, runs), make([]error, runs)
+			for i := 0; i < runs; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					digests[i], dots[i], errs[i] = explore()
+				}(i)
+			}
+			wg.Wait()
+			for i := 0; i < runs; i++ {
+				if errs[i] != nil {
+					t.Fatalf("run %d: %v", i, errs[i])
+				}
+				if digests[i] != wantDigest {
+					t.Errorf("run %d: digest %s, want %s", i, digests[i], wantDigest)
+				}
+				if dots[i] != wantDOT {
+					t.Errorf("run %d: the explored model differs from the serial run's:\n%s", i, dots[i])
+				}
+			}
+			if !bytes.Equal(aftm.EncodeModel(ex.Model), static) {
+				t.Error("exploring changed the extraction's static model")
 			}
 		})
 	}

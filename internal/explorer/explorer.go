@@ -9,7 +9,6 @@ package explorer
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -130,28 +129,19 @@ type Result struct {
 	// Config.Observer received, among them the §VI-B queue items
 	// (PlanQueue). It is nil without an Observer.
 	Transcript []string
+
+	// visitedActs and visitedFrags list the visited classes in the model's
+	// node order, collected once when the run ends.
+	visitedActs, visitedFrags []string
 }
 
-// VisitedActivities returns the visited activity classes, sorted.
-func (r *Result) VisitedActivities() []string {
-	return r.visitedOf(aftm.KindActivity)
-}
+// VisitedActivities returns the visited activity classes, sorted. The slice
+// is shared; callers must not modify it.
+func (r *Result) VisitedActivities() []string { return r.visitedActs }
 
-// VisitedFragments returns the visited fragment classes, sorted.
-func (r *Result) VisitedFragments() []string {
-	return r.visitedOf(aftm.KindFragment)
-}
-
-func (r *Result) visitedOf(k aftm.NodeKind) []string {
-	var out []string
-	for n := range r.Visits {
-		if n.Kind == k {
-			out = append(out, n.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+// VisitedFragments returns the visited fragment classes, sorted. The slice
+// is shared; callers must not modify it.
+func (r *Result) VisitedFragments() []string { return r.visitedFrags }
 
 // FragmentsInVisitedActivities computes the third column group of Table I:
 // the fragments whose (Algorithm 2) host activities were visited, and how
@@ -190,8 +180,12 @@ type engine struct {
 	cfg Config
 	s   *session.Session
 
-	model  *aftm.Model
-	visits map[aftm.Node]Visit
+	// model is derived from the extraction's static model, so the run's
+	// discoveries never reach the extraction.
+	model *aftm.Model
+	// visits holds each node's first arrival by node id; an empty Method
+	// marks a node not visited yet.
+	visits []Visit
 	// visitedActs and visitedFrags count the visits by kind, for the
 	// coverage curve sampled after every test case.
 	visitedActs, visitedFrags int
@@ -207,9 +201,11 @@ type engine struct {
 	// worklist holds interfaces awaiting Case 3 exploration.
 	worklist []workItem
 
-	// forced holds each activity's forced-start script, built by its first
-	// forced start and reused by the passes of later rounds.
-	forced map[string]robotium.Script
+	// forced holds each activity's forced-start script by node id, built by
+	// its first forced start and reused by the passes of later rounds;
+	// unvisited is the pass's list of activity ids.
+	forced    []robotium.Script
+	unvisited []int
 
 	// dumps are the buffers observe fills, in turn: exploreInterface keeps
 	// one observation while it takes the next, so the dump observe returns
@@ -277,15 +273,23 @@ func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	visits := make(map[aftm.Node]Visit, e.visitedActs+e.visitedFrags)
+	for _, v := range e.visits {
+		if v.Method != "" {
+			visits[v.Node] = v
+		}
+	}
 	return &Result{
 		Extraction:   ex,
 		Model:        e.model,
-		Visits:       e.visits,
+		Visits:       visits,
 		Collector:    out.Collector,
 		Stats:        out.Stats,
 		Curve:        out.Curve,
 		CrashReports: out.CrashReports,
 		Transcript:   out.Transcript,
+		visitedActs:  out.VisitedActivities,
+		visitedFrags: out.VisitedFragments,
 	}, nil
 }
 
@@ -297,8 +301,8 @@ func NewStrategy(ex *statics.Extraction, cfg Config) *engine {
 		app:       ex.App,
 		ex:        ex,
 		cfg:       cfg,
-		model:     ex.Model.Clone(),
-		visits:    make(map[aftm.Node]Visit),
+		model:     ex.Model.Derive(),
+		visits:    make([]Visit, ex.Model.Len()),
 		hints:     make(map[string]string),
 		explored:  make(map[iface]bool),
 		reflected: make(map[string]bool),
@@ -397,14 +401,24 @@ func (e *engine) observe(d *device.Device) (iface, device.UIDump, error) {
 	}, dump, nil
 }
 
-// visit marks a node visited (Case 1/2 bookkeeping), recording the first
-// route that reached it and enqueuing nothing by itself.
-func (e *engine) visit(n aftm.Node, method ReachMethod, route robotium.Script) bool {
-	e.model.Visit(n)
-	if _, seen := e.visits[n]; seen {
+// visited reports whether node n has been visited.
+func (e *engine) visited(n aftm.Node) bool {
+	id, ok := e.model.ID(n)
+	return ok && id < len(e.visits) && e.visits[id].Method != ""
+}
+
+// visit marks the node numbered id visited (Case 1/2 bookkeeping), recording
+// the first route that reached it and enqueuing nothing by itself.
+func (e *engine) visit(id int, method ReachMethod, route robotium.Script) bool {
+	e.model.VisitID(id)
+	if id < len(e.visits) && e.visits[id].Method != "" {
 		return false
 	}
-	e.visits[n] = Visit{Node: n, Method: method, Route: route}
+	for len(e.visits) <= id {
+		e.visits = append(e.visits, Visit{})
+	}
+	n := e.model.NodeOf(id)
+	e.visits[id] = Visit{Node: n, Method: method, Route: route}
 	if n.Kind == aftm.KindActivity {
 		e.visitedActs++
 	} else {
@@ -423,14 +437,18 @@ func (e *engine) visit(n aftm.Node, method ReachMethod, route robotium.Script) b
 // arrive processes a freshly observed interface: it credits unvisited nodes
 // (Cases 1 and 2) and enqueues the interface for Case 3 exploration if new.
 func (e *engine) arrive(st iface, method ReachMethod, route robotium.Script) {
-	actNode := aftm.ActivityNode(st.activity)
-	if e.model.HasNode(actNode) || e.app.Manifest.HasActivity(st.activity) {
-		e.visit(actNode, method, route)
+	act := aftm.ActivityNode(st.activity)
+	if id, ok := e.model.ID(act); ok {
+		e.visit(id, method, route)
+	} else if e.app.Manifest.HasActivity(st.activity) {
+		id, _ := e.model.AddNode(act)
+		e.visit(id, method, route)
 	}
 	for rest := st.fragments; rest != ""; {
 		var f string
 		f, rest, _ = strings.Cut(rest, ",")
-		e.visit(aftm.FragmentNode(f), method, route)
+		id, _ := e.model.AddNode(aftm.FragmentNode(f))
+		e.visit(id, method, route)
 	}
 	if !e.explored[st] {
 		e.worklist = append(e.worklist, workItem{method: method, target: st, route: route})
@@ -523,17 +541,25 @@ func (e *engine) Explore(s *session.Session) error {
 	}
 }
 
-// Finish fills the generic outcome with the visited component sets.
+// Finish fills the generic outcome with the visited component sets, in the
+// model's node order.
 func (e *engine) Finish(out *session.Outcome) {
-	for n := range e.visits {
+	if e.visitedActs > 0 {
+		out.VisitedActivities = make([]string, 0, e.visitedActs)
+	}
+	if e.visitedFrags > 0 {
+		out.VisitedFragments = make([]string, 0, e.visitedFrags)
+	}
+	e.model.Walk(func(id int, n aftm.Node) {
+		if id >= len(e.visits) || e.visits[id].Method == "" {
+			return
+		}
 		if n.Kind == aftm.KindActivity {
 			out.VisitedActivities = append(out.VisitedActivities, n.Name)
 		} else {
 			out.VisitedFragments = append(out.VisitedFragments, n.Name)
 		}
-	}
-	sort.Strings(out.VisitedActivities)
-	sort.Strings(out.VisitedFragments)
+	})
 }
 
 // replayTo replays a route from launch on the session's reset device,
@@ -776,7 +802,7 @@ func (e *engine) reflectionItems(item workItem) {
 		return
 	}
 	for _, frag := range e.ex.Deps.FragmentsOf[act] {
-		if _, seen := e.visits[aftm.FragmentNode(frag)]; seen {
+		if e.visited(aftm.FragmentNode(frag)) {
 			continue
 		}
 		// Only FragmentTransaction-switched fragments have a reflective
@@ -841,21 +867,27 @@ func (e *engine) reflectionItems(item workItem) {
 // whether anything new was visited or enqueued.
 func (e *engine) forcedStartPass() bool {
 	progressed := false
-	unvisited := e.model.Unvisited(aftm.KindActivity)
-	if e.forced == nil {
-		e.forced = make(map[string]robotium.Script, len(unvisited))
+	e.unvisited = e.unvisited[:0]
+	e.model.Walk(func(id int, n aftm.Node) {
+		if n.Kind == aftm.KindActivity && !e.model.VisitedID(id) {
+			e.unvisited = append(e.unvisited, id)
+		}
+	})
+	if len(e.forced) < e.model.Len() {
+		e.forced = append(e.forced, make([]robotium.Script, e.model.Len()-len(e.forced))...)
 	}
-	for _, n := range unvisited {
+	for _, id := range e.unvisited {
 		if e.s.Exhausted() {
 			break
 		}
-		script, ok := e.forced[n.Name]
-		if !ok {
+		n := e.model.NodeOf(id)
+		script := e.forced[id]
+		if script.Name == "" {
 			script = robotium.Script{
 				Name: "force_" + n.Name,
 				Ops:  []robotium.Op{robotium.ForceStart(n.Name)},
 			}
-			e.forced[n.Name] = script
+			e.forced[id] = script
 		}
 		d, res, ok := e.s.RunScript(script, session.PurposeForcedStart)
 		if !ok {

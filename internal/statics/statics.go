@@ -283,7 +283,9 @@ func Extract(app *apk.App) (*Extraction, error) {
 		return nil, err
 	}
 
-	// Remove isolated activities (the paper keeps the entry).
+	// Remove isolated activities (the paper keeps the entry). This also
+	// numbers the finished model's nodes in Nodes order, once: every
+	// exploration derives its model from this one.
 	if err := ex.Model.SetEntry(aftm.ActivityNode(entry)); err != nil {
 		return nil, err
 	}
