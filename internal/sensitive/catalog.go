@@ -73,16 +73,11 @@ var Catalog = []string{
 	"view/setUserAgentString",
 }
 
-var catalogSet = func() map[string]bool {
-	m := make(map[string]bool, len(Catalog))
-	for _, api := range Catalog {
-		m[api] = true
-	}
-	return m
-}()
-
 // Known reports whether the API belongs to the monitored catalog.
-func Known(api string) bool { return catalogSet[api] }
+func Known(api string) bool {
+	_, ok := apiRank[api]
+	return ok
+}
 
 // Category extracts the category prefix of an API ("location/getProviders" →
 // "location"). APIs without a slash fall into "other".
@@ -108,26 +103,52 @@ func Categories() []string {
 	return out
 }
 
-// SortAPIs orders APIs by category (catalog order) then name, the row order
-// of Table II.
-func SortAPIs(apis []string) {
-	catRank := make(map[string]int)
-	for i, c := range Categories() {
-		catRank[c] = i
+// categoryRank maps each catalog category to its Table II position;
+// catalogRows lists the catalog in Table II row order, and apiRank maps each
+// catalog API to its row. All three are built once per process.
+var (
+	categoryRank         = rankCategories()
+	catalogRows, apiRank = rankCatalog()
+)
+
+func rankCategories() map[string]int {
+	cats := Categories()
+	rank := make(map[string]int, len(cats))
+	for i, c := range cats {
+		rank[c] = i
 	}
-	sort.Slice(apis, func(i, j int) bool {
-		ci, cj := Category(apis[i]), Category(apis[j])
-		ri, okI := catRank[ci]
-		rj, okJ := catRank[cj]
-		if !okI {
-			ri = len(catRank)
-		}
-		if !okJ {
-			rj = len(catRank)
-		}
-		if ri != rj {
-			return ri < rj
-		}
-		return apis[i] < apis[j]
-	})
+	return rank
+}
+
+func rankCatalog() ([]string, map[string]int) {
+	rows := append([]string(nil), Catalog...)
+	SortAPIs(rows)
+	rank := make(map[string]int, len(rows))
+	for i, api := range rows {
+		rank[api] = i
+	}
+	return rows, rank
+}
+
+// SortAPIs orders APIs by category (catalog order) then name, the row order
+// of Table II. APIs of categories outside the catalog come last.
+func SortAPIs(apis []string) {
+	sort.Slice(apis, func(i, j int) bool { return apiLess(apis[i], apis[j]) })
+}
+
+// apiLess is SortAPIs' order.
+func apiLess(a, b string) bool {
+	ra, rb := rankOf(a), rankOf(b)
+	if ra != rb {
+		return ra < rb
+	}
+	return a < b
+}
+
+// rankOf returns the Table II position of the API's category.
+func rankOf(api string) int {
+	if r, ok := categoryRank[Category(api)]; ok {
+		return r
+	}
+	return len(categoryRank)
 }

@@ -87,18 +87,19 @@ func (u Usage) Mark() Mark {
 // Collector accumulates sensitive events for one app run. Plug Observe into
 // device.Options.Monitor.
 type Collector struct {
-	app     string
-	byAPI   map[string]*Usage
-	classes map[string]map[string]bool
+	app string
+	// rows holds the usages of the catalog APIs by Table II row (apiRank),
+	// allocated on the first catalog event; a zero Count marks an API not
+	// observed. Each usage keeps its classes sorted.
+	rows []Usage
+	// other holds the usages of APIs outside the catalog, allocated on the
+	// first such event.
+	other map[string]*Usage
 }
 
 // NewCollector returns a collector for the given app package.
 func NewCollector(appPkg string) *Collector {
-	return &Collector{
-		app:     appPkg,
-		byAPI:   make(map[string]*Usage),
-		classes: make(map[string]map[string]bool),
-	}
+	return &Collector{app: appPkg}
 }
 
 // App returns the application package the collector belongs to.
@@ -106,43 +107,80 @@ func (c *Collector) App() string { return c.app }
 
 // Observe records one sensitive event.
 func (c *Collector) Observe(e Event) {
-	u := c.byAPI[e.API]
-	if u == nil {
-		u = &Usage{API: e.API}
-		c.byAPI[e.API] = u
-		c.classes[e.API] = make(map[string]bool)
+	var u *Usage
+	if r, ok := apiRank[e.API]; ok {
+		if c.rows == nil {
+			c.rows = make([]Usage, len(catalogRows))
+			// Most APIs are invoked by one class: its slot comes from one
+			// shared array, and only a second class allocates.
+			first := make([]string, len(catalogRows))
+			for r := range c.rows {
+				c.rows[r].Classes = first[r : r : r+1]
+			}
+		}
+		u = &c.rows[r]
+	} else {
+		if c.other == nil {
+			c.other = make(map[string]*Usage)
+		}
+		if u = c.other[e.API]; u == nil {
+			u = &Usage{}
+			c.other[e.API] = u
+		}
 	}
+	u.API = e.API
 	u.Count++
 	if e.InFragment {
 		u.ByFragment = true
 	} else {
 		u.ByActivity = true
 	}
-	c.classes[e.API][e.Class] = true
+	i := 0 // an API has few classes: a linear scan finds the slot
+	for i < len(u.Classes) && u.Classes[i] < e.Class {
+		i++
+	}
+	if i == len(u.Classes) || u.Classes[i] != e.Class {
+		u.Classes = append(u.Classes, "")
+		copy(u.Classes[i+1:], u.Classes[i:])
+		u.Classes[i] = e.Class
+	}
 }
 
 // Has reports whether the API has been observed at least once.
 func (c *Collector) Has(api string) bool {
-	_, ok := c.byAPI[api]
+	if r, ok := apiRank[api]; ok {
+		return c.rows != nil && c.rows[r].Count > 0
+	}
+	_, ok := c.other[api]
 	return ok
 }
 
 // Usages returns the aggregated per-API usages in Table II row order.
 func (c *Collector) Usages() []Usage {
-	apis := make([]string, 0, len(c.byAPI))
-	for api := range c.byAPI {
-		apis = append(apis, api)
-	}
-	SortAPIs(apis)
-	out := make([]Usage, 0, len(apis))
-	for _, api := range apis {
-		u := *c.byAPI[api]
-		for cls := range c.classes[api] {
-			u.Classes = append(u.Classes, cls)
+	n := len(c.other)
+	for i := range c.rows {
+		if c.rows[i].Count > 0 {
+			n++
 		}
-		sort.Strings(u.Classes)
-		out = append(out, u)
 	}
+	out := make([]Usage, 0, n)
+	for _, u := range c.rows {
+		if u.Count > 0 {
+			u.Classes = append([]string(nil), u.Classes...)
+			out = append(out, u)
+		}
+	}
+	if len(c.other) == 0 {
+		return out
+	}
+	// APIs outside the catalog may share a category with catalog rows, so
+	// they take SortAPIs' order among them.
+	for _, u := range c.other {
+		cp := *u
+		cp.Classes = append([]string(nil), u.Classes...)
+		out = append(out, cp)
+	}
+	sort.Slice(out, func(i, j int) bool { return apiLess(out[i].API, out[j].API) })
 	return out
 }
 
@@ -152,30 +190,50 @@ type Matrix struct {
 	Apps []string
 	// APIs are the row keys in Table II order.
 	APIs []string
-	// cells maps "api|app" to the mark.
-	cells map[string]Mark
+	// cells maps (api, app) to the mark.
+	cells map[cell]Mark
 }
+
+// cell keys one Table II cell.
+type cell struct{ api, app string }
 
 // NewMatrix builds a matrix from per-app collectors.
 func NewMatrix(collectors []*Collector) *Matrix {
-	m := &Matrix{cells: make(map[string]Mark)}
-	apiSet := make(map[string]bool)
+	m := &Matrix{cells: make(map[cell]Mark)}
+	seen := make([]bool, len(catalogRows))
+	var other map[string]bool
 	for _, c := range collectors {
 		m.Apps = append(m.Apps, c.app)
-		for _, u := range c.Usages() {
-			apiSet[u.API] = true
-			m.cells[u.API+"|"+c.app] = u.Mark()
+		for r := range c.rows {
+			if u := &c.rows[r]; u.Count > 0 {
+				seen[r] = true
+				m.cells[cell{u.API, c.app}] = u.Mark()
+			}
+		}
+		for api, u := range c.other {
+			if other == nil {
+				other = make(map[string]bool)
+			}
+			other[api] = true
+			m.cells[cell{api, c.app}] = u.Mark()
 		}
 	}
-	for api := range apiSet {
-		m.APIs = append(m.APIs, api)
+	for r, ok := range seen {
+		if ok {
+			m.APIs = append(m.APIs, catalogRows[r])
+		}
 	}
-	SortAPIs(m.APIs)
+	if len(other) > 0 {
+		for api := range other {
+			m.APIs = append(m.APIs, api)
+		}
+		SortAPIs(m.APIs)
+	}
 	return m
 }
 
 // Cell returns the mark for (api, app).
-func (m *Matrix) Cell(api, app string) Mark { return m.cells[api+"|"+app] }
+func (m *Matrix) Cell(api, app string) Mark { return m.cells[cell{api, app}] }
 
 // Stats are the §VII-C aggregates. An invocation relation is one (app, API,
 // component-kind) triple: a Both cell contributes two relations, an

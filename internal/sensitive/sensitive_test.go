@@ -151,3 +151,47 @@ func TestEmptyMatrixStats(t *testing.T) {
 		t.Fatalf("stats = %+v", s)
 	}
 }
+
+// TestCollectorUsagesOrder observes every catalog API in reverse order, and
+// two APIs outside it: one of a catalog category, which sorts among that
+// category's rows, and one of no catalog category, which sorts last. Usages
+// must come out in SortAPIs order, with each API's classes sorted.
+func TestCollectorUsagesOrder(t *testing.T) {
+	c := NewCollector("com.app")
+	apis := []string{"zzz/unknown", "location/zzzExtra"}
+	for i := len(Catalog) - 1; i >= 0; i-- {
+		apis = append(apis, Catalog[i])
+	}
+	for _, api := range apis {
+		c.Observe(ev(api, "a.Z", false))
+		c.Observe(ev(api, "a.A", true))
+		c.Observe(ev(api, "a.Z", false))
+	}
+	want := append([]string(nil), apis...)
+	SortAPIs(want)
+	us := c.Usages()
+	if len(us) != len(want) {
+		t.Fatalf("%d usages, want %d", len(us), len(want))
+	}
+	for i, u := range us {
+		if u.API != want[i] {
+			t.Fatalf("usage %d is %s, want %s", i, u.API, want[i])
+		}
+		if u.Count != 3 || u.Mark() != MarkBoth || !reflect.DeepEqual(u.Classes, []string{"a.A", "a.Z"}) {
+			t.Fatalf("usage %s = %+v", u.API, u)
+		}
+		if !c.Has(u.API) {
+			t.Fatalf("Has(%s) = false", u.API)
+		}
+	}
+	if c.Has("location/never") || c.Has(Catalog[0]+"x") {
+		t.Error("Has reports an API never observed")
+	}
+	m := NewMatrix([]*Collector{c})
+	if !reflect.DeepEqual(m.APIs, want) {
+		t.Errorf("matrix rows = %v, want %v", m.APIs, want)
+	}
+	if got := m.Cell("location/zzzExtra", "com.app"); got != MarkBoth {
+		t.Errorf("cell of an API outside the catalog = %v", got)
+	}
+}
