@@ -72,3 +72,17 @@ func TestFamilyCorpusDigest(t *testing.T) {
 		t.Errorf("NewFamily(2000, 1) digest = %s, want %s", got, familyN2000Digest)
 	}
 }
+
+// paperDigest pins the demo app and the 15 Table I apps, in table order.
+const paperDigest = "938d31185011695414ac96530eacbae43261e2b9fb252896ec283e7d4f6f664b"
+
+func TestPaperCorpusDigest(t *testing.T) {
+	h := sha256.New()
+	digestApp(t, h, DemoSpec())
+	for _, row := range PaperRows() {
+		digestApp(t, h, PaperSpec(row))
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != paperDigest {
+		t.Errorf("DemoSpec and PaperSpec digest = %s, want %s", got, paperDigest)
+	}
+}

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -138,21 +139,23 @@ func PaperSpec(row PaperRow) *AppSpec {
 	// Visited activities form a shallow tree of button transitions rooted at
 	// the launcher; unreachable ones hang off the launcher's slide-only
 	// drawer (plus GateMiss input-gated ones) and require an intent extra so
-	// forced starts crash too.
+	// forced starts crash too. spec.Activities lists visNames, then
+	// missNames, so visNames[i] is activity i.
 	visNames := make([]string, row.VisActs)
 	for i := range visNames {
 		if i == 0 {
 			visNames[i] = "Main"
 		} else {
-			visNames[i] = fmt.Sprintf("Act%02d", i)
+			visNames[i] = numbered("Act", i)
 		}
 	}
 	missActs := row.SumActs - row.VisActs
 	missNames := make([]string, missActs)
 	for i := range missNames {
-		missNames[i] = fmt.Sprintf("Hidden%02d", i)
+		missNames[i] = numbered("Hidden", i)
 	}
 
+	spec.Activities = make([]ActivitySpec, 0, row.VisActs+missActs)
 	spec.Activities = append(spec.Activities, ActivitySpec{
 		Name: "Main", Launcher: true, PopupOnCreate: row.Popup,
 	})
@@ -161,6 +164,9 @@ func PaperSpec(row PaperRow) *AppSpec {
 	}
 	for _, n := range missNames {
 		spec.Activities = append(spec.Activities, ActivitySpec{Name: n, RequiresExtra: "ctx"})
+	}
+	if n := row.VisActs - 1 + missActs; n > 0 {
+		spec.Transition = make([]Transition, 0, n)
 	}
 	for i, n := range visNames[1:] {
 		parent := visNames[(i)/3] // tree with fan-out 3
@@ -200,45 +206,48 @@ func PaperSpec(row PaperRow) *AppSpec {
 	visWires := []WireKind{WireTxnOnCreate, WireTxnButton, WireTxnDrawer, WireTxnSlideDrawer, WireStatic}
 	missWires := []WireKind{WireInflate, WireReferenceOnly, WireTxnSlideDrawer}
 
-	addWire := func(act string, frag string, kind WireKind) {
-		for i := range spec.Activities {
-			if spec.Activities[i].Name == act {
-				spec.Activities[i].Wires = append(spec.Activities[i].Wires, FragmentWire{Fragment: frag, Kind: kind})
-				return
-			}
-		}
+	addWire := func(act int, frag string, kind WireKind) {
+		spec.Activities[act].Wires = append(spec.Activities[act].Wires, FragmentWire{Fragment: frag, Kind: kind})
 	}
 
 	fragIdx := 0
 	newFrag := func(prefix string) string {
 		fragIdx++
-		return fmt.Sprintf("%sFrag%02d", prefix, fragIdx)
+		return numbered(prefix, fragIdx)
 	}
 
-	var prevVisited struct {
-		frag, host string
+	if n := row.VisFrags + maxInt(m, 0) + u; n > 0 {
+		spec.Fragments = make([]FragmentSpec, 0, n)
 	}
+	// exec lists the fragments that execute at runtime, by index: the
+	// visited ones and the inflate-view ones (which run their onCreateView
+	// although FragDroid cannot credit the visit).
+	exec := make([]int, 0, row.VisFrags+maxInt(m, 0))
+	// prevFrag and prevHost are the last container-committed visited
+	// fragment and its host.
+	prevFrag, prevHost := "", -1
 	for i := 0; i < row.VisFrags; i++ {
-		name := newFrag("")
+		name := newFrag("Frag")
 		// Cluster fragments onto hosts in blocks so sibling fragments share
 		// an Activity and F→F switches (Figure 1 tabs) genuinely occur.
-		host := visNames[(i*len(visNames))/maxInt(row.VisFrags, 1)%len(visNames)]
+		host := (i * len(visNames)) / maxInt(row.VisFrags, 1) % len(visNames)
 		kind := visWires[i%len(visWires)]
+		exec = append(exec, len(spec.Fragments))
 		spec.Fragments = append(spec.Fragments, FragmentSpec{Name: name})
 		addWire(host, name, kind)
 		// Occasionally chain an F→F switch between two sibling visited
 		// fragments on the same host (Figure 1 tab behaviour). Only
 		// container-committed fragments can host switch handlers.
-		if prevVisited.host == host && kind != WireStatic && i%4 == 1 {
-			spec.Switches = append(spec.Switches, FragmentSwitch{From: prevVisited.frag, To: name})
+		if prevHost == host && kind != WireStatic && i%4 == 1 {
+			spec.Switches = append(spec.Switches, FragmentSwitch{From: prevFrag, To: name})
 		}
 		if kind != WireStatic {
-			prevVisited.frag, prevVisited.host = name, host
+			prevFrag, prevHost = name, host
 		}
 	}
 	for i := 0; i < m; i++ {
-		name := newFrag("Miss")
-		host := visNames[i%len(visNames)]
+		name := newFrag("MissFrag")
+		host := i % len(visNames)
 		kind := missWires[i%len(missWires)]
 		fs := FragmentSpec{Name: name}
 		if kind == WireTxnSlideDrawer {
@@ -251,62 +260,52 @@ func PaperSpec(row PaperRow) *AppSpec {
 			// the measured Table II. Inflate-view fragments DO run their
 			// onCreateView and must stay clean.
 			fs.Sensitive = []string{shadowAPI(i)}
+		} else {
+			exec = append(exec, len(spec.Fragments))
 		}
 		spec.Fragments = append(spec.Fragments, fs)
 		addWire(host, name, kind)
 	}
 	for i := 0; i < u; i++ {
-		name := newFrag("Deep")
-		host := missNames[i%len(missNames)]
+		name := newFrag("DeepFrag")
 		spec.Fragments = append(spec.Fragments, FragmentSpec{
 			Name: name,
 			// Hosted by a never-started activity: another dead static site.
 			Sensitive: []string{shadowAPI(i + 3)},
 		})
-		addWire(host, name, WireTxnOnCreate)
+		addWire(row.VisActs+i%len(missNames), name, WireTxnOnCreate)
 	}
 
-	assignSensitive(spec, cells, visNames, row)
+	assignSensitive(spec, cells, len(visNames), exec)
 	return spec
 }
 
 // assignSensitive distributes the planned Table II cells over components that
-// actually execute: visited activities for the activity side, and visited or
-// inflate-loaded fragments for the fragment side (inflate-view fragments run
-// their onCreateView even though FragDroid cannot credit the visit).
-func assignSensitive(spec *AppSpec, cells []APICell, visNames []string, row PaperRow) {
-	var execFrags []string
-	for i := range spec.Fragments {
-		f := &spec.Fragments[i]
-		if strings.HasPrefix(f.Name, "Deep") || f.RequiresArgs {
-			continue // never executes
-		}
-		if strings.HasPrefix(f.Name, "Miss") && !missFragExecutes(spec, f.Name) {
-			continue
-		}
-		execFrags = append(execFrags, f.Name)
-	}
+// actually execute: the first nVis activities (the visited ones) for the
+// activity side, and the fragments exec lists for the fragment side.
+func assignSensitive(spec *AppSpec, cells []APICell, nVis int, exec []int) {
 	ai, fi := 0, 0
 	for _, c := range cells {
 		if c.ByActivity {
-			act := visNames[ai%len(visNames)]
+			a := &spec.Activities[ai%nVis]
 			ai++
-			for i := range spec.Activities {
-				if spec.Activities[i].Name == act {
-					spec.Activities[i].Sensitive = append(spec.Activities[i].Sensitive, c.API)
-				}
-			}
+			a.Sensitive = append(a.Sensitive, c.API)
 		}
-		if c.ByFragment && len(execFrags) > 0 {
-			frag := execFrags[fi%len(execFrags)]
+		if c.ByFragment && len(exec) > 0 {
+			f := &spec.Fragments[exec[fi%len(exec)]]
 			fi++
-			for i := range spec.Fragments {
-				if spec.Fragments[i].Name == frag {
-					spec.Fragments[i].Sensitive = append(spec.Fragments[i].Sensitive, c.API)
-				}
-			}
+			f.Sensitive = append(f.Sensitive, c.API)
 		}
 	}
+}
+
+// numbered renders prefix followed by i in at least two digits, as
+// fmt.Sprintf("%s%02d", prefix, i) does for i ≥ 0.
+func numbered(prefix string, i int) string {
+	if i < 10 {
+		return prefix + "0" + strconv.Itoa(i)
+	}
+	return prefix + strconv.Itoa(i)
 }
 
 func maxInt(a, b int) int {
@@ -319,17 +318,4 @@ func maxInt(a, b int) int {
 // shadowAPI picks a deterministic catalog API for dead-code sites.
 func shadowAPI(i int) string {
 	return sensitive.Catalog[(i*7)%len(sensitive.Catalog)]
-}
-
-// missFragExecutes reports whether a missed-in-visited fragment still runs at
-// runtime: inflate-view fragments do, reference-only fragments do not.
-func missFragExecutes(spec *AppSpec, frag string) bool {
-	for i := range spec.Activities {
-		for _, w := range spec.Activities[i].Wires {
-			if w.Fragment == frag {
-				return w.Kind == WireInflate
-			}
-		}
-	}
-	return false
 }
