@@ -18,8 +18,13 @@ import (
 // allocating the count was 2, and a fresh device per launch made 18. The
 // budget is the measured count; a regression here multiplies across every
 // generated test case of every evaluation run, so it fails loudly instead
-// of surfacing as a slow bench.
+// of surfacing as a slow bench. The count is skipped under the race
+// detector, whose sync.Pool drops some of the frames put back, so a launch
+// reads 2 allocs/op on some runs.
 func TestLaunchReplayAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	const budget = 1
 	app := benchApp(t, "com.adobe.reader")
 	d := device.New(app, device.Options{})
