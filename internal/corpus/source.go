@@ -11,19 +11,23 @@ import (
 // source is what costs, not drawing from it. rand.NewSource runs the Lehmer
 // generator x[n+1] = 48271·x[n] mod (2³¹−1) for 1,841 dependent steps (20
 // to warm up, then three per word of its 607-word ring) and fills the whole
-// 4.9 KB ring, while a spec draws between 1 and about 40 values.
+// 4.9 KB ring, while a spec draws at most about 45 values.
 //
-// lazySource yields the same stream but seeds each ring word on first touch.
-// Word i of a source seeded with x[0] is
+// lazySource yields the same stream and keeps no ring until draw 274. Word
+// i of a source seeded with x[0] is
 //
 //	(x[21+3i]<<40) ^ (x[22+3i]<<20) ^ x[23+3i] ^ cooked[i]
 //
 // and x[n] = x[0]·48271ⁿ mod (2³¹−1), so a table of the multiplier's powers
 // gives any word in three multiplications. Draw k (counting from 1) adds the
 // feed word (334−k) mod 607 and the tap word (607−k) mod 607 and stores the
-// sum at the feed. Draws 1–334 are the first to touch their feed word and
-// draws 1–273 the first to touch their tap word; every other access reads a
-// word an earlier draw already touched, so no work is left after draw 334.
+// sum at the feed. For k ≤ 273 no earlier draw wrote either word, so the
+// draw is the sum of two seed words and needs no stored state; the sum it
+// stores is first read back, as a tap, by draw k+273. Draw 274 builds the
+// ring as those 273 draws would have left it and the source runs like
+// math/rand's from then on. No corpus source draws that far: RandomSpec's
+// makes at most about 45 draws, a family member's own at most 7, and
+// StudySpecs' 217.
 const (
 	ringLen  = 607       // words in the ring (math/rand's rngLen)
 	ringTap  = 273       // distance from the feed to the tap (rngTap)
@@ -85,9 +89,9 @@ func (t *seedTables) lehmer(x0 int64, i int) int64 {
 type lazySource struct {
 	t         *seedTables
 	x0        int64 // the reduced seed: x[0] of the seeding generator
-	tap, feed int
-	drawn     int // draws so far, counted until every word has been seeded
-	ring      [ringLen]int64
+	drawn     int   // draws so far, counted until the ring is built
+	tap, feed int   // ring positions, once the ring is built
+	ring      *[ringLen]int64
 }
 
 // newRand returns a generator that draws exactly what
@@ -108,14 +112,25 @@ func (s *lazySource) Seed(seed int64) {
 		seed = zeroSeed
 	}
 	s.x0 = seed
-	s.tap, s.feed, s.drawn = 0, ringLen-ringTap, 0
+	s.drawn = 0
+	s.ring = nil
 }
+
+// word returns ring word i as seeding leaves it.
+func (s *lazySource) word(i int) int64 { return s.t.lehmer(s.x0, i) ^ s.t.cooked[i] }
 
 // Int63 returns a non-negative 63-bit value.
 func (s *lazySource) Int63() int64 { return int64(s.Uint64() &^ (1 << 63)) }
 
 // Uint64 returns the next value of the stream.
 func (s *lazySource) Uint64() uint64 {
+	if s.ring == nil {
+		if s.drawn < ringTap {
+			s.drawn++
+			return uint64(s.word(ringLen-ringTap-s.drawn) + s.word(ringLen-s.drawn))
+		}
+		s.buildRing()
+	}
 	s.tap--
 	if s.tap < 0 {
 		s.tap += ringLen
@@ -124,14 +139,20 @@ func (s *lazySource) Uint64() uint64 {
 	if s.feed < 0 {
 		s.feed += ringLen
 	}
-	if s.drawn < ringLen-ringTap {
-		s.drawn++
-		s.ring[s.feed] = s.t.lehmer(s.x0, s.feed) ^ s.t.cooked[s.feed]
-		if s.drawn <= ringTap {
-			s.ring[s.tap] = s.t.lehmer(s.x0, s.tap) ^ s.t.cooked[s.tap]
-		}
-	}
 	x := s.ring[s.feed] + s.ring[s.tap]
 	s.ring[s.feed] = x
 	return uint64(x)
+}
+
+// buildRing seeds every word and replays the sums of the first 273 draws,
+// leaving the ring and its positions where math/rand's stand after them.
+func (s *lazySource) buildRing() {
+	s.ring = new([ringLen]int64)
+	for i := range s.ring {
+		s.ring[i] = s.word(i)
+	}
+	for k := 1; k <= ringTap; k++ {
+		s.ring[ringLen-ringTap-k] += s.ring[ringLen-k]
+	}
+	s.tap, s.feed = ringLen-ringTap, ringLen-2*ringTap
 }

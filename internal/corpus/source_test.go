@@ -9,8 +9,8 @@ import (
 
 // TestLazySourceMatchesMathRand holds lazySource to its oracle, math/rand's
 // own source, through every Rand method the generator and its callers use.
-// Each seed runs well past 607 draws so the ring wraps and every lazily
-// seeded word is read again; the seeds cover the reductions (0, negative,
+// Each seed runs well past 607 draws, so the first 273 draws come from seed
+// words alone and the ring built on draw 274 wraps; the seeds cover the reductions (0, negative,
 // the modulus and its neighbours, values beyond 32 bits, the int64 limits).
 func TestLazySourceMatchesMathRand(t *testing.T) {
 	seeds := []int64{0, 1, -1, 89482311, 1<<31 - 2, 1<<31 - 1, 1 << 31, 1 << 40, math.MinInt64, math.MaxInt64}
@@ -36,12 +36,40 @@ func TestLazySourceMatchesMathRand(t *testing.T) {
 			}
 		}
 		// Re-seeding resets the lazy state exactly like math/rand's Seed.
-		got.Seed(seed + 3)
-		want.Seed(seed + 3)
-		for i := 0; i < 700; i++ {
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d re-seeded, draw %d: got %d, want %d", seed, i, g, w)
+		// Each run re-seeds, then draws. The runs re-seed a source whose
+		// ring is built, then one that has made 272 draws (before draw
+		// 273), then one that has made 273 (at the 273/274 boundary); the
+		// last run builds the ring again and wraps it.
+		for run, draws := range []int{700, 272, 273, 700} {
+			got.Seed(seed + int64(run))
+			want.Seed(seed + int64(run))
+			for i := 0; i < draws; i++ {
+				if g, w := got.Int63(), want.Int63(); g != w {
+					t.Fatalf("seed %d, re-seeded run %d, draw %d: got %d, want %d", seed, run, i, g, w)
+				}
 			}
 		}
+	}
+}
+
+// TestLazySourceDefersRing pins when the ring is built: not in the first
+// 273 draws, which read only seed words, but on draw 274, the first to read
+// a word an earlier draw wrote.
+func TestLazySourceDefersRing(t *testing.T) {
+	s := &lazySource{t: sharedTables()}
+	s.Seed(42)
+	for i := 0; i < ringTap; i++ {
+		s.Uint64()
+	}
+	if s.ring != nil {
+		t.Fatalf("ring built within the first %d draws", ringTap)
+	}
+	s.Uint64()
+	if s.ring == nil {
+		t.Fatalf("ring not built on draw %d", ringTap+1)
+	}
+	s.Seed(42)
+	if s.ring != nil {
+		t.Fatal("Seed kept the ring")
 	}
 }
