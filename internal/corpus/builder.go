@@ -15,48 +15,52 @@ import (
 // lname lowercases a simple class name for use in resource identifiers.
 func lname(name string) string { return strings.ToLower(name) }
 
-// Ref builders shared between the generator, the tests, and the evaluation
-// harness (so they can address generated widgets symbolically).
-func refRoot(act string) string              { return "@id/" + lname(act) + "_root" }
-func refNavButton(from, to string) string    { return "@id/" + lname(from) + "_btn_" + lname(to) }
-func refActionButton(from, to string) string { return "@id/" + lname(from) + "_act_" + lname(to) }
-func refInput(from, to string) string        { return "@id/" + lname(from) + "_input_" + lname(to) }
-func refDrawer(act string) string            { return "@id/" + lname(act) + "_drawer" }
-func refDrawerToggle(act string) string      { return "@id/" + lname(act) + "_drawer_toggle" }
-func refSlideDrawer(act string) string       { return "@id/" + lname(act) + "_slide" }
-func refMenuButton(from, to string) string   { return "@id/" + lname(from) + "_menu_" + lname(to) }
+// Ref builders shared between the generator and the exported helpers below.
+// They take lowercased names, as the generator derives them once per
+// component, so each ref costs one concatenation.
+func refRoot(act string) string              { return "@id/" + act + "_root" }
+func refTitle(act string) string             { return "@id/" + act + "_title" }
+func refNavButton(from, to string) string    { return "@id/" + from + "_btn_" + to }
+func refActionButton(from, to string) string { return "@id/" + from + "_act_" + to }
+func refInput(from, to string) string        { return "@id/" + from + "_input_" + to }
+func refDrawer(act string) string            { return "@id/" + act + "_drawer" }
+func refDrawerToggle(act string) string      { return "@id/" + act + "_drawer_toggle" }
+func refSlideDrawer(act string) string       { return "@id/" + act + "_slide" }
+func refMenuButton(from, to string) string   { return "@id/" + from + "_menu_" + to }
 func refSlideMenuButton(from, to string) string {
-	return "@id/" + lname(from) + "_smenu_" + lname(to)
+	return "@id/" + from + "_smenu_" + to
 }
 func refMenuFragButton(act, frag string) string {
-	return "@id/" + lname(act) + "_menu_f_" + lname(frag)
+	return "@id/" + act + "_menu_f_" + frag
 }
 func refSlideMenuFragButton(act, frag string) string {
-	return "@id/" + lname(act) + "_smenu_f_" + lname(frag)
+	return "@id/" + act + "_smenu_f_" + frag
 }
-func refTabButton(act, frag string) string { return "@id/" + lname(act) + "_tab_" + lname(frag) }
-func refContainer(act string) string       { return "@id/" + lname(act) + "_container" }
-func refStaticFrag(act, frag string) string {
-	return "@id/" + lname(act) + "_sfrag_" + lname(frag)
-}
-func refFragRoot(frag string) string         { return "@id/" + lname(frag) + "_root" }
-func refFragLabel(frag string) string        { return "@id/" + lname(frag) + "_label" }
-func refSwitchButton(from, to string) string { return "@id/" + lname(from) + "_sw_" + lname(to) }
+func refTabButton(act, frag string) string   { return "@id/" + act + "_tab_" + frag }
+func refContainer(act string) string         { return "@id/" + act + "_container" }
+func refStaticFrag(act, frag string) string  { return "@id/" + act + "_sfrag_" + frag }
+func refFragRoot(frag string) string         { return "@id/" + frag + "_root" }
+func refFragLabel(frag string) string        { return "@id/" + frag + "_label" }
+func refSwitchButton(from, to string) string { return "@id/" + from + "_sw_" + to }
+func refLayout(kind, low string) string      { return "@layout/" + kind + "_" + low }
 
-// Exported ref helpers for harness code.
+// Exported ref helpers for harness code, so it can address generated widgets
+// symbolically. They take simple names and lowercase them.
 //
 // NavButtonRef addresses the visible button for a TransButton transition;
 // InputRef the gate field of a gated transition; DrawerToggleRef the drawer
 // toggle; TabButtonRef the tab of a WireTxnButton wire; ContainerRef the
 // fragment container of an activity; SwitchButtonRef the F→F switch button.
-func NavButtonRef(from, to string) string       { return refNavButton(from, to) }
-func InputRef(from, to string) string           { return refInput(from, to) }
-func DrawerToggleRef(act string) string         { return refDrawerToggle(act) }
-func MenuButtonRef(from, to string) string      { return refMenuButton(from, to) }
-func TabButtonRef(act, frag string) string      { return refTabButton(act, frag) }
-func ContainerRef(act string) string            { return refContainer(act) }
-func SwitchButtonRef(from, to string) string    { return refSwitchButton(from, to) }
-func MenuFragButtonRef(act, frag string) string { return refMenuFragButton(act, frag) }
+func NavButtonRef(from, to string) string    { return refNavButton(lname(from), lname(to)) }
+func InputRef(from, to string) string        { return refInput(lname(from), lname(to)) }
+func DrawerToggleRef(act string) string      { return refDrawerToggle(lname(act)) }
+func MenuButtonRef(from, to string) string   { return refMenuButton(lname(from), lname(to)) }
+func TabButtonRef(act, frag string) string   { return refTabButton(lname(act), lname(frag)) }
+func ContainerRef(act string) string         { return refContainer(lname(act)) }
+func SwitchButtonRef(from, to string) string { return refSwitchButton(lname(from), lname(to)) }
+func MenuFragButtonRef(act, frag string) string {
+	return refMenuFragButton(lname(act), lname(frag))
+}
 
 // handlerGo and friends name generated handler methods.
 func handlerGo(to string) string     { return "onGo" + to }
@@ -66,15 +70,20 @@ func handlerSwitch(to string) string { return "onSw" + to }
 
 const handlerToggleDrawer = "onToggleDrawer"
 
-// defaultGateValue is the expected input when a gate omits Expected.
-func defaultGateValue(to string) string { return "letmein-" + lname(to) }
+// publicAccess is the access list of every generated class and method. It
+// is shared and read-only: nothing writes a class's or method's Access.
+var publicAccess = []string{"public"}
+
+// defaultGateValue is the expected input when a gate omits Expected, for
+// the target activity's lowercased name.
+func defaultGateValue(to string) string { return "letmein-" + to }
 
 // GateValue exposes the default gate value for harness input files.
 func GateValue(g *InputGate, to string) string {
 	if g != nil && g.Expected != "" {
 		return g.Expected
 	}
-	return defaultGateValue(to)
+	return defaultGateValue(lname(to))
 }
 
 // BuildArchive generates the .sapk archive for a spec.
@@ -82,8 +91,7 @@ func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	g := &generator{spec: spec}
-	p, err := g.build()
+	p, err := newGenerator(spec).build()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
 	}
@@ -110,8 +118,7 @@ func BuildApp(spec *AppSpec) (*apk.App, error) {
 	if spec.Packed {
 		return nil, apk.ErrPacked
 	}
-	g := &generator{spec: spec}
-	p, err := g.build()
+	p, err := newGenerator(spec).build()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
 	}
@@ -153,50 +160,189 @@ func (p *parts) encode() (*apk.Archive, error) {
 	return arch, nil
 }
 
+// generator builds one app. newGenerator derives, by component index,
+// everything the layout, class and manifest builders share: each
+// activity's and fragment's lowercased name, qualified class name and
+// layout, and the links between components with the handler names and
+// refs both ends of a link use. Each derived string is made once; the
+// builders only concatenate the refs used once.
 type generator struct {
-	spec *AppSpec
+	spec  *AppSpec
+	acts  []actInfo  // by index in spec.Activities
+	frags []fragInfo // by index in spec.Fragments
+	recvs []recvInfo // by index in spec.Receivers
+}
+
+// component holds the names derived from an activity's or fragment's
+// simple name.
+type component struct {
+	low    string // lowercased, the stem of its resource names
+	class  string // qualified class name
+	layout string // "@layout/<kind>_<low>", the reference to its layout
+}
+
+// actInfo is one activity with its derived names and resolved links.
+type actInfo struct {
+	component
+	spec      *ActivitySpec
+	out       []transLink // transitions leaving it, in spec order
+	wires     []wireLink  // spec.Wires, resolved
+	container string      // its fragment container's ref, if it wires a fragment
+	// drawer and slide report whether its layout has a toggled drawer and
+	// a slide-only drawer.
+	drawer, slide bool
+}
+
+// fragInfo is one fragment with its derived names and resolved links.
+type fragInfo struct {
+	component
+	spec     *FragmentSpec
+	host     *actInfo     // the first activity wiring it
+	switches []switchLink // switches leaving it, in spec order
+}
+
+// recvInfo is one receiver with its class name and the activity it starts.
+type recvInfo struct {
+	spec   *ReceiverSpec
+	class  string
+	starts *actInfo // nil if it starts none
+}
+
+// transLink is an outgoing transition with what its button and its handler
+// share.
+type transLink struct {
+	*Transition
+	to      *actInfo
+	handler string // the handler method's name
+	field   string // the gate's input ref, for a gated transition
+}
+
+// gateValue is the input the gate of a gated transition expects.
+func (l *transLink) gateValue() string {
+	if l.Gate.Expected != "" {
+		return l.Gate.Expected
+	}
+	return defaultGateValue(l.to.low)
+}
+
+// wireLink is a fragment wire with what its widget and its handler share.
+type wireLink struct {
+	FragmentWire
+	frag    *fragInfo
+	handler string // the onShow handler, for button- and drawer-committed wires
+	tab     string // the tab button's ref, for WireTxnButton
+}
+
+// switchLink is an F→F switch with its handler's name.
+type switchLink struct {
+	to      *fragInfo
+	handler string
+}
+
+// newGenerator derives the names and links of a validated spec.
+func newGenerator(spec *AppSpec) *generator {
+	g := &generator{
+		spec:  spec,
+		acts:  make([]actInfo, len(spec.Activities)),
+		frags: make([]fragInfo, len(spec.Fragments)),
+		recvs: make([]recvInfo, len(spec.Receivers)),
+	}
+	actAt := make(map[string]*actInfo, len(g.acts))
+	nWires := 0
+	for i := range g.acts {
+		a := &g.acts[i]
+		a.spec = &spec.Activities[i]
+		a.component = g.derive("activity", a.spec.Name)
+		actAt[a.spec.Name] = a
+		nWires += len(a.spec.Wires)
+	}
+	fragAt := make(map[string]*fragInfo, len(g.frags))
+	for i := range g.frags {
+		f := &g.frags[i]
+		f.spec = &spec.Fragments[i]
+		f.component = g.derive("fragment", f.spec.Name)
+		fragAt[f.spec.Name] = f
+	}
+	for i := range spec.Transition {
+		tr := &spec.Transition[i]
+		from := actAt[tr.From]
+		handler := handlerGo
+		switch tr.Kind {
+		case TransAction:
+			handler = handlerAct
+		case TransDrawerButton:
+			from.drawer = true
+		case TransSlideDrawer:
+			from.slide = true
+		}
+		l := transLink{Transition: tr, to: actAt[tr.To], handler: handler(tr.To)}
+		if tr.Gate != nil {
+			l.field = tr.Gate.Field
+			if l.field == "" {
+				l.field = refInput(from.low, l.to.low)
+			}
+		}
+		from.out = append(from.out, l)
+	}
+	wires := make([]wireLink, 0, nWires)
+	for i := range g.acts {
+		a := &g.acts[i]
+		if len(a.spec.Wires) == 0 {
+			continue
+		}
+		a.container = refContainer(a.low)
+		first := len(wires)
+		for _, w := range a.spec.Wires {
+			l := wireLink{FragmentWire: w, frag: fragAt[w.Fragment]}
+			if l.frag.host == nil {
+				l.frag.host = a
+			}
+			switch w.Kind {
+			case WireTxnButton:
+				l.handler = handlerShow(w.Fragment)
+				l.tab = refTabButton(a.low, l.frag.low)
+			case WireTxnDrawer:
+				a.drawer = true
+				l.handler = handlerShow(w.Fragment)
+			case WireTxnSlideDrawer:
+				a.slide = true
+				l.handler = handlerShow(w.Fragment)
+			}
+			wires = append(wires, l)
+		}
+		a.wires = wires[first:len(wires):len(wires)]
+	}
+	for _, sw := range spec.Switches {
+		from := fragAt[sw.From]
+		from.switches = append(from.switches, switchLink{to: fragAt[sw.To], handler: handlerSwitch(sw.To)})
+	}
+	for i := range spec.Receivers {
+		r := &spec.Receivers[i]
+		g.recvs[i] = recvInfo{spec: r, class: g.fq(r.Name), starts: actAt[r.StartsActivity]}
+	}
+	return g
 }
 
 func (g *generator) fq(name string) string { return g.spec.Package + "." + name }
 
-// transitionsFrom returns the outgoing transitions of an activity.
-func (g *generator) transitionsFrom(act string) []Transition {
-	var out []Transition
-	for _, tr := range g.spec.Transition {
-		if tr.From == act {
-			out = append(out, tr)
-		}
-	}
-	return out
+// derive derives the names of an activity ("activity") or fragment
+// ("fragment").
+func (g *generator) derive(kind, name string) component {
+	low := lname(name)
+	return component{low: low, class: g.fq(name), layout: refLayout(kind, low)}
 }
 
-// switchesFrom returns the F→F switches leaving a fragment.
-func (g *generator) switchesFrom(frag string) []FragmentSwitch {
-	var out []FragmentSwitch
-	for _, sw := range g.spec.Switches {
-		if sw.From == frag {
-			out = append(out, sw)
-		}
-	}
-	return out
-}
-
-// hostOf returns the first activity wiring the fragment.
-func (g *generator) hostOf(frag string) (string, bool) {
-	for _, a := range g.spec.Activities {
-		for _, w := range a.Wires {
-			if w.Fragment == frag {
-				return a.Name, true
-			}
-		}
-	}
-	return "", false
-}
+// layoutName is the name of the layout a "@layout/..." reference names.
+func layoutName(ref string) string { return ref[len("@layout/"):] }
 
 func (g *generator) build() (*parts, error) {
-	p := &parts{manifest: g.buildManifest()}
-	for i := range g.spec.Activities {
-		a := &g.spec.Activities[i]
+	p := &parts{
+		manifest: g.buildManifest(),
+		layouts:  make([]*layout.Layout, 0, len(g.acts)+len(g.frags)),
+		classes:  make([]*smali.Class, 0, len(g.acts)+len(g.frags)+len(g.recvs)),
+	}
+	for i := range g.acts {
+		a := &g.acts[i]
 		l, err := g.activityLayout(a)
 		if err != nil {
 			return nil, err
@@ -204,8 +350,8 @@ func (g *generator) build() (*parts, error) {
 		p.layouts = append(p.layouts, l)
 		p.classes = append(p.classes, g.activityClass(a))
 	}
-	for i := range g.spec.Fragments {
-		f := &g.spec.Fragments[i]
+	for i := range g.frags {
+		f := &g.frags[i]
 		l, err := g.fragmentLayout(f)
 		if err != nil {
 			return nil, err
@@ -213,31 +359,33 @@ func (g *generator) build() (*parts, error) {
 		p.layouts = append(p.layouts, l)
 		p.classes = append(p.classes, g.fragmentClass(f))
 	}
-	for i := range g.spec.Receivers {
-		p.classes = append(p.classes, g.receiverClass(&g.spec.Receivers[i]))
+	for i := range g.recvs {
+		p.classes = append(p.classes, g.receiverClass(&g.recvs[i]))
 	}
 	return p, nil
 }
 
-func (g *generator) receiverClass(r *ReceiverSpec) *smali.Class {
-	c := &smali.Class{Name: g.fq(r.Name), Super: smali.ClassReceiver, Access: []string{"public"}}
-	var body []smali.Instr
-	for _, api := range r.Sensitive {
+func (g *generator) receiverClass(r *recvInfo) *smali.Class {
+	c := &smali.Class{Name: r.class, Super: smali.ClassReceiver, Access: publicAccess}
+	n := len(r.spec.Sensitive)
+	if r.starts != nil {
+		n += 3
+	}
+	body := make([]smali.Instr, 0, max(n, 1))
+	for _, api := range r.spec.Sensitive {
 		body = append(body, ins(smali.OpInvokeSensitive, api))
 	}
-	if r.StartsActivity != "" {
-		body = append(body, ins(smali.OpNewIntent, g.fq(r.Name), g.fq(r.StartsActivity)))
-		if target := g.spec.activity(r.StartsActivity); target != nil && target.RequiresExtra != "" {
-			body = append(body, ins(smali.OpPutExtra, target.RequiresExtra, "ctx"))
+	if target := r.starts; target != nil {
+		body = append(body, ins(smali.OpNewIntent, r.class, target.class))
+		if target.spec.RequiresExtra != "" {
+			body = append(body, ins(smali.OpPutExtra, target.spec.RequiresExtra, "ctx"))
 		}
 		body = append(body, ins(smali.OpStartActivity))
 	}
 	if len(body) == 0 {
 		body = append(body, ins(smali.OpLog, "broadcast received"))
 	}
-	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onReceive", Access: []string{"public"}, Body: body,
-	})
+	c.Methods = []*smali.Method{{Name: "onReceive", Access: publicAccess, Body: body}}
 	return c
 }
 
@@ -262,9 +410,11 @@ func (g *generator) buildManifest() *manifest.Manifest {
 	for _, p := range g.requiredPermissions() {
 		m.Permissions = append(m.Permissions, manifest.Permission{Name: p})
 	}
-	for _, a := range g.spec.Activities {
-		act := manifest.Activity{Name: g.fq(a.Name)}
-		if a.Launcher {
+	m.Application.Activities = make([]manifest.Activity, 0, len(g.acts))
+	for i := range g.acts {
+		a := &g.acts[i]
+		act := manifest.Activity{Name: a.class}
+		if a.spec.Launcher {
 			act.Filters = append(act.Filters, manifest.IntentFilter{
 				Actions:    []manifest.Action{{Name: manifest.ActionMain}},
 				Categories: []manifest.Category{{Name: manifest.CategoryLauncher}},
@@ -273,27 +423,27 @@ func (g *generator) buildManifest() *manifest.Manifest {
 		// Intent-filter actions for implicit transitions targeting this
 		// activity.
 		for _, tr := range g.spec.Transition {
-			if tr.Kind == TransAction && tr.To == a.Name {
+			if tr.Kind == TransAction && tr.To == a.spec.Name {
 				act.Filters = append(act.Filters, manifest.IntentFilter{
 					Actions: []manifest.Action{{Name: tr.Action}},
 				})
 			}
 		}
-		if a.DeepLink != "" {
+		if a.spec.DeepLink != "" {
 			act.Filters = append(act.Filters, manifest.IntentFilter{
 				Actions: []manifest.Action{{Name: manifest.ActionView}},
 				Categories: []manifest.Category{
 					{Name: manifest.CategoryDefault},
 					{Name: manifest.CategoryBrowsable},
 				},
-				Data: []manifest.Data{{URI: a.DeepLink}},
+				Data: []manifest.Data{{URI: a.spec.DeepLink}},
 			})
 		}
 		m.Application.Activities = append(m.Application.Activities, act)
 	}
-	for _, r := range g.spec.Receivers {
-		rec := manifest.Receiver{Name: g.fq(r.Name)}
-		for _, action := range r.Actions {
+	for _, r := range g.recvs {
+		rec := manifest.Receiver{Name: r.class}
+		for _, action := range r.spec.Actions {
 			rec.Filters = append(rec.Filters, manifest.IntentFilter{
 				Actions: []manifest.Action{{Name: action}},
 			})
@@ -331,36 +481,8 @@ func (g *generator) requiredPermissions() []string {
 	return out
 }
 
-// needsDrawer / needsSlideDrawer report which drawer variants the activity
-// layout requires.
-func (g *generator) needsDrawer(a *ActivitySpec) bool {
-	for _, tr := range g.transitionsFrom(a.Name) {
-		if tr.Kind == TransDrawerButton {
-			return true
-		}
-	}
-	for _, w := range a.Wires {
-		if w.Kind == WireTxnDrawer {
-			return true
-		}
-	}
-	return false
-}
-
-func (g *generator) needsSlideDrawer(a *ActivitySpec) bool {
-	for _, tr := range g.transitionsFrom(a.Name) {
-		if tr.Kind == TransSlideDrawer {
-			return true
-		}
-	}
-	for _, w := range a.Wires {
-		if w.Kind == WireTxnSlideDrawer {
-			return true
-		}
-	}
-	return false
-}
-
+// needsContainer reports whether the activity's layout has a fragment
+// container: some wire commits or inflates a fragment into it.
 func needsContainer(a *ActivitySpec) bool {
 	for _, w := range a.Wires {
 		switch w.Kind {
@@ -371,95 +493,90 @@ func needsContainer(a *ActivitySpec) bool {
 	return false
 }
 
-func (g *generator) activityLayout(a *ActivitySpec) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refRoot(a.Name))
-	root.Child(layout.Root(layout.TypeTextView).
-		ID("@id/" + lname(a.Name) + "_title").Text(a.Name))
+func (g *generator) activityLayout(a *actInfo) (*layout.Layout, error) {
+	root := layout.Root(layout.TypeLinearLayout).ID(refRoot(a.low))
+	root.Child(layout.Root(layout.TypeTextView).ID(refTitle(a.low)).Text(a.spec.Name))
 
-	if g.needsDrawer(a) {
+	if a.drawer {
 		root.Child(layout.Root(layout.TypeImageButton).
-			ID(refDrawerToggle(a.Name)).OnClick(handlerToggleDrawer))
-		drawer := layout.Root(layout.TypeDrawerLayout).ID(refDrawer(a.Name)).HiddenW()
-		for _, tr := range g.transitionsFrom(a.Name) {
-			if tr.Kind == TransDrawerButton {
+			ID(refDrawerToggle(a.low)).OnClick(handlerToggleDrawer))
+		drawer := layout.Root(layout.TypeDrawerLayout).ID(refDrawer(a.low)).HiddenW()
+		for i := range a.out {
+			if tr := &a.out[i]; tr.Kind == TransDrawerButton {
 				drawer.Child(layout.Root(layout.TypeButton).
-					ID(refMenuButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+					ID(refMenuButton(a.low, tr.to.low)).Text(tr.To).OnClick(tr.handler))
 			}
 		}
-		for _, w := range a.Wires {
-			if w.Kind == WireTxnDrawer {
+		for i := range a.wires {
+			if w := &a.wires[i]; w.Kind == WireTxnDrawer {
 				drawer.Child(layout.Root(layout.TypeButton).
-					ID(refMenuFragButton(a.Name, w.Fragment)).Text(w.Fragment).
-					OnClick(handlerShow(w.Fragment)))
+					ID(refMenuFragButton(a.low, w.frag.low)).Text(w.Fragment).
+					OnClick(w.handler))
 			}
 		}
 		root.Child(drawer)
 	}
-	if g.needsSlideDrawer(a) {
-		slide := layout.Root(layout.TypeDrawerLayout).ID(refSlideDrawer(a.Name)).HiddenW()
-		for _, tr := range g.transitionsFrom(a.Name) {
-			if tr.Kind == TransSlideDrawer {
+	if a.slide {
+		slide := layout.Root(layout.TypeDrawerLayout).ID(refSlideDrawer(a.low)).HiddenW()
+		for i := range a.out {
+			if tr := &a.out[i]; tr.Kind == TransSlideDrawer {
 				slide.Child(layout.Root(layout.TypeButton).
-					ID(refSlideMenuButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+					ID(refSlideMenuButton(a.low, tr.to.low)).Text(tr.To).OnClick(tr.handler))
 			}
 		}
-		for _, w := range a.Wires {
-			if w.Kind == WireTxnSlideDrawer {
+		for i := range a.wires {
+			if w := &a.wires[i]; w.Kind == WireTxnSlideDrawer {
 				slide.Child(layout.Root(layout.TypeButton).
-					ID(refSlideMenuFragButton(a.Name, w.Fragment)).Text(w.Fragment).
-					OnClick(handlerShow(w.Fragment)))
+					ID(refSlideMenuFragButton(a.low, w.frag.low)).Text(w.Fragment).
+					OnClick(w.handler))
 			}
 		}
 		root.Child(slide)
 	}
 
-	for _, tr := range g.transitionsFrom(a.Name) {
-		switch tr.Kind {
+	for i := range a.out {
+		switch tr := &a.out[i]; tr.Kind {
 		case TransButton:
 			if tr.Gate != nil {
-				field := tr.Gate.Field
-				if field == "" {
-					field = refInput(a.Name, tr.To)
-				}
 				hint := tr.Gate.Hint
 				if hint == "" {
 					hint = "code for " + tr.To
 				}
-				root.Child(layout.Root(layout.TypeEditText).ID(field).Hint(hint))
+				root.Child(layout.Root(layout.TypeEditText).ID(tr.field).Hint(hint))
 			}
 			root.Child(layout.Root(layout.TypeButton).
-				ID(refNavButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerGo(tr.To)))
+				ID(refNavButton(a.low, tr.to.low)).Text(tr.To).OnClick(tr.handler))
 		case TransAction:
 			root.Child(layout.Root(layout.TypeButton).
-				ID(refActionButton(a.Name, tr.To)).Text(tr.To).OnClick(handlerAct(tr.To)))
+				ID(refActionButton(a.low, tr.to.low)).Text(tr.To).OnClick(tr.handler))
 		}
 	}
 
-	for _, w := range a.Wires {
+	for i := range a.wires {
+		w := &a.wires[i]
 		if w.Kind == WireTxnButton {
 			// Tab buttons get their listeners registered in code.
-			root.Child(layout.Root(layout.TypeTabItem).
-				ID(refTabButton(a.Name, w.Fragment)).Text(w.Fragment))
+			root.Child(layout.Root(layout.TypeTabItem).ID(w.tab).Text(w.Fragment))
 		}
 		if w.Kind == WireStatic {
 			root.Child(layout.Root(layout.TypeFragment).
-				ID(refStaticFrag(a.Name, w.Fragment)).Class(g.fq(w.Fragment)))
+				ID(refStaticFrag(a.low, w.frag.low)).Class(w.frag.class))
 		}
 	}
-	if needsContainer(a) {
-		root.Child(layout.Root(layout.TypeFrameLayout).ID(refContainer(a.Name)))
+	if needsContainer(a.spec) {
+		root.Child(layout.Root(layout.TypeFrameLayout).ID(a.container))
 	}
-	return root.BuildLayout("activity_" + lname(a.Name))
+	return root.BuildLayout(layoutName(a.layout))
 }
 
-func (g *generator) fragmentLayout(f *FragmentSpec) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refFragRoot(f.Name))
-	root.Child(layout.Root(layout.TypeTextView).ID(refFragLabel(f.Name)).Text(f.Name))
-	for _, sw := range g.switchesFrom(f.Name) {
+func (g *generator) fragmentLayout(f *fragInfo) (*layout.Layout, error) {
+	root := layout.Root(layout.TypeLinearLayout).ID(refFragRoot(f.low))
+	root.Child(layout.Root(layout.TypeTextView).ID(refFragLabel(f.low)).Text(f.spec.Name))
+	for _, sw := range f.switches {
 		root.Child(layout.Root(layout.TypeButton).
-			ID(refSwitchButton(f.Name, sw.To)).Text(sw.To).OnClick(handlerSwitch(sw.To)))
+			ID(refSwitchButton(f.low, sw.to.low)).Text(sw.to.spec.Name).OnClick(sw.handler))
 	}
-	return root.BuildLayout("fragment_" + lname(f.Name))
+	return root.BuildLayout(layoutName(f.layout))
 }
 
 // ins is a tiny instruction constructor for generated code.
@@ -474,91 +591,117 @@ func (g *generator) fmOps(a *ActivitySpec) (get smali.Op) {
 	return smali.OpGetFragmentManager
 }
 
-func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
+func (g *generator) activityClass(a *actInfo) *smali.Class {
 	super := smali.ClassActivity
-	if a.SupportFM {
+	if a.spec.SupportFM {
 		super = smali.ClassFragmentActivity
 	}
-	c := &smali.Class{Name: g.fq(a.Name), Super: super, Access: []string{"public"}}
+	c := &smali.Class{Name: a.class, Super: super, Access: publicAccess}
 
-	var onCreate []smali.Instr
-	if a.RequiresExtra != "" {
-		onCreate = append(onCreate, ins(smali.OpRequireExtra, a.RequiresExtra))
+	// Size onCreate's body and the method list before filling them.
+	nOnCreate, nMethods := 1+len(a.spec.Sensitive), 1+len(a.out)
+	if a.spec.RequiresExtra != "" {
+		nOnCreate++
 	}
-	onCreate = append(onCreate, ins(smali.OpSetContentView, "@layout/activity_"+lname(a.Name)))
-	for _, w := range a.Wires {
-		if w.Kind == WireTxnButton {
-			onCreate = append(onCreate,
-				ins(smali.OpSetClickListener, refTabButton(a.Name, w.Fragment), handlerShow(w.Fragment)))
+	if a.spec.PopupOnCreate {
+		nOnCreate++
+	}
+	if a.drawer {
+		nMethods++
+	}
+	for _, w := range a.wires {
+		switch w.Kind {
+		case WireTxnOnCreate:
+			nOnCreate += 4
+		case WireTxnButton:
+			nOnCreate++
+			nMethods++
+		case WireInflate, WireReferenceOnly:
+			nOnCreate++
+		case WireTxnDrawer, WireTxnSlideDrawer:
+			nMethods++
 		}
 	}
-	for _, api := range a.Sensitive {
+
+	onCreate := make([]smali.Instr, 0, nOnCreate)
+	if a.spec.RequiresExtra != "" {
+		onCreate = append(onCreate, ins(smali.OpRequireExtra, a.spec.RequiresExtra))
+	}
+	onCreate = append(onCreate, ins(smali.OpSetContentView, a.layout))
+	for _, w := range a.wires {
+		if w.Kind == WireTxnButton {
+			onCreate = append(onCreate, ins(smali.OpSetClickListener, w.tab, w.handler))
+		}
+	}
+	for _, api := range a.spec.Sensitive {
 		onCreate = append(onCreate, ins(smali.OpInvokeSensitive, api))
 	}
-	for _, w := range a.Wires {
+	for _, w := range a.wires {
 		switch w.Kind {
 		case WireTxnOnCreate:
 			onCreate = append(onCreate,
-				ins(g.fmOps(a)),
+				ins(g.fmOps(a.spec)),
 				ins(smali.OpBeginTransaction),
-				ins(smali.OpTxnAdd, refContainer(a.Name), g.fq(w.Fragment)),
+				ins(smali.OpTxnAdd, a.container, w.frag.class),
 				ins(smali.OpTxnCommit),
 			)
 		case WireInflate:
-			onCreate = append(onCreate,
-				ins(smali.OpInflateView, refContainer(a.Name), g.fq(w.Fragment)))
+			onCreate = append(onCreate, ins(smali.OpInflateView, a.container, w.frag.class))
 		case WireReferenceOnly:
-			onCreate = append(onCreate, ins(smali.OpNewInstance, g.fq(w.Fragment)))
+			onCreate = append(onCreate, ins(smali.OpNewInstance, w.frag.class))
 		}
 	}
-	if a.PopupOnCreate {
+	if a.spec.PopupOnCreate {
 		onCreate = append(onCreate, ins(smali.OpShowPopup, "app bar menu"))
 	}
+	c.Methods = make([]*smali.Method, 0, nMethods)
 	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onCreate", Access: []string{"public"}, Body: onCreate,
+		Name: "onCreate", Access: publicAccess, Body: onCreate,
 	})
 
-	if g.needsDrawer(a) {
+	if a.drawer {
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: handlerToggleDrawer, Access: []string{"public"},
-			Body: []smali.Instr{ins(smali.OpToggleVisible, refDrawer(a.Name))},
+			Name: handlerToggleDrawer, Access: publicAccess,
+			Body: []smali.Instr{ins(smali.OpToggleVisible, refDrawer(a.low))},
 		})
 	}
 
-	for _, tr := range g.transitionsFrom(a.Name) {
-		var body []smali.Instr
+	for i := range a.out {
+		tr := &a.out[i]
+		n := 2
 		if tr.Gate != nil {
-			field := tr.Gate.Field
-			if field == "" {
-				field = refInput(a.Name, tr.To)
-			}
-			body = append(body, ins(smali.OpRequireInput, field, GateValue(tr.Gate, tr.To)))
+			n++
 		}
-		name := handlerGo(tr.To)
+		if tr.to.spec.RequiresExtra != "" {
+			n++
+		}
+		body := make([]smali.Instr, 0, n)
+		if tr.Gate != nil {
+			body = append(body, ins(smali.OpRequireInput, tr.field, tr.gateValue()))
+		}
 		if tr.Kind == TransAction {
-			name = handlerAct(tr.To)
 			body = append(body, ins(smali.OpNewIntentAction, tr.Action))
 		} else {
-			body = append(body, ins(smali.OpNewIntent, g.fq(a.Name), g.fq(tr.To)))
+			body = append(body, ins(smali.OpNewIntent, a.class, tr.to.class))
 		}
-		if target := g.spec.activity(tr.To); target != nil && target.RequiresExtra != "" {
-			body = append(body, ins(smali.OpPutExtra, target.RequiresExtra, "ctx"))
+		if tr.to.spec.RequiresExtra != "" {
+			body = append(body, ins(smali.OpPutExtra, tr.to.spec.RequiresExtra, "ctx"))
 		}
 		body = append(body, ins(smali.OpStartActivity))
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: name, Access: []string{"public"}, Body: body,
+			Name: tr.handler, Access: publicAccess, Body: body,
 		})
 	}
 
-	for _, w := range a.Wires {
+	for _, w := range a.wires {
 		switch w.Kind {
 		case WireTxnButton, WireTxnDrawer, WireTxnSlideDrawer:
 			c.Methods = append(c.Methods, &smali.Method{
-				Name: handlerShow(w.Fragment), Access: []string{"public"},
+				Name: w.handler, Access: publicAccess,
 				Body: []smali.Instr{
-					ins(g.fmOps(a)),
+					ins(g.fmOps(a.spec)),
 					ins(smali.OpBeginTransaction),
-					ins(smali.OpTxnReplace, refContainer(a.Name), g.fq(w.Fragment)),
+					ins(smali.OpTxnReplace, a.container, w.frag.class),
 					ins(smali.OpTxnCommit),
 				},
 			})
@@ -567,31 +710,29 @@ func (g *generator) activityClass(a *ActivitySpec) *smali.Class {
 	return c
 }
 
-func (g *generator) fragmentClass(f *FragmentSpec) *smali.Class {
+func (g *generator) fragmentClass(f *fragInfo) *smali.Class {
 	c := &smali.Class{
-		Name:         g.fq(f.Name),
+		Name:         f.class,
 		Super:        smali.ClassFragment,
-		Access:       []string{"public"},
-		RequiresArgs: f.RequiresArgs,
+		Access:       publicAccess,
+		RequiresArgs: f.spec.RequiresArgs,
 	}
-	body := []smali.Instr{ins(smali.OpSetContentView, "@layout/fragment_"+lname(f.Name))}
-	for _, api := range f.Sensitive {
+	body := make([]smali.Instr, 0, 1+len(f.spec.Sensitive))
+	body = append(body, ins(smali.OpSetContentView, f.layout))
+	for _, api := range f.spec.Sensitive {
 		body = append(body, ins(smali.OpInvokeSensitive, api))
 	}
+	c.Methods = make([]*smali.Method, 0, 1+len(f.switches))
 	c.Methods = append(c.Methods, &smali.Method{
-		Name: "onCreateView", Access: []string{"public"}, Body: body,
+		Name: "onCreateView", Access: publicAccess, Body: body,
 	})
-	for _, sw := range g.switchesFrom(f.Name) {
-		host, ok := g.hostOf(sw.From)
-		if !ok {
-			host = f.Name // unreachable; Validate guarantees a host
-		}
+	for _, sw := range f.switches {
 		c.Methods = append(c.Methods, &smali.Method{
-			Name: handlerSwitch(sw.To), Access: []string{"public"},
+			Name: sw.handler, Access: publicAccess,
 			Body: []smali.Instr{
 				ins(smali.OpGetFragmentManager),
 				ins(smali.OpBeginTransaction),
-				ins(smali.OpTxnReplace, refContainer(host), g.fq(sw.To)),
+				ins(smali.OpTxnReplace, f.host.container, sw.to.class),
 				ins(smali.OpTxnCommit),
 			},
 		})

@@ -1,9 +1,6 @@
 package corpus
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // SpecSource is a random-access corpus of app specs. At(i) materializes the
 // i-th spec on demand, so a source never needs to hold the whole corpus in
@@ -109,10 +106,8 @@ func (f *Family) memberSeed(i int) int64 {
 // statistics — packed share, fragment share, axis mix — are stable across
 // seeds, exactly like the 217-app study.
 func (f *Family) member(i int) (*AppSpec, []string) {
-	cat := studyCategories[i%len(studyCategories)]
-	pkg := fmt.Sprintf("com.%s.fam%06d", cat, i)
 	rng := newRand(f.memberSeed(i))
-	spec := RandomSpec(pkg, rng.Int63())
+	spec := RandomSpec(memberPackage(i, ".fam", 6), rng.Int63())
 	spec.Downloads = "1,000,000+"
 	ensureFragment(spec)
 

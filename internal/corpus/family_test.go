@@ -1,6 +1,8 @@
 package corpus
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -26,6 +28,24 @@ func TestFamilyDeterministicAndPure(t *testing.T) {
 	}
 	if got := NewFamily(40, 8).At(3); reflect.DeepEqual(got, small.At(3)) {
 		t.Fatalf("different seeds produced identical member 3")
+	}
+}
+
+// TestMemberPackageMatchesSprintf holds memberPackage to the fmt format it
+// replaces, at both corpora's widths, on indexes that fit the width and
+// indexes that overflow it.
+func TestMemberPackageMatchesSprintf(t *testing.T) {
+	for _, i := range []int{0, 7, 26, 27, 99, 216, 999, 1000, 9999, 123456, 999999, 1000000, 1 << 30, math.MaxInt64} {
+		cat := studyCategories[i%len(studyCategories)]
+		for _, c := range []struct {
+			infix string
+			width int
+		}{{".app", 3}, {".fam", 6}} {
+			want := fmt.Sprintf("com.%s%s%0*d", cat, c.infix, c.width, i)
+			if got := memberPackage(i, c.infix, c.width); got != want {
+				t.Errorf("memberPackage(%d, %q, %d) = %q, want %q", i, c.infix, c.width, got, want)
+			}
+		}
 	}
 }
 

@@ -249,23 +249,3 @@ func (s *AppSpec) Validate() error {
 	}
 	return nil
 }
-
-// activity returns the named activity spec, or nil.
-func (s *AppSpec) activity(name string) *ActivitySpec {
-	for i := range s.Activities {
-		if s.Activities[i].Name == name {
-			return &s.Activities[i]
-		}
-	}
-	return nil
-}
-
-// fragment returns the named fragment spec, or nil.
-func (s *AppSpec) fragment(name string) *FragmentSpec {
-	for i := range s.Fragments {
-		if s.Fragments[i].Name == name {
-			return &s.Fragments[i]
-		}
-	}
-	return nil
-}

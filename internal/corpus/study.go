@@ -1,6 +1,6 @@
 package corpus
 
-import "fmt"
+import "strconv"
 
 // The 27 Google Play categories of the §VII-A dataset study.
 var studyCategories = []string{
@@ -37,8 +37,7 @@ func StudySpecs(seed int64) []*AppSpec {
 	packed := 0
 	noFrag := 0
 	for i := 0; i < StudySize; i++ {
-		cat := studyCategories[i%len(studyCategories)]
-		pkg := fmt.Sprintf("com.%s.app%03d", cat, i)
+		pkg := memberPackage(i, ".app", 3)
 		spec := RandomSpec(pkg, rng.Int63())
 		spec.Downloads = "500,000+"
 		ensureFragment(spec)
@@ -58,6 +57,22 @@ func StudySpecs(seed int64) []*AppSpec {
 }
 
 func continueAppend(specs *[]*AppSpec, s *AppSpec) { *specs = append(*specs, s) }
+
+// memberPackage names corpus app i (i ≥ 0) "com.<category><infix><i>", with
+// i zero-padded to width digits: fmt's "com.%s<infix>%0<width>d" in one
+// allocation.
+func memberPackage(i int, infix string, width int) string {
+	var buf [64]byte
+	b := append(buf[:0], "com."...)
+	b = append(b, studyCategories[i%len(studyCategories)]...)
+	b = append(b, infix...)
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(i), 10)
+	for n := len(d); n < width; n++ {
+		b = append(b, '0')
+	}
+	return string(append(b, d...))
+}
 
 // ensureFragment guarantees a spec uses at least one fragment, keeping the
 // study's usage statistic independent of the seed.
@@ -84,27 +99,23 @@ func stripFragments(spec *AppSpec) {
 // and drawers. Property tests run the whole pipeline over these.
 func RandomSpec(pkg string, seed int64) *AppSpec {
 	rng := newRand(seed)
-	spec := &AppSpec{Package: pkg}
-
 	nActs := 2 + rng.Intn(6)
-	names := make([]string, nActs)
-	for i := range names {
-		if i == 0 {
-			names[i] = "Main"
-		} else {
-			names[i] = fmt.Sprintf("Act%d", i)
-		}
+	spec := &AppSpec{
+		Package:    pkg,
+		Activities: make([]ActivitySpec, nActs),
+		Transition: make([]Transition, nActs-1),
 	}
-	spec.Activities = append(spec.Activities, ActivitySpec{Name: "Main", Launcher: true})
-	for _, n := range names[1:] {
-		a := ActivitySpec{Name: n}
+	spec.Activities[0] = ActivitySpec{Name: "Main", Launcher: true}
+	for i := 1; i < nActs; i++ {
+		a := &spec.Activities[i]
+		a.Name = "Act" + strconv.Itoa(i)
 		if rng.Intn(8) == 0 {
 			a.RequiresExtra = "ctx"
 		}
-		spec.Activities = append(spec.Activities, a)
 	}
-	for i, n := range names[1:] {
-		parent := names[rng.Intn(i+1)]
+	for i := 1; i < nActs; i++ {
+		to := spec.Activities[i].Name
+		parent := spec.Activities[rng.Intn(i)].Name
 		kind := TransButton
 		switch rng.Intn(6) {
 		case 0:
@@ -114,35 +125,33 @@ func RandomSpec(pkg string, seed int64) *AppSpec {
 		case 2:
 			kind = TransAction
 		}
-		tr := Transition{From: parent, To: n, Kind: kind}
+		tr := Transition{From: parent, To: to, Kind: kind}
 		if kind == TransAction {
-			tr.Action = pkg + ".ACTION_" + n
+			tr.Action = pkg + ".ACTION_" + to
 		}
 		if kind == TransButton && rng.Intn(6) == 0 {
 			tr.Gate = &InputGate{}
 		}
-		spec.Transition = append(spec.Transition, tr)
+		spec.Transition[i-1] = tr
 	}
 
 	nFrags := rng.Intn(7)
+	if nFrags > 0 {
+		spec.Fragments = make([]FragmentSpec, nFrags)
+	}
 	wireKinds := []WireKind{
 		WireTxnOnCreate, WireTxnButton, WireTxnDrawer, WireTxnSlideDrawer,
 		WireInflate, WireStatic, WireReferenceOnly,
 	}
-	for i := 0; i < nFrags; i++ {
-		fn := fmt.Sprintf("Frag%d", i)
-		fs := FragmentSpec{Name: fn}
+	for i := range spec.Fragments {
+		fs := &spec.Fragments[i]
+		fs.Name = "Frag" + strconv.Itoa(i)
 		if rng.Intn(8) == 0 {
 			fs.RequiresArgs = true
 		}
-		spec.Fragments = append(spec.Fragments, fs)
-		host := names[rng.Intn(len(names))]
+		host := &spec.Activities[rng.Intn(nActs)]
 		kind := wireKinds[rng.Intn(len(wireKinds))]
-		for j := range spec.Activities {
-			if spec.Activities[j].Name == host {
-				spec.Activities[j].Wires = append(spec.Activities[j].Wires, FragmentWire{Fragment: fn, Kind: kind})
-			}
-		}
+		host.Wires = append(host.Wires, FragmentWire{Fragment: fs.Name, Kind: kind})
 	}
 	return spec
 }
