@@ -68,9 +68,9 @@ func Load(a *Archive) (*App, error) {
 		return nil, err
 	}
 
-	tbl := res.NewTable()
-	layouts := make(map[string]*layout.Layout)
-	for _, p := range a.WithPrefix(LayoutDir) {
+	paths := a.WithPrefix(LayoutDir)
+	parsed := make([]*layout.Layout, len(paths))
+	for i, p := range paths {
 		base := path.Base(p)
 		name := strings.TrimSuffix(base, ".xml")
 		if name == base {
@@ -81,10 +81,17 @@ func Load(a *Archive) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
+		parsed[i] = l
+	}
+	// Registering waits until every layout is parsed, so the table can be
+	// sized first. Parse validated each layout, so no error moves.
+	tbl := res.NewTableSized(resourceCount(parsed))
+	layouts := make(map[string]*layout.Layout, len(parsed))
+	for _, l := range parsed {
 		if err := l.Register(tbl); err != nil {
 			return nil, err
 		}
-		layouts[name] = l
+		layouts[l.Name] = l
 	}
 
 	smaliFiles := make(map[string][]byte)
@@ -118,7 +125,7 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	tbl := res.NewTable()
+	tbl := res.NewTableSized(resourceCount(layouts))
 	lmap := make(map[string]*layout.Layout, len(layouts))
 	ordered := append([]*layout.Layout(nil), layouts...)
 	slices.SortFunc(ordered, func(a, b *layout.Layout) int { return strings.Compare(a.Name, b.Name) })
@@ -134,7 +141,7 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 		}
 		lmap[l.Name] = l
 	}
-	prog := smali.NewProgram()
+	prog := smali.NewProgramSized(len(classes))
 	// The sort key, each class's archive path, is built once per class.
 	type pathClass struct {
 		path string
@@ -167,9 +174,41 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	return app, nil
 }
 
-// smaliPath is the canonical archive entry path of a class.
+// resourceCount is the number of resources the layouts define at most:
+// each layout and each of its widget IDs. It walks the trees itself rather
+// than asking IDRefCount, which would cache the count in each layout and so
+// set it apart from the same layout decoded.
+func resourceCount(layouts []*layout.Layout) int {
+	n := len(layouts)
+	for _, l := range layouts {
+		l.Walk(func(w *layout.Widget) bool {
+			if w.IDRef != "" {
+				n++
+			}
+			return true
+		})
+	}
+	return n
+}
+
+// smaliPath is the canonical archive entry path of a class, built in one
+// allocation.
 func smaliPath(name string) string {
-	return SmaliDir + strings.ReplaceAll(name, ".", "/") + ".smali"
+	var b strings.Builder
+	b.Grow(len(SmaliDir) + len(name) + len(".smali"))
+	b.WriteString(SmaliDir)
+	for {
+		dot := strings.IndexByte(name, '.')
+		if dot < 0 {
+			break
+		}
+		b.WriteString(name[:dot])
+		b.WriteByte('/')
+		name = name[dot+1:]
+	}
+	b.WriteString(name)
+	b.WriteString(".smali")
+	return b.String()
 }
 
 // LoadBytes decodes a serialized archive into an App.

@@ -415,7 +415,7 @@ func categoryOf(pkg string) string {
 // usesFragments is the study's scanner: does the decompiled code contain any
 // Fragment subclass?
 func usesFragments(app *apk.App) bool {
-	return len(app.Program.FragmentClasses()) > 0
+	return app.Program.HasFragmentClass()
 }
 
 // ComparisonRow reports one system's aggregate behaviour over the corpus.

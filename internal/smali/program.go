@@ -300,6 +300,18 @@ func (p *Program) FragmentClasses() []string {
 	return out
 }
 
+// HasFragmentClass reports whether any class is a fragment subclass,
+// stopping at the first; it is len(FragmentClasses()) > 0 without the
+// list.
+func (p *Program) HasFragmentClass() bool {
+	for _, name := range p.order {
+		if p.IsFragmentClass(name) {
+			return true
+		}
+	}
+	return false
+}
+
 // ActivityClasses returns all activity subclasses, sorted.
 func (p *Program) ActivityClasses() []string {
 	var out []string
@@ -388,13 +400,33 @@ func (p *Program) Validate() error {
 		if !FrameworkClass(c.Super) && p.classes[c.Super] == nil {
 			return fmt.Errorf("smali: class %s extends unknown class %s", name, c.Super)
 		}
-		for _, u := range p.UsedClasses(name) {
-			if !FrameworkClass(u) && p.classes[u] == nil {
-				return fmt.Errorf("smali: class %s references unknown class %s", name, u)
-			}
+		if u, ok := p.smallestUnknown(c); ok {
+			return fmt.Errorf("smali: class %s references unknown class %s", name, u)
 		}
 	}
 	return nil
+}
+
+// smallestUnknown returns the smallest of the class names c's instructions
+// reference (as UsedClasses lists them) that is neither a framework class
+// nor in the program. It reports false if there is none.
+func (p *Program) smallestUnknown(c *Class) (string, bool) {
+	var smallest string
+	found := false
+	for _, m := range c.Methods {
+		for _, ins := range m.Body {
+			for n, k := range opSpecs[ins.Op].kinds {
+				if k != argType || n >= len(ins.Args) {
+					continue
+				}
+				u := ins.Args[n]
+				if (!found || u < smallest) && !FrameworkClass(u) && p.classes[u] == nil {
+					smallest, found = u, true
+				}
+			}
+		}
+	}
+	return smallest, found
 }
 
 // ToDescriptor converts a dotted class name to the Dalvik descriptor form

@@ -110,6 +110,22 @@ func TestClassification(t *testing.T) {
 	if got := p.FragmentClasses(); !reflect.DeepEqual(got, wantFrags) {
 		t.Errorf("FragmentClasses = %v", got)
 	}
+	if !p.HasFragmentClass() {
+		t.Error("HasFragmentClass = false with three fragment classes")
+	}
+	noFrags := NewProgram()
+	for _, c := range []*Class{
+		{Name: "p.Main", Super: ClassActivity},
+		{Name: "p.Cycle", Super: "p.Cycle"},
+		{Name: "p.Helper", Super: ClassObject},
+	} {
+		if err := noFrags.Add(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if noFrags.HasFragmentClass() {
+		t.Error("HasFragmentClass = true with no fragment class")
+	}
 	wantActs := []string{"com.ex.MainActivity", "com.ex.SettingsActivity"}
 	if got := p.ActivityClasses(); !reflect.DeepEqual(got, wantActs) {
 		t.Errorf("ActivityClasses = %v", got)
@@ -155,6 +171,16 @@ func TestValidateRejectsDanglingReferences(t *testing.T) {
 	}
 	if _, err := ParseProgram(files); err == nil {
 		t.Error("dangling reference: want error")
+	}
+	// Of two unknown classes, the error names the smaller, wherever the
+	// body references it.
+	files = map[string][]byte{
+		"a.smali": []byte(".class Lp/A;\n.super Ljava/lang/Object;\n.method m()V\n" +
+			"new-instance Lp/Zed;\nnew-instance Lp/Abe;\nnew-instance Lp/Zed;\n.end method\n"),
+	}
+	_, err := ParseProgram(files)
+	if want := "smali: class p.A references unknown class p.Abe"; err == nil || err.Error() != want {
+		t.Errorf("two dangling references: got error %v, want %q", err, want)
 	}
 }
 
