@@ -12,19 +12,19 @@ import (
 	"fragdroid/internal/apk"
 )
 
-// Corpus digests: the sha256 of every generated app's encoded bytes and
-// resource table, in corpus order. They pin the generator byte for byte: a
+// Corpus digests: the sha256 of every generated app's encoded bytes, in
+// corpus order. They pin the generator byte for byte: a
 // change to seeding, spec generation or app assembly that moves one byte of
 // any app fails here, where the self-consistency tests
 // (TestFamilyDeterministicAndPure) would still pass.
 const (
-	studySeed1Digest  = "b7d859a936ca783600754771e3a8f67b06c1a83296bd82931a3b3a0acb36ace1"
-	studySeed7Digest  = "ff76b0ec6506857382d3b3a183038c6bdbb066795f250d8a84087fe669a1e745"
-	familyN2000Digest = "308a2ba011e15dee268973faa43f93dc5ce878f1703b5c01b50b762f9f502d61"
+	studySeed1Digest  = "5814c55653aa2739d5f83376ccbdc8b7cbe19bc91f430bfeb27cca4ce31275ad"
+	studySeed7Digest  = "af01ccc0c4c85a6afb7dc894a7d3b348d0cbf5c64fba81797c3535d7ba1924bb"
+	familyN2000Digest = "8144ade9a87a2b7dcdd1727988f81f214f397a33fc24f7612542124d3d94529e"
 )
 
 // digestApp feeds one built app into h: its package, then either a packed
-// marker or the apk codec bytes followed by every resource entry.
+// marker or the apk codec bytes.
 func digestApp(t *testing.T, h hash.Hash, spec *AppSpec) {
 	t.Helper()
 	fmt.Fprintf(h, "app %s %s\n", spec.Package, spec.Downloads)
@@ -41,9 +41,6 @@ func digestApp(t *testing.T, h hash.Hash, spec *AppSpec) {
 		t.Fatalf("%s: encode: %v", spec.Package, err)
 	}
 	h.Write(data)
-	for _, e := range app.Resources.Entries() {
-		fmt.Fprintf(h, "%08x %s\n", uint32(e.ID), e.Ref())
-	}
 }
 
 func TestStudyCorpusDigest(t *testing.T) {
@@ -74,7 +71,7 @@ func TestFamilyCorpusDigest(t *testing.T) {
 }
 
 // paperDigest pins the demo app and the 15 Table I apps, in table order.
-const paperDigest = "938d31185011695414ac96530eacbae43261e2b9fb252896ec283e7d4f6f664b"
+const paperDigest = "7027d9c7ae0d9586535f5efbda8af45a4c289a625eb9cb91c7f58d2251eaa8df"
 
 func TestPaperCorpusDigest(t *testing.T) {
 	h := sha256.New()
