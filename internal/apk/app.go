@@ -28,8 +28,8 @@ var ErrPacked = errors.New("apk: package is packer-protected; cannot decompile")
 
 // App is the fully decoded, validated application bundle every other part of
 // the system works with. It is the output of the "Decompile APK" step
-// (§IV-B1): manifest, layouts, and smali program, plus the resource table
-// shared by static analysis and the device runtime.
+// (§IV-B1): manifest, layouts, and smali program. Static analysis and the
+// device runtime name each widget by its normalized resource reference.
 type App struct {
 	// Manifest is the parsed AndroidManifest.xml.
 	Manifest *manifest.Manifest
@@ -37,8 +37,6 @@ type App struct {
 	Layouts map[string]*layout.Layout
 	// Program is the decompiled smali code of the whole app.
 	Program *smali.Program
-	// Resources is the app's resource-ID table, populated from all layouts.
-	Resources *res.Table
 
 	// irState is an opaque, atomically-swapped slot owned by internal/ir
 	// (kept untyped here to avoid an import cycle): it carries the app's
@@ -69,8 +67,8 @@ func Load(a *Archive) (*App, error) {
 	}
 
 	paths := a.WithPrefix(LayoutDir)
-	parsed := make([]*layout.Layout, len(paths))
-	for i, p := range paths {
+	layouts := make(map[string]*layout.Layout, len(paths))
+	for _, p := range paths {
 		base := path.Base(p)
 		name := strings.TrimSuffix(base, ".xml")
 		if name == base {
@@ -81,17 +79,7 @@ func Load(a *Archive) (*App, error) {
 		if err != nil {
 			return nil, err
 		}
-		parsed[i] = l
-	}
-	// Registering waits until every layout is parsed, so the table can be
-	// sized first. Parse validated each layout, so no error moves.
-	tbl := res.NewTableSized(resourceCount(parsed))
-	layouts := make(map[string]*layout.Layout, len(parsed))
-	for _, l := range parsed {
-		if err := l.Register(tbl); err != nil {
-			return nil, err
-		}
-		layouts[l.Name] = l
+		layouts[name] = l
 	}
 
 	smaliFiles := make(map[string][]byte)
@@ -107,7 +95,7 @@ func Load(a *Archive) (*App, error) {
 		return nil, err
 	}
 
-	app := &App{Manifest: man, Layouts: layouts, Program: prog, Resources: tbl}
+	app := &App{Manifest: man, Layouts: layouts, Program: prog}
 	if err := app.Lint(); err != nil {
 		return nil, err
 	}
@@ -115,17 +103,16 @@ func Load(a *Archive) (*App, error) {
 }
 
 // Assemble constructs an App directly from in-memory parts, running the
-// same registration, validation, and lint steps as Load without the
-// serialize-then-reparse round trip. Layouts are registered in sorted-name
-// order and classes added in sorted-archive-path order, mirroring Load's
-// sorted-path iteration, so resource-ID numbering and program order are
-// identical to loading the equivalent archive. Programmatically built
-// classes are checked with smali.Class.Check, the parser's validation.
+// same validation and lint steps as Load without the serialize-then-reparse
+// round trip. Layouts are validated in sorted-name order and classes added
+// in sorted-archive-path order, mirroring Load's sorted-path iteration, so
+// the first error and the program order are those of loading the equivalent
+// archive. Programmatically built classes are checked with
+// smali.Class.Check, the parser's validation.
 func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali.Class) (*App, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
 	}
-	tbl := res.NewTableSized(resourceCount(layouts))
 	lmap := make(map[string]*layout.Layout, len(layouts))
 	ordered := append([]*layout.Layout(nil), layouts...)
 	slices.SortFunc(ordered, func(a, b *layout.Layout) int { return strings.Compare(a.Name, b.Name) })
@@ -134,9 +121,6 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 			return nil, fmt.Errorf("apk: duplicate layout %s", l.Name)
 		}
 		if err := l.Validate(); err != nil {
-			return nil, err
-		}
-		if err := l.Register(tbl); err != nil {
 			return nil, err
 		}
 		lmap[l.Name] = l
@@ -167,28 +151,11 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}
-	app := &App{Manifest: man, Layouts: lmap, Program: prog, Resources: tbl}
+	app := &App{Manifest: man, Layouts: lmap, Program: prog}
 	if err := app.Lint(); err != nil {
 		return nil, err
 	}
 	return app, nil
-}
-
-// resourceCount is the number of resources the layouts define at most:
-// each layout and each of its widget IDs. It walks the trees itself rather
-// than asking IDRefCount, which would cache the count in each layout and so
-// set it apart from the same layout decoded.
-func resourceCount(layouts []*layout.Layout) int {
-	n := len(layouts)
-	for _, l := range layouts {
-		l.Walk(func(w *layout.Widget) bool {
-			if w.IDRef != "" {
-				n++
-			}
-			return true
-		})
-	}
-	return n
 }
 
 // smaliPath is the canonical archive entry path of a class, built in one
@@ -265,7 +232,8 @@ func (app *App) LayoutNames() []string {
 //     an Activity subclass;
 //   - every set-content-view layout reference resolves to a bundled layout;
 //   - every fragment-transaction target class is a Fragment subclass;
-//   - every set-click-listener widget reference is defined in some layout.
+//   - every widget reference in the code (listener, transaction container,
+//     text and visibility operands) is defined in some layout.
 func (app *App) Lint() error {
 	for _, an := range app.Manifest.ActivityNames() {
 		c := app.Program.Class(an)
@@ -284,11 +252,12 @@ func (app *App) Lint() error {
 			return fmt.Errorf("apk: manifest receiver %s does not extend BroadcastReceiver", r.Name)
 		}
 	}
+	refs := widgetRefs(app.Layouts)
 	for _, cn := range app.Program.Names() {
 		c := app.Program.Class(cn)
 		for _, m := range c.Methods {
 			for _, ins := range m.Body {
-				if err := app.lintInstr(cn, m.Name, ins); err != nil {
+				if err := app.lintInstr(refs, cn, m.Name, ins); err != nil {
 					return err
 				}
 			}
@@ -297,7 +266,7 @@ func (app *App) Lint() error {
 	return nil
 }
 
-func (app *App) lintInstr(class, method string, ins smali.Instr) error {
+func (app *App) lintInstr(refs map[string]bool, class, method string, ins smali.Instr) error {
 	where := func() string { return fmt.Sprintf("apk: %s.%s line %d", class, method, ins.Line) }
 	switch ins.Op {
 	case smali.OpSetContentView:
@@ -315,7 +284,7 @@ func (app *App) lintInstr(class, method string, ins smali.Instr) error {
 		if !app.Program.IsFragmentClass(ins.Args[1]) {
 			return fmt.Errorf("%s: %s target %s is not a Fragment subclass", where(), ins.Op, ins.Args[1])
 		}
-		if _, err := app.Resources.Resolve(normalizeRef(ins.Args[0])); err != nil {
+		if err := app.resolve(refs, ins.Args[0]); err != nil {
 			return fmt.Errorf("%s: %w", where(), err)
 		}
 	case smali.OpTxnRemove:
@@ -323,14 +292,53 @@ func (app *App) lintInstr(class, method string, ins smali.Instr) error {
 			return fmt.Errorf("%s: txn-remove target %s is not a Fragment subclass", where(), ins.Args[0])
 		}
 	case smali.OpSetClickListener, smali.OpToggleVisible, smali.OpSetText, smali.OpRequireInput:
-		if _, err := app.Resources.Resolve(normalizeRef(ins.Args[0])); err != nil {
+		if err := app.resolve(refs, ins.Args[0]); err != nil {
 			return fmt.Errorf("%s: %w", where(), err)
 		}
 	}
 	return nil
 }
 
-// normalizeRef maps "@+id/x" to "@id/x" so lookups hit layout-registered IDs.
+// resolve checks that ref names something the layouts define: a widget ID
+// in refs, the app's widgetRefs, or a layout of the app. A malformed ref
+// fails with ParseRef's error, an undefined one with a res.UnresolvedError.
+func (app *App) resolve(refs map[string]bool, ref string) error {
+	ref = normalizeRef(ref)
+	kind, name, err := res.ParseRef(ref)
+	if err != nil {
+		return err
+	}
+	if refs[ref] || kind == res.KindLayout && app.Layouts[name] != nil {
+		return nil
+	}
+	return &res.UnresolvedError{Ref: ref}
+}
+
+// widgetRefs returns the set of normalized widget references the layouts
+// define.
+func widgetRefs(layouts map[string]*layout.Layout) map[string]bool {
+	n := 0
+	for _, l := range layouts {
+		l.Walk(func(w *layout.Widget) bool {
+			if w.IDRef != "" {
+				n++
+			}
+			return true
+		})
+	}
+	refs := make(map[string]bool, n)
+	for _, l := range layouts {
+		l.Walk(func(w *layout.Widget) bool {
+			if w.IDRef != "" {
+				refs[normalizeRef(w.IDRef)] = true
+			}
+			return true
+		})
+	}
+	return refs
+}
+
+// normalizeRef maps "@+id/x" to "@id/x" so lookups hit layout-defined IDs.
 func normalizeRef(ref string) string {
 	if strings.HasPrefix(ref, "@+") {
 		return "@" + ref[2:]

@@ -114,12 +114,51 @@ func TestLoad(t *testing.T) {
 	if !app.Program.IsFragmentClass("com.demo.HomeFragment") {
 		t.Error("HomeFragment not a fragment class")
 	}
-	// Resource table has layout names and widget ids.
-	if _, err := app.Resources.Resolve("@id/btn_detail"); err != nil {
-		t.Errorf("btn_detail unresolved: %v", err)
+}
+
+// TestLintResolvesReferences checks how Lint resolves the resource
+// reference of a code operand against what the layouts define: widget IDs
+// in either spelling, and layouts only by @layout.
+func TestLintResolvesReferences(t *testing.T) {
+	const unresolved = `res: unresolved resource reference `
+	cases := []struct {
+		name, ref string
+		want      string // the error's tail; empty resolves
+	}{
+		{"widget id", "@id/btn_detail", ""},
+		{"new-id spelling in code", "@+id/btn_detail", ""},
+		{"new-id spelling in the layout", "@id/plus_root", ""},
+		{"layout", "@layout/activity_main", ""},
+		{"missing layout", "@layout/no_such_layout", unresolved + `"@layout/no_such_layout"`},
+		{"id never names a layout", "@id/activity_main", unresolved + `"@id/activity_main"`},
+		{"layout never names a widget", "@layout/btn_detail", unresolved + `"@layout/btn_detail"`},
+		{"malformed", "@id/", `res: malformed reference "@id/", want @kind/name`},
+		{"unknown kind", "@+bogus/x", `res: unknown resource kind "bogus" in "@bogus/x"`},
+		{"undefined", "@+id/missing", unresolved + `"@id/missing"`},
 	}
-	if _, err := app.Resources.Resolve("@layout/activity_main"); err != nil {
-		t.Errorf("layout unresolved: %v", err)
+	for _, tc := range cases {
+		a := demoArchive(t)
+		if err := a.Put(LayoutDir+"extra.xml", []byte(`<LinearLayout id="@+id/plus_root"/>`)); err != nil {
+			t.Fatal(err)
+		}
+		src := `
+.class public Lcom/demo/DetailActivity;
+.super Landroid/app/Activity;
+.method public onCreate()V
+    set-content-view @layout/activity_detail
+    toggle-visible ` + tc.ref + `
+.end method
+`
+		if err := a.Put(SmaliDir+"com/demo/DetailActivity.smali", []byte(src)); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Load(a)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: %s: %v", tc.name, tc.ref, err)
+		case tc.want != "" && (err == nil || !strings.HasSuffix(err.Error(), ": "+tc.want)):
+			t.Errorf("%s: %s: err = %v, want ...: %s", tc.name, tc.ref, err, tc.want)
+		}
 	}
 }
 

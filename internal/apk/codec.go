@@ -2,6 +2,7 @@ package apk
 
 import (
 	"fmt"
+	"strings"
 
 	"fragdroid/internal/binc"
 	"fragdroid/internal/layout"
@@ -10,14 +11,13 @@ import (
 	"fragdroid/internal/smali"
 )
 
-// The app payload is a binc encoding: manifest, then layouts in registration
-// order (sorted by name, as Load and Assemble register them), then classes in
-// program order (sorted archive path). Decoding re-registers and re-adds
-// everything in the exact order of the original construction, so resource-ID
-// numbering and class iteration order come out identical. binc's interned
-// string table is what makes the warm path fast: opcode arguments, access
-// flags and class names repeat across every method body, and each is decoded
-// exactly once.
+// The app payload is a binc encoding: manifest, the number of distinct
+// references the layouts define, then layouts sorted by name, then classes
+// in program order (sorted archive path). Decoding re-adds the classes in
+// the exact order of the original construction, so class iteration order
+// comes out identical. binc's interned string table is what makes the warm
+// path fast: opcode arguments, access flags and class names repeat across
+// every method body, and each is decoded exactly once.
 
 // EncodeApp serializes a decoded App to the compact binary form DecodeApp
 // reads. Unlike Pack, the output is not a .sapk archive: it captures the
@@ -28,8 +28,9 @@ func EncodeApp(app *App) ([]byte, error) {
 		return nil, fmt.Errorf("apk: encode app: missing manifest")
 	}
 	encodeManifest(w, app.Manifest)
-	// Resource-entry count, a sizing hint for the decoder's table.
-	w.Int(app.Resources.Len())
+	// The reference count once sized a resource-ID table. Nothing reads it
+	// back now, but dropping it would change every encoding.
+	w.Int(refCount(app.Layouts))
 	names := app.LayoutNames()
 	w.Int(len(names))
 	for _, name := range names {
@@ -49,6 +50,20 @@ func EncodeApp(app *App) ([]byte, error) {
 		encodeClass(w, app.Program.Class(cn))
 	}
 	return w.Bytes(), nil
+}
+
+// refCount is the number of distinct references the layouts define: each
+// layout's @layout/name and each normalized widget reference. A widget may
+// name a layout ("@+layout/x"), so that layout counts once.
+func refCount(layouts map[string]*layout.Layout) int {
+	refs := widgetRefs(layouts)
+	n := len(layouts) + len(refs)
+	for ref := range refs {
+		if name, ok := strings.CutPrefix(ref, "@layout/"); ok && layouts[name] != nil {
+			n--
+		}
+	}
+	return n
 }
 
 func encodeManifest(w *binc.Writer, m *manifest.Manifest) {
@@ -153,9 +168,9 @@ func encodeClass(w *binc.Writer, c *smali.Class) {
 	w.Str(c.SourceFile)
 }
 
-// DecodeApp reconstructs an App from EncodeApp output. The layouts are
-// re-registered and the classes re-added in their stored order, reproducing
-// the resource table and program of the encoded App exactly.
+// DecodeApp reconstructs an App from EncodeApp output. The classes are
+// re-added in their stored order, reproducing the program of the encoded App
+// exactly. Each widget ID must parse as a resource reference.
 //
 // DecodeApp trusts its input: it skips the per-class Check, program
 // Validate and bundle Lint that Load and Assemble run, which is what makes a
@@ -171,11 +186,11 @@ func DecodeApp(data []byte) (*App, error) {
 		return nil, fmt.Errorf("apk: decode app: %w", err)
 	}
 	m := decodeManifest(r)
-	// Every resource is a layout or a widget ID, and a layout with its root
-	// widget takes at least 11 bytes for two resources.
-	resHint := r.Count(5)
+	// The reference count is only bounds-checked: each reference is a layout
+	// or a widget ID, and a layout with its root widget takes at least 11
+	// bytes for two references.
+	r.Count(5)
 	nLayouts := r.Count(2 + minWidgetSize) // a name, a node count and a root
-	tbl := res.NewTableSized(resHint)
 	layouts := make(map[string]*layout.Layout, nLayouts)
 	for i := 0; i < nLayouts; i++ {
 		l := &layout.Layout{Name: r.Str()}
@@ -188,12 +203,6 @@ func DecodeApp(data []byte) (*App, error) {
 		if layouts[l.Name] != nil {
 			return nil, fmt.Errorf("apk: decode app: duplicate layout %s", l.Name)
 		}
-		// Define the layout before its widgets and register widget IDs in
-		// decode (= pre-)order: the exact ID numbering Layout.Register
-		// produces, without a second tree walk.
-		if _, err := tbl.Define(res.KindLayout, l.Name); err != nil {
-			return nil, err
-		}
 		arena := make([]layout.Widget, r.Count(minWidgetSize))
 		if r.Err() != nil {
 			break
@@ -202,7 +211,7 @@ func DecodeApp(data []byte) (*App, error) {
 			return nil, fmt.Errorf("apk: decode app: layout %s has no root", l.Name)
 		}
 		l.Root = &arena[0]
-		rest, err := decodeWidget(r, l.Root, arena[1:], tbl)
+		rest, err := decodeWidget(r, l.Root, arena[1:])
 		if err != nil {
 			return nil, fmt.Errorf("apk: decode app: layout %s: %w", l.Name, err)
 		}
@@ -234,7 +243,7 @@ func DecodeApp(data []byte) (*App, error) {
 	if m.Package == "" {
 		return nil, fmt.Errorf("apk: decode app: missing manifest")
 	}
-	return &App{Manifest: m, Layouts: layouts, Program: prog, Resources: tbl}, nil
+	return &App{Manifest: m, Layouts: layouts, Program: prog}, nil
 }
 
 func decodeManifest(r *binc.Reader) *manifest.Manifest {
@@ -305,11 +314,11 @@ const minWidgetSize = 9
 
 // decodeWidget decodes one widget into wd and its subtree into arena, the
 // unused tail of the layout's node backing (the stored node count sizes
-// it), registering widget IDs into tbl in decode (= pre-)order. A widget's
+// it), rejecting any widget ID that res.ParseRef rejects. A widget's
 // children take one contiguous run of the arena, so a tree that claims more
 // nodes than its count is an error before anything is allocated for them.
 // It returns the arena's unused tail.
-func decodeWidget(r *binc.Reader, wd *layout.Widget, arena []layout.Widget, tbl *res.Table) ([]layout.Widget, error) {
+func decodeWidget(r *binc.Reader, wd *layout.Widget, arena []layout.Widget) ([]layout.Widget, error) {
 	wd.Type = r.Str()
 	wd.IDRef = r.Str()
 	wd.Text = r.Str()
@@ -318,7 +327,7 @@ func decodeWidget(r *binc.Reader, wd *layout.Widget, arena []layout.Widget, tbl 
 	wd.Hidden = r.Bool()
 	wd.FragmentClass = r.Str()
 	if wd.IDRef != "" {
-		if _, err := tbl.ResolveOrDefine(wd.IDRef); err != nil {
+		if _, _, err := res.ParseRef(wd.IDRef); err != nil {
 			return arena, err
 		}
 	}
@@ -336,7 +345,7 @@ func decodeWidget(r *binc.Reader, wd *layout.Widget, arena []layout.Widget, tbl 
 	var err error
 	for i := range kids {
 		wd.Children[i] = &kids[i]
-		if arena, err = decodeWidget(r, &kids[i], arena, tbl); err != nil || r.Err() != nil {
+		if arena, err = decodeWidget(r, &kids[i], arena); err != nil || r.Err() != nil {
 			return arena, err
 		}
 	}

@@ -239,26 +239,6 @@ func (l *Layout) Validate() error {
 	return err
 }
 
-// Register defines every widget ID of the layout (and the layout itself) in
-// the resource table, so runtime and static phases agree on numbering.
-func (l *Layout) Register(tbl *res.Table) error {
-	if _, err := tbl.Define(res.KindLayout, l.Name); err != nil {
-		return err
-	}
-	var err error
-	l.Walk(func(w *Widget) bool {
-		if w.IDRef == "" {
-			return true
-		}
-		if _, e := tbl.ResolveOrDefine(w.IDRef); e != nil {
-			err = fmt.Errorf("layout %s: %w", l.Name, e)
-			return false
-		}
-		return true
-	})
-	return err
-}
-
 // Parse decodes a layout XML document. name is the layout resource name
 // (typically the file base name without extension). A document in the
 // dialect Encode writes is read by xmlscan in one pass; any other goes

@@ -3,8 +3,6 @@ package layout
 import (
 	"strings"
 	"testing"
-
-	"fragdroid/internal/res"
 )
 
 const mainXML = `<?xml version="1.0"?>
@@ -131,23 +129,6 @@ func TestValidateErrors(t *testing.T) {
 		if _, err := Parse("l", []byte(tc.xml)); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
-	}
-}
-
-func TestRegister(t *testing.T) {
-	l := mustParse(t)
-	tbl := res.NewTable()
-	if err := l.Register(tbl); err != nil {
-		t.Fatalf("Register: %v", err)
-	}
-	if _, ok := tbl.Lookup(res.KindLayout, "activity_main"); !ok {
-		t.Error("layout not registered")
-	}
-	if _, ok := tbl.Lookup(res.KindID, "btn_next"); !ok {
-		t.Error("btn_next not registered")
-	}
-	if got := tbl.Len(); got != 1+len(l.WidgetIDs()) {
-		t.Errorf("table len = %d, want %d", got, 1+len(l.WidgetIDs()))
 	}
 }
 

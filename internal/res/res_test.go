@@ -1,67 +1,6 @@
 package res
 
-import (
-	"strings"
-	"testing"
-	"testing/quick"
-)
-
-func TestDefineAndLookup(t *testing.T) {
-	tbl := NewTable()
-	id, err := tbl.Define(KindID, "btn_login")
-	if err != nil {
-		t.Fatalf("Define: %v", err)
-	}
-	got, ok := tbl.Lookup(KindID, "btn_login")
-	if !ok || got != id {
-		t.Fatalf("Lookup = %v, %v; want %v, true", got, ok, id)
-	}
-	if e, ok := tbl.NameOf(id); !ok || e.Name != "btn_login" || e.Kind != KindID {
-		t.Fatalf("NameOf = %+v, %v", e, ok)
-	}
-}
-
-func TestDefineIdempotent(t *testing.T) {
-	tbl := NewTable()
-	a := tbl.MustDefine(KindLayout, "main")
-	b := tbl.MustDefine(KindLayout, "main")
-	if a != b {
-		t.Fatalf("re-Define allocated new ID: %v vs %v", a, b)
-	}
-	if tbl.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", tbl.Len())
-	}
-}
-
-func TestDefineErrors(t *testing.T) {
-	tbl := NewTable()
-	if _, err := tbl.Define(KindID, ""); err == nil {
-		t.Error("empty name: want error")
-	}
-	if _, err := tbl.Define(Kind(99), "x"); err == nil {
-		t.Error("unknown kind: want error")
-	}
-}
-
-func TestKindsDoNotCollide(t *testing.T) {
-	tbl := NewTable()
-	seen := make(map[ID]string)
-	for _, k := range []Kind{KindID, KindLayout, KindString, KindDrawable, KindMenu} {
-		for _, name := range []string{"a", "b", "c"} {
-			id := tbl.MustDefine(k, name)
-			if prev, dup := seen[id]; dup {
-				t.Fatalf("ID collision: %v for both %s and %s/%s", id, prev, k, name)
-			}
-			seen[id] = k.String() + "/" + name
-			if id.Kind() != k {
-				t.Errorf("ID %v decodes kind %v, want %v", id, id.Kind(), k)
-			}
-			if !id.Valid() {
-				t.Errorf("ID %v not Valid", id)
-			}
-		}
-	}
-}
+import "testing"
 
 func TestParseRef(t *testing.T) {
 	tests := []struct {
@@ -98,133 +37,5 @@ func TestParseRef(t *testing.T) {
 		if k != tc.wantKind || n != tc.wantName {
 			t.Errorf("ParseRef(%q) = %v,%q; want %v,%q", tc.ref, k, n, tc.wantKind, tc.wantName)
 		}
-	}
-}
-
-func TestResolve(t *testing.T) {
-	tbl := NewTable()
-	want := tbl.MustDefine(KindID, "container")
-	got, err := tbl.Resolve("@id/container")
-	if err != nil || got != want {
-		t.Fatalf("Resolve = %v, %v; want %v, nil", got, err, want)
-	}
-	if _, err := tbl.Resolve("@id/missing"); err == nil {
-		t.Fatal("Resolve of undefined ref: want error")
-	} else {
-		var ue *UnresolvedError
-		if !asUnresolved(err, &ue) {
-			t.Fatalf("error type = %T, want *UnresolvedError", err)
-		}
-		if !strings.Contains(ue.Error(), "@id/missing") {
-			t.Errorf("error message %q does not mention ref", ue.Error())
-		}
-	}
-}
-
-func asUnresolved(err error, target **UnresolvedError) bool {
-	ue, ok := err.(*UnresolvedError)
-	if ok {
-		*target = ue
-	}
-	return ok
-}
-
-func TestResolveOrDefine(t *testing.T) {
-	tbl := NewTable()
-	id, err := tbl.ResolveOrDefine("@+id/new_widget")
-	if err != nil {
-		t.Fatalf("ResolveOrDefine: %v", err)
-	}
-	again, err := tbl.Resolve("@id/new_widget")
-	if err != nil || again != id {
-		t.Fatalf("subsequent Resolve = %v, %v; want %v, nil", again, err, id)
-	}
-}
-
-func TestEntriesSortedAndRefRoundTrip(t *testing.T) {
-	tbl := NewTable()
-	tbl.MustDefine(KindLayout, "main")
-	tbl.MustDefine(KindID, "btn")
-	tbl.MustDefine(KindID, "txt")
-	es := tbl.Entries()
-	if len(es) != 3 {
-		t.Fatalf("Entries len = %d, want 3", len(es))
-	}
-	for i := 1; i < len(es); i++ {
-		if es[i-1].ID >= es[i].ID {
-			t.Fatalf("Entries not sorted: %v then %v", es[i-1].ID, es[i].ID)
-		}
-	}
-	for _, e := range es {
-		k, n, err := ParseRef(e.Ref())
-		if err != nil || k != e.Kind || n != e.Name {
-			t.Errorf("Ref round trip failed for %+v: %v %v %v", e, k, n, err)
-		}
-	}
-}
-
-func TestClone(t *testing.T) {
-	tbl := NewTable()
-	tbl.MustDefine(KindID, "a")
-	cl := tbl.Clone()
-	cl.MustDefine(KindID, "b")
-	if _, ok := tbl.Lookup(KindID, "b"); ok {
-		t.Fatal("Clone leaked definition into original")
-	}
-	if _, ok := cl.Lookup(KindID, "a"); !ok {
-		t.Fatal("Clone missing original definition")
-	}
-	// Fresh definitions in original and clone must not collide in meaning.
-	origB := tbl.MustDefine(KindID, "b")
-	cloneB, _ := cl.Lookup(KindID, "b")
-	if origB != cloneB {
-		// IDs are allocated by per-kind counters, so identical definition
-		// sequences yield identical IDs; divergence is fine, equality is
-		// expected here because both allocated "b" as the second KindID.
-		t.Fatalf("deterministic allocation violated: %v vs %v", origB, cloneB)
-	}
-}
-
-// Property: for any sequence of (kind, name) definitions, IDs are unique per
-// distinct pair, stable on re-definition, and round-trip through NameOf.
-func TestQuickDefineProperties(t *testing.T) {
-	kinds := []Kind{KindID, KindLayout, KindString, KindDrawable, KindMenu}
-	f := func(pairs []struct {
-		K uint8
-		N string
-	}) bool {
-		tbl := NewTable()
-		got := make(map[string]ID)
-		for _, p := range pairs {
-			if p.N == "" {
-				continue
-			}
-			k := kinds[int(p.K)%len(kinds)]
-			id, err := tbl.Define(k, p.N)
-			if err != nil {
-				return false
-			}
-			key := k.String() + "/" + p.N
-			if prev, ok := got[key]; ok && prev != id {
-				return false
-			}
-			got[key] = id
-			e, ok := tbl.NameOf(id)
-			if !ok || e.Name != p.N || e.Kind != k {
-				return false
-			}
-		}
-		// Distinct pairs must have distinct IDs.
-		seen := make(map[ID]bool)
-		for _, id := range got {
-			if seen[id] {
-				return false
-			}
-			seen[id] = true
-		}
-		return tbl.Len() == len(got)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
 	}
 }
