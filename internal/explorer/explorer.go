@@ -17,7 +17,6 @@ import (
 	"fragdroid/internal/device"
 	"fragdroid/internal/inputgen"
 	"fragdroid/internal/robotium"
-	"fragdroid/internal/sensitive"
 	"fragdroid/internal/session"
 	"fragdroid/internal/statics"
 )
@@ -103,45 +102,30 @@ type Visit struct {
 	Route robotium.Script
 }
 
-// Result is the outcome of an exploration.
+// Result is the outcome of an exploration: the engine-independent
+// session.Outcome every strategy produces, plus the explorer's own riches.
 type Result struct {
+	// Outcome carries the visited lists, the sensitive-API Collector, the
+	// coverage Curve, the CrashReports with their replayable routes, the
+	// session Stats (TestCases, Steps, Crashes, Replays, ... promoted as
+	// fields) and the Transcript, whose lines include the §VI-B queue items
+	// (PlanQueue) and which is nil without a Config.Observer.
+	session.Outcome
 	// Extraction is the static-phase output the run was based on.
 	Extraction *statics.Extraction
 	// Model is the final, evolved AFTM with visited marks.
 	Model *aftm.Model
 	// Visits maps each visited node to its first-arrival record.
 	Visits map[aftm.Node]Visit
-	// Collector holds the sensitive-API observations of the whole run.
-	Collector *sensitive.Collector
-	// Curve records cumulative coverage after each executed test case — the
-	// data behind a coverage-vs-budget figure. Points are appended only when
-	// coverage changes, plus a final point at the last test case.
-	Curve []CurvePoint
-	// CrashReports lists the distinct force-closes found during exploration,
-	// each with a replayable route — FragDroid as a fault finder ("detecting
-	// security information, such as sensitive APIs and potential
-	// vulnerabilities", §X).
-	CrashReports []CrashReport
-	// Stats carries the session counters (TestCases, Steps, Crashes,
-	// Replays, ReflectionAttempts, ForcedStarts, …) promoted as fields.
-	session.Stats
-	// Transcript is the human-readable run log: the Msg lines of the events
-	// Config.Observer received, among them the §VI-B queue items
-	// (PlanQueue). It is nil without an Observer.
-	Transcript []string
-
-	// visitedActs and visitedFrags list the visited classes in the model's
-	// node order, collected once when the run ends.
-	visitedActs, visitedFrags []string
 }
 
 // VisitedActivities returns the visited activity classes, sorted. The slice
 // is shared; callers must not modify it.
-func (r *Result) VisitedActivities() []string { return r.visitedActs }
+func (r *Result) VisitedActivities() []string { return r.Outcome.VisitedActivities }
 
 // VisitedFragments returns the visited fragment classes, sorted. The slice
 // is shared; callers must not modify it.
-func (r *Result) VisitedFragments() []string { return r.visitedFrags }
+func (r *Result) VisitedFragments() []string { return r.Outcome.VisitedFragments }
 
 // FragmentsInVisitedActivities computes the third column group of Table I:
 // the fragments whose (Algorithm 2) host activities were visited, and how
@@ -279,18 +263,7 @@ func ExploreExtracted(ex *statics.Extraction, cfg Config) (*Result, error) {
 			visits[v.Node] = v
 		}
 	}
-	return &Result{
-		Extraction:   ex,
-		Model:        e.model,
-		Visits:       visits,
-		Collector:    out.Collector,
-		Stats:        out.Stats,
-		Curve:        out.Curve,
-		CrashReports: out.CrashReports,
-		Transcript:   out.Transcript,
-		visitedActs:  out.VisitedActivities,
-		visitedFrags: out.VisitedFragments,
-	}, nil
+	return &Result{Outcome: *out, Extraction: ex, Model: e.model, Visits: visits}, nil
 }
 
 // NewStrategy returns the FragDroid explorer as a session.Strategy, ready
