@@ -28,16 +28,20 @@ import (
 	"fragdroid/internal/statics"
 )
 
+// The search's bounds, per target.
+const (
+	// maxPaths bounds the enumerated paths: the k of the k-shortest-path
+	// search.
+	maxPaths = 8
+	// maxDepth bounds a path's length in edges.
+	maxDepth = 16
+	// maxExpand bounds the search-state expansions, a safety valve against
+	// pathological graphs.
+	maxExpand = 20000
+)
+
 // Config tunes the planner.
 type Config struct {
-	// MaxPaths bounds the enumerated paths per target — the k of the
-	// k-shortest-path search. Zero means 8.
-	MaxPaths int
-	// MaxDepth bounds a path's length in edges. Zero means 16.
-	MaxDepth int
-	// MaxExpand bounds the total search-state expansions per target, a
-	// safety valve against pathological graphs. Zero means 20000.
-	MaxExpand int
 	// LauncherOnly restricts the roots to the MAIN/LAUNCHER activity — what
 	// a user reaches by clicking alone. The default root set adds every
 	// effective Activity as a forced empty-Intent start, matching
@@ -90,15 +94,6 @@ type Planner struct {
 
 // New returns a planner over an extraction.
 func New(ex *statics.Extraction, cfg Config) *Planner {
-	if cfg.MaxPaths == 0 {
-		cfg.MaxPaths = 8
-	}
-	if cfg.MaxDepth == 0 {
-		cfg.MaxDepth = 16
-	}
-	if cfg.MaxExpand == 0 {
-		cfg.MaxExpand = 20000
-	}
 	p := &Planner{ex: ex, cfg: cfg, hints: make(map[string]string)}
 	for _, w := range ex.InputWidgets {
 		p.hints[w.Ref] = w.Hint
@@ -213,16 +208,16 @@ func (p *Planner) Enumerate(isTarget func(callgraph.Node) bool) []Path {
 		st := heap.Pop(&f).(*searchState)
 		if isTarget(st.node) {
 			out = append(out, Path{Root: st.root, Forced: st.forced, Edges: st.edges, Cost: st.cost})
-			if len(out) >= p.cfg.MaxPaths {
+			if len(out) >= maxPaths {
 				break
 			}
 			continue
 		}
-		if len(st.edges) >= p.cfg.MaxDepth {
+		if len(st.edges) >= maxDepth {
 			continue
 		}
 		expansions++
-		if expansions > p.cfg.MaxExpand {
+		if expansions > maxExpand {
 			break
 		}
 		for _, e := range g.EdgesFrom(st.node) {

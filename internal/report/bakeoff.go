@@ -31,16 +31,11 @@ type BakeoffConfig struct {
 	// events for the random ones; both bill one test case per unit, so the
 	// curves share an x-axis). Zero means 400.
 	Budget int
-	// Grid is the ascending list of budgets the curves are sampled at.
-	// Empty derives quarters of Budget: B/8, B/4, B/2, B.
-	Grid []int
 	// Seeds is how many seeds each strategy runs at (BaseSeed, BaseSeed+1,
 	// ...). Zero means 3, the floor for a variance worth printing.
 	Seeds int
 	// BaseSeed is the first seed. Zero means 7.
 	BaseSeed int64
-	// Inputs is the analyst input dependency shared by all strategies.
-	Inputs map[string]string
 	// Parallel bounds concurrent per-app runs inside one strategy×seed pass.
 	// Zero or one means sequential; results are identical either way.
 	Parallel int
@@ -56,13 +51,6 @@ func (cfg BakeoffConfig) withDefaults() BakeoffConfig {
 	if cfg.Budget == 0 {
 		cfg.Budget = 400
 	}
-	if len(cfg.Grid) == 0 {
-		for _, d := range []int{8, 4, 2, 1} {
-			if b := cfg.Budget / d; b > 0 {
-				cfg.Grid = append(cfg.Grid, b)
-			}
-		}
-	}
 	if cfg.Seeds == 0 {
 		cfg.Seeds = 3
 	}
@@ -73,6 +61,18 @@ func (cfg BakeoffConfig) withDefaults() BakeoffConfig {
 		cfg.Cache = artifact.Default
 	}
 	return cfg
+}
+
+// bakeoffGrid is the ascending list of budgets the curves are sampled at:
+// the eighth, quarter and half of the full budget, then the budget itself.
+func bakeoffGrid(budget int) []int {
+	var grid []int
+	for _, d := range []int{8, 4, 2, 1} {
+		if b := budget / d; b > 0 {
+			grid = append(grid, b)
+		}
+	}
+	return grid
 }
 
 // BakeoffCell is one strategy's activity coverage at one budget, aggregated
@@ -172,10 +172,10 @@ func RunBakeoff(cfg BakeoffConfig) (*Bakeoff, error) {
 		Seeds:    cfg.Seeds,
 		BaseSeed: cfg.BaseSeed,
 		Budget:   cfg.Budget,
-		Grid:     cfg.Grid,
+		Grid:     bakeoffGrid(cfg.Budget),
 	}
 	for _, name := range cfg.Strategies {
-		row, err := runBakeoffRow(name, cfg, rows, exs, lib)
+		row, err := runBakeoffRow(name, cfg, bo.Grid, rows, exs, lib)
 		if err != nil {
 			return nil, err
 		}
@@ -184,8 +184,9 @@ func RunBakeoff(cfg BakeoffConfig) (*Bakeoff, error) {
 	return bo, nil
 }
 
-// runBakeoffRow runs one strategy at every seed and aggregates.
-func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs []*statics.Extraction, lib *strategy.Library) (BakeoffRow, error) {
+// runBakeoffRow runs one strategy at every seed and aggregates the curves
+// at each budget of grid.
+func runBakeoffRow(name string, cfg BakeoffConfig, grid []int, rows []corpus.PaperRow, exs []*statics.Extraction, lib *strategy.Library) (BakeoffRow, error) {
 	// seedMeans[k][g] is seed k's corpus-mean activity coverage at grid[g].
 	seedMeans := make([][]float64, cfg.Seeds)
 	var fragPctSum float64
@@ -197,7 +198,6 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 			out, err := strategy.Run(name, exs[i], strategy.Options{
 				Budget:  cfg.Budget,
 				Seed:    cfg.BaseSeed + int64(k),
-				Inputs:  cfg.Inputs,
 				Curve:   true,
 				Library: lib,
 			})
@@ -211,12 +211,12 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 			return BakeoffRow{}, err
 		}
 
-		means := make([]float64, len(cfg.Grid))
+		means := make([]float64, len(grid))
 		var collectors []*sensitive.Collector
 		var stats session.Stats
 		for i, out := range outs {
 			denom := len(exs[i].EffectiveActivities)
-			for g, b := range cfg.Grid {
+			for g, b := range grid {
 				means[g] += rate(coverageAt(out.Curve, b), denom)
 			}
 			eff := make(map[string]bool, len(exs[i].EffectiveFragments))
@@ -249,7 +249,7 @@ func runBakeoffRow(name string, cfg BakeoffConfig, rows []corpus.PaperRow, exs [
 		APIs:        baseAPIs,
 		TestCases:   baseCases,
 	}
-	for g, b := range cfg.Grid {
+	for g, b := range grid {
 		mean := 0.0
 		for k := range seedMeans {
 			mean += seedMeans[k][g]

@@ -98,9 +98,6 @@ type Options struct {
 	// with the route that reproduces it. Engines without fault-finding
 	// output (the baselines) leave it off: crashes are still counted.
 	TriageCrashes bool
-	// Collector receives the run's sensitive-API observations; nil allocates
-	// a fresh collector for the app package.
-	Collector *sensitive.Collector
 	// Observer is the structured trace sink. While one is attached the
 	// session keeps the transcript (the Msg lines of the events it received)
 	// and forwards the device log; nil disables both, so an untraced run
@@ -132,11 +129,7 @@ type Session struct {
 
 // New returns a session for one app run.
 func New(app *apk.App, opts Options) *Session {
-	s := &Session{app: app, opts: opts, collector: opts.Collector}
-	if s.collector == nil {
-		s.collector = sensitive.NewCollector(app.Manifest.Package)
-	}
-	return s
+	return &Session{app: app, opts: opts, collector: sensitive.NewCollector(app.Manifest.Package)}
 }
 
 // Collector returns the session's sensitive-API collector.
