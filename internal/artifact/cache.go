@@ -10,9 +10,11 @@
 // its first execution in a process, once per app.
 //
 // Sharing is sound because both artifact kinds are read-only after
-// construction: the device clones layouts before mutating widget state, and
-// the explorer clones the extraction's AFTM (the only mutable part) before
-// evolving it. Every other field is only ever read.
+// construction: the device keeps widget visibility in per-activity
+// overrides instead of writing layouts, and each exploration evolves a model
+// derived from the extraction's AFTM (aftm.Model.Derive), which copies a
+// part on its own first write and never writes the shared one. Every other
+// field is only ever read.
 package artifact
 
 import (
@@ -361,8 +363,8 @@ func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
 
 // Extraction returns the memoized static extraction of spec, building the
 // app first if needed. The shared *statics.Extraction is safe for
-// concurrent explorations: explorers clone the mutable AFTM and treat
-// everything else as read-only.
+// concurrent explorations: each derives its own AFTM from the shared one
+// and treats everything else as read-only.
 func (c *Cache) Extraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
 	key := Key(spec)
 	c.mu.Lock()

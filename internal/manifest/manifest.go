@@ -470,7 +470,8 @@ func (m *Manifest) Clone() *Manifest {
 	return &cp
 }
 
-// Builder assembles manifests programmatically; the corpus generators use it.
+// Builder assembles manifests programmatically; tests that build an app by
+// hand use it (the corpus generators fill a Manifest directly).
 type Builder struct {
 	m Manifest
 }
