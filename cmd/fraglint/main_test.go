@@ -43,10 +43,7 @@ func defectApp(t *testing.T) *apk.App {
 	root := layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
 		Child(layout.Root(layout.TypeFrameLayout).ID("@id/pane")).
 		Child(layout.Root(layout.TypeButton).ID("@id/go").Text("go"))
-	l, err := root.BuildLayout("activity_main")
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := root.BuildLayout("activity_main")
 	classes := []*smali.Class{
 		{Name: "com.defects.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
 			{Name: "onCreate", Access: []string{"public"}, Body: []smali.Instr{

@@ -52,7 +52,10 @@ type App struct {
 // must not touch it.
 func (a *App) IRState() *atomic.Value { return &a.irState }
 
-// Load decodes an archive into an App. Packed archives yield ErrPacked.
+// Load decodes an archive into an App. Packed archives yield ErrPacked. A
+// layout is named by its file's base name, so two files of one name in
+// different directories under LayoutDir are a duplicate layout, as they are
+// for Assemble and DecodeApp.
 func Load(a *Archive) (*App, error) {
 	if a.Packed() {
 		return nil, ErrPacked
@@ -73,6 +76,9 @@ func Load(a *Archive) (*App, error) {
 		name := strings.TrimSuffix(base, ".xml")
 		if name == base {
 			return nil, fmt.Errorf("apk: layout entry %q is not an .xml file", p)
+		}
+		if layouts[name] != nil {
+			return nil, fmt.Errorf("apk: duplicate layout %s", name)
 		}
 		data, _ := a.Get(p)
 		l, err := layout.Parse(name, data)

@@ -30,24 +30,15 @@ func demoArchive(t *testing.T) *Archive {
 		t.Fatal(err)
 	}
 
-	mainLayout, err := layout.Root(layout.TypeLinearLayout).ID("@id/root").Child(
+	mainLayout := layout.Root(layout.TypeLinearLayout).ID("@id/root").Child(
 		layout.Root(layout.TypeButton).ID("@id/btn_detail").Text("Detail").OnClick("onDetail"),
 		layout.Root(layout.TypeFrameLayout).ID("@id/container"),
 	).BuildLayout("activity_main")
-	if err != nil {
-		t.Fatal(err)
-	}
-	detailLayout, err := layout.Root(layout.TypeLinearLayout).ID("@id/droot").Child(
+	detailLayout := layout.Root(layout.TypeLinearLayout).ID("@id/droot").Child(
 		layout.Root(layout.TypeTextView).ID("@id/dtext").Text("detail"),
 	).BuildLayout("activity_detail")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fragLayout, err := layout.Root(layout.TypeLinearLayout).ID("@id/froot").
+	fragLayout := layout.Root(layout.TypeLinearLayout).ID("@id/froot").
 		BuildLayout("fragment_home")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, l := range []*layout.Layout{mainLayout, detailLayout, fragLayout} {
 		data, err := l.Encode()
 		if err != nil {
@@ -113,6 +104,26 @@ func TestLoad(t *testing.T) {
 	}
 	if !app.Program.IsFragmentClass("com.demo.HomeFragment") {
 		t.Error("HomeFragment not a fragment class")
+	}
+}
+
+// TestLoadRejectsNestedDuplicateLayout checks that a layout file in a
+// subdirectory whose base name repeats another layout's is rejected, as
+// Assemble and DecodeApp reject a duplicate layout, instead of silently
+// replacing the first. The nested copy is identical, so nothing but the
+// duplicate check can fail the load.
+func TestLoadRejectsNestedDuplicateLayout(t *testing.T) {
+	a := demoArchive(t)
+	data, ok := a.Get(LayoutDir + "activity_main.xml")
+	if !ok {
+		t.Fatal("demo archive has no activity_main layout")
+	}
+	if err := a.Put(LayoutDir+"sub/activity_main.xml", data); err != nil {
+		t.Fatal(err)
+	}
+	const want = "apk: duplicate layout activity_main"
+	if _, err := Load(a); err == nil || err.Error() != want {
+		t.Fatalf("Load with a nested duplicate layout: err %v, want %q", err, want)
 	}
 }
 

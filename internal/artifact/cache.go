@@ -1,10 +1,15 @@
-// Package artifact memoizes the expensive per-spec analysis artifacts —
-// corpus app builds and static extractions — behind a concurrency-safe,
-// single-flight cache, optionally backed by a persistent content-addressed
-// store. The evaluation harness calls corpus.BuildApp and statics.Extract
-// for the same apps from every benchmark, ablation and CLI run; with the
-// in-memory layer each artifact is computed once per process, and with a
-// Store attached a warm second process skips building and static analysis
+// Package artifact serves the expensive per-spec analysis artifacts —
+// corpus app builds and static extractions — optionally backed by a
+// persistent content-addressed store. Each kind has one fetch path: read
+// the artifact from the store, or compute it and write it back.
+//
+// A corpus fold asks for each app once, so it fetches (FetchApp,
+// FetchExtraction): the artifact goes straight to the caller and the cache
+// keeps nothing in memory. Callers that ask for one spec more than once —
+// evaluations, ablations, benchmark and CLI runs in one process — go
+// through the single-flight memo (App, Extraction), which wraps the same
+// fetch path, so each artifact is computed once per process; with a Store
+// attached a warm second process skips building and static analysis
 // entirely, decoding checksum-verified payloads instead. Compiled
 // interpreter programs are not stored: ir.For compiles an app's program on
 // its first execution in a process, once per app.
@@ -148,17 +153,18 @@ type extEntry struct {
 	err  error
 }
 
-// Cache memoizes built apps and static extractions by spec identity. The
-// zero value is not usable; use NewCache, NewPersistentCache, or the
-// process-wide Default.
+// Cache fetches built apps and static extractions, and memoizes them by
+// spec identity for callers that ask more than once. The zero value is not
+// usable; use NewCache, NewPersistentCache, or the process-wide Default.
 type Cache struct {
 	mu   sync.Mutex
 	apps map[string]*appEntry
 	exts map[string]*extEntry
 
 	// store, when non-nil, is the write-through/read-back disk layer: every
-	// in-memory miss consults it before computing, and every computed
-	// artifact (or ErrPacked outcome) is written back.
+	// fetch consults it before computing, and every computed artifact (or
+	// ErrPacked outcome) is written back. NewPersistentCache sets it before
+	// the cache is shared, and nothing changes it after.
 	store *Store
 
 	hits        atomic.Uint64
@@ -196,31 +202,29 @@ func NewPersistentCache(dir string) (*Cache, error) {
 }
 
 // Store returns the attached persistent store, nil for in-memory caches.
-func (c *Cache) Store() *Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.store
-}
+func (c *Cache) Store() *Store { return c.store }
 
 // Default is the process-wide cache the evaluation entry points fall back
-// to, so repeated benchmark and CLI runs in one process share artifacts;
-// the corpus folds behind the study and lint sweeps evict each app they
-// fold, so they share nothing through it. It has no persistent layer.
+// to, so repeated benchmark and CLI runs in one process share artifacts
+// through its memo. The corpus folds behind the study and lint sweeps fetch
+// each app through it without memoizing, so they share nothing through it.
+// It has no persistent layer.
 var Default = NewCache()
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	// Hits and Misses count lookups that found / did not find an in-memory
-	// entry (across both artifact kinds).
+	// Hits and Misses count memo lookups that found / did not find an
+	// in-memory entry (across both artifact kinds). Fetches count neither.
 	Hits, Misses uint64
 	// Builds counts corpus app builds actually performed; Extractions
-	// counts static extractions actually performed. A warmed cache serving
-	// a repeated evaluation performs zero of either.
+	// counts static extractions actually performed, by fetches and memo
+	// misses alike. A warmed memo serving a repeated evaluation performs
+	// zero of either.
 	Builds, Extractions uint64
-	// DiskHits and DiskMisses count in-memory misses served / not served by
-	// the persistent store (zero without one). DiskWrites counts entries
+	// DiskHits and DiskMisses count store reads that served / did not
+	// serve an artifact (zero without a store). DiskWrites counts entries
 	// written back; DiskErrors counts failed write-backs (the computed
-	// artifact is still served from memory).
+	// artifact is still served).
 	DiskHits, DiskMisses, DiskWrites, DiskErrors uint64
 	// Deprecated: IRHits and IRMisses are always zero. The store keeps no
 	// compiled programs: ir.For compiles each app's program on its first
@@ -242,15 +246,12 @@ func (c *Cache) Stats() Stats {
 	}
 }
 
-// Evict drops the in-memory entries (app and extraction) of one spec. Every
-// corpus fold calls it after folding an app's results so the cache's live
-// set tracks the pipeline window instead of the whole corpus — without
-// eviction the entry maps pin every built app and extraction until process
-// exit, and every GC cycle re-marks them. Persistent-store entries are
-// untouched: a re-lookup misses in memory and reads back from disk.
-// Evicting a spec that is still being computed is safe — the in-flight
-// caller holds its own entry pointer and completes normally; the entry
-// just becomes unreachable for new lookups.
+// Evict drops the memo's in-memory entries (app and extraction) of one
+// spec, so a caller that looked a spec up through App or Extraction can
+// release it. Persistent-store entries are untouched: a re-lookup misses in
+// memory and reads back from disk. Evicting a spec that is still being
+// computed is safe — the in-flight caller holds its own entry pointer and
+// completes normally; the entry just becomes unreachable for new lookups.
 func (c *Cache) Evict(spec *corpus.AppSpec) {
 	key := Key(spec)
 	c.mu.Lock()
@@ -259,9 +260,9 @@ func (c *Cache) Evict(spec *corpus.AppSpec) {
 	c.mu.Unlock()
 }
 
-// Live reports the number of in-memory entries currently held (apps plus
-// extractions) — the quantity the streaming pipeline's bounded-memory tests
-// assert stays within the window.
+// Live reports the number of in-memory entries the memo currently holds
+// (apps plus extractions); a corpus fold, which only fetches, leaves it at
+// zero.
 func (c *Cache) Live() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -276,10 +277,87 @@ const (
 	appTagPacked = 'P'
 )
 
+// FetchApp returns the build of spec: read from the attached store, or
+// built and written back to it. Packed specs yield apk.ErrPacked, exactly
+// like corpus.BuildApp. Nothing is kept in memory, so a caller that asks
+// for each spec once — a corpus fold — holds the app only while it uses
+// it. Key is computed only when a store is attached. It counts builds and
+// disk traffic like App, and no memo hit or miss.
+func (c *Cache) FetchApp(spec *corpus.AppSpec) (*apk.App, error) {
+	return c.fetchApp(spec, c.storeKey(spec))
+}
+
+// FetchExtraction returns the static extraction of spec's app, with the app
+// fetched as FetchApp does and the extraction read from or written back to
+// the store the same way. One Key serves both, and none is computed
+// without a store. Nothing is kept in memory.
+func (c *Cache) FetchExtraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
+	key := c.storeKey(spec)
+	app, err := c.fetchApp(spec, key)
+	if err != nil {
+		return nil, err
+	}
+	return c.fetchExtraction(app, key)
+}
+
+// storeKey returns spec's Key when a store is attached, and "" without
+// one, where nothing reads it.
+func (c *Cache) storeKey(spec *corpus.AppSpec) string {
+	if c.store == nil {
+		return ""
+	}
+	return Key(spec)
+}
+
+// fetchApp is the one store path for apps: FetchApp calls it directly, and
+// App inside its single-flight entry. key is spec's Key; it is read only
+// when a store is attached.
+func (c *Cache) fetchApp(spec *corpus.AppSpec, key string) (*apk.App, error) {
+	if c.store != nil {
+		if app, err, ok := c.loadApp(key); ok {
+			return app, err
+		}
+	}
+	c.builds.Add(1)
+	app, err := corpus.BuildApp(spec)
+	if c.store != nil {
+		c.saveApp(key, app, err)
+	}
+	return app, err
+}
+
+// fetchExtraction is the one store path for extractions of app, the build
+// of the spec whose Key is key.
+func (c *Cache) fetchExtraction(app *apk.App, key string) (*statics.Extraction, error) {
+	if c.store != nil {
+		if payload, ok := c.store.Load(kindExtraction, key); ok {
+			if ex, err := statics.DecodeExtraction(payload, app); err == nil {
+				c.diskHits.Add(1)
+				return ex, nil
+			}
+		}
+		c.diskMisses.Add(1)
+	}
+	c.extractions.Add(1)
+	ex, err := statics.Extract(app)
+	if c.store != nil && err == nil {
+		payload, encErr := statics.EncodeExtraction(ex)
+		if encErr == nil {
+			encErr = c.store.Save(kindExtraction, key, payload)
+		}
+		if encErr == nil {
+			c.diskWrites.Add(1)
+		} else {
+			c.diskErrors.Add(1)
+		}
+	}
+	return ex, err
+}
+
 // loadApp serves an app from the persistent store. The second result
 // reports a usable hit (which may be a memoized ErrPacked outcome).
-func (c *Cache) loadApp(store *Store, key string) (*apk.App, error, bool) {
-	payload, ok := store.Load(kindApp, key)
+func (c *Cache) loadApp(key string) (*apk.App, error, bool) {
+	payload, ok := c.store.Load(kindApp, key)
 	if !ok || len(payload) == 0 {
 		c.diskMisses.Add(1)
 		return nil, nil, false
@@ -307,7 +385,7 @@ func (c *Cache) loadApp(store *Store, key string) (*apk.App, error, bool) {
 // saveApp writes a build outcome through to the store. Only successful
 // builds and the ErrPacked outcome persist; transient errors are recomputed
 // per process.
-func (c *Cache) saveApp(store *Store, key string, app *apk.App, err error) {
+func (c *Cache) saveApp(key string, app *apk.App, err error) {
 	var payload []byte
 	switch {
 	case err == nil:
@@ -322,21 +400,26 @@ func (c *Cache) saveApp(store *Store, key string, app *apk.App, err error) {
 	default:
 		return
 	}
-	if err := store.Save(kindApp, key, payload); err != nil {
+	if err := c.store.Save(kindApp, key, payload); err != nil {
 		c.diskErrors.Add(1)
 		return
 	}
 	c.diskWrites.Add(1)
 }
 
-// App returns the memoized build of spec. Packed specs yield apk.ErrPacked,
-// exactly like corpus.BuildApp; the error is memoized too. The returned App
-// is shared between callers and must be treated as read-only.
+// App returns the memoized build of spec: the first lookup fetches it as
+// FetchApp does, and every later one shares that result. Packed specs yield
+// apk.ErrPacked, exactly like corpus.BuildApp; the error is memoized too.
+// The returned App is shared between callers and must be treated as
+// read-only.
 func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
-	key := Key(spec)
+	return c.app(spec, Key(spec))
+}
+
+// app is App for a spec whose Key is already known.
+func (c *Cache) app(spec *corpus.AppSpec, key string) (*apk.App, error) {
 	c.mu.Lock()
 	e := c.apps[key]
-	store := c.store
 	if e == nil {
 		e = &appEntry{}
 		c.apps[key] = e
@@ -345,31 +428,18 @@ func (c *Cache) App(spec *corpus.AppSpec) (*apk.App, error) {
 		c.hits.Add(1)
 	}
 	c.mu.Unlock()
-	e.once.Do(func() {
-		if store != nil {
-			if app, err, ok := c.loadApp(store, key); ok {
-				e.app, e.err = app, err
-				return
-			}
-		}
-		c.builds.Add(1)
-		e.app, e.err = corpus.BuildApp(spec)
-		if store != nil {
-			c.saveApp(store, key, e.app, e.err)
-		}
-	})
+	e.once.Do(func() { e.app, e.err = c.fetchApp(spec, key) })
 	return e.app, e.err
 }
 
-// Extraction returns the memoized static extraction of spec, building the
-// app first if needed. The shared *statics.Extraction is safe for
-// concurrent explorations: each derives its own AFTM from the shared one
-// and treats everything else as read-only.
+// Extraction returns the memoized static extraction of spec, looking the
+// app up through App's memo first. The shared *statics.Extraction is safe
+// for concurrent explorations: each derives its own AFTM from the shared
+// one and treats everything else as read-only.
 func (c *Cache) Extraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
 	key := Key(spec)
 	c.mu.Lock()
 	e := c.exts[key]
-	store := c.store
 	if e == nil {
 		e = &extEntry{}
 		c.exts[key] = e
@@ -379,34 +449,12 @@ func (c *Cache) Extraction(spec *corpus.AppSpec) (*statics.Extraction, error) {
 	}
 	c.mu.Unlock()
 	e.once.Do(func() {
-		app, err := c.App(spec)
+		app, err := c.app(spec, key)
 		if err != nil {
 			e.err = err
 			return
 		}
-		if store != nil {
-			if payload, ok := store.Load(kindExtraction, key); ok {
-				if ex, decErr := statics.DecodeExtraction(payload, app); decErr == nil {
-					c.diskHits.Add(1)
-					e.ex = ex
-					return
-				}
-			}
-			c.diskMisses.Add(1)
-		}
-		c.extractions.Add(1)
-		e.ex, e.err = statics.Extract(app)
-		if store != nil && e.err == nil {
-			if payload, encErr := statics.EncodeExtraction(e.ex); encErr == nil {
-				if err := store.Save(kindExtraction, key, payload); err == nil {
-					c.diskWrites.Add(1)
-				} else {
-					c.diskErrors.Add(1)
-				}
-			} else {
-				c.diskErrors.Add(1)
-			}
-		}
+		e.ex, e.err = c.fetchExtraction(app, key)
 	})
 	return e.ex, e.err
 }

@@ -43,17 +43,15 @@ func testApp(t *testing.T) *apk.App {
 	})
 
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
 			Child(layout.Root(layout.TypeButton).ID("@id/main_btn_next").Text("next")).
-			Child(layout.Root(layout.TypeButton).ID("@id/main_btn_x").Text("x").OnClick("onXML")),
-			"activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/next_root").
-			Child(layout.Root(layout.TypeFrameLayout).ID("@id/next_container")),
-			"activity_next"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/home_root"),
-			"fragment_home"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/ref_root"),
-			"fragment_ref"),
+			Child(layout.Root(layout.TypeButton).ID("@id/main_btn_x").Text("x").OnClick("onXML")).
+			BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/next_root").
+			Child(layout.Root(layout.TypeFrameLayout).ID("@id/next_container")).
+			BuildLayout("activity_next"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/home_root").BuildLayout("fragment_home"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/ref_root").BuildLayout("fragment_ref"),
 	}
 
 	classes := []*smali.Class{
@@ -102,15 +100,6 @@ func testApp(t *testing.T) *apk.App {
 		t.Fatal(err)
 	}
 	return app
-}
-
-func mustLayout(t *testing.T, b *layout.B, name string) *layout.Layout {
-	t.Helper()
-	l, err := b.BuildLayout(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
 }
 
 func TestBuildEdges(t *testing.T) {

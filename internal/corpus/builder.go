@@ -91,11 +91,7 @@ func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p, err := newGenerator(spec).build()
-	if err != nil {
-		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
-	}
-	arch, err := p.encode()
+	arch, err := newGenerator(spec).build().encode()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
 	}
@@ -107,10 +103,11 @@ func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
 
 // BuildApp generates the app and assembles it directly from the in-memory
 // parts — no serialize-then-reparse round trip through the archive text.
-// apk.Assemble runs the same registration, validation, and lint steps as
-// apk.Load, so the resulting App is indistinguishable from the archive path
-// (TestBuildAppMatchesArchiveRoundTrip holds both paths together). Packed
-// specs fail with apk.ErrPacked, as they would in the real pipeline.
+// apk.Assemble runs the same validation and lint steps as apk.Load, and is
+// the only validation of the generated layouts, so the resulting App is
+// indistinguishable from the archive path (TestBuildAppMatchesArchiveRoundTrip
+// holds both paths together). Packed specs fail with apk.ErrPacked, as they
+// would in the real pipeline.
 func BuildApp(spec *AppSpec) (*apk.App, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -118,10 +115,7 @@ func BuildApp(spec *AppSpec) (*apk.App, error) {
 	if spec.Packed {
 		return nil, apk.ErrPacked
 	}
-	p, err := newGenerator(spec).build()
-	if err != nil {
-		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
-	}
+	p := newGenerator(spec).build()
 	app, err := apk.Assemble(p.manifest, p.layouts, p.classes)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
@@ -335,7 +329,7 @@ func (g *generator) derive(kind, name string) component {
 // layoutName is the name of the layout a "@layout/..." reference names.
 func layoutName(ref string) string { return ref[len("@layout/"):] }
 
-func (g *generator) build() (*parts, error) {
+func (g *generator) build() *parts {
 	p := &parts{
 		manifest: g.buildManifest(),
 		layouts:  make([]*layout.Layout, 0, len(g.acts)+len(g.frags)),
@@ -343,26 +337,18 @@ func (g *generator) build() (*parts, error) {
 	}
 	for i := range g.acts {
 		a := &g.acts[i]
-		l, err := g.activityLayout(a)
-		if err != nil {
-			return nil, err
-		}
-		p.layouts = append(p.layouts, l)
+		p.layouts = append(p.layouts, g.activityLayout(a))
 		p.classes = append(p.classes, g.activityClass(a))
 	}
 	for i := range g.frags {
 		f := &g.frags[i]
-		l, err := g.fragmentLayout(f)
-		if err != nil {
-			return nil, err
-		}
-		p.layouts = append(p.layouts, l)
+		p.layouts = append(p.layouts, g.fragmentLayout(f))
 		p.classes = append(p.classes, g.fragmentClass(f))
 	}
 	for i := range g.recvs {
 		p.classes = append(p.classes, g.receiverClass(&g.recvs[i]))
 	}
-	return p, nil
+	return p
 }
 
 func (g *generator) receiverClass(r *recvInfo) *smali.Class {
@@ -493,14 +479,53 @@ func needsContainer(a *ActivitySpec) bool {
 	return false
 }
 
-func (g *generator) activityLayout(a *actInfo) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refRoot(a.low))
+// activityLayout builds an activity's layout. It counts each child list
+// first, so every list is sized once.
+func (g *generator) activityLayout(a *actInfo) *layout.Layout {
+	nRoot, nDrawer, nSlide := 1, 0, 0 // the root holds the title
+	if a.drawer {
+		nRoot += 2 // the drawer's toggle and the drawer
+	}
+	if a.slide {
+		nRoot++
+	}
+	container := needsContainer(a.spec)
+	if container {
+		nRoot++
+	}
+	for i := range a.out {
+		switch tr := &a.out[i]; tr.Kind {
+		case TransButton:
+			nRoot++
+			if tr.Gate != nil {
+				nRoot++ // the gate's input field
+			}
+		case TransAction:
+			nRoot++
+		case TransDrawerButton:
+			nDrawer++
+		case TransSlideDrawer:
+			nSlide++
+		}
+	}
+	for i := range a.wires {
+		switch a.wires[i].Kind {
+		case WireTxnButton, WireStatic:
+			nRoot++
+		case WireTxnDrawer:
+			nDrawer++
+		case WireTxnSlideDrawer:
+			nSlide++
+		}
+	}
+
+	root := layout.RootN(layout.TypeLinearLayout, nRoot).ID(refRoot(a.low))
 	root.Child(layout.Root(layout.TypeTextView).ID(refTitle(a.low)).Text(a.spec.Name))
 
 	if a.drawer {
 		root.Child(layout.Root(layout.TypeImageButton).
 			ID(refDrawerToggle(a.low)).OnClick(handlerToggleDrawer))
-		drawer := layout.Root(layout.TypeDrawerLayout).ID(refDrawer(a.low)).HiddenW()
+		drawer := layout.RootN(layout.TypeDrawerLayout, nDrawer).ID(refDrawer(a.low)).HiddenW()
 		for i := range a.out {
 			if tr := &a.out[i]; tr.Kind == TransDrawerButton {
 				drawer.Child(layout.Root(layout.TypeButton).
@@ -517,7 +542,7 @@ func (g *generator) activityLayout(a *actInfo) (*layout.Layout, error) {
 		root.Child(drawer)
 	}
 	if a.slide {
-		slide := layout.Root(layout.TypeDrawerLayout).ID(refSlideDrawer(a.low)).HiddenW()
+		slide := layout.RootN(layout.TypeDrawerLayout, nSlide).ID(refSlideDrawer(a.low)).HiddenW()
 		for i := range a.out {
 			if tr := &a.out[i]; tr.Kind == TransSlideDrawer {
 				slide.Child(layout.Root(layout.TypeButton).
@@ -563,14 +588,14 @@ func (g *generator) activityLayout(a *actInfo) (*layout.Layout, error) {
 				ID(refStaticFrag(a.low, w.frag.low)).Class(w.frag.class))
 		}
 	}
-	if needsContainer(a.spec) {
+	if container {
 		root.Child(layout.Root(layout.TypeFrameLayout).ID(a.container))
 	}
 	return root.BuildLayout(layoutName(a.layout))
 }
 
-func (g *generator) fragmentLayout(f *fragInfo) (*layout.Layout, error) {
-	root := layout.Root(layout.TypeLinearLayout).ID(refFragRoot(f.low))
+func (g *generator) fragmentLayout(f *fragInfo) *layout.Layout {
+	root := layout.RootN(layout.TypeLinearLayout, 1+len(f.switches)).ID(refFragRoot(f.low))
 	root.Child(layout.Root(layout.TypeTextView).ID(refFragLabel(f.low)).Text(f.spec.Name))
 	for _, sw := range f.switches {
 		root.Child(layout.Root(layout.TypeButton).

@@ -218,6 +218,42 @@ func TestBuildAppMatchesArchiveRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBuiltChildListsSizedOnce checks that the generator sizes every
+// widget's child list once, from a count of what it will hold, so no list
+// is regrown while the layout is built: each list's capacity is its length.
+// A leaf keeps an empty, non-nil list, which the app codec records. It runs
+// over the demo app, the Table I apps, the seed-1 study corpus and family
+// members 0-199, so every transition and wire kind feeds a count.
+func TestBuiltChildListsSizedOnce(t *testing.T) {
+	specs := []*AppSpec{DemoSpec()}
+	for _, row := range PaperRows() {
+		specs = append(specs, PaperSpec(row))
+	}
+	specs = append(specs, StudySpecs(1)...)
+	fam := NewFamily(200, 1)
+	for i := 0; i < fam.Len(); i++ {
+		specs = append(specs, fam.At(i))
+	}
+	for _, spec := range specs {
+		if spec.Packed {
+			continue
+		}
+		app, err := BuildApp(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec.Package, err)
+		}
+		for _, name := range app.LayoutNames() {
+			app.Layouts[name].Walk(func(w *layout.Widget) bool {
+				if w.Children == nil || len(w.Children) != cap(w.Children) {
+					t.Errorf("%s: layout %s widget %s %s: %d children, capacity %d, nil %v; want a list sized to its length",
+						spec.Package, name, w.Type, w.IDRef, len(w.Children), cap(w.Children), w.Children == nil)
+				}
+				return true
+			})
+		}
+	}
+}
+
 func TestBuildPacked(t *testing.T) {
 	spec := DemoSpec()
 	spec.Packed = true

@@ -18,15 +18,12 @@ func FuzzParse(f *testing.F) {
 	f.Add(``)
 	f.Add(`<LinearLayout id="@+id/a"><Button id="@+id/a"/></LinearLayout>`)
 	// Encode output, and input the scanner must leave to encoding/xml.
-	built, err := Root(TypeLinearLayout).ID("@id/root").Child(
+	built := Root(TypeLinearLayout).ID("@id/root").Child(
 		Root(TypeButton).ID("@id/go").Text("Go & <back>").OnClick("onGo"),
 		Root(TypeEditText).ID("@id/name").Hint("name"),
 		Root(TypeDrawerLayout).ID("@id/drawer").HiddenW().Child(
 			Root(TypeFragment).ID("@id/frag").Class("p.Frag")),
 	).BuildLayout("main")
-	if err != nil {
-		f.Fatal(err)
-	}
 	for _, l := range []*Layout{built, {Name: "leaf", Root: &Widget{Type: TypeTextView, Text: "plain"}}} {
 		data, err := l.Encode()
 		if err != nil {

@@ -435,7 +435,13 @@ type B struct {
 // widget's Children is empty but not nil even on a leaf: the apk codec
 // records nil-ness, and built apps have always encoded their leaves (and so
 // derived their content fingerprints) that way.
-func Root(typ string) *B { return &B{w: &Widget{Type: typ, Children: []*Widget{}}} }
+func Root(typ string) *B { return RootN(typ, 0) }
+
+// RootN is Root for a widget that will take n children: its child list is
+// sized once, here, so the Child calls that fill it never regrow it.
+func RootN(typ string, n int) *B {
+	return &B{w: &Widget{Type: typ, Children: make([]*Widget, 0, n)}}
+}
 
 // ID sets the widget ID reference.
 func (b *B) ID(ref string) *B { b.w.IDRef = ref; return b }
@@ -463,13 +469,11 @@ func (b *B) Child(children ...*B) *B {
 	return b
 }
 
-// BuildLayout finishes the tree into a named, validated layout. The layout
-// takes the builder's tree over without copying it, so neither the builder
-// nor its child builders may be changed afterwards.
-func (b *B) BuildLayout(name string) (*Layout, error) {
-	l := &Layout{Name: name, Root: b.w}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
+// BuildLayout finishes the tree into a named layout. It does not validate
+// it: apk.Assemble validates every layout it assembles, and Encode every
+// layout it writes. The layout takes the builder's tree over without
+// copying it, so neither the builder nor its child builders may be changed
+// afterwards.
+func (b *B) BuildLayout(name string) *Layout {
+	return &Layout{Name: name, Root: b.w}
 }

@@ -133,18 +133,31 @@ func TestValidateErrors(t *testing.T) {
 }
 
 func TestBuilder(t *testing.T) {
-	l, err := Root(TypeLinearLayout).ID("@id/root").Child(
+	l := RootN(TypeLinearLayout, 3).ID("@id/root").Child(
 		Root(TypeButton).ID("@id/go").Text("Go").OnClick("onGo"),
 		Root(TypeFrameLayout).ID("@id/c"),
 		Root(TypeDrawerLayout).ID("@id/dw").HiddenW().Child(
 			Root(TypeButton).ID("@id/m1").OnClick("onM1"),
 		),
 	).BuildLayout("test")
-	if err != nil {
-		t.Fatalf("BuildLayout: %v", err)
+	if err := l.Validate(); err != nil {
+		t.Fatalf("Validate: %v", err)
 	}
 	if l.Find("@id/go") == nil || !l.Find("@id/dw").Hidden {
 		t.Fatal("builder lost structure")
+	}
+	// The apk codec records nil-ness: a built leaf keeps an empty, non-nil
+	// child list. A list sized by RootN is never regrown.
+	if leaf := l.Find("@id/go"); leaf.Children == nil || len(leaf.Children) != 0 {
+		t.Errorf("built leaf has Children %#v, want empty and non-nil", leaf.Children)
+	}
+	if n, c := len(l.Root.Children), cap(l.Root.Children); n != 3 || c != 3 {
+		t.Errorf("RootN(_, 3) with three children: len %d cap %d, want 3 and 3", n, c)
+	}
+	// BuildLayout does not validate: the apk assembly and Encode do.
+	dup := Root(TypeLinearLayout).ID("@id/a").Child(Root(TypeButton).ID("@id/a")).BuildLayout("dup")
+	if _, err := dup.Encode(); err == nil || !strings.Contains(err.Error(), "duplicate widget id") {
+		t.Errorf("Encode of a layout with a duplicate id: err %v, want duplicate widget id", err)
 	}
 	// Builder output must survive an encode/parse cycle.
 	data, err := l.Encode()

@@ -23,15 +23,6 @@ func method(name string, body ...smali.Instr) *smali.Method {
 	return &smali.Method{Name: name, Access: []string{"public"}, Body: body}
 }
 
-func mustLayout(t *testing.T, b *layout.B, name string) *layout.Layout {
-	t.Helper()
-	l, err := b.BuildLayout(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return l
-}
-
 // lintApp assembles the app, extracts and runs every analyzer.
 func lintApp(t *testing.T, man *manifest.Manifest, layouts []*layout.Layout, classes []*smali.Class) []lint.Diagnostic {
 	t.Helper()
@@ -126,10 +117,10 @@ func TestFL001UnreachableFragment(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").
 		Launcher("com.ex.Main").Activity("com.ex.B"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
-			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")),
-			"activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/lost_root"), "fragment_lost"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
+			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")).
+			BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/lost_root").BuildLayout("fragment_lost"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -167,10 +158,10 @@ func TestFL001UnreachableFragment(t *testing.T) {
 func TestFL002UncommittedTransaction(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").Launcher("com.ex.Main"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
-			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")),
-			"activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/home_root"), "fragment_home"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
+			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")).
+			BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/home_root").BuildLayout("fragment_home"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -204,10 +195,10 @@ func TestFL002UncommittedTransaction(t *testing.T) {
 func TestFL003OperationOutsideTransaction(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").Launcher("com.ex.Main"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
-			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")),
-			"activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/home_root"), "fragment_home"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
+			Child(layout.Root(layout.TypeFrameLayout).ID("@id/c")).
+			BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/home_root").BuildLayout("fragment_home"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -232,10 +223,10 @@ func TestFL003OperationOutsideTransaction(t *testing.T) {
 func TestFL004MissingClickHandler(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").Launcher("com.ex.Main"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").
 			Child(layout.Root(layout.TypeButton).ID("@id/ok").Text("ok")).
-			Child(layout.Root(layout.TypeButton).ID("@id/ghostly").Text("x").OnClick("ghost")),
-			"activity_main"),
+			Child(layout.Root(layout.TypeButton).ID("@id/ghostly").Text("x").OnClick("ghost")).
+			BuildLayout("activity_main"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -261,10 +252,10 @@ func TestFL005ListenerOnForeignWidget(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").
 		Launcher("com.ex.Main").Activity("com.ex.Second"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root"), "activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/second_root").
-			Child(layout.Root(layout.TypeButton).ID("@id/other").Text("other")),
-			"activity_second"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/second_root").
+			Child(layout.Root(layout.TypeButton).ID("@id/other").Text("other")).
+			BuildLayout("activity_second"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -309,11 +300,11 @@ func TestFL007ForeignContainer(t *testing.T) {
 	man := mustBuild(t, manifest.NewBuilder("com.ex").
 		Launcher("com.ex.Main").Activity("com.ex.Second"))
 	layouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/main_root"), "activity_main"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/second_root").
-			Child(layout.Root(layout.TypeFrameLayout).ID("@id/far_container")),
-			"activity_second"),
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/home_root"), "fragment_home"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/main_root").BuildLayout("activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/second_root").
+			Child(layout.Root(layout.TypeFrameLayout).ID("@id/far_container")).
+			BuildLayout("activity_second"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/home_root").BuildLayout("fragment_home"),
 	}
 	classes := []*smali.Class{
 		{Name: "com.ex.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{
@@ -578,9 +569,9 @@ func TestFL013LauncherBlockedSensitive(t *testing.T) {
 	// listener produces no FL013.
 	cleanMan := mustBuild(t, manifest.NewBuilder("com.l13b").Launcher("com.l13b.Main"))
 	cleanLayouts := []*layout.Layout{
-		mustLayout(t, layout.Root(layout.TypeLinearLayout).ID("@id/root").
-			Child(layout.Root(layout.TypeButton).ID("@id/btn_go").Text("go")),
-			"activity_main"),
+		layout.Root(layout.TypeLinearLayout).ID("@id/root").
+			Child(layout.Root(layout.TypeButton).ID("@id/btn_go").Text("go")).
+			BuildLayout("activity_main"),
 	}
 	cleanClasses := []*smali.Class{
 		{Name: "com.l13b.Main", Super: smali.ClassActivity, Access: []string{"public"}, Methods: []*smali.Method{

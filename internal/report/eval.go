@@ -276,8 +276,8 @@ type StudyConfig struct {
 	// dataset order).
 	Parallel int
 	// Cache serves the run's app builds and extractions. Nil means
-	// artifact.Default. The run evicts each app from it once the app has
-	// folded, so runs share artifacts only through the cache's store.
+	// artifact.Default. The run fetches each app through it without
+	// memoizing it, so runs share artifacts only through the cache's store.
 	Cache *artifact.Cache
 	// Source optionally overrides the corpus: any random-access spec source —
 	// typically corpus.NewFamily for corpus-scale runs — instead of the fixed
@@ -365,7 +365,7 @@ func runStudy(cfg StudyConfig) (*StudyResult, int, error) {
 	cache := cfg.cacheOrDefault()
 	fold := newStudyFold(src.Len())
 	maxLive, err := foldCorpus(cfg, src, "study build", func(spec *corpus.AppSpec) (bool, error) {
-		app, err := cache.App(spec)
+		app, err := cache.FetchApp(spec)
 		if err != nil {
 			return false, err
 		}

@@ -163,14 +163,15 @@ func (s *LintStudy) add(packed bool, diags []lint.Diagnostic) {
 
 // RunLintStudy lints every analyzable app of the dataset study, through the
 // same artifact cache and the same in-order fold as the fragment study.
-// cfg.Source overrides the corpus. Each app is released once it has folded,
-// so a corpus-scale lint sweep holds O(Window) extractions.
+// cfg.Source overrides the corpus. Each extraction is fetched without being
+// memoized and dropped once it has folded, so a corpus-scale lint sweep
+// holds O(Window) extractions.
 func RunLintStudy(cfg StudyConfig) (*LintStudy, error) {
 	src := cfg.source()
 	cache := cfg.cacheOrDefault()
 	s := newLintStudy(src.Len())
 	_, err := foldCorpus(cfg, src, "lint study", func(spec *corpus.AppSpec) ([]lint.Diagnostic, error) {
-		ex, err := cache.Extraction(spec)
+		ex, err := cache.FetchExtraction(spec)
 		if err != nil {
 			return nil, err
 		}

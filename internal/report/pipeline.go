@@ -94,13 +94,13 @@ func forEach(n, parallel, window int, work, fold func(i int)) (maxLive int) {
 // the lint study. It scans every app of cfg's corpus, cfg.Parallel apps at a
 // time, and hands each outcome to add in dataset order. A packed app (its
 // decompilation fails, as in the paper) reaches add with packed set and a
-// zero outcome. Each app is evicted from the cache once it has folded, so
-// the run holds O(window) apps however large the corpus; a store keeps its
-// copy. It returns the in-flight high-water mark and every other per-app
-// error, joined in dataset order.
+// zero outcome. scan fetches its app through the cache (FetchApp or
+// FetchExtraction), which keeps nothing in memory, so an app lives only
+// while its scan runs and the run holds O(window) apps however large the
+// corpus; a store keeps its copy. It returns the in-flight high-water mark
+// and every other per-app error, joined in dataset order.
 func foldCorpus[T any](cfg StudyConfig, src corpus.SpecSource, what string,
 	scan func(*corpus.AppSpec) (T, error), add func(pkg string, packed bool, out T)) (int, error) {
-	cache := cfg.cacheOrDefault()
 	window := cfg.window()
 	slots := make([]corpusSlot[T], window)
 	var errs []error
@@ -116,7 +116,6 @@ func foldCorpus[T any](cfg StudyConfig, src corpus.SpecSource, what string,
 		} else {
 			add(s.spec.Package, packed, s.out)
 		}
-		cache.Evict(s.spec)
 		*s = corpusSlot[T]{}
 	})
 	return maxLive, errors.Join(errs...)

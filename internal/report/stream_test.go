@@ -144,8 +144,9 @@ func TestStreamedLintParity(t *testing.T) {
 
 // TestStreamedFamilyBoundedLiveSet pins the release rule on a family
 // corpus, for the study and for the lint sweep. With or without Stream the
-// artifact cache holds zero live entries after the run: every app the run
-// built was evicted once it folded. The results agree either way.
+// run fetches every app through the cache and never memoizes one: the
+// cache's memo holds no entry during the run or after it, and counts no
+// lookup, while the run builds every app. The results agree either way.
 func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
 	fam := corpus.NewFamily(300, 2)
 	for _, c := range []struct {
@@ -161,24 +162,32 @@ func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
 		}},
 		{"lint", func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
 	} {
-		withStream, without := artifact.NewCache(), artifact.NewCache()
-		streamed, err := c.run(StudyConfig{Source: fam, Parallel: 8, Window: 6, Stream: true, Cache: withStream})
+		withStream := &liveProbe{SpecSource: fam, cache: artifact.NewCache()}
+		without := &liveProbe{SpecSource: fam, cache: artifact.NewCache()}
+		streamed, err := c.run(StudyConfig{Source: withStream, Parallel: 8, Window: 6, Stream: true, Cache: withStream.cache})
 		if err != nil {
 			t.Fatal(err)
 		}
-		positional, err := c.run(StudyConfig{Source: fam, Parallel: 8, Cache: without})
+		positional, err := c.run(StudyConfig{Source: without, Parallel: 8, Cache: without.cache})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range []struct {
 			mode  string
-			cache *artifact.Cache
+			probe *liveProbe
 		}{{"with Stream", withStream}, {"without Stream", without}} {
-			if created := r.cache.Stats().Misses; created == 0 {
-				t.Errorf("%s %s: the run created no cache entries", c.name, r.mode)
+			st := r.probe.cache.Stats()
+			if st.Builds == 0 {
+				t.Errorf("%s %s: the run built no app through the cache", c.name, r.mode)
 			}
-			if live := r.cache.Live(); live != 0 {
-				t.Errorf("%s %s: cache holds %d live entries after the run, want 0 (release leak)", c.name, r.mode, live)
+			if st.Hits != 0 || st.Misses != 0 {
+				t.Errorf("%s %s: the run looked apps up in the memo: %+v", c.name, r.mode, st)
+			}
+			if r.probe.peak != 0 {
+				t.Errorf("%s %s: the memo held %d entries during the run, want 0", c.name, r.mode, r.probe.peak)
+			}
+			if live := r.probe.cache.Live(); live != 0 {
+				t.Errorf("%s %s: the memo holds %d entries after the run, want 0", c.name, r.mode, live)
 			}
 		}
 		if !reflect.DeepEqual(positional, streamed) {
@@ -189,18 +198,18 @@ func TestStreamedFamilyBoundedLiveSet(t *testing.T) {
 
 // TestStudyRunsReleaseEveryApp pins the release rule on the 217-app study,
 // for the study and for the lint sweep, each on an in-memory cache and then
-// twice on a store-backed one. During every run the cache holds at most a
-// window of apps, and after it none. Release leaves the store's copies: the
-// second store-backed run builds nothing and reads every artifact from disk.
+// twice on a store-backed one. Every run fetches its apps without
+// memoizing them: the cache's memo holds no entry during the run or after
+// it. The store keeps its copies: the second store-backed run builds
+// nothing and reads every artifact from disk once.
 func TestStudyRunsReleaseEveryApp(t *testing.T) {
 	const window = 5
 	for _, c := range []struct {
-		name    string
-		entries int    // cache entries one in-flight app holds
-		reads   uint64 // store reads a warm run makes
-		run     func(StudyConfig) (any, error)
+		name  string
+		reads uint64 // store reads a warm run makes
+		run   func(StudyConfig) (any, error)
 	}{
-		{"study", 1, corpus.StudySize, func(cfg StudyConfig) (any, error) {
+		{"study", corpus.StudySize, func(cfg StudyConfig) (any, error) {
 			res, st, err := RunStudyStreamed(cfg)
 			if err == nil && (st.Window != window || st.MaxLive > st.Window) {
 				t.Errorf("study: max in-flight %d, window %d, want window %d", st.MaxLive, st.Window, window)
@@ -209,7 +218,7 @@ func TestStudyRunsReleaseEveryApp(t *testing.T) {
 		}},
 		// A warm lint run reads each app's build and the 207 analyzable
 		// apps' extractions; the 10 packed apps have none.
-		{"lint", 2, corpus.StudySize + 207, func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
+		{"lint", corpus.StudySize + 207, func(cfg StudyConfig) (any, error) { return RunLintStudy(cfg) }},
 	} {
 		stored, err := artifact.NewPersistentCache(t.TempDir())
 		if err != nil {
@@ -224,10 +233,13 @@ func TestStudyRunsReleaseEveryApp(t *testing.T) {
 				t.Fatal(err)
 			}
 			if live := cache.Live(); live != 0 {
-				t.Errorf("%s run %d: cache holds %d live entries after the run, want 0", c.name, run, live)
+				t.Errorf("%s run %d: the memo holds %d entries after the run, want 0", c.name, run, live)
 			}
-			if src.peak > c.entries*window {
-				t.Errorf("%s run %d: cache held %d live entries during the run, want at most %d", c.name, run, src.peak, c.entries*window)
+			if src.peak != 0 {
+				t.Errorf("%s run %d: the memo held %d entries during the run, want 0", c.name, run, src.peak)
+			}
+			if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
+				t.Errorf("%s run %d: the run looked apps up in the memo: %+v", c.name, run, st)
 			}
 			if run == 0 {
 				first = res
@@ -247,7 +259,7 @@ func TestStudyRunsReleaseEveryApp(t *testing.T) {
 	}
 }
 
-// liveProbe is a spec source that samples its cache's live entries each
+// liveProbe is a spec source that samples its cache's memo entries each
 // time a worker takes a spec, and keeps the peak.
 type liveProbe struct {
 	corpus.SpecSource
