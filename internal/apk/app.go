@@ -71,6 +71,7 @@ func Load(a *Archive) (*App, error) {
 
 	paths := a.WithPrefix(LayoutDir)
 	layouts := make(map[string]*layout.Layout, len(paths))
+	refs := make(layout.Index, refsPerLayout*len(paths))
 	for _, p := range paths {
 		base := path.Base(p)
 		name := strings.TrimSuffix(base, ".xml")
@@ -81,7 +82,7 @@ func Load(a *Archive) (*App, error) {
 			return nil, fmt.Errorf("apk: duplicate layout %s", name)
 		}
 		data, _ := a.Get(p)
-		l, err := layout.Parse(name, data)
+		l, err := refs.Parse(name, data)
 		if err != nil {
 			return nil, err
 		}
@@ -102,11 +103,16 @@ func Load(a *Archive) (*App, error) {
 	}
 
 	app := &App{Manifest: man, Layouts: layouts, Program: prog}
-	if err := app.Lint(); err != nil {
+	if err := app.lint(refs); err != nil {
 		return nil, err
 	}
 	return app, nil
 }
+
+// refsPerLayout sizes an app's layout.Index. A generated app's layouts
+// define fewer than four references per layout (a root, a title or label,
+// a button or two), so its index never grows.
+const refsPerLayout = 4
 
 // Assemble constructs an App directly from in-memory parts, running the
 // same validation and lint steps as Load without the serialize-then-reparse
@@ -122,11 +128,12 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 	lmap := make(map[string]*layout.Layout, len(layouts))
 	ordered := append([]*layout.Layout(nil), layouts...)
 	slices.SortFunc(ordered, func(a, b *layout.Layout) int { return strings.Compare(a.Name, b.Name) })
+	refs := make(layout.Index, refsPerLayout*len(layouts))
 	for _, l := range ordered {
 		if lmap[l.Name] != nil {
 			return nil, fmt.Errorf("apk: duplicate layout %s", l.Name)
 		}
-		if err := l.Validate(); err != nil {
+		if err := refs.Add(l); err != nil {
 			return nil, err
 		}
 		lmap[l.Name] = l
@@ -158,7 +165,7 @@ func Assemble(man *manifest.Manifest, layouts []*layout.Layout, classes []*smali
 		return nil, err
 	}
 	app := &App{Manifest: man, Layouts: lmap, Program: prog}
-	if err := app.Lint(); err != nil {
+	if err := app.lint(refs); err != nil {
 		return nil, err
 	}
 	return app, nil
@@ -214,9 +221,9 @@ func (app *App) Pack() (*Archive, error) {
 			return nil, err
 		}
 	}
-	for _, cn := range app.Program.Names() {
-		c := app.Program.Class(cn)
-		if err := a.Put(smaliPath(cn), smali.WriteClass(c)); err != nil {
+	for i := 0; i < app.Program.Len(); i++ {
+		c := app.Program.ClassAt(i)
+		if err := a.Put(smaliPath(c.Name), smali.WriteClass(c)); err != nil {
 			return nil, err
 		}
 	}
@@ -233,15 +240,18 @@ func (app *App) LayoutNames() []string {
 	return out
 }
 
-// Lint cross-checks the bundle:
+// lint cross-checks the bundle, given the index of the widget references
+// its layouts define:
 //   - every manifest activity has a class in the program, and that class is
 //     an Activity subclass;
 //   - every set-content-view layout reference resolves to a bundled layout;
 //   - every fragment-transaction target class is a Fragment subclass;
 //   - every widget reference in the code (listener, transaction container,
 //     text and visibility operands) is defined in some layout.
-func (app *App) Lint() error {
-	for _, an := range app.Manifest.ActivityNames() {
+func (app *App) lint(refs layout.Index) error {
+	acts := app.Manifest.Application.Activities
+	for i := range acts {
+		an := acts[i].Name
 		c := app.Program.Class(an)
 		if c == nil {
 			return fmt.Errorf("apk: manifest activity %s has no class", an)
@@ -258,12 +268,11 @@ func (app *App) Lint() error {
 			return fmt.Errorf("apk: manifest receiver %s does not extend BroadcastReceiver", r.Name)
 		}
 	}
-	refs := widgetRefs(app.Layouts)
-	for _, cn := range app.Program.Names() {
-		c := app.Program.Class(cn)
+	for i := 0; i < app.Program.Len(); i++ {
+		c := app.Program.ClassAt(i)
 		for _, m := range c.Methods {
 			for _, ins := range m.Body {
-				if err := app.lintInstr(refs, cn, m.Name, ins); err != nil {
+				if err := app.lintInstr(refs, c.Name, m.Name, ins); err != nil {
 					return err
 				}
 			}
@@ -272,7 +281,7 @@ func (app *App) Lint() error {
 	return nil
 }
 
-func (app *App) lintInstr(refs map[string]bool, class, method string, ins smali.Instr) error {
+func (app *App) lintInstr(refs layout.Index, class, method string, ins smali.Instr) error {
 	where := func() string { return fmt.Sprintf("apk: %s.%s line %d", class, method, ins.Line) }
 	switch ins.Op {
 	case smali.OpSetContentView:
@@ -306,42 +315,19 @@ func (app *App) lintInstr(refs map[string]bool, class, method string, ins smali.
 }
 
 // resolve checks that ref names something the layouts define: a widget ID
-// in refs, the app's widgetRefs, or a layout of the app. A malformed ref
-// fails with ParseRef's error, an undefined one with a res.UnresolvedError.
-func (app *App) resolve(refs map[string]bool, ref string) error {
+// in refs, the index of the app's layouts, or a layout of the app. A
+// malformed ref fails with ParseRef's error, an undefined one with a
+// res.UnresolvedError.
+func (app *App) resolve(refs layout.Index, ref string) error {
 	ref = normalizeRef(ref)
 	kind, name, err := res.ParseRef(ref)
 	if err != nil {
 		return err
 	}
-	if refs[ref] || kind == res.KindLayout && app.Layouts[name] != nil {
+	if refs.Defines(ref) || kind == res.KindLayout && app.Layouts[name] != nil {
 		return nil
 	}
 	return &res.UnresolvedError{Ref: ref}
-}
-
-// widgetRefs returns the set of normalized widget references the layouts
-// define.
-func widgetRefs(layouts map[string]*layout.Layout) map[string]bool {
-	n := 0
-	for _, l := range layouts {
-		l.Walk(func(w *layout.Widget) bool {
-			if w.IDRef != "" {
-				n++
-			}
-			return true
-		})
-	}
-	refs := make(map[string]bool, n)
-	for _, l := range layouts {
-		l.Walk(func(w *layout.Widget) bool {
-			if w.IDRef != "" {
-				refs[normalizeRef(w.IDRef)] = true
-			}
-			return true
-		})
-	}
-	return refs
 }
 
 // normalizeRef maps "@+id/x" to "@id/x" so lookups hit layout-defined IDs.

@@ -127,7 +127,7 @@ func TestLoadRejectsNestedDuplicateLayout(t *testing.T) {
 	}
 }
 
-// TestLintResolvesReferences checks how Lint resolves the resource
+// TestLintResolvesReferences checks how the bundle lint resolves the resource
 // reference of a code operand against what the layouts define: widget IDs
 // in either spelling, and layouts only by @layout.
 func TestLintResolvesReferences(t *testing.T) {

@@ -2,7 +2,6 @@ package apk
 
 import (
 	"fmt"
-	"strings"
 
 	"fragdroid/internal/binc"
 	"fragdroid/internal/layout"
@@ -28,10 +27,10 @@ func EncodeApp(app *App) ([]byte, error) {
 		return nil, fmt.Errorf("apk: encode app: missing manifest")
 	}
 	encodeManifest(w, app.Manifest)
+	names := app.LayoutNames()
 	// The reference count once sized a resource-ID table. Nothing reads it
 	// back now, but dropping it would change every encoding.
-	w.Int(refCount(app.Layouts))
-	names := app.LayoutNames()
+	w.Int(refCount(app.Layouts, names))
 	w.Int(len(names))
 	for _, name := range names {
 		l := app.Layouts[name]
@@ -44,22 +43,29 @@ func EncodeApp(app *App) ([]byte, error) {
 		w.Int(countWidgets(l.Root))
 		encodeWidget(w, l.Root)
 	}
-	classNames := app.Program.Names()
-	w.Int(len(classNames))
-	for _, cn := range classNames {
-		encodeClass(w, app.Program.Class(cn))
+	w.Int(app.Program.Len())
+	for i := 0; i < app.Program.Len(); i++ {
+		encodeClass(w, app.Program.ClassAt(i))
 	}
 	return w.Bytes(), nil
 }
 
 // refCount is the number of distinct references the layouts define: each
 // layout's @layout/name and each normalized widget reference. A widget may
-// name a layout ("@+layout/x"), so that layout counts once.
-func refCount(layouts map[string]*layout.Layout) int {
-	refs := widgetRefs(layouts)
+// name a layout ("@+layout/x"), so that layout counts once. names is the
+// layouts' names, sorted; the index takes them in that order, as Assemble
+// does. A layout no build would accept stops the count at its first
+// broken rule.
+func refCount(layouts map[string]*layout.Layout, names []string) int {
+	refs := make(layout.Index, refsPerLayout*len(names))
+	for _, name := range names {
+		if l := layouts[name]; l == nil || refs.Add(l) != nil {
+			break
+		}
+	}
 	n := len(layouts) + len(refs)
-	for ref := range refs {
-		if name, ok := strings.CutPrefix(ref, "@layout/"); ok && layouts[name] != nil {
+	for _, name := range names {
+		if refs.Defines("@layout/" + name) {
 			n--
 		}
 	}
@@ -173,7 +179,7 @@ func encodeClass(w *binc.Writer, c *smali.Class) {
 // exactly. Each widget ID must parse as a resource reference.
 //
 // DecodeApp trusts its input: it skips the per-class Check, program
-// Validate and bundle Lint that Load and Assemble run, which is what makes a
+// Validate and bundle lint that Load and Assemble run, which is what makes a
 // warm load fast. Callers must only feed it payloads whose integrity is
 // established elsewhere (the artifact store verifies a sha256 checksum
 // before handing bytes over). Corrupt input still yields an error, never a

@@ -88,10 +88,12 @@ func GateValue(g *InputGate, to string) string {
 
 // BuildArchive generates the .sapk archive for a spec.
 func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
-	if err := spec.Validate(); err != nil {
+	var buf [specIndexSize]specEntry
+	idx, err := spec.validate(buf[:])
+	if err != nil {
 		return nil, err
 	}
-	arch, err := newGenerator(spec).build().encode()
+	arch, err := newGenerator(spec, idx).build().encode()
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
 	}
@@ -109,13 +111,15 @@ func BuildArchive(spec *AppSpec) (*apk.Archive, error) {
 // holds both paths together). Packed specs fail with apk.ErrPacked, as they
 // would in the real pipeline.
 func BuildApp(spec *AppSpec) (*apk.App, error) {
-	if err := spec.Validate(); err != nil {
+	var buf [specIndexSize]specEntry
+	idx, err := spec.validate(buf[:])
+	if err != nil {
 		return nil, err
 	}
 	if spec.Packed {
 		return nil, apk.ErrPacked
 	}
-	p := newGenerator(spec).build()
+	p := newGenerator(spec, idx).build()
 	app, err := apk.Assemble(p.manifest, p.layouts, p.classes)
 	if err != nil {
 		return nil, fmt.Errorf("corpus: build %s: %w", spec.Package, err)
@@ -233,33 +237,32 @@ type switchLink struct {
 	handler string
 }
 
-// newGenerator derives the names and links of a validated spec.
-func newGenerator(spec *AppSpec) *generator {
+// newGenerator derives the names and links of a spec that validate has
+// checked, resolving names through the index validate filled.
+func newGenerator(spec *AppSpec, idx specIndex) *generator {
 	g := &generator{
 		spec:  spec,
 		acts:  make([]actInfo, len(spec.Activities)),
 		frags: make([]fragInfo, len(spec.Fragments)),
 		recvs: make([]recvInfo, len(spec.Receivers)),
 	}
-	actAt := make(map[string]*actInfo, len(g.acts))
+	actAt := func(name string) *actInfo { return &g.acts[idx.at(name).act-1] }
+	fragAt := func(name string) *fragInfo { return &g.frags[idx.at(name).frag-1] }
 	nWires := 0
 	for i := range g.acts {
 		a := &g.acts[i]
 		a.spec = &spec.Activities[i]
 		a.component = g.derive("activity", a.spec.Name)
-		actAt[a.spec.Name] = a
 		nWires += len(a.spec.Wires)
 	}
-	fragAt := make(map[string]*fragInfo, len(g.frags))
 	for i := range g.frags {
 		f := &g.frags[i]
 		f.spec = &spec.Fragments[i]
 		f.component = g.derive("fragment", f.spec.Name)
-		fragAt[f.spec.Name] = f
 	}
 	for i := range spec.Transition {
 		tr := &spec.Transition[i]
-		from := actAt[tr.From]
+		from := actAt(tr.From)
 		handler := handlerGo
 		switch tr.Kind {
 		case TransAction:
@@ -269,7 +272,7 @@ func newGenerator(spec *AppSpec) *generator {
 		case TransSlideDrawer:
 			from.slide = true
 		}
-		l := transLink{Transition: tr, to: actAt[tr.To], handler: handler(tr.To)}
+		l := transLink{Transition: tr, to: actAt(tr.To), handler: handler(tr.To)}
 		if tr.Gate != nil {
 			l.field = tr.Gate.Field
 			if l.field == "" {
@@ -287,7 +290,7 @@ func newGenerator(spec *AppSpec) *generator {
 		a.container = refContainer(a.low)
 		first := len(wires)
 		for _, w := range a.spec.Wires {
-			l := wireLink{FragmentWire: w, frag: fragAt[w.Fragment]}
+			l := wireLink{FragmentWire: w, frag: fragAt(w.Fragment)}
 			if l.frag.host == nil {
 				l.frag.host = a
 			}
@@ -307,12 +310,15 @@ func newGenerator(spec *AppSpec) *generator {
 		a.wires = wires[first:len(wires):len(wires)]
 	}
 	for _, sw := range spec.Switches {
-		from := fragAt[sw.From]
-		from.switches = append(from.switches, switchLink{to: fragAt[sw.To], handler: handlerSwitch(sw.To)})
+		from := fragAt(sw.From)
+		from.switches = append(from.switches, switchLink{to: fragAt(sw.To), handler: handlerSwitch(sw.To)})
 	}
 	for i := range spec.Receivers {
 		r := &spec.Receivers[i]
-		g.recvs[i] = recvInfo{spec: r, class: g.fq(r.Name), starts: actAt[r.StartsActivity]}
+		g.recvs[i] = recvInfo{spec: r, class: g.fq(r.Name)}
+		if r.StartsActivity != "" {
+			g.recvs[i].starts = actAt(r.StartsActivity)
+		}
 	}
 	return g
 }

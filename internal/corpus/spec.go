@@ -8,7 +8,10 @@
 // identical output.
 package corpus
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // TransKind describes how an Activity → Activity transition is exposed in
 // the UI.
@@ -154,98 +157,159 @@ type AppSpec struct {
 
 // Validate checks referential integrity of the spec.
 func (s *AppSpec) Validate() error {
-	if s.Package == "" {
-		return fmt.Errorf("corpus: spec without package")
+	_, err := s.validate(nil)
+	return err
+}
+
+// specIndex is a spec's activity and fragment names, sorted, each with its
+// places in the spec. validate fills it as it checks the spec, and
+// newGenerator resolves every name the spec links by through it. A name is
+// found by binary search, so the index hashes nothing, and its backing
+// array can live on the caller's stack.
+type specIndex []specEntry
+
+// specEntry is one name with 1 + an index, or 0 for none: act into
+// Activities, frag into Fragments, and host into Activities for the first
+// activity wiring the fragment. An activity and a fragment may share a
+// name, so one entry holds both.
+type specEntry struct {
+	name            string
+	act, frag, host int32
+}
+
+// specIndexSize is the index capacity BuildApp and BuildArchive keep on
+// their stacks. A family member has at most 13 activities and fragments; a
+// larger spec's index moves to the heap as it grows.
+const specIndexSize = 16
+
+// find returns the position of name's entry, or where it would go.
+func (x specIndex) find(name string) (int, bool) {
+	lo, hi := 0, len(x)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x[m].name < name {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
-	acts := make(map[string]*ActivitySpec, len(s.Activities))
+	return lo, lo < len(x) && x[lo].name == name
+}
+
+// at returns the entry of name, or the zero entry if it has none.
+func (x specIndex) at(name string) specEntry {
+	if i, ok := x.find(name); ok {
+		return x[i]
+	}
+	return specEntry{}
+}
+
+// slot returns x with an entry for name, added in order if it had none,
+// and that entry's position.
+func (x specIndex) slot(name string) (specIndex, int) {
+	i, ok := x.find(name)
+	if !ok {
+		x = slices.Insert(x, i, specEntry{name: name})
+	}
+	return x, i
+}
+
+// validate checks the spec and returns its index, built in buf's backing
+// array while it fits.
+func (s *AppSpec) validate(buf []specEntry) (specIndex, error) {
+	if s.Package == "" {
+		return nil, fmt.Errorf("corpus: spec without package")
+	}
+	idx := specIndex(buf[:0])
+	var e int // the entry slot just found or added
 	links := make(map[string]string)
 	launchers := 0
 	for i := range s.Activities {
 		a := &s.Activities[i]
 		if a.Name == "" {
-			return fmt.Errorf("corpus: %s: activity with empty name", s.Package)
+			return nil, fmt.Errorf("corpus: %s: activity with empty name", s.Package)
 		}
-		if acts[a.Name] != nil {
-			return fmt.Errorf("corpus: %s: duplicate activity %s", s.Package, a.Name)
+		if idx, e = idx.slot(a.Name); idx[e].act != 0 {
+			return nil, fmt.Errorf("corpus: %s: duplicate activity %s", s.Package, a.Name)
 		}
-		acts[a.Name] = a
+		idx[e].act = int32(i + 1)
 		if a.Launcher {
 			launchers++
 		}
 		if a.DeepLink != "" {
 			if other, dup := links[a.DeepLink]; dup {
-				return fmt.Errorf("corpus: %s: deep link %s claimed by both %s and %s",
+				return nil, fmt.Errorf("corpus: %s: deep link %s claimed by both %s and %s",
 					s.Package, a.DeepLink, other, a.Name)
 			}
 			links[a.DeepLink] = a.Name
 		}
 	}
 	if launchers != 1 {
-		return fmt.Errorf("corpus: %s: want exactly 1 launcher, have %d", s.Package, launchers)
+		return nil, fmt.Errorf("corpus: %s: want exactly 1 launcher, have %d", s.Package, launchers)
 	}
-	frags := make(map[string]*FragmentSpec, len(s.Fragments))
 	for i := range s.Fragments {
 		f := &s.Fragments[i]
 		if f.Name == "" {
-			return fmt.Errorf("corpus: %s: fragment with empty name", s.Package)
+			return nil, fmt.Errorf("corpus: %s: fragment with empty name", s.Package)
 		}
-		if frags[f.Name] != nil {
-			return fmt.Errorf("corpus: %s: duplicate fragment %s", s.Package, f.Name)
+		if idx, e = idx.slot(f.Name); idx[e].frag != 0 {
+			return nil, fmt.Errorf("corpus: %s: duplicate fragment %s", s.Package, f.Name)
 		}
-		frags[f.Name] = f
+		idx[e].frag = int32(i + 1)
 	}
 	for _, tr := range s.Transition {
-		if acts[tr.From] == nil || acts[tr.To] == nil {
-			return fmt.Errorf("corpus: %s: transition %s->%s references unknown activity", s.Package, tr.From, tr.To)
+		from, to := idx.at(tr.From).act, idx.at(tr.To).act
+		if from == 0 || to == 0 {
+			return nil, fmt.Errorf("corpus: %s: transition %s->%s references unknown activity", s.Package, tr.From, tr.To)
 		}
 		if tr.From == tr.To {
-			return fmt.Errorf("corpus: %s: self transition on %s", s.Package, tr.From)
+			return nil, fmt.Errorf("corpus: %s: self transition on %s", s.Package, tr.From)
 		}
 		if tr.Kind == TransAction && tr.Action == "" {
-			return fmt.Errorf("corpus: %s: action transition %s->%s without action", s.Package, tr.From, tr.To)
+			return nil, fmt.Errorf("corpus: %s: action transition %s->%s without action", s.Package, tr.From, tr.To)
 		}
-		if acts[tr.From].Isolated || acts[tr.To].Isolated {
-			return fmt.Errorf("corpus: %s: transition touches isolated activity (%s->%s)", s.Package, tr.From, tr.To)
+		if s.Activities[from-1].Isolated || s.Activities[to-1].Isolated {
+			return nil, fmt.Errorf("corpus: %s: transition touches isolated activity (%s->%s)", s.Package, tr.From, tr.To)
 		}
 	}
-	wired := make(map[string]string) // fragment -> first host
 	for i := range s.Activities {
 		a := &s.Activities[i]
 		for _, w := range a.Wires {
-			if frags[w.Fragment] == nil {
-				return fmt.Errorf("corpus: %s: activity %s wires unknown fragment %s", s.Package, a.Name, w.Fragment)
+			j, ok := idx.find(w.Fragment)
+			if !ok || idx[j].frag == 0 {
+				return nil, fmt.Errorf("corpus: %s: activity %s wires unknown fragment %s", s.Package, a.Name, w.Fragment)
 			}
-			if _, dup := wired[w.Fragment]; !dup {
-				wired[w.Fragment] = a.Name
+			if idx[j].host == 0 {
+				idx[j].host = int32(i + 1)
 			}
 		}
 	}
 	for _, r := range s.Receivers {
 		if r.Name == "" {
-			return fmt.Errorf("corpus: %s: receiver with empty name", s.Package)
+			return nil, fmt.Errorf("corpus: %s: receiver with empty name", s.Package)
 		}
-		if acts[r.Name] != nil || frags[r.Name] != nil {
-			return fmt.Errorf("corpus: %s: receiver %s collides with another component", s.Package, r.Name)
+		if c := idx.at(r.Name); c.act != 0 || c.frag != 0 {
+			return nil, fmt.Errorf("corpus: %s: receiver %s collides with another component", s.Package, r.Name)
 		}
 		if len(r.Actions) == 0 {
-			return fmt.Errorf("corpus: %s: receiver %s subscribes to nothing", s.Package, r.Name)
+			return nil, fmt.Errorf("corpus: %s: receiver %s subscribes to nothing", s.Package, r.Name)
 		}
-		if r.StartsActivity != "" && acts[r.StartsActivity] == nil {
-			return fmt.Errorf("corpus: %s: receiver %s starts unknown activity %s", s.Package, r.Name, r.StartsActivity)
+		if r.StartsActivity != "" && idx.at(r.StartsActivity).act == 0 {
+			return nil, fmt.Errorf("corpus: %s: receiver %s starts unknown activity %s", s.Package, r.Name, r.StartsActivity)
 		}
 	}
 	for _, sw := range s.Switches {
-		if frags[sw.From] == nil || frags[sw.To] == nil {
-			return fmt.Errorf("corpus: %s: switch %s->%s references unknown fragment", s.Package, sw.From, sw.To)
+		from, to := idx.at(sw.From), idx.at(sw.To)
+		if from.frag == 0 || to.frag == 0 {
+			return nil, fmt.Errorf("corpus: %s: switch %s->%s references unknown fragment", s.Package, sw.From, sw.To)
 		}
-		fh, ok1 := wired[sw.From]
-		th, ok2 := wired[sw.To]
-		if !ok1 || !ok2 {
-			return fmt.Errorf("corpus: %s: switch %s->%s on unwired fragment", s.Package, sw.From, sw.To)
+		if from.host == 0 || to.host == 0 {
+			return nil, fmt.Errorf("corpus: %s: switch %s->%s on unwired fragment", s.Package, sw.From, sw.To)
 		}
-		if fh != th {
-			return fmt.Errorf("corpus: %s: switch %s->%s crosses hosts %s/%s", s.Package, sw.From, sw.To, fh, th)
+		if from.host != to.host {
+			return nil, fmt.Errorf("corpus: %s: switch %s->%s crosses hosts %s/%s", s.Package, sw.From, sw.To,
+				s.Activities[from.host-1].Name, s.Activities[to.host-1].Name)
 		}
 	}
-	return nil
+	return idx, nil
 }

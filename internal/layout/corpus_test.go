@@ -42,7 +42,7 @@ func TestCorpusLayoutsScanned(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", spec.Package, p, err)
 			}
-			if !reflect.DeepEqual(root, ref.Root) {
+			if !reflect.DeepEqual(root, ref) {
 				t.Errorf("%s %s: the scanned tree differs from encoding/xml's", spec.Package, p)
 			}
 			docs++

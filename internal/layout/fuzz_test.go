@@ -41,7 +41,7 @@ func FuzzParse(f *testing.F) {
 	f.Add(`<Button id="@id/a"/>trailing`)
 	f.Fuzz(func(t *testing.T, src string) {
 		l, err := Parse("fuzz", []byte(src))
-		ref, refErr := parseXML("fuzz", []byte(src))
+		ref, refErr := parseXMLLayout("fuzz", []byte(src))
 		if fmt.Sprint(err) != fmt.Sprint(refErr) || !reflect.DeepEqual(l, ref) {
 			t.Fatalf("Parse and the encoding/xml path differ on %q:\nParse:    %v %s\nencoding: %v %s", src, err, dump(l), refErr, dump(ref))
 		}
@@ -63,6 +63,20 @@ func FuzzParse(f *testing.F) {
 			t.Fatalf("widget count changed: %d vs %d", n1, n2)
 		}
 	})
+}
+
+// parseXMLLayout is Parse by the encoding/xml path alone: parseXML's tree,
+// then Validate.
+func parseXMLLayout(name string, data []byte) (*Layout, error) {
+	root, err := parseXML(name, data)
+	if err != nil {
+		return nil, err
+	}
+	l := &Layout{Name: name, Root: root}
+	if err := l.Validate(); err != nil {
+		return nil, err
+	}
+	return l, nil
 }
 
 // dump renders a layout's widget tree for a failure message.

@@ -204,15 +204,57 @@ func (l *Layout) Containers() []string {
 
 // Validate checks the layout: a root must exist, IDs must be well-formed
 // references, fragment tags must carry a class, and IDs must be unique within
-// the layout.
+// the layout. It is Index.Add on an index of its own.
 func (l *Layout) Validate() error {
+	return make(Index).Add(l)
+}
+
+// Index records the widget references of an app's layouts as Add validates
+// each layout, in the one walk that validates it. It is keyed by normalized
+// reference: "@+id/x" and "@id/x" are one entry, whose mark says which
+// spellings the layout that last defined it used. The app checks its code's
+// references against the index (Defines), and len reports how many
+// distinct references the layouts define.
+type Index map[string]refMark
+
+// refMark is the most recent layout to define a reference, and the
+// spellings (plainRef, newRef) that layout defined it in.
+type refMark struct {
+	layout    *Layout
+	spellings uint8
+}
+
+// The spellings of one normalized reference.
+const (
+	plainRef uint8 = 1 << iota // "@kind/name"
+	newRef                     // "@+kind/name"
+)
+
+// refKey returns the index key of ref, the reference after its "@" or "@+"
+// (a substring, so a lookup builds no string), and the spelling; ok is
+// false for a ref without a leading '@'.
+func refKey(ref string) (key string, spelling uint8, ok bool) {
+	switch {
+	case strings.HasPrefix(ref, "@+"):
+		return ref[2:], newRef, true
+	case strings.HasPrefix(ref, "@"):
+		return ref[1:], plainRef, true
+	}
+	return "", 0, false
+}
+
+// Add validates l and records its widget references, walking it once. It
+// returns the first rule l breaks, in walk order: a widget without a type,
+// an ID that is not a well-formed reference, an ID the layout already
+// defines in the same spelling, or a <fragment> without a class. One ID in
+// two layouts, or "@+id/x" beside "@id/x" in one, is no duplicate.
+func (x Index) Add(l *Layout) error {
 	if l.Name == "" {
 		return fmt.Errorf("layout: empty name")
 	}
 	if l.Root == nil {
 		return fmt.Errorf("layout %s: no root widget", l.Name)
 	}
-	seen := make(map[string]bool)
 	var err error
 	l.Walk(func(w *Widget) bool {
 		if w.Type == "" {
@@ -224,11 +266,16 @@ func (l *Layout) Validate() error {
 				err = fmt.Errorf("layout %s: %w", l.Name, e)
 				return false
 			}
-			if seen[w.IDRef] {
+			key, spelling, _ := refKey(w.IDRef)
+			m := x[key]
+			if m.layout != l {
+				m = refMark{layout: l}
+			} else if m.spellings&spelling != 0 {
 				err = fmt.Errorf("layout %s: duplicate widget id %s", l.Name, w.IDRef)
 				return false
 			}
-			seen[w.IDRef] = true
+			m.spellings |= spelling
+			x[key] = m
 		}
 		if w.Type == TypeFragment && w.FragmentClass == "" {
 			err = fmt.Errorf("layout %s: <fragment> without class", l.Name)
@@ -239,17 +286,38 @@ func (l *Layout) Validate() error {
 	return err
 }
 
+// Defines reports whether some layout added to the index defines ref, in
+// either spelling.
+func (x Index) Defines(ref string) bool {
+	key, _, ok := refKey(ref)
+	if !ok {
+		return false
+	}
+	_, found := x[key]
+	return found
+}
+
 // Parse decodes a layout XML document. name is the layout resource name
 // (typically the file base name without extension). A document in the
 // dialect Encode writes is read by xmlscan in one pass; any other goes
-// through encoding/xml, which gives the same layout or error for it.
+// through encoding/xml, which gives the same layout or error for it. The
+// layout is validated alone: Parse is Index.Parse on an index of its own.
 func Parse(name string, data []byte) (*Layout, error) {
+	return make(Index).Parse(name, data)
+}
+
+// Parse decodes a layout XML document as the package's Parse does, then
+// validates and records it with Add.
+func (x Index) Parse(name string, data []byte) (*Layout, error) {
 	root, ok := scanWidgets(data)
 	if !ok {
-		return parseXML(name, data)
+		var err error
+		if root, err = parseXML(name, data); err != nil {
+			return nil, err
+		}
 	}
 	l := &Layout{Name: name, Root: root}
-	if err := l.Validate(); err != nil {
+	if err := x.Add(l); err != nil {
 		return nil, err
 	}
 	return l, nil
@@ -286,9 +354,10 @@ func scanWidgets(data []byte) (*Widget, bool) {
 	}
 }
 
-// parseXML decodes a layout with encoding/xml. It is the reference for
-// scanWidgets and the only reader of documents outside its dialect.
-func parseXML(name string, data []byte) (*Layout, error) {
+// parseXML decodes a layout's widget tree with encoding/xml. It is the
+// reference for scanWidgets and the only reader of documents outside its
+// dialect.
+func parseXML(name string, data []byte) (*Widget, error) {
 	dec := xml.NewDecoder(bytes.NewReader(data))
 	var root *Widget
 	for {
@@ -311,11 +380,7 @@ func parseXML(name string, data []byte) (*Layout, error) {
 			return nil, fmt.Errorf("layout %s: %w", name, err)
 		}
 	}
-	l := &Layout{Name: name, Root: root}
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return root, nil
 }
 
 func parseWidget(dec *xml.Decoder, se xml.StartElement) (*Widget, error) {

@@ -406,36 +406,6 @@ func (m *Manifest) ActivityForURI(uri string) (string, bool) {
 	return "", false
 }
 
-// ForceStartable reports whether the activity may be started directly with an
-// explicit component intent from outside the app: it must be exported or
-// carry a MAIN action.
-func (m *Manifest) ForceStartable(name string) bool {
-	for _, a := range m.Application.Activities {
-		if a.Name != name {
-			continue
-		}
-		return a.Exported || hasActionCategory(a, ActionMain, "")
-	}
-	return false
-}
-
-// PatchAllMain returns a deep copy of the manifest in which every activity
-// carries an <action android:name="android.intent.action.MAIN"/> filter.
-// This reproduces the paper's static-phase manifest modification that lets
-// FragDroid forcibly start otherwise unreachable Activities with
-// `am start -n <COMPONENT>` during the second dynamic loop.
-func (m *Manifest) PatchAllMain() *Manifest {
-	cp := m.Clone()
-	for i := range cp.Application.Activities {
-		a := &cp.Application.Activities[i]
-		if hasActionCategory(*a, ActionMain, "") {
-			continue
-		}
-		a.Filters = append(a.Filters, IntentFilter{Actions: []Action{{Name: ActionMain}}})
-	}
-	return cp
-}
-
 // Clone returns a deep copy of the manifest.
 func (m *Manifest) Clone() *Manifest {
 	cp := *m

@@ -1,7 +1,5 @@
 package sensitive
 
-import "sort"
-
 // categoryPermissions maps sensitive-API categories to the Android
 // permissions guarding them. Categories with no entry are callable without a
 // dangerous permission (which is exactly why XPrivacy monitors them: "most
@@ -22,16 +20,6 @@ var categoryPermissions = map[string][]string{
 // needs none.
 func PermissionsFor(api string) []string {
 	return append([]string(nil), categoryPermissions[Category(api)]...)
-}
-
-// GuardedCategories lists the categories that require a permission, sorted.
-func GuardedCategories() []string {
-	out := make([]string, 0, len(categoryPermissions))
-	for c := range categoryPermissions {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PermissionFinding reports one observed API invocation whose guarding

@@ -2,8 +2,19 @@ package sensitive
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
+
+// GuardedCategories lists the categories that require a permission, sorted.
+func GuardedCategories() []string {
+	out := make([]string, 0, len(categoryPermissions))
+	for c := range categoryPermissions {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
 
 func TestPermissionsFor(t *testing.T) {
 	if got := PermissionsFor("location/getProviders"); !reflect.DeepEqual(got,

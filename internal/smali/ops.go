@@ -84,73 +84,64 @@ const (
 	OpNop             Op = "nop"
 )
 
-// opSpec describes the operand contract of an opcode.
-type opSpec struct {
-	argc  int
-	kinds []argKind // parallel to operands
-}
+// opSpec is the operand contract of an opcode: one argKind byte per
+// operand, so its length is the operand count. Being a string, it comes
+// back from lookupOp in registers, where a struct holding an array would
+// go through memory.
+type opSpec string
 
-type argKind int
+// argKind is the shape of one operand.
+type argKind byte
 
 const (
-	argType  argKind = iota + 1 // Dalvik type descriptor (Lx/Y;)
-	argRes                      // resource reference (@kind/name)
-	argStr                      // quoted string (unquoted by the lexer)
-	argIdent                    // bare identifier (method name)
+	argType  argKind = 't' // Dalvik type descriptor (Lx/Y;)
+	argRes   argKind = 'r' // resource reference (@kind/name)
+	argStr   argKind = 's' // quoted string (unquoted by the lexer)
+	argIdent argKind = 'i' // bare identifier (method name)
 )
 
-var opSpecs = map[Op]opSpec{
-	OpSetContentView:   {1, []argKind{argRes}},
-	OpSetClickListener: {2, []argKind{argRes, argIdent}},
-	OpToggleVisible:    {1, []argKind{argRes}},
-	OpSetText:          {2, []argKind{argRes, argStr}},
-
-	OpNewIntent:       {2, []argKind{argType, argType}},
-	OpSetClass:        {2, []argKind{argType, argType}},
-	OpNewIntentAction: {1, []argKind{argStr}},
-	OpSetAction:       {1, []argKind{argStr}},
-	OpPutExtra:        {2, []argKind{argStr, argStr}},
-	OpStartActivity:   {0, nil},
-	OpSendBroadcast:   {1, []argKind{argStr}},
-	OpFinish:          {0, nil},
-
-	OpGetFragmentManager:        {0, nil},
-	OpGetSupportFragmentManager: {0, nil},
-	OpBeginTransaction:          {0, nil},
-	OpTxnAdd:                    {2, []argKind{argRes, argType}},
-	OpTxnReplace:                {2, []argKind{argRes, argType}},
-	OpTxnRemove:                 {1, []argKind{argType}},
-	OpTxnCommit:                 {0, nil},
-	OpInflateView:               {2, []argKind{argRes, argType}},
-
-	OpNewInstance: {1, []argKind{argType}},
-	OpInvokeNewIn: {1, []argKind{argType}},
-	OpInstanceOf:  {1, []argKind{argType}},
-
-	OpShowDialog:   {1, []argKind{argStr}},
-	OpShowPopup:    {1, []argKind{argStr}},
-	OpRequireInput: {2, []argKind{argRes, argStr}},
-	OpRequireExtra: {1, []argKind{argStr}},
-	OpCrash:        {1, []argKind{argStr}},
-
-	OpInvokeSensitive: {1, []argKind{argStr}},
-	OpLoadLibrary:     {1, []argKind{argStr}},
-	OpLog:             {1, []argKind{argStr}},
-	OpNop:             {0, nil},
+// lookupOp returns the operand contract of op and reports whether op is in
+// the instruction set. It is the instruction set's only table: a switch,
+// which compares op with the known spellings and hashes nothing, where a
+// map lookup would hash op on every instruction checked.
+func lookupOp(op Op) (opSpec, bool) {
+	switch op {
+	case OpStartActivity, OpFinish, OpGetFragmentManager, OpGetSupportFragmentManager,
+		OpBeginTransaction, OpTxnCommit, OpNop:
+		return "", true
+	case OpNewIntentAction, OpSetAction, OpSendBroadcast, OpShowDialog, OpShowPopup,
+		OpRequireExtra, OpCrash, OpInvokeSensitive, OpLoadLibrary, OpLog:
+		return "s", true
+	case OpSetContentView, OpToggleVisible:
+		return "r", true
+	case OpTxnRemove, OpNewInstance, OpInvokeNewIn, OpInstanceOf:
+		return "t", true
+	case OpSetClickListener:
+		return "ri", true
+	case OpSetText, OpRequireInput:
+		return "rs", true
+	case OpTxnAdd, OpTxnReplace, OpInflateView:
+		return "rt", true
+	case OpNewIntent, OpSetClass:
+		return "tt", true
+	case OpPutExtra:
+		return "ss", true
+	}
+	return "", false
 }
 
 // validate checks operand count and shapes for an instruction.
 func (i Instr) validate() error {
-	spec, ok := opSpecs[i.Op]
+	spec, ok := lookupOp(i.Op)
 	if !ok {
 		return fmt.Errorf("line %d: unknown opcode %q", i.Line, i.Op)
 	}
-	if len(i.Args) != spec.argc {
-		return fmt.Errorf("line %d: %s wants %d operands, got %d", i.Line, i.Op, spec.argc, len(i.Args))
+	if len(i.Args) != len(spec) {
+		return fmt.Errorf("line %d: %s wants %d operands, got %d", i.Line, i.Op, len(spec), len(i.Args))
 	}
-	for n, k := range spec.kinds {
+	for n := range len(spec) {
 		a := i.Args[n]
-		switch k {
+		switch argKind(spec[n]) {
 		case argType:
 			if !isDottedClass(a) {
 				return fmt.Errorf("line %d: %s operand %d: %q is not a class", i.Line, i.Op, n+1, a)

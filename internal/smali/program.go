@@ -39,11 +39,11 @@ func (i Instr) String() string {
 	}
 	parts := make([]string, 0, 1+len(i.Args))
 	parts = append(parts, string(i.Op))
-	spec := opSpecs[i.Op]
+	spec, _ := lookupOp(i.Op)
 	for n, a := range i.Args {
 		var k argKind
-		if n < len(spec.kinds) {
-			k = spec.kinds[n]
+		if n < len(spec) {
+			k = argKind(spec[n])
 		}
 		switch k {
 		case argType:
@@ -120,7 +120,8 @@ type Class struct {
 // Check validates a programmatically constructed class the way the parser
 // validates source: required directives, identifier-shaped member names, no
 // duplicate methods, and per-instruction operand shapes. Classes that come
-// out of ParseClass always pass.
+// out of ParseClass always pass. Like the parser, it finds a duplicate
+// method by scanning the methods before it: a class has a handful.
 func (c *Class) Check() error {
 	if c.Name == "" {
 		return fmt.Errorf("smali: class with empty name")
@@ -136,15 +137,15 @@ func (c *Class) Check() error {
 			return fmt.Errorf("smali: class %s: field %s without descriptor", c.Name, f.Name)
 		}
 	}
-	seen := make(map[string]bool, len(c.Methods))
-	for _, m := range c.Methods {
+	for i, m := range c.Methods {
 		if !isIdent(m.Name) {
 			return fmt.Errorf("smali: class %s: invalid method name %q", c.Name, m.Name)
 		}
-		if seen[m.Name] {
-			return fmt.Errorf("smali: class %s: duplicate method %s", c.Name, m.Name)
+		for _, prev := range c.Methods[:i] {
+			if prev.Name == m.Name {
+				return fmt.Errorf("smali: class %s: duplicate method %s", c.Name, m.Name)
+			}
 		}
-		seen[m.Name] = true
 		for _, ins := range m.Body {
 			if err := ins.validate(); err != nil {
 				return fmt.Errorf("smali: class %s method %s: %w", c.Name, m.Name, err)
@@ -177,7 +178,7 @@ func (c *Class) Outer() string {
 // whole application.
 type Program struct {
 	classes map[string]*Class
-	order   []string
+	order   []*Class // insertion order
 	// sorted is every class name in sorted order, InnerClasses' index. It
 	// is built on first use and dropped by Add.
 	sorted atomic.Pointer[[]string]
@@ -192,7 +193,7 @@ func NewProgram() *Program {
 func NewProgramSized(hint int) *Program {
 	return &Program{
 		classes: make(map[string]*Class, hint),
-		order:   make([]string, 0, hint),
+		order:   make([]*Class, 0, hint),
 	}
 }
 
@@ -205,7 +206,7 @@ func (p *Program) Add(c *Class) error {
 		return fmt.Errorf("smali: duplicate class %s", c.Name)
 	}
 	p.classes[c.Name] = c
-	p.order = append(p.order, c.Name)
+	p.order = append(p.order, c)
 	p.sorted.Store(nil)
 	return nil
 }
@@ -217,11 +218,20 @@ func (p *Program) Class(name string) *Class {
 
 // Names returns all class names in insertion order. The slice is a copy.
 func (p *Program) Names() []string {
-	return append([]string(nil), p.order...)
+	out := make([]string, len(p.order))
+	for i, c := range p.order {
+		out[i] = c.Name
+	}
+	return out
 }
 
 // Len reports the number of classes.
-func (p *Program) Len() int { return len(p.classes) }
+func (p *Program) Len() int { return len(p.order) }
+
+// ClassAt returns the i-th class in insertion order, 0 <= i < Len(): a
+// walk over the classes with neither a copy of the names nor a lookup by
+// name.
+func (p *Program) ClassAt(i int) *Class { return p.order[i] }
 
 // SuperChain returns the chain of superclass names starting at name's direct
 // superclass and ending at the last resolvable ancestor (framework classes
@@ -304,8 +314,8 @@ func (p *Program) FragmentClasses() []string {
 // stopping at the first; it is len(FragmentClasses()) > 0 without the
 // list.
 func (p *Program) HasFragmentClass() bool {
-	for _, name := range p.order {
-		if p.IsFragmentClass(name) {
+	for _, c := range p.order {
+		if p.IsFragmentClass(c.Name) {
 			return true
 		}
 	}
@@ -349,7 +359,7 @@ func (p *Program) sortedNames() []string {
 	if s := p.sorted.Load(); s != nil {
 		return *s
 	}
-	s := append([]string(nil), p.order...)
+	s := p.Names()
 	sort.Strings(s)
 	p.sorted.Store(&s)
 	return s
@@ -373,9 +383,9 @@ func (p *Program) UsedClasses(name string) []string {
 	set := make(map[string]bool)
 	for _, m := range c.Methods {
 		for _, ins := range m.Body {
-			spec := opSpecs[ins.Op]
-			for n, k := range spec.kinds {
-				if k == argType && n < len(ins.Args) {
+			spec, _ := lookupOp(ins.Op)
+			for n := range len(spec) {
+				if argKind(spec[n]) == argType && n < len(ins.Args) {
 					set[ins.Args[n]] = true
 				}
 			}
@@ -392,16 +402,15 @@ func (p *Program) UsedClasses(name string) []string {
 // Validate checks cross-class invariants: every non-framework superclass and
 // referenced class must exist in the program.
 func (p *Program) Validate() error {
-	for _, name := range p.order {
-		c := p.classes[name]
+	for _, c := range p.order {
 		if c.Super == "" {
-			return fmt.Errorf("smali: class %s has no superclass", name)
+			return fmt.Errorf("smali: class %s has no superclass", c.Name)
 		}
 		if !FrameworkClass(c.Super) && p.classes[c.Super] == nil {
-			return fmt.Errorf("smali: class %s extends unknown class %s", name, c.Super)
+			return fmt.Errorf("smali: class %s extends unknown class %s", c.Name, c.Super)
 		}
 		if u, ok := p.smallestUnknown(c); ok {
-			return fmt.Errorf("smali: class %s references unknown class %s", name, u)
+			return fmt.Errorf("smali: class %s references unknown class %s", c.Name, u)
 		}
 	}
 	return nil
@@ -415,8 +424,9 @@ func (p *Program) smallestUnknown(c *Class) (string, bool) {
 	found := false
 	for _, m := range c.Methods {
 		for _, ins := range m.Body {
-			for n, k := range opSpecs[ins.Op].kinds {
-				if k != argType || n >= len(ins.Args) {
+			spec, _ := lookupOp(ins.Op)
+			for n := range len(spec) {
+				if argKind(spec[n]) != argType || n >= len(ins.Args) {
 					continue
 				}
 				u := ins.Args[n]
